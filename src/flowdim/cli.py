@@ -72,8 +72,9 @@ def _config_hash(params):
 
 
 class Runner:
-    def __init__(self, out_dir, subcommand, params):
-        self.out_dir = Path(out_dir)
+    def __init__(self, args, subcommand, params):
+        args.runner = self  # lets main write a diagnostic on a contract violation
+        self.out_dir = Path(args.out)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.subcommand = subcommand
         self.params = params
@@ -122,7 +123,7 @@ def cmd_periodic_dim(args):
                     {"a": float, "r": float})
     if "a" not in params or "r" not in params:
         raise ConfigurationError("periodic-dim requires --a and --r")
-    runner = Runner(args.out, "periodic-dim", params)
+    runner = Runner(args, "periodic-dim", params)
     formula, cert = periodic_subspace_dim(params["a"], params["r"])
     payload = {"formula": formula, "rank": cert.rank,
                "pass": bool(cert.consistent),
@@ -142,7 +143,7 @@ def cmd_kernel_report(args):
     params = _merge(_load_config(args.config), args, {
         "rho": str, "tau": float, "band-lo": float, "band-hi": float,
         "window": float, "delta": float})
-    runner = Runner(args.out, "kernel-report", params)
+    runner = Runner(args, "kernel-report", params)
     spec = _kernel_spec(params)
     delta = params.get("delta", 0.1)
     constants = certify_constants(spec, delta)
@@ -170,7 +171,7 @@ def cmd_kernel_report(args):
 def cmd_solenoid_demo(args):
     params = _merge(_load_config(args.config), args, {
         "depth": int, "T": float, "seed": int, "n-points": int})
-    runner = Runner(args.out, "solenoid-demo", params)
+    runner = Runner(args, "solenoid-demo", params)
     depth = params.get("depth", 4)
     T = params.get("T", 2e4)
     seed = params.get("seed", 0)
@@ -201,7 +202,7 @@ def cmd_widim_sweep(args):
         "sample": str, "eps-list": str})
     if "sample" not in params:
         raise ConfigurationError("widim-sweep requires --sample manifest.json")
-    runner = Runner(args.out, "widim-sweep", params)
+    runner = Runner(args, "widim-sweep", params)
     sample = load_sample_json(params["sample"])
     eps_list = [float(e) for e in str(params.get("eps-list", "0.1,0.2,0.3")).split(",")]
     rows = [(eps, 1, widim_upper(sample, eps)) for eps in sorted(eps_list)]
@@ -216,7 +217,7 @@ def cmd_mdim_table(args):
     params = _merge(_load_config(args.config), args, {
         "family": str, "D": int, "N-max": int, "eps-list": str,
         "metric-mean": str, "system": str})
-    runner = Runner(args.out, "mdim-table", params)
+    runner = Runner(args, "mdim-table", params)
     family = params.get("family", "cube")
     eps_list = sorted(float(e) for e in str(params.get("eps-list", "0.3")).split(","))
     n_max = params.get("N-max", 4)
@@ -245,7 +246,7 @@ def cmd_bw_metric(args):
         "system": str, "height-grid": int, "max-segments": int})
     if "system" not in params:
         raise ConfigurationError("bw-metric requires --system manifest.json")
-    runner = Runner(args.out, "bw-metric", params)
+    runner = Runner(args, "bw-metric", params)
     sys, roof = load_system_json(params["system"])
     if roof is None:
         roof = RoofFunction.constant(1.0, len(sys))
@@ -270,7 +271,7 @@ def cmd_embed_pipeline(args):
     params = _merge(_load_config(args.config), args, {
         "delta": float, "rho": str, "N": int, "base-size": int,
         "heights": int, "seed": int})
-    runner = Runner(args.out, "embed-pipeline", params)
+    runner = Runner(args, "embed-pipeline", params)
     result = instances.run_embedding_pipeline(
         delta=params.get("delta", 0.2),
         rho=Fraction(str(params.get("rho", 1))),
@@ -362,6 +363,11 @@ def main(argv=None):
         return USAGE_ERROR
     except FlowdimError as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
+        runner = getattr(args, "runner", None)
+        if runner is not None:
+            runner.write_json("-diagnostic.json", {"error": type(exc).__name__,
+                                                   "message": str(exc)})
+            runner.finish(False)
         return CONTRACT_ERROR
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

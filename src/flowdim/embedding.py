@@ -168,11 +168,6 @@ def solenoid_recover(sig, emb: SolenoidEmbedding, T: float,
     return SolenoidPoint(tuple(full), tol=0.05)
 
 
-def circle_gap(a: float, b: float, period: float) -> float:
-    gap = abs(a - b) % period
-    return min(gap, period - gap)
-
-
 @dataclass
 class SearchReport:
     """How the randomized embedding search ended."""

@@ -42,9 +42,6 @@ def _pairwise(points, metric_kind):
         return np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
     if metric_kind == "sup":
         return np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=2)
-    if metric_kind == "circle":
-        # One-dimensional points on a circle of circumference given by `period`.
-        raise ConfigurationError("circle metric requires a period; use load_sample")
     raise ConfigurationError(f"unknown metric kind {metric_kind!r}")
 
 

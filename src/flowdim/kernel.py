@@ -6,7 +6,8 @@ lattice product g (value 1 at 0, zeros exactly on the punctured lattice
 {k/rho}).  Because the lattice is uniform, the full product collapses
 to sin(pi rho z)/(pi rho z); that closed form is the production
 evaluator, while the truncated product is kept as an independent
-cross-check path with a certified relative tail bound.
+cross-check path with a certified relative tail bound.  h is an even
+trapezoidal rule; the lattice sum behind the budget is in closed form.
 """
 
 from __future__ import annotations
@@ -174,8 +175,8 @@ class KernelSpec:
     """Configuration of the interpolation kernel and its bump factor.
 
     The bump is the standard normalized exp(-1/(1-u^2)) on (-tau/2, tau/2);
-    its transform is evaluated with a fixed Gauss-Legendre rule whose
-    node count doubles for the convergence check.
+    its transform is evaluated with an even trapezoidal rule of at least
+    ``quad_nodes`` half-support nodes, doubled for the convergence check.
     """
 
     def __init__(self, band: Band, rho, tau: float, N: int = None,
@@ -199,47 +200,27 @@ class KernelSpec:
             raise ConfigurationError("quadrature needs at least 512 nodes")
         self.K_trunc = int(K_trunc)
         self.window = float(window)
-        self._rules = {}
         self.quad_nodes = quad_nodes
-        xi, wt = self._rule(quad_nodes)
-        raw = self._bump_raw(xi)
-        self.bump_norm = 1.0 / float((wt * raw).sum())
+        self.bump_norm = 1.0 / float(self._trapezoid(quad_nodes)[1].sum())
         self._constants = None
-
-    def _rule(self, n):
-        if n not in self._rules:
-            xi, wt = np.polynomial.legendre.leggauss(n)
-            self._rules[n] = (xi * (self.tau / 2.0), wt * (self.tau / 2.0))
-        return self._rules[n]
-
-    def nodes_for(self, z_mag: float) -> int:
-        """Rule size resolving the oscillation exp(2 pi i z xi) at |z|.
-
-        The integrand completes |z| tau cycles over the support; eight
-        nodes per cycle keeps Gauss-Legendre in its fast-convergence
-        regime, with the configured count as a floor.
-        """
-        need = 8.0 * max(1.0, abs(z_mag)) * self.tau
-        n = self.quad_nodes
-        while n < need:
-            n *= 2
-        return n
 
     @property
     def rho_float(self):
         return self.lattice.rho_float
 
-    def _bump_raw(self, xi):
+    def _trapezoid(self, n):
+        """Nodes j h on [0, tau/2), h = tau/(2n), and weights (h, 2h, 2h, ...)
+        times the raw bump: sum(w f(xi)) integrates bump * f for even f."""
+        h = self.tau / (2.0 * n)
+        xi = h * np.arange(n)
         u = 2.0 * xi / self.tau
-        out = np.zeros_like(u)
-        inside = np.abs(u) < 1.0
-        out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
-        return out
+        wt = 2.0 * h * np.exp(-1.0 / (1.0 - u * u))
+        wt[0] /= 2.0
+        return xi, wt
 
     def bump_integral_check(self):
         """Integral of the normalized bump under the doubled rule."""
-        xi, wt = self._rule(2 * self.quad_nodes)
-        return float((wt * self._bump_raw(xi)).sum() * self.bump_norm)
+        return float(self._trapezoid(2 * self.quad_nodes)[1].sum() * self.bump_norm)
 
     def constants(self):
         if self._constants is None:
@@ -251,35 +232,39 @@ class KernelSpec:
 def bump_transform(z, spec: KernelSpec, tol: float = 1e-10):
     """Transform h(z) = int psi(xi) exp(2 pi i z xi) dxi of the smooth bump.
 
-    h(0) = 1 exactly by normalization.  The rule size adapts to the
-    oscillation count |z| tau, and the doubled-node rule must agree
-    within ``tol`` (scaled by the value's magnitude) or
-    ``QuadratureError`` is raised with the achieved tolerance.
+    psi is even and flat at its endpoints, so the even trapezoidal rule
+    on psi(xi) cos(2 pi z xi) converges spectrally; the cosine is real on
+    real z.  h(0) = 1 by normalization.  One rule serves the call:
+    ``spec.quad_nodes`` doubled until it reaches 4 tau max|z|.  Its
+    doubled rule must agree within ``tol`` (scaled by the value's
+    magnitude) or ``QuadratureError`` is raised with the achieved
+    tolerance.  Chunking keeps memory at O(chunk x nodes).
     """
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    zz = np.atleast_1d(z).ravel()
+    z = np.asarray(z)
+    zz = z.ravel().astype(complex if np.iscomplexobj(z) else float)
+    n = spec.quad_nodes
+    z_max = float(np.abs(zz).max()) if zz.size else 0.0
+    while n < 4.0 * spec.tau * z_max:
+        n *= 2
+    xi, fine_wt = spec._trapezoid(2 * n)
+    fine_wt = fine_wt * spec.bump_norm
+    # The base rule's nodes are the even fine nodes, at twice the weight.
+    coarse_wt = 2.0 * fine_wt[::2]
     out = np.empty(zz.shape, dtype=complex)
-    rule_sizes = np.array([spec.nodes_for(m) for m in np.abs(zz)])
-
-    def rule_value(points, n):
-        xi, wt = spec._rule(n)
-        weights = wt * spec._bump_raw(xi) * spec.bump_norm
-        return np.exp(2j * np.pi * np.outer(points, xi)) @ weights
-
     worst = 0.0
-    for n in np.unique(rule_sizes):
-        block = rule_sizes == n
-        coarse = rule_value(zz[block], int(n))
-        fine = rule_value(zz[block], 2 * int(n))
+    chunk = max(1, (1 << 16) // len(xi))
+    for start in range(0, len(zz), chunk):
+        waves = np.cos(2.0 * np.pi * np.outer(zz[start:start + chunk], xi))
+        fine = waves @ fine_wt
+        coarse = waves[:, ::2] @ coarse_wt
         scale = np.maximum(1.0, np.abs(fine))
         worst = max(worst, float((np.abs(fine - coarse) / scale).max()))
-        out[block] = fine
+        out[start:start + chunk] = fine
     if worst > tol:
         raise QuadratureError(
             f"bump transform quadrature disagreement {worst:.3g} exceeds {tol:.3g}",
             achieved_tol=worst)
-    return complex(out[0]) if scalar else out.reshape(np.atleast_1d(z).shape)
+    return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
 def interpolation_kernel(t, spec: KernelSpec):
@@ -317,8 +302,8 @@ def kernel_band_leakage(spec: KernelSpec, pad: float = None) -> float:
 class KernelConstants:
     """Certified decay and interpolation-budget constants.
 
-    |phi(t)| <= K_dec / (1 + t^2) on the certification window, S_sup
-    bounds the lattice sum of that envelope over one period, and
+    |phi(t)| <= K_dec / (1 + t^2) on the certification window, S_sup is
+    the exact sup over t of that envelope's lattice sum, and
     delta_prime * S_sup < delta by construction.
     """
 
@@ -332,21 +317,15 @@ class KernelConstants:
         return self.delta_prime * self.S_sup < self.delta
 
 
-def _lattice_envelope_sup(K_dec: float, rho: float, t_grid: np.ndarray,
-                          node_span: int = 4000) -> float:
-    """Max over t of sum_lambda K/(1 + (t-lambda)^2) plus a closed tail bound."""
-    k = np.arange(-node_span, node_span + 1)
-    nodes = k / rho
-    total = np.zeros_like(t_grid)
-    chunk = 1 << 12
-    for start in range(0, len(nodes), chunk):
-        nn = nodes[start:start + chunk]
-        total += (K_dec / (1.0 + (t_grid[:, None] - nn[None, :]) ** 2)).sum(axis=1)
-    # Nodes beyond the span: integral comparison sum_{|x|>M} <= 2 rho Kdec
-    # (pi/2 - arctan(M - 1/rho)) with M the distance to the nearest omitted node.
-    margin = node_span / rho - float(np.abs(t_grid).max())
-    tail = 2.0 * rho * K_dec * (np.pi / 2.0 - math.atan(margin - 1.0 / rho))
-    return float(total.max() + tail)
+def lattice_envelope_sum(K_dec: float, rho: float, t):
+    """sum_k K_dec / (1 + (t - k/rho)^2) in its Poisson-summation form.
+
+    K_dec pi rho (1 - q^2) / (1 - 2 q cos(2 pi rho t) + q^2) with
+    q = exp(-2 pi rho); at t = 0 it equals K_dec pi rho coth(pi rho).
+    """
+    q = math.exp(-2.0 * math.pi * rho)
+    return (K_dec * math.pi * rho * (1.0 - q * q)
+            / (1.0 - 2.0 * q * np.cos(2.0 * np.pi * rho * np.asarray(t)) + q * q))
 
 
 def certify_constants(spec: KernelSpec, delta: float,
@@ -355,18 +334,19 @@ def certify_constants(spec: KernelSpec, delta: float,
 
     K_dec carries a 10% safety margin over the measured maximum of
     |phi(t)| (1 + t^2); beyond the window the bump decay dominates the
-    quadratic envelope.  delta' = 0.9 delta / S_sup, so the product
-    delta' * S_sup sits strictly below delta.
+    quadratic envelope.  The envelope's lattice sum
+    sum_k K_dec / (1 + (t - k/rho)^2) peaks at t = 0, where the
+    Mittag-Leffler expansion of coth gives it exactly:
+    S_sup = K_dec pi rho coth(pi rho).  delta' = 0.9 delta / S_sup, so
+    the product delta' * S_sup sits strictly below delta.
     """
     if delta <= 0:
         raise ConfigurationError("delta must be positive")
     t = np.linspace(-spec.window, spec.window, 2 * grid_points + 1)
     envelope = np.abs(interpolation_kernel(t, spec)) * (1.0 + t * t)
     K_dec = 1.1 * float(envelope.max())
-    rho = spec.rho_float
-    period = 1.0 / rho
-    t_grid = np.linspace(0.0, period, grid_points, endpoint=False)
-    S_sup = _lattice_envelope_sup(K_dec, rho, t_grid)
+    x = np.pi * spec.rho_float
+    S_sup = K_dec * x / math.tanh(x)
     constants = KernelConstants(K_dec=K_dec, delta_prime=0.9 * delta / S_sup,
                                 S_sup=S_sup, delta=delta, window=spec.window)
     spec._constants = constants
@@ -375,10 +355,16 @@ def certify_constants(spec: KernelSpec, delta: float,
 
 def reverify_constants(spec: KernelSpec, constants: KernelConstants,
                        grid_points: int = 20_000) -> bool:
-    """Re-check the certified budget on an independent, finer, offset grid."""
+    """Re-check the certified budget on an independent, finer, offset grid.
+
+    The lattice sum is evaluated there in its Poisson-summation form
+    (``lattice_envelope_sum``), a closed form apart from the coth one
+    behind S_sup.  Its grid maximum must not exceed S_sup, and delta'
+    times it must stay below delta.
+    """
     rho = spec.rho_float
     period = 1.0 / rho
     offset = period / (2.0 * grid_points)
     t_grid = np.linspace(offset, period + offset, grid_points, endpoint=False)
-    S = _lattice_envelope_sup(constants.K_dec, rho, t_grid)
-    return constants.delta_prime * S < constants.delta
+    S = float(lattice_envelope_sum(constants.K_dec, rho, t_grid).max())
+    return S <= constants.S_sup and constants.delta_prime * S < constants.delta

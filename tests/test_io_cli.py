@@ -163,6 +163,16 @@ class TestCli:
                                   if "manifest" not in p.name).read_text())
         assert payload["pass"] is True
 
+    def test_contract_violation_writes_diagnostic(self, tmp_path):
+        out = tmp_path / "d"
+        assert main(["--out", str(out), "solenoid-demo", "--T", "3"]) == 1
+        diagnostic = json.loads(next(out.glob("solenoid-demo-*-diagnostic.json")).read_text())
+        assert diagnostic["error"] == "NotEmbeddingImageError"
+        assert "coefficient" in diagnostic["message"]
+        manifest = json.loads(next(out.glob("solenoid-demo-*-manifest.json")).read_text())
+        assert manifest["passed"] is False
+        assert manifest["files"] == [f"solenoid-demo-{manifest['config_hash']}-diagnostic.json"]
+
     def test_embed_pipeline(self, tmp_path):
         code = main(["--out", str(tmp_path), "embed-pipeline", "--base-size", "6",
                      "--heights", "5", "--seed", "3"])

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from flowdim.bandlimited import Band
-from flowdim.errors import ConfigurationError
+from flowdim.errors import ConfigurationError, QuadratureError
 from flowdim.kernel import (
+    KernelConstants,
     KernelSpec,
     Lattice,
     bump_transform,
@@ -14,6 +16,7 @@ from flowdim.kernel import (
     growth_audit,
     interpolation_kernel,
     kernel_band_leakage,
+    lattice_envelope_sum,
     product_function,
     product_truncation_bound,
     reverify_constants,
@@ -24,6 +27,35 @@ from flowdim.kernel import (
 @pytest.fixture(scope="module")
 def spec():
     return KernelSpec(Band(0.0, 2.0), Fraction(1), 0.5, window=200.0)
+
+
+def _lattice_envelope_sup(K_dec, rho, t_grid, node_span=4000):
+    """Max over t of sum_lambda K/(1 + (t-lambda)^2) plus a closed tail bound."""
+    nodes = np.arange(-node_span, node_span + 1) / rho
+    total = np.zeros_like(t_grid)
+    chunk = 1 << 12
+    for start in range(0, len(nodes), chunk):
+        nn = nodes[start:start + chunk]
+        total += (K_dec / (1.0 + (t_grid[:, None] - nn[None, :]) ** 2)).sum(axis=1)
+    # Nodes beyond the span: integral comparison sum_{|x|>M} <= 2 rho Kdec
+    # (pi/2 - arctan(M - 1/rho)) with M the distance to the nearest omitted node.
+    margin = node_span / rho - float(np.abs(t_grid).max())
+    tail = 2.0 * rho * K_dec * (np.pi / 2.0 - math.atan(margin - 1.0 / rho))
+    return float(total.max() + tail)
+
+
+def _direct_lattice_sum(K, rho, t, node_span=4000):
+    """sum_k K/(1 + (t - k/rho)^2) over |k| <= node_span, plus both tails.
+
+    Each tail is the midpoint-rule integral with its first Euler-Maclaurin
+    correction, accurate to O(node_span^-5).
+    """
+    k = np.arange(-node_span, node_span + 1)
+    total = float((K / (1.0 + (t - k / rho) ** 2)).sum())
+    for s in ((node_span + 0.5) / rho - t, (node_span + 0.5) / rho + t):
+        total += K * rho * (np.pi / 2.0 - math.atan(s))
+        total -= K * s / (12.0 * rho * (1.0 + s * s) ** 2)
+    return total
 
 
 class TestLattice:
@@ -109,6 +141,24 @@ class TestBumpTransform:
     def test_rapid_real_decay(self, spec):
         assert abs(bump_transform(50.0 / spec.tau, spec)) < 1e-6
 
+    def test_matches_independent_quadrature(self, spec):
+        half = spec.tau / 2.0
+
+        def bump(x):
+            u = x / half
+            return math.exp(-1.0 / (1.0 - u * u)) if abs(u) < 1.0 else 0.0
+
+        norm = quad(bump, -half, half, epsabs=1e-14, epsrel=1e-13)[0]
+        for z in (0.37, 5.0, 17.5, 150.0):
+            ref = quad(bump, -half, half, weight="cos", wvar=2.0 * math.pi * z,
+                       epsabs=1e-14, epsrel=1e-13)[0] / norm
+            assert abs(bump_transform(z, spec) - ref) < 1e-12
+
+    def test_tolerance_below_rounding_floor_raises(self, spec):
+        with pytest.raises(QuadratureError) as info:
+            bump_transform(np.array([0.37, 5.0, 17.5, 150.0]), spec, tol=1e-18)
+        assert 1e-18 < info.value.achieved_tol < 1e-10
+
 
 class TestInterpolationKernel:
     def test_unit_at_origin(self, spec):
@@ -152,6 +202,28 @@ class TestCertifyConstants:
         t = np.linspace(-spec.window, spec.window, 4001)
         vals = np.abs(interpolation_kernel(t, spec))
         assert np.all(vals <= constants.K_dec / (1.0 + t * t) + 1e-12)
+
+    def test_s_sup_is_exact_lattice_sup(self, spec):
+        constants = certify_constants(spec, 0.1)
+        rho = spec.rho_float
+        closed = constants.K_dec * math.pi * rho / math.tanh(math.pi * rho)
+        assert constants.S_sup == pytest.approx(closed, rel=1e-15)
+        t_grid = np.linspace(0.0, 1.0 / rho, 1000, endpoint=False)
+        numeric = _lattice_envelope_sup(constants.K_dec, rho, t_grid)
+        assert closed <= numeric <= closed * (1.0 + 1e-6)
+
+    @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
+    def test_poisson_form_matches_direct_sum(self, rho):
+        for t in (0.1234, 0.37 / rho, 0.5 / rho):
+            poisson = float(lattice_envelope_sum(1.1, rho, t))
+            assert _direct_lattice_sum(1.1, rho, t) == pytest.approx(poisson, rel=1e-12, abs=0.0)
+
+    def test_reverify_rejects_understated_sup(self, spec):
+        c = certify_constants(spec, 0.1)
+        low = KernelConstants(K_dec=c.K_dec, delta_prime=c.delta_prime,
+                              S_sup=c.S_sup * (1.0 - 1e-9), delta=c.delta, window=c.window)
+        assert low.check()
+        assert not reverify_constants(spec, low)
 
     def test_invalid_delta(self, spec):
         with pytest.raises(ConfigurationError):
