@@ -3,7 +3,13 @@
 The embedding sends a truncated solenoid point x to the exponential sum
 f_x(t) = sum_{n >= m} 2^-n exp(2 pi i (t + x_n) / n!), a band-[0, c]
 signal of sup norm at most 1.  Bohr means recover the coefficients, and
-hence the point, from signal values alone.  The perturbation stage
+hence the point, from signal values alone.  Both directions run on
+uniform grids t_j = t0 + j dt through one block factorization: with
+j = q B + r and B = ceil(sqrt(n)), exp(2 pi i f t_j) is the product of a
+row factor in q and a column factor in r, so ``exp_sum_grid`` computes
+the n values as one rank-K matrix product of (rows + B) K exponentials,
+and a Bohr mean contracts the reshaped values with the same two factors
+at the single frequency -lam / (2 pi).  The perturbation stage
 corrects an equivariant signal map on a lattice of sample nodes using
 the interpolation kernel, within a certified sup budget, so that the
 pair (signal map, solenoid factor) separates sample states.
@@ -90,13 +96,71 @@ def solenoid_embed(p: SolenoidPoint, emb: SolenoidEmbedding,
     ``scale`` multiplies the sum (used to keep |f| <= 1 - delta).
     """
     coeffs = solenoid_coefficients(p, emb) * scale
-    freqs = emb.frequencies()
+    n = int(round(2 * emb.window / emb.grid_step)) + 1
+    values = exp_sum_grid(coeffs, emb.frequencies(), -emb.window, emb.grid_step, n)
+    return Signal(Band(0.0, emb.c), emb.window, emb.grid_step, values, sup_bound=True)
 
-    def fn(t):
-        return np.exp(2j * np.pi * np.outer(t, freqs)) @ coeffs
 
-    return Signal.from_function(fn, Band(0.0, emb.c), emb.window, emb.grid_step,
-                                sup_bound=True)
+def _grid_factors(omega, t0: float, dt: float, n: int):
+    """Block factors of exp(i omega_k t_j) on t_j = t0 + j dt, j < n.
+
+    With B = ceil(sqrt(n)) and j = q B + r, entry (j, k) equals
+    head[q, k] * tail[r, k]; head has ceil(n / B) rows and tail B rows.
+    """
+    B = max(1, math.ceil(math.sqrt(n)))
+    rows = -(-n // B)
+    head = np.exp(1j * np.outer(t0 + (B * dt) * np.arange(rows), omega))
+    tail = np.exp(1j * np.outer(dt * np.arange(B), omega))
+    return head, tail
+
+
+def exp_sum_grid(coeffs, freqs, t0: float, dt: float, n: int):
+    """Values sum_k c_k exp(2 pi i f_k t_j) on the grid t_j = t0 + j dt, j < n.
+
+    One (rows x K) @ (K x B) product of the block factors, so only
+    (rows + B) K exponentials are evaluated and no n x K temporary exists.
+    """
+    head, tail = _grid_factors(2.0 * np.pi * np.asarray(freqs, dtype=float), t0, dt, n)
+    return ((head * coeffs) @ tail.T).ravel()[:n]
+
+
+def _trapezoid_mean(vals, lam: float, t0: float, dt: float, T: float) -> complex:
+    """(dt / T) times the trapezoid sum of vals_j exp(-i lam t_j), t_j = t0 + j dt."""
+    n = len(vals)
+    if n < 2:
+        return 0j  # no interval to integrate over, as with np.trapezoid
+    head, tail = _grid_factors([-lam], t0, dt, n)
+    a, b = head[:, 0], tail[:, 0]
+    B = len(b)
+    full = n // B
+    total = a[:full] @ (vals[:full * B].reshape(full, B) @ b)
+    if full < len(a):
+        total += a[full] * (vals[full * B:] @ b[:n - full * B])
+    last = n - 1
+    ends = vals[0] * a[0] + vals[last] * a[last // B] * b[last % B]
+    return complex((total - ends / 2.0) * dt / T)
+
+
+def _nodes_in(sig: Signal, T: float):
+    """Index range [i0, i1) of the grid times in [-1e-12, T + 1e-12].
+
+    Grid times are evaluated exactly as ``Signal.times`` computes them,
+    so the range selects the same nodes as masking that array.
+    """
+    def at(j):
+        return -sig.window + sig.grid_step * j
+
+    i0 = math.ceil(sig.window / sig.grid_step)
+    while i0 > 0 and at(i0 - 1) >= -1e-12:
+        i0 -= 1
+    while at(i0) < -1e-12:
+        i0 += 1
+    i1 = math.floor((sig.window + T) / sig.grid_step) + 1
+    while i1 < len(sig.values) and at(i1) <= T + 1e-12:
+        i1 += 1
+    while at(i1 - 1) > T + 1e-12:
+        i1 -= 1
+    return i0, i1
 
 
 def bohr_coefficient(sig, lam: float, T: float) -> complex:
@@ -107,26 +171,27 @@ def bohr_coefficient(sig, lam: float, T: float) -> complex:
     The quadrature step obeys step <= min(0.01, 1/(8 |lam| + 8)); the
     average converges to the coefficient at frequency lam at rate O(1/T)
     for absolutely summable exponential sums.
+
+    The nodes form a uniform grid t_j = t0 + j dt: the Signal's own
+    nodes in [0, T] (1e-12 slack at both ends), or linspace(0, T) for
+    callables and interpolated Signals.  The trapezoid sum is computed
+    as a^T (V.reshape(rows, B) @ b) with the block factors a, b of
+    exp(-i lam t_j), minus half of the two end terms, times dt / T.
     """
     if T <= 0:
-        raise ValueError("averaging length T must be positive")
+        raise ConfigurationError("averaging length T must be positive")
     step_req = min(0.01, 1.0 / (8.0 * abs(lam) + 8.0))
+    if isinstance(sig, Signal) and sig.grid_step <= step_req and T <= sig.window:
+        i0, i1 = _nodes_in(sig, T)
+        t0 = -sig.window + sig.grid_step * i0
+        return _trapezoid_mean(sig.values[i0:i1], lam, t0, sig.grid_step, T)
+    n = int(math.ceil(T / step_req))
+    tt = np.linspace(0.0, T, n + 1)
     if isinstance(sig, Signal):
-        if sig.grid_step <= step_req and -sig.window <= 0 and T <= sig.window:
-            t = sig.times()
-            mask = (t >= -1e-12) & (t <= T + 1e-12)
-            tt = t[mask]
-            vals = sig.values[mask]
-        else:
-            n = int(math.ceil(T / step_req))
-            tt = np.linspace(0.0, T, n + 1)
-            vals = sig.evaluate(tt)
+        vals = sig.evaluate(tt)
     else:
-        n = int(math.ceil(T / step_req))
-        tt = np.linspace(0.0, T, n + 1)
         vals = np.asarray(sig(tt), dtype=complex)
-    integrand = vals * np.exp(-1j * lam * tt)
-    return complex(np.trapezoid(integrand, tt) / T)
+    return _trapezoid_mean(vals, lam, 0.0, T / n, T)
 
 
 def bohr_cross_term_bound(moduli, freqs, m_index: int, T: float) -> float:
@@ -396,7 +461,7 @@ def verify_delta_embedding(g_map, phi_map, sample: MetricSample, delta: float,
     reports the smallest image separation among non-matching pairs.
     """
     if match_tol <= 0:
-        raise ValueError("match_tol must be positive")
+        raise ConfigurationError("match_tol must be positive")
     points = sample.points
     signals = [g_map(p) for p in points]
     phis = [phi_map(p) for p in points]

@@ -28,8 +28,10 @@ from .embedding import (
     EmbeddingRun,
     SolenoidEmbedding,
     epsilon_embedding_search,
+    exp_sum_grid,
     perturb_signal_map,
     real_rows,
+    solenoid_coefficients,
     solenoid_embed,
     verify_delta_embedding,
 )
@@ -230,23 +232,13 @@ def run_embedding_pipeline(delta: float = 0.2, rho=1, N: int = 2,
     n_states = len(inst.points)
     phi_N = np.array([inst.total_time(i) % period for i in range(n_states)])
 
-    # Sample f along the orbit at the period nodes k/rho.
+    # Sample f along the orbit at the period nodes k/rho, a uniform grid.
     rho_count = spec.lattice.period_count
     nodes = spec.lattice.window_nodes()
-    FC = np.zeros((n_states, rho_count), dtype=complex)
-    coeff_cache = {}
-    for i in range(n_states):
-        tau_i = inst.total_time(i)
-        key = round(tau_i * 20)
-        if key not in coeff_cache:
-            freqs = emb.frequencies()
-            coeffs = scale * np.array(
-                [2.0 ** -n * np.exp(2j * np.pi * (tau_i % math.factorial(n))
-                                    / math.factorial(n))
-                 for n in range(emb.m, emb.K + 1)])
-            coeff_cache[key] = (freqs, coeffs)
-        freqs, coeffs = coeff_cache[key]
-        FC[i] = np.exp(2j * np.pi * np.outer(nodes, freqs)) @ coeffs
+    freqs = emb.frequencies()
+    FC = np.array([exp_sum_grid(solenoid_coefficients(inst.factor(i), emb) * scale,
+                                freqs, 0.0, 1.0 / spec.rho_float, rho_count)
+                   for i in range(n_states)])
     F = real_rows(FC)
 
     # Orbit window metric over one node period, gridded at the height step.

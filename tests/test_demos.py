@@ -3,14 +3,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def test_interpolation_kernel_demo_runs():
-    # The demo drives the kernel's public API end to end, so it catches drift.
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo):
+    # Each demo drives the public API end to end, so it catches drift.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, str(ROOT / "demos" / "interpolation_kernel.py")],
+    result = subprocess.run([sys.executable, str(demo)],
                             capture_output=True, text=True, timeout=120, env=env)
     assert result.returncode == 0, result.stderr

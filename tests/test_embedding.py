@@ -10,12 +10,14 @@ from flowdim.embedding import (
     bohr_coefficient,
     bohr_cross_term_bound,
     epsilon_embedding_search,
+    exp_sum_grid,
     solenoid_coefficients,
     solenoid_embed,
     solenoid_recover,
     verify_delta_embedding,
 )
 from flowdim.errors import (
+    ConfigurationError,
     NotEmbeddingImageError,
     PreconditionError,
     SearchBudgetError,
@@ -69,7 +71,53 @@ class TestSolenoidEmbed:
         assert SolenoidEmbedding(c=0.4, K=3, window=10.0).m == 3
 
 
+def direct_exp_sum(coeffs, freqs, t):
+    """The reference outer-product sum, in chunks to bound its temporaries."""
+    return np.concatenate([np.exp(2j * np.pi * np.outer(t[s:s + 500_000], freqs)) @ coeffs
+                           for s in range(0, len(t), 500_000)])
+
+
+class TestExpSumGrid:
+    def test_block_product_matches_direct_sum_at_4m_points(self, emb):
+        coeffs = solenoid_coefficients(solenoid_from_time(17.3, 4), emb)
+        n, t0, dt = 4_010_001, -20050.0, 0.01
+        got = exp_sum_grid(coeffs, emb.frequencies(), t0, dt, n)
+        want = direct_exp_sum(coeffs, emb.frequencies(), t0 + dt * np.arange(n))
+        assert len(got) == n
+        assert np.abs(got - want).max() <= 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 1009])
+    def test_ragged_lengths(self, emb, n):
+        # n = 1009 is prime, so the last block row is partial; phases stay
+        # below 50 rad, which keeps rounding near 1e-14.
+        coeffs = solenoid_coefficients(solenoid_from_time(5.9, 4), emb)
+        t0, dt = -3.3, 0.01
+        got = exp_sum_grid(coeffs, emb.frequencies(), t0, dt, n)
+        want = direct_exp_sum(coeffs, emb.frequencies(), t0 + dt * np.arange(n))
+        assert len(got) == n
+        assert np.abs(got - want).max() <= 1e-13
+
+
 class TestBohrCoefficient:
+    @pytest.mark.parametrize("window, T", [(20050.0, 2e4), (600.005, 600.005),
+                                           (600.005, 0.004), (60.0, 60.0)])
+    def test_signal_path_matches_masked_trapezoid(self, window, T):
+        # 600.005 is not a multiple of the grid step, so no node sits on 0,
+        # and [0, 0.004] holds no node at all.
+        emb = SolenoidEmbedding(c=1.0, K=4, window=window, grid_step=0.01)
+        sig = solenoid_embed(solenoid_from_time(9.1, 4), emb)
+        t = sig.times()
+        mask = (t >= -1e-12) & (t <= T + 1e-12)
+        for n in range(1, 5):
+            lam = 2.0 * np.pi / math.factorial(n)
+            want = np.trapezoid(sig.values[mask] * np.exp(-1j * lam * t[mask]), t[mask]) / T
+            got = bohr_coefficient(sig, lam, T)
+            assert abs(got - want) <= 1e-10 * abs(want)
+
+    def test_nonpositive_length_is_configuration_error(self):
+        with pytest.raises(ConfigurationError):
+            bohr_coefficient(lambda t: np.ones_like(t, dtype=complex), 1.0, 0.0)
+
     def test_matching_frequency_is_exact(self):
         lam = 2.0
         val = bohr_coefficient(lambda t: np.exp(1j * lam * t), lam, 50.0)
@@ -194,6 +242,14 @@ class TestVerifyDeltaEmbedding:
         assert verdict.n_matched == 0
         assert verdict.min_image_separation > 1e-6
 
+    def test_nonpositive_match_tol_is_configuration_error(self, emb):
+        p = solenoid_from_time(0.7, 4)
+        sig = solenoid_embed(p, emb)
+        sample = MetricSample(["x", "y"], np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(ConfigurationError):
+            verify_delta_embedding(lambda i: sig, lambda i: p, sample,
+                                   delta=0.5, match_tol=0.0)
+
     def test_constant_map_fails_with_witness(self, emb):
         p = solenoid_from_time(0.7, 4)
         sig = solenoid_embed(p, emb)
@@ -249,3 +305,16 @@ class TestPerturbSignalMap:
 
     def test_pipeline_verdict_on_small_instance(self, small_pipeline):
         assert small_pipeline.passed
+
+
+def test_pipeline_rows_are_the_signal_at_the_nodes():
+    # On 30 heights per unit time, states 1/30 apart need their own rows.
+    from flowdim.instances import run_embedding_pipeline
+    res = run_embedding_pipeline(base_size=6, n_heights=30)
+    inst, run = res.instance, res.run
+    emb = SolenoidEmbedding(c=1.0, K=inst.depth, window=16.0, grid_step=0.05)
+    nodes = run.kernel.lattice.window_nodes()
+    for i in range(len(inst.points)):
+        coeffs = solenoid_coefficients(inst.factor(i), emb) * (1.0 - run.delta)
+        want = direct_exp_sum(coeffs, emb.frequencies(), nodes)
+        assert np.abs(run.F[i] - np.concatenate([want.real, want.imag])).max() <= 1e-12
