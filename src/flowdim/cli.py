@@ -22,7 +22,7 @@ import numpy as np
 
 from . import instances
 from .bandlimited import Band, periodic_subspace_dim
-from .dynamics import RoofFunction, SuspensionPoint, bw_distance
+from .dynamics import BowenWaltersMetric, RoofFunction, SuspensionPoint
 from .embedding import SolenoidEmbedding, solenoid_embed, solenoid_recover
 from .dynamics import SolenoidPoint, solenoid_from_time
 from .errors import ConfigurationError, FlowdimError
@@ -183,8 +183,7 @@ def cmd_solenoid_demo(args):
     for _ in range(n_points):
         tau = float(rng.uniform(0, math.factorial(depth)))
         p = solenoid_from_time(tau, depth)
-        sig = solenoid_embed(p, emb)
-        rec = solenoid_recover(sig, emb, T)
+        rec = solenoid_recover(solenoid_embed(p, emb), emb, T)
         for n in range(1, depth + 1):
             fact = math.factorial(n)
             gap = abs(rec.coords[n - 1] - p.coords[n - 1]) % fact
@@ -252,14 +251,10 @@ def cmd_bw_metric(args):
         roof = RoofFunction.constant(1.0, len(sys))
     grid = params.get("height-grid", 16)
     segments = params.get("max-segments", 16)
-    rows = []
-    for i in range(len(sys)):
-        for j in range(len(sys)):
-            d = bw_distance(SuspensionPoint(i, 0.0), SuspensionPoint(j, 0.0),
-                            sys, roof, max_segments=segments, height_grid=grid)
-            rows.append((i, j, d))
+    points = [SuspensionPoint(i, 0.0) for i in range(len(sys))]
+    mat = BowenWaltersMetric(sys, roof, grid).matrix(points, max_segments=segments)
+    rows = ((i, j, mat[i, j]) for i in range(len(sys)) for j in range(len(sys)))
     write_table_csv(runner.path(".csv"), rows, header=("i", "j", "bw_distance"))
-    mat = np.array([r[2] for r in rows]).reshape(len(sys), len(sys))
     symmetric = bool(np.allclose(mat, mat.T, atol=1e-9))
     runner.write_json(".json", {"symmetric": symmetric,
                                 "height_grid": grid, "max_segments": segments,

@@ -14,12 +14,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import (
+    ConfigurationError,
     InvariantViolationError,
-    MetricInvariantError,
     UnsupportedDirectionError,
 )
 from .metric import MetricSample
@@ -170,7 +170,7 @@ class BowenWaltersMetric:
     def __init__(self, sys: DynSystem, roof: RoofFunction, height_grid: int = 16,
                  extra_heights=()):
         if height_grid < 1:
-            raise ValueError("height_grid must be >= 1")
+            raise ConfigurationError("height_grid must be >= 1")
         self.sys = sys
         self.roof = roof
         levels = set(np.arange(height_grid + 1) / height_grid)
@@ -181,54 +181,42 @@ class BowenWaltersMetric:
         self.levels = np.array(sorted(levels))
         self.n_states = len(sys)
         self.n_levels = len(self.levels)
-        self._level_index = {h: i for i, h in enumerate(self.levels)}
         self._build()
-
-    def _node(self, state, level_idx):
-        return state * self.n_levels + level_idx
 
     def _build(self):
         d = self.sys.base.dist
         step = self.sys.step
         nL, nS = self.n_levels, self.n_states
         n_nodes = nS * nL
-        h_rows, h_cols, h_costs = [], [], []
-        v_rows, v_cols, v_costs = [], [], []
+        rows, cols, costs = [], [], []
 
         # Horizontal edges at each level (complete graph per level).
         iu, ju = np.triu_indices(nS, k=1)
         d_now = d[iu, ju]
         d_next = d[step[iu], step[ju]]
         for li, t in enumerate(self.levels):
-            h_rows.append(iu * nL + li)
-            h_cols.append(ju * nL + li)
-            h_costs.append((1.0 - t) * d_now + t * d_next)
+            rows.append(iu * nL + li)
+            cols.append(ju * nL + li)
+            costs.append((1.0 - t) * d_now + t * d_next)
 
         # Vertical edges within a fiber (adjacent levels).
         fiber = np.arange(nS) * nL
         for li, gap in enumerate(np.diff(self.levels)):
-            v_rows.append(fiber + li)
-            v_cols.append(fiber + li + 1)
-            v_costs.append(np.full(nS, gap))
+            rows.append(fiber + li)
+            cols.append(fiber + li + 1)
+            costs.append(np.full(nS, gap))
 
         # Gluing: (x, 1) is the same point as (Tx, 0).
-        v_rows.append(fiber + nL - 1)
-        v_cols.append(step * nL)
-        v_costs.append(np.zeros(nS))
+        rows.append(fiber + nL - 1)
+        cols.append(step * nL)
+        costs.append(np.zeros(nS))
 
-        def _sym(rows, cols, costs):
-            rows = np.concatenate(rows)
-            cols = np.concatenate(cols)
-            costs = np.concatenate(costs)
-            return coo_matrix(
-                (np.concatenate([costs, costs]),
-                 (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
-                shape=(n_nodes, n_nodes)).tocsr()
-
-        self._vertical = _sym(v_rows, v_cols, v_costs)
-        self._graph = _sym(h_rows + v_rows, h_cols + v_cols, h_costs + v_costs)
+        rows, cols, costs = (np.concatenate(a) for a in (rows, cols, costs))
+        self._graph = coo_matrix(
+            (np.concatenate([costs, costs]),
+             (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+            shape=(n_nodes, n_nodes)).tocsr()
         self._closure = None
-        self._vclosure = None
 
     def closure(self):
         """All-pairs chain infimum on the grid (unbounded segment count)."""
@@ -236,10 +224,37 @@ class BowenWaltersMetric:
             self._closure = dijkstra(self._graph, directed=False)
         return self._closure
 
-    def _vertical_closure(self):
-        if self._vclosure is None:
-            self._vclosure = dijkstra(self._vertical, directed=False)
-        return self._vclosure
+    def _lift(self, max_segments):
+        """The level graph lifted to nodes (k, r, v), stored at (2k + r) V + v.
+
+        k counts the segments of a chain that ends at node v, and r = 1
+        while the chain is inside a vertical run.  A horizontal edge, or
+        the first step of a vertical run, moves k to k + 1; a further step
+        of a vertical run keeps k, and (k, 1, v) ends its run by passing
+        to (k, 0, v) at no cost.  Edges are directed, k <= max_segments.
+        """
+        graph = self._graph.tocoo()
+        n = graph.shape[0]
+        stay = np.arange(n)
+        row, col = np.r_[graph.row, stay], np.r_[graph.col, stay]
+        cost = np.r_[graph.data, np.zeros(n)]
+        # Kind 0: horizontal edges join two nodes of one level; kind 1:
+        # vertical and gluing edges change the level; kind 2: run exits.
+        same_level = graph.row % self.n_levels == graph.col % self.n_levels
+        kind = np.r_[np.where(same_level, 0, 1), np.full(n, 2)]
+        k = np.arange(max_segments)
+        runs = 2 * np.arange(max_segments + 1) + 1
+        moves = ((2 * k, 2 * k + 2, 0), (2 * k, 2 * k + 3, 1), (runs, runs, 1),
+                 (2 * k + 1, 2 * k, 2))
+        rows, cols, costs = [], [], []
+        for src, dst, which in moves:
+            edges = kind == which
+            rows.append(np.add.outer(src * n, row[edges]).ravel())
+            cols.append(np.add.outer(dst * n, col[edges]).ravel())
+            costs.append(np.tile(cost[edges], len(src)))
+        size = 2 * (max_segments + 1) * n
+        return csr_matrix((np.concatenate(costs), (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(size, size))
 
     def node_of(self, p: SuspensionPoint):
         """Graph node of a suspension point; its normalized height must be a level."""
@@ -249,48 +264,29 @@ class BowenWaltersMetric:
         if len(key_candidates) == 0:
             raise InvariantViolationError(
                 f"normalized height {h} is not on the metric's level grid")
-        return self._node(p.state, int(key_candidates[0]))
+        return p.state * self.n_levels + int(key_candidates[0])
+
+    def matrix(self, points, max_segments: int | None = None):
+        """Chain-length upper bounds of the BW distance between the points.
+
+        With ``max_segments=None`` the cached closure is read.  A finite
+        budget bounds the number of horizontal edges plus maximal vertical
+        runs; one Dijkstra from all the points over the segment-count lift
+        answers it.
+        """
+        nodes = [self.node_of(p) for p in points]
+        if max_segments is None:
+            return self.closure()[np.ix_(nodes, nodes)]
+        if max_segments < 2:
+            raise ConfigurationError("max_segments must be at least 2")
+        n = self._graph.shape[0]
+        lifted = dijkstra(self._lift(max_segments), indices=nodes)
+        return lifted.reshape(len(nodes), 2 * (max_segments + 1), n).min(axis=1)[:, nodes]
 
     def distance(self, p: SuspensionPoint, q: SuspensionPoint,
                  max_segments: int | None = None) -> float:
-        """Chain-length upper bound of the Bowen-Walters distance.
-
-        With ``max_segments=None`` the full graph closure is used.  A
-        finite budget counts maximal horizontal or vertical runs, each
-        realized as one move.
-        """
-        a, b = self.node_of(p), self.node_of(q)
-        if max_segments is None:
-            return float(self.closure()[a, b])
-        if max_segments < 2:
-            raise ValueError("max_segments must be at least 2")
-        vert = self._vertical_closure()
-        horiz = self._horizontal_moves()
-        n = self._graph.shape[0]
-        dist = np.full(n, np.inf)
-        dist[a] = 0.0
-        for _ in range(max_segments):
-            through_v = (dist[:, None] + vert).min(axis=0)
-            through_h = (dist[:, None] + horiz).min(axis=0)
-            dist = np.minimum(dist, np.minimum(through_v, through_h))
-        return float(dist[b])
-
-    def _horizontal_moves(self):
-        nL, nS = self.n_levels, self.n_states
-        n = nS * nL
-        moves = np.full((n, n), np.inf)
-        d = self.sys.base.dist
-        step = self.sys.step
-        for li, t in enumerate(self.levels):
-            w = (1.0 - t) * d + t * d[np.ix_(step, step)]
-            idx = np.arange(nS) * nL + li
-            moves[np.ix_(idx, idx)] = w
-        return moves
-
-    def matrix(self, points):
-        """Distance matrix over a list of suspension points (closure chains)."""
-        nodes = [self.node_of(p) for p in points]
-        return self.closure()[np.ix_(nodes, nodes)]
+        """Chain-length upper bound of the Bowen-Walters distance (see ``matrix``)."""
+        return float(self.matrix([p, q], max_segments)[0, 1])
 
 
 def bw_distance(p: SuspensionPoint, q: SuspensionPoint, sys: DynSystem,
@@ -302,8 +298,6 @@ def bw_distance(p: SuspensionPoint, q: SuspensionPoint, sys: DynSystem,
     points are accepted.  Antitone in ``max_segments``, and in
     ``height_grid`` along nested grids (e.g. doubling counts).
     """
-    if max_segments < 2:
-        raise ValueError("max_segments must be at least 2")
     hp = p.canonical(sys, roof)
     hq = q.canonical(sys, roof)
     extra = (hp.height / roof(hp.state), hq.height / roof(hq.state))
@@ -315,6 +309,8 @@ def mapping_torus(sys: DynSystem, height_grid: int = 16) -> FlowSystem:
     """Roof-1 suspension packaged as a FlowSystem under the BW metric.
 
     Sample values are the height-0 points; the time-1 map on them is T.
+    A table whose heights leave the shared grid is read from one metric
+    built on the grid plus those heights.
     """
     roof = RoofFunction.constant(1.0, len(sys))
     bw = BowenWaltersMetric(sys, roof, height_grid)
@@ -322,23 +318,15 @@ def mapping_torus(sys: DynSystem, height_grid: int = 16) -> FlowSystem:
     def evolve(p, t):
         return suspend(sys, roof, p, t)
 
-    def metric(p, q):
-        # Snap heights onto the shared grid when possible, else rebuild.
-        try:
-            return bw.distance(p, q)
-        except InvariantViolationError:
-            return bw_distance(p, q, sys, roof, height_grid=height_grid)
-
     def metric_matrix(values):
-        try:
+        heights = {p.canonical(sys, roof).height for p in values}
+        off_grid = [h for h in heights if np.abs(bw.levels - h).min() > CIRCLE_TOL]
+        if not off_grid:
             return bw.matrix(values)
-        except InvariantViolationError:
-            n = len(values)
-            out = np.zeros((n, n))
-            for i in range(n):
-                for j in range(i + 1, n):
-                    out[i, j] = out[j, i] = metric(values[i], values[j])
-            return out
+        return BowenWaltersMetric(sys, roof, height_grid, extra_heights=off_grid).matrix(values)
+
+    def metric(p, q):
+        return metric_matrix([p, q])[0, 1]
 
     values = [SuspensionPoint(i, 0.0) for i in range(len(sys))]
     return FlowSystem(values, evolve, metric, metric_matrix=metric_matrix,

@@ -121,10 +121,8 @@ class SuspensionInstance:
         points = [SuspensionPoint(i, float(h))
                   for i in range(base_size) for h in heights]
         bw = BowenWaltersMetric(sys, roof, height_grid=n_heights)
-        nodes = [bw.node_of(p) for p in points]
-        dist = bw.closure()[np.ix_(nodes, nodes)]
         ids = [(p.state, round(p.height * n_heights)) for p in points]
-        sample = MetricSample(ids, dist, validate=False)
+        sample = MetricSample(ids, bw.matrix(points), validate=False)
         inst = cls(sys=sys, roof=roof, points=points, sample=sample, bw=bw,
                    depth=depth, base_size=base_size)
         inst._n_heights = n_heights

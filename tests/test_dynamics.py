@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from flowdim.dynamics import (
     BowenWaltersMetric,
@@ -14,9 +16,54 @@ from flowdim.dynamics import (
     solenoid_from_time,
     suspend,
 )
-from flowdim.errors import InvariantViolationError, UnsupportedDirectionError
+from flowdim.errors import (
+    ConfigurationError,
+    InvariantViolationError,
+    UnsupportedDirectionError,
+)
 from flowdim.instances import rotation_system
-from flowdim.metric import MetricSample
+from flowdim.metric import MetricSample, OrbitMetricSpec, orbit_metric_R
+
+
+def dense_min_plus(bw, source, max_segments):
+    """Budgeted chain lengths from one node by the dense min-plus rounds.
+
+    Each round extends every chain by one move: a path of the vertical
+    closure or one horizontal edge (a V x V matrix per level), so
+    ``max_segments`` rounds bound the number of maximal runs.
+    """
+    d, step, levels = bw.sys.base.dist, bw.sys.step, bw.levels
+    nS, nL = len(step), len(levels)
+    n = nS * nL
+    fiber = np.arange(nS) * nL
+    rows = np.concatenate([fiber + li for li in range(nL - 1)] + [fiber + nL - 1])
+    cols = np.concatenate([fiber + li + 1 for li in range(nL - 1)] + [step * nL])
+    gaps = np.concatenate([np.full(nS, gap) for gap in np.diff(levels)] + [np.zeros(nS)])
+    vertical = dijkstra(coo_matrix((np.r_[gaps, gaps], (np.r_[rows, cols], np.r_[cols, rows])),
+                                   shape=(n, n)).tocsr(), directed=False)
+    horizontal = np.full((n, n), np.inf)
+    for li, t in enumerate(levels):
+        idx = fiber + li
+        horizontal[np.ix_(idx, idx)] = (1.0 - t) * d + t * d[np.ix_(step, step)]
+    dist = np.full(n, np.inf)
+    dist[source] = 0.0
+    for _ in range(max_segments):
+        through_v = (dist[:, None] + vertical).min(axis=0)
+        through_h = (dist[:, None] + horizontal).min(axis=0)
+        dist = np.minimum(dist, np.minimum(through_v, through_h))
+    return dist
+
+
+def seeded_metric(seed, grid, n_extra):
+    """A random sup-metric system with a random roof; odd seeds permute."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 8))
+    pts = rng.uniform(size=(n, 2))
+    dist = np.abs(pts[:, None] - pts[None, :]).max(axis=2)
+    step = rng.permutation(n) if seed % 2 else rng.integers(0, n, n)
+    sys = DynSystem(MetricSample(list(range(n)), dist), step)
+    roof = RoofFunction(rng.uniform(0.5, 1.5, n))
+    return BowenWaltersMetric(sys, roof, grid, extra_heights=rng.uniform(0, 1, n_extra))
 
 
 @pytest.fixture
@@ -104,6 +151,38 @@ class TestBowenWalters:
                      for g in (4, 8, 16)]
         assert grid_vals[0] >= grid_vals[1] >= grid_vals[2]
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("grid,n_extra", [(3, 2), (5, 1), (7, 0), (10, 2),
+                                              (4, 0), (8, 0), (16, 0)])
+    def test_budgeted_matrix_matches_dense_min_plus(self, seed, grid, n_extra):
+        bw = seeded_metric(seed + grid, grid, n_extra)
+        nL = bw.n_levels
+        # Every node but the top level, which is glued to the next fiber.
+        nodes = [v for v in range(bw.n_states * nL) if v % nL < nL - 1]
+        points = [SuspensionPoint(v // nL, bw.levels[v % nL] * bw.roof(v // nL))
+                  for v in nodes]
+        base = [i for i, v in enumerate(nodes) if v % nL == 0]
+        for k in (2, 3, 7, 16):
+            mat = bw.matrix(points, max_segments=k)
+            ref = np.array([dense_min_plus(bw, v, k)[nodes] for v in nodes])
+            np.testing.assert_allclose(mat, ref, rtol=1e-12, atol=0)
+            if n_extra == 0 and grid in (4, 8, 16):
+                # Dyadic gaps add exactly, so height-0 tables are bit-equal.
+                # From interior heights a run's gaps, added one step at a
+                # time to a chain crossing a binade, can round one ulp away.
+                assert np.array_equal(mat[np.ix_(base, base)], ref[np.ix_(base, base)])
+
+    def test_bad_budget_and_grid_are_configuration_errors(self, rot12, roof1):
+        bw = BowenWaltersMetric(rot12, roof1, height_grid=4)
+        p, q = SuspensionPoint(0, 0.0), SuspensionPoint(3, 0.5)
+        for k in (1, 0):
+            with pytest.raises(ConfigurationError):
+                bw.matrix([p, q], max_segments=k)
+            with pytest.raises(ConfigurationError):
+                bw_distance(p, q, rot12, roof1, max_segments=k)
+        with pytest.raises(ConfigurationError):
+            BowenWaltersMetric(rot12, roof1, height_grid=0)
+
     def test_bounded_budget_reaches_closure(self, rot12, roof1):
         bw = BowenWaltersMetric(rot12, roof1, height_grid=8)
         p = SuspensionPoint(0, 0.0)
@@ -125,6 +204,25 @@ class TestMappingTorus:
         for _ in range(12):
             out = torus.evolve(out, 1.0)
         assert out == p
+
+    def test_off_grid_window_builds_one_metric_per_time(self, monkeypatch):
+        torus = mapping_torus(rotation_system(12), height_grid=4)
+        builds = []
+        init = BowenWaltersMetric.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BowenWaltersMetric, "__init__", counted)
+        window = orbit_metric_R(torus, OrbitMetricSpec("R-window", 2.0, 0.1))
+        times = np.arange(0.0, 2.0 + 0.05, 0.1)
+        off_grid = int(np.sum(np.abs(4 * times - np.round(4 * times)) > 1e-9))
+        assert off_grid > 0
+        assert 0 < len(builds) <= off_grid
+        # The rotation flow is isometric: every window equals the arc distance.
+        np.testing.assert_allclose(window.dist, rotation_system(12).base.dist,
+                                   rtol=0, atol=1e-12)
 
     def test_fixed_point_period_one(self):
         base = MetricSample(["p"], np.zeros((1, 1)))

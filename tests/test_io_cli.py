@@ -5,7 +5,7 @@ import pytest
 
 from flowdim.bandlimited import Band, Signal
 from flowdim.cli import main
-from flowdim.dynamics import RoofFunction, SuspensionPoint, suspend
+from flowdim.dynamics import RoofFunction, SuspensionPoint, bw_distance, suspend
 from flowdim.io import (
     load_sample,
     load_sample_json,
@@ -123,13 +123,34 @@ class TestCli:
         assert all(float(r.split(",")[2]) == 1.0 for r in rows)
 
     def test_bw_metric_from_manifest(self, tmp_path):
+        system = {"points": [0.0, 0.25, 0.5, 0.75], "metric": "circle", "period": 1.0,
+                  "step": [1, 2, 3, 0]}
         manifest = tmp_path / "system.json"
-        manifest.write_text(json.dumps({
-            "points": [0.0, 0.25, 0.5, 0.75], "metric": "circle", "period": 1.0,
-            "step": [1, 2, 3, 0]}))
-        code = main(["--out", str(tmp_path), "bw-metric", "--system", str(manifest),
-                     "--height-grid", "4", "--max-segments", "4"])
-        assert code == 0
+        manifest.write_text(json.dumps(system))
+        tables = []
+        for out in (tmp_path / "one", tmp_path / "two"):
+            code = main(["--out", str(out), "bw-metric", "--system", str(manifest),
+                         "--height-grid", "4", "--max-segments", "4"])
+            assert code == 0
+            tables.append(next(out.glob("bw-metric-*.csv")).read_bytes())
+        assert tables[0] == tables[1]
+        # The one-graph table holds exactly the per-pair distances.
+        sys, _ = load_system(system)
+        roof = RoofFunction.constant(1.0, len(sys))
+        lines = tables[0].decode().splitlines()
+        assert len(lines) == 1 + len(sys) ** 2
+        for line in lines[1:]:
+            i, j, d = line.split(",")
+            assert float(d) == bw_distance(SuspensionPoint(int(i), 0.0),
+                                           SuspensionPoint(int(j), 0.0), sys, roof,
+                                           max_segments=4, height_grid=4)
+
+    def test_bw_metric_budget_below_two_is_a_usage_error(self, tmp_path):
+        manifest = tmp_path / "system.json"
+        manifest.write_text(json.dumps({"points": [0.0, 0.5], "metric": "circle",
+                                        "period": 1.0, "step": [1, 0]}))
+        assert main(["--out", str(tmp_path), "bw-metric", "--system", str(manifest),
+                     "--max-segments", "1"]) == 2
 
     def test_config_file_with_overrides(self, tmp_path):
         cfg = tmp_path / "run.cfg"
