@@ -46,48 +46,23 @@ class DynSystem:
     def __len__(self):
         return len(self.base)
 
-    @classmethod
-    def from_maps(cls, states, step_fn, metric_fn):
-        """Tabulate a system from explicit state values and callables."""
-        states = list(states)
-        index = {s: i for i, s in enumerate(states)}
-        step = [index[step_fn(s)] for s in states]
-        n = len(states)
-        dist = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                dist[i, j] = dist[j, i] = metric_fn(states[i], states[j])
-        return cls(MetricSample(states, dist), step)
-
 
 class FlowSystem:
     """A finite sample of flow states with a time-t evolution and a metric.
 
     ``values`` are representative points (need not be closed under the
     flow at all times); ``evolve(value, t)`` returns the time-t image;
-    ``metric(v, w)`` the distance.  ``metric_matrix`` may be overridden
-    with a vectorized implementation.
+    ``metric_matrix(values)`` the distance table of a list of values.
     """
 
-    def __init__(self, values, evolve, metric, metric_matrix=None, ids=None):
+    def __init__(self, values, evolve, metric_matrix, ids=None):
         self.values = list(values)
         self.evolve = evolve
-        self.metric = metric
-        self._metric_matrix = metric_matrix
+        self.metric_matrix = metric_matrix
         self._ids = list(ids) if ids is not None else list(range(len(self.values)))
 
     def point_ids(self):
         return list(self._ids)
-
-    def metric_matrix(self, values):
-        if self._metric_matrix is not None:
-            return self._metric_matrix(values)
-        n = len(values)
-        out = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                out[i, j] = out[j, i] = self.metric(values[i], values[j])
-        return out
 
 
 class RoofFunction:
@@ -325,12 +300,8 @@ def mapping_torus(sys: DynSystem, height_grid: int = 16) -> FlowSystem:
             return bw.matrix(values)
         return BowenWaltersMetric(sys, roof, height_grid, extra_heights=off_grid).matrix(values)
 
-    def metric(p, q):
-        return metric_matrix([p, q])[0, 1]
-
     values = [SuspensionPoint(i, 0.0) for i in range(len(sys))]
-    return FlowSystem(values, evolve, metric, metric_matrix=metric_matrix,
-                      ids=sys.base.points)
+    return FlowSystem(values, evolve, metric_matrix, ids=sys.base.points)
 
 
 def _factorials(K):

@@ -22,6 +22,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bandlimited import Band, Signal, signal_metric
 from .dynamics import SolenoidPoint, solenoid_distance
@@ -36,6 +37,11 @@ from .kernel import KernelSpec, interpolation_kernel
 from .metric import MetricSample, widim_upper
 
 COLLISION_TOL = 1e-12
+# Node phases that agree modulo the grid step to within this many steps
+# share one kernel table: far above the rounding of node times (about
+# 1e-12 steps in the shipped configs), far below the gap between distinct
+# phases (1/7 step at rho = 7/6).
+PHASE_TOL = 1e-9
 
 
 def minimal_start_index(c: float) -> int:
@@ -340,8 +346,12 @@ class EmbeddingRun:
     F: np.ndarray
     G: np.ndarray
     seed: int
-    # The bump factor decays super-polynomially, so a couple hundred
-    # time units of margin push the omitted node tail far below 1e-9.
+    # Nodes farther than this from the signal window are dropped.  Under
+    # the K_dec / (1 + t^2) envelope their sum is at most
+    # 2 rho K_dec max|w| (pi/2 - atan(node_margin - 1/rho)) for the
+    # complex node weights w (``correction_rows``), about 4e-4 at the
+    # README example; but K_dec is measured only on the kernel's window
+    # |t| <= 200, so that tail is not certified.
     node_margin: float = 200.0
 
     def __post_init__(self):
@@ -351,20 +361,38 @@ class EmbeddingRun:
         if not sup < self.delta_prime:
             raise ConfigurationError(
                 f"sup |F - G| = {sup:.3g} must stay below delta' = {self.delta_prime:.3g}")
-        self._kernel_cache = {}
+        self._tables = {}
 
-    def _kernel_lookup(self, quantized, kernel):
-        """Kernel values at offsets quantized to 1e-9, cached across states."""
-        cache = self._kernel_cache
-        flat = quantized.ravel()
-        uniq, inverse = np.unique(flat, return_inverse=True)
-        missing = np.array([q for q in uniq if q not in cache], dtype=np.int64)
-        if len(missing):
-            vals = interpolation_kernel(missing * 1e-9, kernel)
-            for q, v in zip(missing.tolist(), np.atleast_1d(vals)):
-                cache[q] = v
-        table = np.array([cache[q] for q in uniq.tolist()], dtype=complex)
-        return table[inverse].reshape(quantized.shape)
+    def kernel_rows(self, nodes, t0: float, dt: float, n: int):
+        """Rows phi(t0 + j dt - node), j < n, for nodes within node_margin of the grid.
+
+        Each offset node - t0 splits into m whole grid steps and a phase
+        p, so entry j is phi((j - m) dt - p): a window of the table of phi
+        at phase p on the grid steps.  The run builds each table with one
+        ``interpolation_kernel`` call, the first time a node has its
+        phase; phases that agree modulo dt to within PHASE_TOL dt share
+        one table.
+        """
+        span = n + math.ceil(self.node_margin / dt)
+        phases, table = self._tables.get((dt, n), ([], np.empty((0, 2 * span + 1))))
+        steps = np.rint((nodes - t0) / dt).astype(np.int64)
+        offsets = nodes - t0 - steps * dt
+        which = np.full(len(nodes), -1)
+        k = 0
+        while np.any(which < 0):
+            if k == len(phases):
+                phases.append(offsets[np.argmax(which < 0)])
+                row = interpolation_kernel(dt * np.arange(-span, span + 1) - phases[k],
+                                           self.kernel)
+                table = np.vstack([table, row])
+            gap = offsets - phases[k]
+            wrap = np.rint(gap / dt).astype(np.int64)
+            hit = (which < 0) & (np.abs(gap - wrap * dt) <= PHASE_TOL * dt)
+            which[hit] = k
+            steps[hit] += wrap[hit]
+            k += 1
+        self._tables[dt, n] = phases, table
+        return sliding_window_view(table, n, axis=1)[which, span - steps]
 
     @property
     def period(self):
@@ -379,16 +407,17 @@ class EmbeddingRun:
         return complex_rows(self.G) - complex_rows(self.F)
 
 
-def perturb_signal_map(run: EmbeddingRun, f_map, x, kernel: KernelSpec = None) -> Signal:
-    """Build g(x) = f(x) + h(x) with node corrections and certified budget.
+def perturb_signal_map(run: EmbeddingRun, f_map, x) -> Signal:
+    """Build g(x) = f(x) + h(x) with node corrections and a checked budget.
 
     h places kernel translates on the node set {k/rho + n N! - Phi(x)_N}
     weighted by the G-F corrections read along the orbit, truncated to
-    nodes within the window plus a decay margin; the omitted tail is
-    controlled by the certified K_dec envelope.  Requires
-    sup_t |f(x)(t)| <= 1 - delta and certified kernel constants.
+    nodes within the window plus ``run.node_margin``; the omitted tail
+    is not certified (see ``EmbeddingRun.node_margin``).  On the grid,
+    h is the weights times the node rows of ``run.kernel_rows``.
+    Requires sup_t |f(x)(t)| <= 1 - delta and certified kernel constants.
     """
-    kernel = run.kernel if kernel is None else kernel
+    kernel = run.kernel
     constants = kernel.constants()
     if constants.delta != run.delta:
         raise ConfigurationError("kernel constants certified for a different delta")
@@ -418,15 +447,8 @@ def perturb_signal_map(run: EmbeddingRun, f_map, x, kernel: KernelSpec = None) -
             if lo <= node <= hi:
                 nodes.append(node)
                 weights.append(row[k])
-    if nodes:
-        nodes = np.array(nodes)
-        weights = np.array(weights, dtype=complex)
-        offsets = t[None, :] - nodes[:, None]
-        quantized = np.round(offsets / 1e-9).astype(np.int64)
-        kernel_vals = run._kernel_lookup(quantized, kernel)
-        h_vals = weights @ kernel_vals
-    else:
-        h_vals = np.zeros(len(t), dtype=complex)
+    rows = run.kernel_rows(np.array(nodes), t[0], f_sig.grid_step, len(t))
+    h_vals = np.array(weights, dtype=complex) @ rows
     g_vals = f_sig.values + h_vals
     sup_change = float(np.abs(h_vals).max())
     if not sup_change < run.delta:

@@ -161,8 +161,7 @@ class SuspensionInstance:
         flow = FlowSystem(
             self.points,
             lambda p, t: suspend(self.sys, self.roof, p, t),
-            None,
-            metric_matrix=lambda vals: self.bw.matrix(vals),
+            self.bw.matrix,
             ids=self.sample.points,
         )
         return orbit_metric_R(flow, OrbitMetricSpec("R-window", horizon, dt))

@@ -1,4 +1,4 @@
-"""JSON and CSV interchange for samples, systems, signals, and tables.
+"""JSON and CSV interchange for samples, systems, and tables.
 
 CSV numeric columns are rendered with repr-faithful formatting so
 reruns with identical inputs produce byte-identical files.
@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .bandlimited import Band, Signal
 from .dynamics import DynSystem, RoofFunction
 from .errors import ConfigurationError
 from .metric import MetricSample
@@ -90,49 +89,3 @@ def load_system(data) -> tuple[DynSystem, RoofFunction | None]:
 def load_system_json(path):
     with Path(path).open() as fh:
         return load_system(json.load(fh))
-
-
-def write_trajectory_csv(path, rows):
-    """Rows of (t, state, height) for a suspension trajectory."""
-    return write_table_csv(path, rows, header=("t", "state", "height"))
-
-
-def save_signal(path_prefix, sig: Signal):
-    """JSON header plus CSV value block (t, re, im)."""
-    prefix = Path(path_prefix)
-    header = {
-        "band": [sig.band.a, sig.band.b],
-        "window": sig.window,
-        "grid_step": sig.grid_step,
-        "sup_bound": sig.sup_bound,
-        "values": str(prefix.with_suffix(".csv").name),
-    }
-    with prefix.with_suffix(".json").open("w") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    t = sig.times()
-    rows = zip(t, sig.values.real, sig.values.imag)
-    write_table_csv(prefix.with_suffix(".csv"), rows, header=("t", "re", "im"))
-    return prefix.with_suffix(".json"), prefix.with_suffix(".csv")
-
-
-def load_signal(path_json) -> Signal:
-    path_json = Path(path_json)
-    with path_json.open() as fh:
-        header = json.load(fh)
-    csv_path = path_json.parent / header["values"]
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
-    values = data[:, 1] + 1j * data[:, 2]
-    return Signal(Band(*header["band"]), header["window"], header["grid_step"],
-                  values, sup_bound=header.get("sup_bound", False))
-
-
-def write_spectrum_csv(path, sig: Signal, pad_factor: int = 4):
-    """Export the tapered power spectrum as (freq, power) rows."""
-    n = len(sig.values)
-    padded = np.zeros(pad_factor * n, dtype=complex)
-    padded[:n] = sig.values
-    spectrum = np.fft.fftshift(np.fft.fft(padded))
-    freqs = np.fft.fftshift(np.fft.fftfreq(len(padded), d=sig.grid_step))
-    power = np.abs(spectrum) ** 2
-    return write_table_csv(path, zip(freqs, power), header=("freq", "power"))

@@ -278,10 +278,6 @@ class DimensionTable:
                 return v
         raise KeyError((eps, N))
 
-    def to_csv(self, path):
-        from .io import write_table_csv
-        write_table_csv(path, self.rows)
-
 
 def mdim_table(sys, eps_list, N_list) -> DimensionTable:
     """Table of widim_upper(d_N^Z, eps) / N over the requested grid.

@@ -230,7 +230,7 @@ class TestMappingTorus:
         torus = mapping_torus(sys)
         p = SuspensionPoint(0, 0.0)
         assert torus.evolve(p, 1.0) == p
-        assert torus.metric(p, torus.evolve(p, 1.0)) == 0.0
+        assert torus.metric_matrix([p, torus.evolve(p, 1.0)])[0, 1] == 0.0
 
 
 class TestSolenoid:

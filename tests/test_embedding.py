@@ -307,14 +307,95 @@ class TestPerturbSignalMap:
         assert small_pipeline.passed
 
 
-def test_pipeline_rows_are_the_signal_at_the_nodes():
-    # On 30 heights per unit time, states 1/30 apart need their own rows.
+@pytest.fixture(scope="module")
+def fine_pipeline():
+    # On 30 heights per unit time the nodes leave the 0.05 signal grid.
     from flowdim.instances import run_embedding_pipeline
-    res = run_embedding_pipeline(base_size=6, n_heights=30)
-    inst, run = res.instance, res.run
+    return run_embedding_pipeline(base_size=6, n_heights=30)
+
+
+def test_pipeline_rows_are_the_signal_at_the_nodes(fine_pipeline):
+    # On 30 heights per unit time, states 1/30 apart need their own rows.
+    inst, run = fine_pipeline.instance, fine_pipeline.run
     emb = SolenoidEmbedding(c=1.0, K=inst.depth, window=16.0, grid_step=0.05)
     nodes = run.kernel.lattice.window_nodes()
     for i in range(len(inst.points)):
         coeffs = solenoid_coefficients(inst.factor(i), emb) * (1.0 - run.delta)
         want = direct_exp_sum(coeffs, emb.frequencies(), nodes)
         assert np.abs(run.F[i] - np.concatenate([want.real, want.imag])).max() <= 1e-12
+
+
+def test_off_grid_corrections_match_the_direct_kernel_sum(fine_pipeline, monkeypatch):
+    from dataclasses import replace
+
+    import flowdim.embedding
+    from flowdim.embedding import perturb_signal_map
+    from flowdim.kernel import interpolation_kernel
+
+    inst, run = fine_pipeline.instance, fine_pipeline.run
+    noise = np.random.default_rng(5).uniform(-0.5, 0.5, size=run.F.shape)
+    run = replace(run, G=run.F + noise * run.delta_prime)
+    emb = SolenoidEmbedding(c=1.0, K=inst.depth, window=16.0, grid_step=0.05)
+    f_map = lambda i: solenoid_embed(inst.factor(int(i)), emb, scale=1.0 - run.delta)
+    dt = emb.grid_step
+    # rho = 1 and N! = 2: every node of state x sits at -Phi_N(x) modulo dt.
+    phase = {i: round(float(-phi % dt) / dt, 6) % 1.0 for i, phi in enumerate(run.phi_N)}
+    assert len(set(phase.values())) == 3
+
+    calls = []
+
+    def counted(t, spec):
+        calls.append(len(t))
+        return interpolation_kernel(t, spec)
+
+    monkeypatch.setattr(flowdim.embedding, "interpolation_kernel", counted)
+    h = {i: perturb_signal_map(run, f_map, i).values - f_map(i).values
+         for i in range(len(inst.points))}
+    assert len(calls) <= 3
+
+    t = f_map(0).times()
+    sampled = np.linspace(0, len(t) - 1, 40).astype(int)
+    corrections = run.correction_rows()
+    for p in set(phase.values()):
+        i = min(j for j in phase if phase[j] == p)
+        phi = float(run.phi_N[i])
+        lo, hi = t[0] - run.node_margin, t[-1] + run.node_margin
+        nodes, weights = [], []
+        for n in range(math.floor((lo + phi) / 2) - 1, math.ceil((hi + phi) / 2) + 2):
+            row = corrections[inst.advance(i, 2 * n - phi)]
+            for k in range(2):
+                if lo <= 2 * n - phi + k <= hi:
+                    nodes.append(2 * n - phi + k)
+                    weights.append(row[k])
+        want = np.array(weights) @ interpolation_kernel(
+            t[sampled][None, :] - np.array(nodes)[:, None], run.kernel)
+        assert np.abs(want).max() > 1e-2
+        assert np.abs(h[i][sampled] - want).max() <= 1e-12
+
+
+def test_kernel_rows_share_one_table_across_the_half_step(fine_pipeline, monkeypatch):
+    # Nodes half a grid step off the grid round to phases near +dt/2 and
+    # -dt/2; both are one phase modulo dt and must read one table.
+    from dataclasses import replace
+
+    import flowdim.embedding
+    from flowdim.kernel import interpolation_kernel
+
+    run = replace(fine_pipeline.run)
+    calls = []
+
+    def counted(t, spec):
+        calls.append(len(t))
+        return interpolation_kernel(t, spec)
+
+    monkeypatch.setattr(flowdim.embedding, "interpolation_kernel", counted)
+    t0, dt, n = -16.0, 0.05, 641
+    half = t0 + dt * (np.arange(-3000, 4000, 701) + 0.5)
+    nodes = np.concatenate([half - 1e-14, half + 1e-14])
+    phases = (nodes - t0) / dt - np.rint((nodes - t0) / dt)
+    assert phases.min() < 0 < phases.max()
+    rows = run.kernel_rows(nodes, t0, dt, n)
+    assert len(calls) == 1
+    t = t0 + dt * np.arange(n)
+    want = interpolation_kernel(t[None, :] - nodes[:, None], run.kernel)
+    assert np.abs(rows - want).max() <= 1e-12

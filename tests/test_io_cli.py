@@ -3,18 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from flowdim.bandlimited import Band, Signal
 from flowdim.cli import main
 from flowdim.dynamics import RoofFunction, SuspensionPoint, bw_distance, suspend
 from flowdim.io import (
     load_sample,
     load_sample_json,
-    load_signal,
     load_system,
-    save_signal,
     write_table_csv,
-    write_trajectory_csv,
-    write_spectrum_csv,
 )
 from flowdim.metric import widim_upper
 
@@ -56,30 +51,6 @@ class TestSystemIO:
         assert roof.f_min == 1.0
         out = suspend(sys, roof, SuspensionPoint(0, 0.0), 1.0)
         assert out.state == 1
-
-    def test_trajectory_csv(self, tmp_path):
-        rows = [(0.0, 3, 0.0), (0.5, 3, 0.5), (1.0, 4, 0.0)]
-        path = write_trajectory_csv(tmp_path / "traj.csv", rows)
-        text = path.read_text().splitlines()
-        assert text[0] == "t,state,height"
-        assert len(text) == 4
-
-
-class TestSignalIO:
-    def test_save_load_roundtrip(self, tmp_path):
-        sig = Signal.from_function(lambda t: np.exp(2j * np.pi * 0.5 * t),
-                                   Band(0, 1), 10.0, 1 / 8, sup_bound=True)
-        json_path, csv_path = save_signal(tmp_path / "tone", sig)
-        back = load_signal(json_path)
-        assert back.band == sig.band
-        assert np.abs(back.values - sig.values).max() < 1e-15
-
-    def test_spectrum_export(self, tmp_path):
-        sig = Signal.from_function(lambda t: np.exp(2j * np.pi * 0.5 * t),
-                                   Band(0, 1), 10.0, 1 / 8)
-        path = write_spectrum_csv(tmp_path / "spec.csv", sig)
-        header = path.read_text().splitlines()[0]
-        assert header == "freq,power"
 
 
 class TestCsvDeterminism:

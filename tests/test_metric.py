@@ -62,9 +62,9 @@ class TestOrbitMetricZ:
         states = ["zero", "v", "sv", "ssv"]
         first_symbol = {"zero": 0, "v": 0, "sv": 0, "ssv": 1}
         step = {"zero": "zero", "v": "sv", "sv": "ssv", "ssv": "zero"}
-        sys = DynSystem.from_maps(
-            states, lambda s: step[s],
-            lambda a, b: abs(first_symbol[a] - first_symbol[b]))
+        symbols = np.array([first_symbol[s] for s in states], dtype=float)
+        sys = DynSystem(MetricSample(states, np.abs(np.subtract.outer(symbols, symbols))),
+                        [states.index(step[s]) for s in states])
         d3 = orbit_metric_Z(sys, 3)
         d2 = orbit_metric_Z(sys, 2)
         assert d3.distance("zero", "v") == 1.0
