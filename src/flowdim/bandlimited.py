@@ -130,16 +130,21 @@ def signal_metric(f: Signal, g: Signal, n_max: int) -> float:
     Grid sups; the omitted tail is bounded by 2^(1-n_max) for signals
     with sup bound 1.  Exact metric axioms hold on equal grids.
     """
-    if not f.same_grid(g):
+    return float(_weighted_sup(f, [g], n_max)[0])
+
+
+def _weighted_sup(f: Signal, others, n_max: int):
+    """``signal_metric`` from f to each signal of ``others``, as an array."""
+    if not all(f.same_grid(g) for g in others):
         raise IncompatibleSignalError("signals must share window and grid")
     if n_max < 1 or n_max > f.window + 1e-12:
         raise ValueError("need 1 <= n_max <= window")
     t = f.times()
-    diff = np.abs(f.values - g.values)
+    near = np.abs(t) <= n_max + 1e-12
+    diff = np.abs(f.values[near] - np.array([g.values[near] for g in others]))
     total = 0.0
     for n in range(1, int(n_max) + 1):
-        mask = np.abs(t) <= n + 1e-12
-        total += float(diff[mask].max()) / 2.0 ** n
+        total = total + diff[..., np.abs(t[near]) <= n + 1e-12].max(axis=-1) / 2.0 ** n
     return total
 
 

@@ -191,13 +191,22 @@ class BowenWaltersMetric:
             (np.concatenate([costs, costs]),
              (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
             shape=(n_nodes, n_nodes)).tocsr()
-        self._closure = None
+        # Chain-infimum rows, solved on demand and written in place, so the
+        # memory of rows that no table reads is never touched.
+        self._rows = np.empty((n_nodes, n_nodes))
+        self._solved = np.zeros(n_nodes, dtype=bool)
+
+    def _solve(self, nodes):
+        """Fill the rows of the given nodes that no earlier query solved."""
+        todo = np.unique(np.compress(~self._solved[nodes], nodes))
+        if len(todo):
+            self._rows[todo] = dijkstra(self._graph, directed=False, indices=todo)
+            self._solved[todo] = True
 
     def closure(self):
         """All-pairs chain infimum on the grid (unbounded segment count)."""
-        if self._closure is None:
-            self._closure = dijkstra(self._graph, directed=False)
-        return self._closure
+        self._solve(np.arange(len(self._solved)))
+        return self._rows
 
     def _lift(self, max_segments):
         """The level graph lifted to nodes (k, r, v), stored at (2k + r) V + v.
@@ -244,14 +253,16 @@ class BowenWaltersMetric:
     def matrix(self, points, max_segments: int | None = None):
         """Chain-length upper bounds of the BW distance between the points.
 
-        With ``max_segments=None`` the cached closure is read.  A finite
-        budget bounds the number of horizontal edges plus maximal vertical
-        runs; one Dijkstra from all the points over the segment-count lift
-        answers it.
+        With ``max_segments=None`` the closure rows of the points are read,
+        and one Dijkstra from the points no earlier query reached solves
+        the missing ones.  A finite budget bounds the number of horizontal
+        edges plus maximal vertical runs; one Dijkstra from all the points
+        over the segment-count lift answers it.
         """
         nodes = [self.node_of(p) for p in points]
         if max_segments is None:
-            return self.closure()[np.ix_(nodes, nodes)]
+            self._solve(nodes)
+            return self._rows[np.ix_(nodes, nodes)]
         if max_segments < 2:
             raise ConfigurationError("max_segments must be at least 2")
         n = self._graph.shape[0]
@@ -280,12 +291,16 @@ def bw_distance(p: SuspensionPoint, q: SuspensionPoint, sys: DynSystem,
     return bw.distance(p, q, max_segments=max_segments)
 
 
-def mapping_torus(sys: DynSystem, height_grid: int = 16) -> FlowSystem:
+def mapping_torus(sys: DynSystem, height_grid: int = 16,
+                  every_height: bool = False) -> FlowSystem:
     """Roof-1 suspension packaged as a FlowSystem under the BW metric.
 
-    Sample values are the height-0 points; the time-1 map on them is T.
-    A table whose heights leave the shared grid is read from one metric
-    built on the grid plus those heights.
+    Sample values are the height-0 points, on which the time-1 map is T;
+    with ``every_height`` they are every grid point (i, j / height_grid),
+    j < height_grid, state-major.  Ids are (base id, j) pairs.  Tables
+    read the chain-infimum rows of their points from one metric on the
+    grid, solved on first use; a table whose heights leave the grid is
+    read from one metric built on the grid plus those heights.
     """
     roof = RoofFunction.constant(1.0, len(sys))
     bw = BowenWaltersMetric(sys, roof, height_grid)
@@ -300,8 +315,10 @@ def mapping_torus(sys: DynSystem, height_grid: int = 16) -> FlowSystem:
             return bw.matrix(values)
         return BowenWaltersMetric(sys, roof, height_grid, extra_heights=off_grid).matrix(values)
 
-    values = [SuspensionPoint(i, 0.0) for i in range(len(sys))]
-    return FlowSystem(values, evolve, metric_matrix, ids=sys.base.points)
+    slots = range(height_grid if every_height else 1)
+    values = [SuspensionPoint(i, j / height_grid) for i in range(len(sys)) for j in slots]
+    ids = [(x, j) for x in sys.base.points for j in slots]
+    return FlowSystem(values, evolve, metric_matrix, ids=ids)
 
 
 def _factorials(K):
@@ -350,9 +367,11 @@ def solenoid_distance(p: SolenoidPoint, q: SolenoidPoint) -> float:
     """Max over coordinates of the circle distance scaled by circumference."""
     if p.depth != q.depth:
         raise InvariantViolationError("solenoid points must share a depth")
-    facts = _factorials(p.depth)
-    worst = 0.0
-    for c1, c2, f in zip(p.coords, q.coords, facts):
-        gap = abs(c1 - c2) % f
-        worst = max(worst, min(gap, f - gap) / f)
-    return worst
+    return float(_solenoid_gaps(np.array(p.coords), np.array(q.coords)))
+
+
+def _solenoid_gaps(a, b):
+    """``solenoid_distance`` along the last axis of coordinate arrays a and b."""
+    facts = np.array(_factorials(np.shape(a)[-1]), dtype=float)
+    gap = np.abs(a - b) % facts
+    return (np.minimum(gap, facts - gap) / facts).max(axis=-1, initial=0.0)

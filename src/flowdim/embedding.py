@@ -24,10 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bandlimited import Band, Signal, signal_metric
-from .dynamics import SolenoidPoint, solenoid_distance
+from .bandlimited import Band, Signal, _weighted_sup
+from .dynamics import SolenoidPoint, _solenoid_gaps
 from .errors import (
     ConfigurationError,
+    InvariantViolationError,
     NotEmbeddingImageError,
     PreconditionError,
     SearchBudgetError,
@@ -481,33 +482,32 @@ def verify_delta_embedding(g_map, phi_map, sample: MetricSample, delta: float,
     solenoid distance of its factor images fall within ``match_tol``.
     Every matching pair must satisfy d(x, y) < delta; the verdict also
     reports the smallest image separation among non-matching pairs.
+    The signal metric is taken one row of pairs (i, j > i) at a time.
     """
     if match_tol <= 0:
         raise ConfigurationError("match_tol must be positive")
     points = sample.points
+    n = len(points)
     signals = [g_map(p) for p in points]
     phis = [phi_map(p) for p in points]
-    n = len(points)
-    passed = True
-    worst_pair = None
-    worst_distance = -math.inf
-    min_sep = math.inf
-    n_matched = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            sm = signal_metric(signals[i], signals[j], n_max)
-            sd = solenoid_distance(phis[i], phis[j])
-            if sm <= match_tol and sd <= match_tol:
-                n_matched += 1
-                d = sample.dist[i, j]
-                if d >= delta:
-                    passed = False
-                if d > worst_distance:
-                    worst_distance = float(d)
-                    worst_pair = (points[i], points[j])
-            else:
-                min_sep = min(min_sep, max(sm, sd))
-    return EmbeddingVerdict(passed=passed, n_pairs=n * (n - 1) // 2,
-                            n_matched=n_matched, worst_pair=worst_pair,
+    iu, ju = np.triu_indices(n, k=1)
+    sm = sd = np.zeros(len(iu))
+    if n > 1:
+        if len({p.depth for p in phis}) > 1:
+            raise InvariantViolationError("solenoid points must share a depth")
+        sm = np.concatenate([_weighted_sup(signals[i], signals[i + 1:], n_max)
+                             for i in range(n - 1)])
+        coords = np.array([p.coords for p in phis])
+        sd = _solenoid_gaps(coords[iu], coords[ju])
+    matched = (sm <= match_tol) & (sd <= match_tol)
+    d = sample.dist[iu, ju][matched]
+    worst_pair, worst_distance = None, -math.inf
+    if len(d):
+        k = int(np.argmax(d))
+        worst_pair = (points[iu[matched][k]], points[ju[matched][k]])
+        worst_distance = float(d[k])
+    separations = np.maximum(sm, sd)[~matched]
+    return EmbeddingVerdict(passed=bool(np.all(d < delta)), n_pairs=len(iu),
+                            n_matched=int(matched.sum()), worst_pair=worst_pair,
                             worst_distance=worst_distance,
-                            min_image_separation=min_sep)
+                            min_image_separation=float(separations.min(initial=math.inf)))

@@ -15,18 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandlimited import Band, Signal
+from .bandlimited import Band
 from .dynamics import (
-    BowenWaltersMetric,
     DynSystem,
-    RoofFunction,
+    FlowSystem,
     SolenoidPoint,
-    SuspensionPoint,
-    suspend,
+    mapping_torus,
+    solenoid_from_time,
 )
 from .embedding import (
     EmbeddingRun,
     SolenoidEmbedding,
+    complex_rows,
     epsilon_embedding_search,
     exp_sum_grid,
     perturb_signal_map,
@@ -98,73 +98,47 @@ def binary_shift_system(length: int = 6) -> DynSystem:
 class SuspensionInstance:
     """A roof-1 suspension sample with a factor map onto the solenoid.
 
-    States are (base point, height) pairs over a cycle of length
-    ``base_size`` (a multiple of 6) with heights on a 0.1 grid; the
-    factor reads the total orbit coordinate modulo n!.
+    ``flow`` is the every-height ``mapping_torus`` of the rotation on a
+    cycle of length ``base_size`` (a multiple of 6) with ``n_heights``
+    grid heights per unit time, so sample index state * n_heights + j
+    holds the point (state, j / n_heights).  ``sample`` is its BW table;
+    the factor reads the total orbit coordinate modulo n!.
     """
 
-    sys: DynSystem
-    roof: RoofFunction
-    points: list
+    flow: FlowSystem
     sample: MetricSample
-    bw: BowenWaltersMetric
     depth: int
     base_size: int
+    n_heights: int
 
     @classmethod
     def build(cls, base_size: int = 12, n_heights: int = 10, depth: int = 3):
         if base_size % 6 != 0:
             raise ConfigurationError("base size must be a multiple of 6")
-        sys = rotation_system(base_size)
-        roof = RoofFunction.constant(1.0, base_size)
-        heights = np.arange(n_heights) / n_heights
-        points = [SuspensionPoint(i, float(h))
-                  for i in range(base_size) for h in heights]
-        bw = BowenWaltersMetric(sys, roof, height_grid=n_heights)
-        ids = [(p.state, round(p.height * n_heights)) for p in points]
-        sample = MetricSample(ids, bw.matrix(points), validate=False)
-        inst = cls(sys=sys, roof=roof, points=points, sample=sample, bw=bw,
-                   depth=depth, base_size=base_size)
-        inst._n_heights = n_heights
-        inst._lookup = {(p.state, round(p.height * n_heights)): i
-                        for i, p in enumerate(points)}
-        return inst
+        flow = mapping_torus(rotation_system(base_size), n_heights, every_height=True)
+        sample = MetricSample(flow.point_ids(), flow.metric_matrix(flow.values))
+        return cls(flow, sample, depth, base_size, n_heights)
 
     def total_time(self, idx: int) -> float:
-        p = self.points[idx]
+        p = self.flow.values[idx]
         return p.state + p.height
 
     def factor(self, idx: int) -> SolenoidPoint:
-        tau = self.total_time(idx)
-        return SolenoidPoint(tuple(tau % math.factorial(n)
-                                   for n in range(1, self.depth + 1)))
+        return solenoid_from_time(self.total_time(idx), self.depth)
 
     def advance(self, idx: int, t: float) -> int:
         """Index of the time-t image; the image must be a sample state.
 
         The roof is constant 1, so the flow adds t to the total orbit
         coordinate modulo the cycle length; the image height must land
-        back on the height grid.
+        back on the height grid, and its grid slot is its index.
         """
         tau = (self.total_time(idx) + t) % self.base_size
-        slot = round(tau * self._n_heights)
-        if abs(slot / self._n_heights - tau) > 1e-9:
+        slot = round(tau * self.n_heights)
+        if abs(slot / self.n_heights - tau) > 1e-9:
             raise ConfigurationError(
                 f"time-{t} image of state {idx} leaves the height grid")
-        slot %= self.base_size * self._n_heights
-        state, height_slot = divmod(slot, self._n_heights)
-        return self._lookup[(state, height_slot)]
-
-    def flow_metric_sample(self, horizon: float, dt: float = 0.1) -> MetricSample:
-        from .dynamics import FlowSystem
-
-        flow = FlowSystem(
-            self.points,
-            lambda p, t: suspend(self.sys, self.roof, p, t),
-            self.bw.matrix,
-            ids=self.sample.points,
-        )
-        return orbit_metric_R(flow, OrbitMetricSpec("R-window", horizon, dt))
+        return slot % (self.base_size * self.n_heights)
 
 
 @dataclass
@@ -204,9 +178,6 @@ def run_embedding_pipeline(delta: float = 0.2, rho=1, N: int = 2,
     full node period N!.
     """
     band = Band(0.0, 2.0) if band is None else band
-    if equiv_shifts is None:
-        h = 1.0 / n_heights
-        equiv_shifts = (max(h, round(0.3 / h) * h), float(math.factorial(N)))
     inst = SuspensionInstance.build(base_size=base_size, n_heights=n_heights,
                                     depth=max(3, N))
     spec = KernelSpec(band, rho, tau, N=N, window=200.0)
@@ -226,7 +197,7 @@ def run_embedding_pipeline(delta: float = 0.2, rho=1, N: int = 2,
         return signals[idx]
 
     period = math.factorial(N)
-    n_states = len(inst.points)
+    n_states = len(inst.sample)
     phi_N = np.array([inst.total_time(i) % period for i in range(n_states)])
 
     # Sample f along the orbit at the period nodes k/rho, a uniform grid.
@@ -239,7 +210,7 @@ def run_embedding_pipeline(delta: float = 0.2, rho=1, N: int = 2,
     F = real_rows(FC)
 
     # Orbit window metric over one node period, gridded at the height step.
-    d_window = inst.flow_metric_sample(horizon=float(period), dt=1.0 / n_heights)
+    d_window = orbit_metric_R(inst.flow, OrbitMetricSpec("R-window", period, 1.0 / n_heights))
 
     # Pick eps below the measured continuity threshold of F.
     iu, ju = np.triu_indices(n_states, k=1)
@@ -258,6 +229,9 @@ def run_embedding_pipeline(delta: float = 0.2, rho=1, N: int = 2,
                        kernel=spec, sample=d_window, phi_N=phi_N,
                        advance=inst.advance, F=F, G=G, seed=seed,
                        node_margin=node_margin)
+    if equiv_shifts is None:
+        h = 1.0 / n_heights
+        equiv_shifts = (max(h, round(0.3 / h) * h), float(run.period))
 
     g_signals = {}
 
@@ -273,7 +247,7 @@ def run_embedding_pipeline(delta: float = 0.2, rho=1, N: int = 2,
             np.abs(g_map(i).values - f_map(i).values).max()))
 
     # Node identities: g(x)(-Phi_N + k/rho) = G^C(T^{-Phi_N} x)(k).
-    GC = G[:, :rho_count] + 1j * G[:, rho_count:]
+    GC = complex_rows(G)
     node_residual = 0.0
     for i in range(n_states):
         base_state = inst.advance(i, -phi_N[i])

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
+import flowdim.dynamics
 from flowdim.dynamics import (
     BowenWaltersMetric,
     DynSystem,
@@ -21,7 +24,7 @@ from flowdim.errors import (
     InvariantViolationError,
     UnsupportedDirectionError,
 )
-from flowdim.instances import rotation_system
+from flowdim.instances import SuspensionInstance, rotation_system
 from flowdim.metric import MetricSample, OrbitMetricSpec, orbit_metric_R
 
 
@@ -224,6 +227,40 @@ class TestMappingTorus:
         np.testing.assert_allclose(window.dist, rotation_system(12).base.dist,
                                    rtol=0, atol=1e-12)
 
+    def test_off_grid_table_solves_only_its_rows(self, monkeypatch):
+        sources = []
+
+        def counted(graph, *args, indices=None, **kwargs):
+            sources.append(graph.shape[0] if indices is None else len(indices))
+            return dijkstra(graph, *args, indices=indices, **kwargs)
+
+        monkeypatch.setattr(flowdim.dynamics, "dijkstra", counted)
+        torus = mapping_torus(rotation_system(12), height_grid=4)
+        table = torus.metric_matrix([torus.evolve(p, 0.1) for p in torus.values])
+        # One Dijkstra from the 12 query nodes of a 12 x 6-node graph.
+        assert sources == [12]
+        np.testing.assert_allclose(table, rotation_system(12).base.dist, rtol=0, atol=1e-12)
+
+    def test_every_height_values_and_ids(self):
+        torus = mapping_torus(rotation_system(6), height_grid=4, every_height=True)
+        assert torus.values[4 * 2 + 3] == SuspensionPoint(2, 0.75)
+        assert torus.point_ids()[:5] == [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0)]
+        assert mapping_torus(rotation_system(6)).point_ids() == [(i, 0) for i in range(6)]
+
+    @settings(max_examples=40)
+    @given(data=st.data(), n=st.integers(1, 5), grid=st.integers(2, 6))
+    def test_every_height_table_is_a_metric_on_the_default(self, data, n, grid):
+        step = data.draw(st.permutations(range(n)))
+        xs = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+        sys = DynSystem(MetricSample(list(range(n)), np.abs(np.subtract.outer(xs, xs))), step)
+        torus = mapping_torus(sys, grid, every_height=True)
+        d = torus.metric_matrix(torus.values)
+        np.testing.assert_allclose(d, d.T, rtol=0, atol=1e-12)
+        assert np.all(np.diag(d) == 0.0)
+        assert np.all(d[:, None, :] <= d[:, :, None] + d[None, :, :] + 1e-12)
+        base = mapping_torus(sys, grid)
+        assert np.array_equal(d[::grid, ::grid], base.metric_matrix(base.values))
+
     def test_fixed_point_period_one(self):
         base = MetricSample(["p"], np.zeros((1, 1)))
         sys = DynSystem(base, [0])
@@ -231,6 +268,27 @@ class TestMappingTorus:
         p = SuspensionPoint(0, 0.0)
         assert torus.evolve(p, 1.0) == p
         assert torus.metric_matrix([p, torus.evolve(p, 1.0)])[0, 1] == 0.0
+
+
+class TestSuspensionInstance:
+    def test_advance_is_the_flow_on_grid_times(self):
+        inst = SuspensionInstance.build(base_size=6, n_heights=5)
+        flow, n = inst.flow, inst.n_heights
+        index = {pid: i for i, pid in enumerate(flow.point_ids())}
+        # Up to 64 / 5, past two cycles of length 6; some sums wrap to just
+        # below the cycle length.
+        for k in range(65):
+            for t in (k / n, -k / n):
+                for i, p in enumerate(flow.values):
+                    q = flow.evolve(p, t)
+                    assert inst.advance(i, t) == index[q.state, round(q.height * n)]
+
+    def test_sample_is_the_torus_table(self):
+        inst = SuspensionInstance.build(base_size=6, n_heights=5)
+        assert len(inst.sample) == 30
+        assert inst.sample.points == inst.flow.point_ids()
+        assert inst.total_time(7) == pytest.approx(1.4)
+        assert inst.factor(7).coords == pytest.approx((0.4, 1.4, 1.4))
 
 
 class TestSolenoid:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from flowdim.bandlimited import shift
-from flowdim.dynamics import SolenoidPoint, solenoid_act, solenoid_from_time
+from flowdim.bandlimited import shift, signal_metric
+from flowdim.dynamics import SolenoidPoint, solenoid_act, solenoid_distance, solenoid_from_time
 from flowdim.embedding import (
     SolenoidEmbedding,
     bohr_coefficient,
@@ -18,6 +18,7 @@ from flowdim.embedding import (
 )
 from flowdim.errors import (
     ConfigurationError,
+    IncompatibleSignalError,
     NotEmbeddingImageError,
     PreconditionError,
     SearchBudgetError,
@@ -250,6 +251,37 @@ class TestVerifyDeltaEmbedding:
             verify_delta_embedding(lambda i: sig, lambda i: p, sample,
                                    delta=0.5, match_tol=0.0)
 
+    def test_pair_rows_equal_the_per_pair_metrics(self, emb):
+        # Three factor points occur twice, so three pairs match.
+        times = [0.0, 0.4, 1.3, 2.2, 3.1, 5.0, 7.7, 0.4, 3.1, 7.7]
+        pts = [solenoid_from_time(t, 4) for t in times]
+        sigs = [solenoid_embed(p, emb) for p in pts]
+        x = np.random.default_rng(3).uniform(size=len(pts))
+        sample = MetricSample(list(range(len(pts))), np.abs(np.subtract.outer(x, x)))
+        verdict = verify_delta_embedding(lambda i: sigs[i], lambda i: pts[i],
+                                         sample, delta=0.5, match_tol=1e-6)
+        pairs = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))]
+        sm = {q: signal_metric(sigs[q[0]], sigs[q[1]], 4) for q in pairs}
+        sd = {q: solenoid_distance(pts[q[0]], pts[q[1]]) for q in pairs}
+        matched = [q for q in pairs if sm[q] <= 1e-6 and sd[q] <= 1e-6]
+        worst = max(matched, key=lambda q: sample.dist[q])
+        assert verdict.n_pairs == len(pairs)
+        assert verdict.n_matched == len(matched) == 3
+        assert verdict.worst_pair == worst
+        assert verdict.worst_distance == sample.dist[worst]
+        assert verdict.passed == all(sample.dist[q] < 0.5 for q in matched)
+        assert verdict.min_image_separation == min(
+            max(sm[q], sd[q]) for q in pairs if q not in matched)
+
+    def test_mismatched_grids_are_rejected(self, emb):
+        p = solenoid_from_time(0.7, 4)
+        other = SolenoidEmbedding(c=1.0, K=4, window=10.0)
+        sigs = [solenoid_embed(p, emb), solenoid_embed(p, other)]
+        sample = MetricSample(["x", "y"], np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(IncompatibleSignalError):
+            verify_delta_embedding(lambda i: sigs[sample.index(i)], lambda i: p, sample,
+                                   delta=0.5, match_tol=1e-6)
+
     def test_constant_map_fails_with_witness(self, emb):
         p = solenoid_from_time(0.7, 4)
         sig = solenoid_embed(p, emb)
@@ -319,7 +351,7 @@ def test_pipeline_rows_are_the_signal_at_the_nodes(fine_pipeline):
     inst, run = fine_pipeline.instance, fine_pipeline.run
     emb = SolenoidEmbedding(c=1.0, K=inst.depth, window=16.0, grid_step=0.05)
     nodes = run.kernel.lattice.window_nodes()
-    for i in range(len(inst.points)):
+    for i in range(len(inst.sample)):
         coeffs = solenoid_coefficients(inst.factor(i), emb) * (1.0 - run.delta)
         want = direct_exp_sum(coeffs, emb.frequencies(), nodes)
         assert np.abs(run.F[i] - np.concatenate([want.real, want.imag])).max() <= 1e-12
@@ -350,7 +382,7 @@ def test_off_grid_corrections_match_the_direct_kernel_sum(fine_pipeline, monkeyp
 
     monkeypatch.setattr(flowdim.embedding, "interpolation_kernel", counted)
     h = {i: perturb_signal_map(run, f_map, i).values - f_map(i).values
-         for i in range(len(inst.points))}
+         for i in range(len(inst.sample))}
     assert len(calls) <= 3
 
     t = f_map(0).times()
