@@ -27,7 +27,7 @@ roof = RoofFunction.constant(1.0, len(base))
 
 p = SuspensionPoint(3, 0.25)
 for t in (0.5, 1.0, 2.75, -1.5):
-    q = suspend(base, roof, p, t)
+    [q] = suspend(base, roof, [p], t)
     print(f"psi_{t:+.2f}(3, 0.25) = (state {q.state}, height {q.height:.2f})")
 
 # ## Distances: a fiber segment, a base segment, a mixed pair

@@ -4,8 +4,9 @@ The package splits into:
 
 - ``metric``: finite metric samples, orbit metrics, width-dimension
   upper estimates, spanning numbers, and mean-dimension tables;
-- ``dynamics``: Z-systems, suspension flows with arbitrary roofs, the
-  Bowen-Walters metric, mapping tori, and the n!-solenoid;
+- ``dynamics``: Z-systems, suspension flows with arbitrary roofs (a
+  flow maps a whole sequence of points per call), the Bowen-Walters
+  metric, mapping tori, and the n!-solenoid;
 - ``bandlimited``: the band-limited signal space with its weighted
   local-sup metric, shift flow, spectral support checks, real folding,
   and the periodic-subspace dimension formula;

@@ -1,8 +1,9 @@
 """Z-systems, suspension flows, the Bowen-Walters metric, and the solenoid.
 
 Suspension points are stored in canonical form: height in [0, f(x)),
-with (x, f(x)) rewritten as (Tx, 0).  The Bowen-Walters distance is
-computed on a finite graph of (state, height-level) nodes in roof-1
+with (x, f(x)) rewritten as (Tx, 0), by ``_canonical`` on arrays of
+points; ``suspend`` flows a whole sequence.  The Bowen-Walters distance
+is computed on a finite graph of (state, height-level) nodes in roof-1
 normalized coordinates; it is an upper bound of the true path infimum,
 antitone as the segment budget grows and as the height grid refines
 along nested (divisibility) chains.
@@ -10,6 +11,7 @@ along nested (divisibility) chains.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,7 +53,7 @@ class FlowSystem:
     """A finite sample of flow states with a time-t evolution and a metric.
 
     ``values`` are representative points (need not be closed under the
-    flow at all times); ``evolve(value, t)`` returns the time-t image;
+    flow at all times); ``evolve(values, t)`` returns their time-t images;
     ``metric_matrix(values)`` the distance table of a list of values.
     """
 
@@ -78,8 +80,27 @@ class RoofFunction:
     def constant(cls, value, n):
         return cls(np.full(n, float(value)))
 
-    def __call__(self, state_idx):
-        return float(self.values[state_idx])
+
+def _canonical(sys: DynSystem, roof: RoofFunction, states, heights):
+    """Canonical form of the points (states[i], heights[i]), as two arrays.
+
+    Heights must lie in [0, f(x)] up to CIRCLE_TOL; below 0 they clamp to 0.
+    """
+    states = np.asarray(states, dtype=np.int64)
+    heights = np.asarray(heights, dtype=float)
+    f = roof.values[states]
+    bad = ~((-CIRCLE_TOL <= heights) & (heights <= f + CIRCLE_TOL))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InvariantViolationError(
+            f"height {heights[i]} outside [0, {f[i]}] for state {states[i]}")
+    top = heights >= f - CIRCLE_TOL
+    return np.where(top, sys.step[states], states), np.where(top, 0.0, np.maximum(heights, 0.0))
+
+
+def _arrays(points):
+    """The states and heights of a sequence of suspension points."""
+    return [p.state for p in points], [p.height for p in points]
 
 
 @dataclass(frozen=True)
@@ -90,46 +111,37 @@ class SuspensionPoint:
     height: float
 
     def canonical(self, sys: DynSystem, roof: RoofFunction) -> "SuspensionPoint":
-        f = roof(self.state)
-        if not (-CIRCLE_TOL <= self.height <= f + CIRCLE_TOL):
-            raise InvariantViolationError(
-                f"height {self.height} outside [0, {f}] for state {self.state}")
-        if self.height >= f - CIRCLE_TOL:
-            return SuspensionPoint(int(sys.step[self.state]), 0.0)
-        return SuspensionPoint(self.state, max(self.height, 0.0))
+        states, heights = _canonical(sys, roof, [self.state], [self.height])
+        return SuspensionPoint(int(states[0]), float(heights[0]))
 
 
-def suspend(sys: DynSystem, roof: RoofFunction, p: SuspensionPoint, t: float) -> SuspensionPoint:
-    """Flow the suspension point by time t.
+def suspend(sys: DynSystem, roof: RoofFunction, points, t: float) -> list:
+    """Flow a sequence of suspension points by time t.
 
-    Returns (T^n x, s') in canonical form, where n and s' solve
-    sum_{i<n} f(T^i x) + s' = t + s with 0 <= s' < f(T^n x).
-    Backward flow requires an invertible system.
+    Returns the list of (T^n x, s') in canonical form, where n and s'
+    solve sum_{i<n} f(T^i x) + s' = t + s with 0 <= s' < f(T^n x).  Each
+    step moves the points not yet under their roof, by the same float
+    operations one point alone sees.  Backward flow needs an inverse.
     """
-    p = p.canonical(sys, roof)
-    total = p.height + t
-    state = p.state
-    if t >= 0:
-        for _ in range(MAX_SUSPEND_STEPS):
-            f = roof(state)
-            if total < f - CIRCLE_TOL:
-                break
-            total -= f
-            state = int(sys.step[state])
+    states, total = _canonical(sys, roof, *_arrays(points))
+    total = total + t
+    if t < 0 and sys.inverse is None:
+        raise UnsupportedDirectionError("negative flow time requires an invertible system")
+    for _ in range(MAX_SUSPEND_STEPS):
+        if t >= 0:
+            move = np.flatnonzero(total >= roof.values[states] - CIRCLE_TOL)
+            total[move] -= roof.values[states[move]]
+            states[move] = sys.step[states[move]]
         else:
-            raise ArithmeticError("suspension flow exceeded step budget")
+            move = np.flatnonzero(total < -CIRCLE_TOL)
+            states[move] = sys.inverse[states[move]]
+            total[move] += roof.values[states[move]]
+        if not len(move):
+            break
     else:
-        if sys.inverse is None:
-            raise UnsupportedDirectionError(
-                "negative flow time requires an invertible system")
-        for _ in range(MAX_SUSPEND_STEPS):
-            if total >= -CIRCLE_TOL:
-                break
-            state = int(sys.inverse[state])
-            total += roof(state)
-        else:
-            raise ArithmeticError("suspension flow exceeded step budget")
-    return SuspensionPoint(state, max(total, 0.0)).canonical(sys, roof)
+        raise ArithmeticError("suspension flow exceeded step budget")
+    states, heights = _canonical(sys, roof, states, np.maximum(total, 0.0))
+    return [SuspensionPoint(int(x), float(h)) for x, h in zip(states, heights)]
 
 
 class BowenWaltersMetric:
@@ -240,16 +252,6 @@ class BowenWaltersMetric:
         return csr_matrix((np.concatenate(costs), (np.concatenate(rows), np.concatenate(cols))),
                           shape=(size, size))
 
-    def node_of(self, p: SuspensionPoint):
-        """Graph node of a suspension point; its normalized height must be a level."""
-        p = p.canonical(self.sys, self.roof)
-        h = p.height / self.roof(p.state)
-        key_candidates = np.flatnonzero(np.abs(self.levels - h) <= CIRCLE_TOL)
-        if len(key_candidates) == 0:
-            raise InvariantViolationError(
-                f"normalized height {h} is not on the metric's level grid")
-        return p.state * self.n_levels + int(key_candidates[0])
-
     def matrix(self, points, max_segments: int | None = None):
         """Chain-length upper bounds of the BW distance between the points.
 
@@ -259,7 +261,14 @@ class BowenWaltersMetric:
         edges plus maximal vertical runs; one Dijkstra from all the points
         over the segment-count lift answers it.
         """
-        nodes = [self.node_of(p) for p in points]
+        states, heights = _canonical(self.sys, self.roof, *_arrays(points))
+        h = heights / self.roof.values[states]
+        on_level = np.abs(self.levels - h[:, None]) <= CIRCLE_TOL
+        missing = ~on_level.any(axis=1)
+        if missing.any():
+            raise InvariantViolationError(
+                f"normalized height {h[np.argmax(missing)]} is not on the metric's level grid")
+        nodes = states * self.n_levels + on_level.argmax(axis=1)
         if max_segments is None:
             self._solve(nodes)
             return self._rows[np.ix_(nodes, nodes)]
@@ -284,10 +293,9 @@ def bw_distance(p: SuspensionPoint, q: SuspensionPoint, sys: DynSystem,
     points are accepted.  Antitone in ``max_segments``, and in
     ``height_grid`` along nested grids (e.g. doubling counts).
     """
-    hp = p.canonical(sys, roof)
-    hq = q.canonical(sys, roof)
-    extra = (hp.height / roof(hp.state), hq.height / roof(hq.state))
-    bw = BowenWaltersMetric(sys, roof, height_grid, extra_heights=extra)
+    states, heights = _canonical(sys, roof, *_arrays([p, q]))
+    bw = BowenWaltersMetric(sys, roof, height_grid,
+                            extra_heights=heights / roof.values[states])
     return bw.distance(p, q, max_segments=max_segments)
 
 
@@ -297,28 +305,26 @@ def mapping_torus(sys: DynSystem, height_grid: int = 16,
 
     Sample values are the height-0 points, on which the time-1 map is T;
     with ``every_height`` they are every grid point (i, j / height_grid),
-    j < height_grid, state-major.  Ids are (base id, j) pairs.  Tables
-    read the chain-infimum rows of their points from one metric on the
-    grid, solved on first use; a table whose heights leave the grid is
-    read from one metric built on the grid plus those heights.
+    j < height_grid, state-major.  Ids are (base id, j) pairs; ``evolve``
+    is ``suspend``.  Tables read the chain-infimum rows of their points
+    from one metric on the grid, solved on first use; a table whose
+    heights leave the grid is read from one metric on the grid plus them.
     """
     roof = RoofFunction.constant(1.0, len(sys))
     bw = BowenWaltersMetric(sys, roof, height_grid)
 
-    def evolve(p, t):
-        return suspend(sys, roof, p, t)
-
     def metric_matrix(values):
-        heights = {p.canonical(sys, roof).height for p in values}
-        off_grid = [h for h in heights if np.abs(bw.levels - h).min() > CIRCLE_TOL]
-        if not off_grid:
+        heights = _canonical(sys, roof, *_arrays(values))[1]
+        off_grid = np.abs(bw.levels - heights[:, None]).min(axis=1) > CIRCLE_TOL
+        if not off_grid.any():
             return bw.matrix(values)
-        return BowenWaltersMetric(sys, roof, height_grid, extra_heights=off_grid).matrix(values)
+        return BowenWaltersMetric(sys, roof, height_grid,
+                                  extra_heights=np.unique(heights[off_grid])).matrix(values)
 
     slots = range(height_grid if every_height else 1)
     values = [SuspensionPoint(i, j / height_grid) for i in range(len(sys)) for j in slots]
     ids = [(x, j) for x in sys.base.points for j in slots]
-    return FlowSystem(values, evolve, metric_matrix, ids=ids)
+    return FlowSystem(values, functools.partial(suspend, sys, roof), metric_matrix, ids=ids)
 
 
 def _factorials(K):

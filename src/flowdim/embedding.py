@@ -341,18 +341,15 @@ class EmbeddingRun:
     delta_prime: float
     eps: float
     kernel: KernelSpec
-    sample: MetricSample
     phi_N: np.ndarray
     advance: object
     F: np.ndarray
     G: np.ndarray
     seed: int
-    # Nodes farther than this from the signal window are dropped.  Under
-    # the K_dec / (1 + t^2) envelope their sum is at most
-    # 2 rho K_dec max|w| (pi/2 - atan(node_margin - 1/rho)) for the
-    # complex node weights w (``correction_rows``), about 4e-4 at the
-    # README example; but K_dec is measured only on the kernel's window
-    # |t| <= 200, so that tail is not certified.
+    # Nodes farther than this from the signal window are dropped, and
+    # ``node_tail_bound`` bounds their sum (3.9e-4 at the README example).
+    # The bound assumes the K_dec / (1 + t^2) envelope, which is certified
+    # only on the kernel's window |t| <= 200.
     node_margin: float = 200.0
 
     def __post_init__(self):
@@ -362,6 +359,8 @@ class EmbeddingRun:
         if not sup < self.delta_prime:
             raise ConfigurationError(
                 f"sup |F - G| = {sup:.3g} must stay below delta' = {self.delta_prime:.3g}")
+        if not self.node_margin >= 1.0 / self.kernel.rho_float:
+            raise ConfigurationError("node_margin must be at least the node spacing 1/rho")
         self._tables = {}
 
     def kernel_rows(self, nodes, t0: float, dt: float, n: int):
@@ -407,15 +406,28 @@ class EmbeddingRun:
     def correction_rows(self):
         return complex_rows(self.G) - complex_rows(self.F)
 
+    def node_tail_bound(self):
+        """Bound on |h| from the nodes beyond node_margin M that are dropped.
 
-def perturb_signal_map(run: EmbeddingRun, f_map, x) -> Signal:
+        Nodes are 1/rho apart, so under |phi(t)| <= K_dec / (1 + t^2) each
+        side sums to at most rho K_dec max|w| times the envelope's integral
+        past M - 1/rho >= 0.  K_dec is certified only on |t| <= window.
+        """
+        rho = self.kernel.rho_float
+        w = float(np.abs(self.correction_rows()).max())
+        return (2.0 * rho * self.kernel.constants().K_dec * w
+                * (math.pi / 2.0 - math.atan(self.node_margin - 1.0 / rho)))
+
+
+def perturb_signal_map(run: EmbeddingRun, f_map, x: int) -> Signal:
     """Build g(x) = f(x) + h(x) with node corrections and a checked budget.
 
     h places kernel translates on the node set {k/rho + n N! - Phi(x)_N}
-    weighted by the G-F corrections read along the orbit, truncated to
-    nodes within the window plus ``run.node_margin``; the omitted tail
-    is not certified (see ``EmbeddingRun.node_margin``).  On the grid,
-    h is the weights times the node rows of ``run.kernel_rows``.
+    of the sample index x, weighted by the G-F corrections read along
+    the orbit, truncated to nodes within the window plus ``run.node_margin``.
+    On the grid, h is the weights times the node rows of ``run.kernel_rows``.
+    The check sup|h| + ``run.node_tail_bound()`` < delta assumes the
+    envelope K_dec / (1 + t^2), certified only on |t| <= window.
     Requires sup_t |f(x)(t)| <= 1 - delta and certified kernel constants.
     """
     kernel = run.kernel
@@ -425,36 +437,26 @@ def perturb_signal_map(run: EmbeddingRun, f_map, x) -> Signal:
     f_sig = f_map(x)
     if f_sig.sup_norm() > 1.0 - run.delta + 1e-9:
         raise PreconditionError("need sup |f(x)| <= 1 - delta")
-    x_idx = run.sample.index(x) if not isinstance(x, (int, np.integer)) else int(x)
-    phi = float(run.phi_N[x_idx])
+    phi = float(run.phi_N[x])
     period = run.period
-    rho_count = run.nodes_per_period
-    rho = kernel.rho_float
-    corrections = run.correction_rows()
 
     t = f_sig.times()
     lo = t[0] - run.node_margin
     hi = t[-1] + run.node_margin
-    n_lo = int(math.floor((lo + phi) / period))
-    n_hi = int(math.ceil((hi + phi) / period))
-    nodes = []
-    weights = []
-    for n in range(n_lo, n_hi + 1):
-        base_time = n * period - phi
-        state = run.advance(x_idx, base_time)
-        row = corrections[state]
-        for k in range(rho_count):
-            node = base_time + k / rho
-            if lo <= node <= hi:
-                nodes.append(node)
-                weights.append(row[k])
-    rows = run.kernel_rows(np.array(nodes), t[0], f_sig.grid_step, len(t))
-    h_vals = np.array(weights, dtype=complex) @ rows
+    # Period starts n N! - Phi(x)_N, each with the corrections of its state.
+    starts = np.arange(math.floor((lo + phi) / period), math.ceil((hi + phi) / period) + 1)
+    starts = starts * period - phi
+    nodes = (starts[:, None] + np.arange(run.nodes_per_period) / kernel.rho_float).ravel()
+    weights = run.correction_rows()[[run.advance(x, float(s)) for s in starts]].ravel()
+    keep = (lo <= nodes) & (nodes <= hi)
+    rows = run.kernel_rows(nodes[keep], t[0], f_sig.grid_step, len(t))
+    h_vals = weights[keep] @ rows
     g_vals = f_sig.values + h_vals
     sup_change = float(np.abs(h_vals).max())
-    if not sup_change < run.delta:
+    tail = run.node_tail_bound()
+    if not sup_change + tail < run.delta:
         raise ConfigurationError(
-            f"perturbation sup {sup_change:.3g} reached delta = {run.delta}")
+            f"perturbation sup {sup_change:.3g} + node tail {tail:.3g} reached delta = {run.delta}")
     return Signal(kernel.band, f_sig.window, f_sig.grid_step, g_vals,
                   sup_bound=True)
 

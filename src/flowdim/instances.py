@@ -9,6 +9,7 @@ solenoid for the end-to-end perturbation pipeline.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -188,13 +189,9 @@ def run_embedding_pipeline(delta: float = 0.2, rho=1, N: int = 2,
                             window=window, grid_step=0.05)
     scale = 1.0 - delta
 
-    signals = {}
-
+    @functools.cache
     def f_map(idx):
-        idx = int(idx)
-        if idx not in signals:
-            signals[idx] = solenoid_embed(inst.factor(idx), emb, scale=scale)
-        return signals[idx]
+        return solenoid_embed(inst.factor(idx), emb, scale=scale)
 
     period = math.factorial(N)
     n_states = len(inst.sample)
@@ -226,20 +223,16 @@ def run_embedding_pipeline(delta: float = 0.2, rho=1, N: int = 2,
     G, report = epsilon_embedding_search(F, d_window, eps, search_bound, seed)
 
     run = EmbeddingRun(delta=delta, delta_prime=delta_prime, eps=eps,
-                       kernel=spec, sample=d_window, phi_N=phi_N,
+                       kernel=spec, phi_N=phi_N,
                        advance=inst.advance, F=F, G=G, seed=seed,
                        node_margin=node_margin)
     if equiv_shifts is None:
         h = 1.0 / n_heights
         equiv_shifts = (max(h, round(0.3 / h) * h), float(run.period))
 
-    g_signals = {}
-
+    @functools.cache
     def g_map(idx):
-        idx = int(idx) if not isinstance(idx, tuple) else d_window.index(idx)
-        if idx not in g_signals:
-            g_signals[idx] = perturb_signal_map(run, f_map, idx)
-        return g_signals[idx]
+        return perturb_signal_map(run, f_map, idx)
 
     sup_change = 0.0
     for i in range(n_states):

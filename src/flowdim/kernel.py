@@ -55,9 +55,6 @@ class Lattice:
         """L(rho) ∩ [0, N!) as floats (k/rho for k = 0..rho N! - 1)."""
         return np.arange(self.period_count) / self.rho_float
 
-    def nodes(self, k_min, k_max):
-        return np.arange(k_min, k_max + 1) / self.rho_float
-
 
 def _snap_to_lattice(w):
     """Indices where w (= rho * z) sits on a nonzero integer, within tolerance."""
@@ -180,8 +177,7 @@ class KernelSpec:
     """
 
     def __init__(self, band: Band, rho, tau: float, N: int = None,
-                 K_trunc: int = 10_000, window: float = 200.0,
-                 quad_nodes: int = 512):
+                 window: float = 200.0, quad_nodes: int = 512):
         rho = Fraction(rho)
         if N is None:
             N = 1
@@ -198,7 +194,6 @@ class KernelSpec:
             raise ConfigurationError("need rho + tau < b - a")
         if quad_nodes < 512:
             raise ConfigurationError("quadrature needs at least 512 nodes")
-        self.K_trunc = int(K_trunc)
         self.window = float(window)
         self.quad_nodes = quad_nodes
         self.bump_norm = 1.0 / float(self._trapezoid(quad_nodes)[1].sum())

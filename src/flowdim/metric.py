@@ -256,8 +256,7 @@ def orbit_metric_R(flow, spec: OrbitMetricSpec) -> MetricSample:
         times = np.append(times, R)
     out = None
     for t in times:
-        values = [flow.evolve(v, float(t)) for v in flow.values]
-        mat = flow.metric_matrix(values)
+        mat = flow.metric_matrix(flow.evolve(flow.values, float(t)))
         if not np.all(np.isfinite(mat)):
             raise ArithmeticError(f"non-finite evolution at grid time {t}")
         out = mat if out is None else np.maximum(out, mat)

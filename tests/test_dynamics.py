@@ -57,6 +57,38 @@ def dense_min_plus(bw, source, max_segments):
     return dist
 
 
+def scalar_suspend(sys, roof, p, t):
+    """One point flowed by the per-step scalar loop, its own canonical form included."""
+    tol = flowdim.dynamics.CIRCLE_TOL
+
+    def canonical(state, height):
+        f = float(roof.values[state])
+        if not (-tol <= height <= f + tol):
+            raise InvariantViolationError(f"height {height} outside [0, {f}]")
+        if height >= f - tol:
+            return int(sys.step[state]), 0.0
+        return state, max(height, 0.0)
+
+    state, total = canonical(p.state, p.height)
+    total += t
+    if t >= 0:
+        while total >= float(roof.values[state]) - tol:
+            total -= float(roof.values[state])
+            state = int(sys.step[state])
+    else:
+        if sys.inverse is None:
+            raise UnsupportedDirectionError("negative flow time requires an invertible system")
+        while total < -tol:
+            state = int(sys.inverse[state])
+            total += float(roof.values[state])
+    return SuspensionPoint(*canonical(state, max(total, 0.0)))
+
+
+def bits(points):
+    """States and exact height bits, so that equal lists agree bit for bit."""
+    return [(p.state, float(p.height).hex()) for p in points]
+
+
 def seeded_metric(seed, grid, n_extra):
     """A random sup-metric system with a random roof; odd seeds permute."""
     rng = np.random.default_rng(seed)
@@ -81,17 +113,17 @@ def roof1(rot12):
 
 class TestSuspend:
     def test_full_roof_advances_base(self, rot12, roof1):
-        out = suspend(rot12, roof1, SuspensionPoint(3, 0.0), 1.0)
-        assert out == SuspensionPoint(4, 0.0)
+        out = suspend(rot12, roof1, [SuspensionPoint(3, 0.0)], 1.0)
+        assert out == [SuspensionPoint(4, 0.0)]
 
     def test_stays_under_roof(self, rot12, roof1):
-        out = suspend(rot12, roof1, SuspensionPoint(3, 0.25), 0.5)
+        [out] = suspend(rot12, roof1, [SuspensionPoint(3, 0.25)], 0.5)
         assert out.state == 3
         assert out.height == pytest.approx(0.75)
 
     def test_roof_two(self, rot12):
         roof = RoofFunction.constant(2.0, len(rot12))
-        out = suspend(rot12, roof, SuspensionPoint(3, 0.5), 3.0)
+        [out] = suspend(rot12, roof, [SuspensionPoint(3, 0.5)], 3.0)
         assert out.state == 4
         assert out.height == pytest.approx(1.5)
 
@@ -101,20 +133,53 @@ class TestSuspend:
         sys = DynSystem(base, [0, 0])
         roof = RoofFunction.constant(1.0, 2)
         with pytest.raises(UnsupportedDirectionError):
-            suspend(sys, roof, SuspensionPoint(1, 0.5), -1.0)
+            suspend(sys, roof, [SuspensionPoint(1, 0.5)], -1.0)
 
     def test_flow_law_random_times(self, rot12, roof1):
         rng = np.random.default_rng(4)
         for _ in range(50):
             p = SuspensionPoint(int(rng.integers(12)), float(rng.uniform(0, 1)))
             t1, t2 = rng.uniform(-5, 5, size=2)
-            via = suspend(rot12, roof1, suspend(rot12, roof1, p, t1), t2)
-            direct = suspend(rot12, roof1, p, t1 + t2)
+            [via] = suspend(rot12, roof1, suspend(rot12, roof1, [p], t1), t2)
+            [direct] = suspend(rot12, roof1, [p], t1 + t2)
             assert via.state == direct.state
             assert via.height == pytest.approx(direct.height, abs=1e-9)
 
     def test_roof_boundary_canonicalizes(self, rot12, roof1):
         assert SuspensionPoint(5, 1.0).canonical(rot12, roof1) == SuspensionPoint(6, 0.0)
+
+    @settings(max_examples=80)
+    @given(data=st.data(), n=st.integers(1, 6), permute=st.booleans(),
+           t=st.floats(-30.0, 30.0))
+    def test_batch_matches_the_scalar_loop(self, data, n, permute, t):
+        if permute:
+            step = data.draw(st.permutations(range(n)))
+        else:
+            step = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+            t = abs(t)
+        sys = DynSystem(MetricSample(list(range(n)), np.zeros((n, n))), step)
+        roof = RoofFunction(data.draw(st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n)))
+        tol = flowdim.dynamics.CIRCLE_TOL
+
+        def heights(state):
+            f = float(roof.values[state])
+            return st.one_of(st.floats(0.0, f), st.sampled_from([0.0, f, f - tol / 2, -tol / 2]))
+
+        point = st.integers(0, n - 1).flatmap(
+            lambda x: heights(x).map(lambda h: SuspensionPoint(x, h)))
+        points = data.draw(st.lists(point, max_size=12))
+        # Every batch holds a roof-top height.
+        points.append(SuspensionPoint(n - 1, float(roof.values[n - 1])))
+        want = [scalar_suspend(sys, roof, p, t) for p in points]
+        assert bits(suspend(sys, roof, points, t)) == bits(want)
+
+    def test_height_outside_the_roof_is_an_invariant_violation(self, rot12, roof1):
+        for h in (-0.01, 1.01, float("nan")):
+            bad = SuspensionPoint(3, h)
+            with pytest.raises(InvariantViolationError):
+                suspend(rot12, roof1, [SuspensionPoint(0, 0.5), bad], 0.5)
+            with pytest.raises(InvariantViolationError):
+                bad.canonical(rot12, roof1)
 
 
 class TestBowenWalters:
@@ -162,7 +227,7 @@ class TestBowenWalters:
         nL = bw.n_levels
         # Every node but the top level, which is glued to the next fiber.
         nodes = [v for v in range(bw.n_states * nL) if v % nL < nL - 1]
-        points = [SuspensionPoint(v // nL, bw.levels[v % nL] * bw.roof(v // nL))
+        points = [SuspensionPoint(v // nL, bw.levels[v % nL] * bw.roof.values[v // nL])
                   for v in nodes]
         base = [i for i, v in enumerate(nodes) if v % nL == 0]
         for k in (2, 3, 7, 16):
@@ -186,6 +251,11 @@ class TestBowenWalters:
         with pytest.raises(ConfigurationError):
             BowenWaltersMetric(rot12, roof1, height_grid=0)
 
+    def test_height_off_the_level_grid_is_an_invariant_violation(self, rot12, roof1):
+        bw = BowenWaltersMetric(rot12, roof1, height_grid=4)
+        with pytest.raises(InvariantViolationError, match="level grid"):
+            bw.matrix([SuspensionPoint(0, 0.25), SuspensionPoint(1, 0.3)])
+
     def test_bounded_budget_reaches_closure(self, rot12, roof1):
         bw = BowenWaltersMetric(rot12, roof1, height_grid=8)
         p = SuspensionPoint(0, 0.0)
@@ -197,16 +267,25 @@ class TestBowenWalters:
 class TestMappingTorus:
     def test_time_one_map_is_step(self, rot12):
         torus = mapping_torus(rot12)
-        out = torus.evolve(SuspensionPoint(3, 0.0), 1.0)
-        assert out == SuspensionPoint(4, 0.0)
+        out = torus.evolve([SuspensionPoint(3, 0.0)], 1.0)
+        assert out == [SuspensionPoint(4, 0.0)]
 
     def test_periodic_base_point(self, rot12):
         torus = mapping_torus(rot12)
         p = SuspensionPoint(2, 0.0)
-        out = p
+        out = [p]
         for _ in range(12):
             out = torus.evolve(out, 1.0)
-        assert out == p
+        assert out == [p]
+
+    @pytest.mark.parametrize("step", [[(i + 1) % 7 for i in range(7)], [3, 0, 6, 1, 5, 2, 4]])
+    def test_every_height_evolve_matches_the_scalar_loop(self, step):
+        sys = DynSystem(MetricSample(list(range(7)), np.zeros((7, 7))), step)
+        torus = mapping_torus(sys, height_grid=5, every_height=True)
+        roof = RoofFunction.constant(1.0, 7)
+        for t in (0.0, 0.2, 1.0, 2.6, 13.35, 29.9, -0.4, -7.8, -30.0):
+            want = [scalar_suspend(sys, roof, p, t) for p in torus.values]
+            assert bits(torus.evolve(torus.values, t)) == bits(want)
 
     def test_off_grid_window_builds_one_metric_per_time(self, monkeypatch):
         torus = mapping_torus(rotation_system(12), height_grid=4)
@@ -236,7 +315,7 @@ class TestMappingTorus:
 
         monkeypatch.setattr(flowdim.dynamics, "dijkstra", counted)
         torus = mapping_torus(rotation_system(12), height_grid=4)
-        table = torus.metric_matrix([torus.evolve(p, 0.1) for p in torus.values])
+        table = torus.metric_matrix(torus.evolve(torus.values, 0.1))
         # One Dijkstra from the 12 query nodes of a 12 x 6-node graph.
         assert sources == [12]
         np.testing.assert_allclose(table, rotation_system(12).base.dist, rtol=0, atol=1e-12)
@@ -266,8 +345,8 @@ class TestMappingTorus:
         sys = DynSystem(base, [0])
         torus = mapping_torus(sys)
         p = SuspensionPoint(0, 0.0)
-        assert torus.evolve(p, 1.0) == p
-        assert torus.metric_matrix([p, torus.evolve(p, 1.0)])[0, 1] == 0.0
+        assert torus.evolve([p], 1.0) == [p]
+        assert torus.metric_matrix([p] + torus.evolve([p], 1.0))[0, 1] == 0.0
 
 
 class TestSuspensionInstance:
@@ -279,8 +358,7 @@ class TestSuspensionInstance:
         # below the cycle length.
         for k in range(65):
             for t in (k / n, -k / n):
-                for i, p in enumerate(flow.values):
-                    q = flow.evolve(p, t)
+                for i, q in enumerate(flow.evolve(flow.values, t)):
                     assert inst.advance(i, t) == index[q.state, round(q.height * n)]
 
     def test_sample_is_the_torus_table(self):

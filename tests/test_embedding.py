@@ -335,6 +335,19 @@ class TestPerturbSignalMap:
             leak_g = band_support_check(g, pad)
             assert leak_g < 2.0 * leak_f + kernel_leak + 1e-6
 
+    def test_budget_check_counts_the_node_tail(self, small_pipeline, monkeypatch):
+        from flowdim.embedding import EmbeddingRun, perturb_signal_map
+        res = small_pipeline
+        inst = res.instance
+        emb = SolenoidEmbedding(c=1.0, K=inst.depth, window=12.0, grid_step=0.05)
+        f_map = lambda i: solenoid_embed(inst.factor(int(i)), emb, scale=0.8)
+        g = perturb_signal_map(res.run, f_map, 0)
+        sup = float(np.abs(g.values - f_map(0).values).max())
+        assert sup + res.run.node_tail_bound() < res.run.delta
+        monkeypatch.setattr(EmbeddingRun, "node_tail_bound", lambda run: run.delta - sup / 2)
+        with pytest.raises(ConfigurationError, match="node tail"):
+            perturb_signal_map(res.run, f_map, 0)
+
     def test_pipeline_verdict_on_small_instance(self, small_pipeline):
         assert small_pipeline.passed
 
@@ -431,3 +444,37 @@ def test_kernel_rows_share_one_table_across_the_half_step(fine_pipeline, monkeyp
     t = t0 + dt * np.arange(n)
     want = interpolation_kernel(t[None, :] - nodes[:, None], run.kernel)
     assert np.abs(rows - want).max() <= 1e-12
+
+
+def test_node_tail_bound_covers_the_dropped_envelope_sum(fine_pipeline):
+    # Sum K_dec |w| / (1 + (t - s)^2) over the nodes s that the
+    # perturbation drops, out to 4,000 beyond the kept range, at sampled
+    # grid times (the window's ends included), for three node phases.
+    # Every weight has modulus delta'/2, so the bound is nearly attained.
+    from dataclasses import replace
+
+    inst, run = fine_pipeline.instance, fine_pipeline.run
+    angle = np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, size=(len(run.F), run.F.shape[1] // 2))
+    run = replace(run, G=run.F + 0.5 * run.delta_prime * np.hstack([np.cos(angle), np.sin(angle)]))
+    bound = run.node_tail_bound()
+    K_dec = run.kernel.constants().K_dec
+    weights = np.abs(run.correction_rows())
+    rho, period, far = run.kernel.rho_float, run.period, 4000.0
+    emb = SolenoidEmbedding(c=1.0, K=inst.depth, window=16.0, grid_step=0.05)
+    times = solenoid_embed(inst.factor(0), emb).times()
+    t = times[np.linspace(0, len(times) - 1, 41).astype(int)]
+    lo, hi = t[0] - run.node_margin, t[-1] + run.node_margin
+    worst = 0.0
+    for i in (0, 1, 2):
+        phi = float(run.phi_N[i])
+        nodes, w = [], []
+        for n in range(math.floor((lo - far + phi) / period), math.ceil((hi + far + phi) / period) + 1):
+            row = weights[inst.advance(i, n * period - phi)]
+            for k in range(run.nodes_per_period):
+                s = n * period - phi + k / rho
+                if not lo <= s <= hi:
+                    nodes.append(s)
+                    w.append(row[k])
+        envelope = K_dec / (1.0 + (t[:, None] - np.array(nodes)[None, :]) ** 2)
+        worst = max(worst, float((envelope @ np.array(w)).max()))
+    assert bound / 2 < worst <= bound

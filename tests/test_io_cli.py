@@ -49,7 +49,7 @@ class TestSystemIO:
             "points": [0.0, 0.25, 0.5, 0.75], "metric": "circle", "period": 1.0,
             "step": [1, 2, 3, 0], "roof": [1.0, 1.0, 2.0, 1.0]})
         assert roof.f_min == 1.0
-        out = suspend(sys, roof, SuspensionPoint(0, 0.0), 1.0)
+        [out] = suspend(sys, roof, [SuspensionPoint(0, 0.0)], 1.0)
         assert out.state == 1
 
 
