@@ -14,8 +14,8 @@ result = run_embedding_pipeline(delta=0.2, rho=1, N=2,
                                 base_size=12, n_heights=10, seed=2024)
 
 print("sample states:          ", len(result.instance.sample))
-print("certified K_dec:        ", result.constants.K_dec)
-print("certified S_sup:        ", result.constants.S_sup)
+print("certified K_dec:        ", result.run.constants.K_dec)
+print("certified S_sup:        ", result.run.constants.S_sup)
 print("perturbation budget d': ", result.run.delta_prime)
 print("search epsilon:         ", result.eps)
 print("search tries:           ", result.search_report.tries)

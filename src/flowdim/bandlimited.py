@@ -24,8 +24,9 @@ from .errors import (
 )
 
 SUP_BOUND_TOL = 1e-9
-DEFAULT_TAPS = 40          # half-width of the interpolation stencil
-DEFAULT_KAISER_BETA = 24.0
+TAPS = 40          # half-width of the interpolation stencil
+KAISER_BETA = 24.0
+PAD_FACTOR = 4     # zero padding of band_support_check's transform
 
 
 @dataclass(frozen=True)
@@ -83,11 +84,11 @@ class Signal:
                 and abs(self.window - other.window) < 1e-12
                 and abs(self.grid_step - other.grid_step) < 1e-12)
 
-    def evaluate(self, t, taps: int = DEFAULT_TAPS, beta: float = DEFAULT_KAISER_BETA):
+    def evaluate(self, t):
         """Interpolate the signal at arbitrary times inside the safe window.
 
         Times must keep the full stencil inside the grid, i.e.
-        |t| <= window - taps * grid_step.
+        |t| <= window - TAPS * grid_step.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         dt = self.grid_step
@@ -100,21 +101,22 @@ class Signal:
         j0[near_next] += 1
         frac[near_next] = 0.0
         on_grid |= near_next
-        lo, hi = j0 - (taps - 1), j0 + taps
+        lo, hi = j0 - (TAPS - 1), j0 + TAPS
         if np.any((lo < 0) | (hi >= len(self.values))):
             bad = t[(lo < 0) | (hi >= len(self.values))][0]
             raise WindowExhaustedError(
                 f"time {bad:.6g} outside the interpolation-safe window "
-                f"|t| <= {self.window - taps * dt:.6g}")
+                f"|t| <= {self.window - TAPS * dt:.6g}")
         out = np.empty(len(t), dtype=complex)
         if on_grid.any():
             out[on_grid] = self.values[j0[on_grid]]
         off = ~on_grid
         if off.any():
-            offsets = np.arange(-(taps - 1), taps + 1)
+            offsets = np.arange(-(TAPS - 1), TAPS + 1)
             rel = frac[off, None] - offsets[None, :]
-            u = rel / taps
-            win = np.i0(beta * np.sqrt(np.clip(1.0 - u * u, 0.0, None))) / np.i0(beta)
+            u = rel / TAPS
+            win = (np.i0(KAISER_BETA * np.sqrt(np.clip(1.0 - u * u, 0.0, None)))
+                   / np.i0(KAISER_BETA))
             w = np.sinc(rel) * win
             idx = j0[off, None] + offsets[None, :]
             out[off] = (self.values[idx] * w).sum(axis=1)
@@ -153,7 +155,7 @@ def signal_metric_tail(n_max: int) -> float:
     return 2.0 ** (1 - int(n_max))
 
 
-def shift(f: Signal, r: float, taps: int = DEFAULT_TAPS) -> Signal:
+def shift(f: Signal, r: float) -> Signal:
     """The time shift (tau_r f)(t) = f(t + r), resampled on a shrunken window.
 
     The window loses |r| plus the interpolation stencil margin; shifts
@@ -163,7 +165,7 @@ def shift(f: Signal, r: float, taps: int = DEFAULT_TAPS) -> Signal:
         raise WindowExhaustedError(
             f"shift {r} exceeds the window budget {f.window / 2}")
     dt = f.grid_step
-    margin = taps * dt
+    margin = TAPS * dt
     new_window = f.window - abs(r) - margin
     # Keep the shrunken window on the same grid lattice.
     new_half = int(math.floor(new_window / dt))
@@ -171,13 +173,12 @@ def shift(f: Signal, r: float, taps: int = DEFAULT_TAPS) -> Signal:
         raise WindowExhaustedError("window exhausted after shift margin")
     new_window = new_half * dt
     t = -new_window + dt * np.arange(2 * new_half + 1)
-    values = f.evaluate(t + r, taps=taps)
+    values = f.evaluate(t + r)
     return Signal(f.band, new_window, dt, values, sup_bound=f.sup_bound,
                   validate=False)
 
 
-def band_support_check(f: Signal, tol_band_pad: float = 0.0,
-                       pad_factor: int = 4) -> float:
+def band_support_check(f: Signal, tol_band_pad: float = 0.0) -> float:
     """Fraction of spectral energy outside [a - pad, b + pad].
 
     A cosine taper of width window/8 is applied on each edge before the
@@ -195,7 +196,7 @@ def band_support_check(f: Signal, tol_band_pad: float = 0.0,
     ramp = 0.5 * (1 - np.cos(np.pi * np.arange(taper_len) / taper_len))
     taper[:taper_len] = ramp
     taper[-taper_len:] = ramp[::-1]
-    padded = np.zeros(pad_factor * n, dtype=complex)
+    padded = np.zeros(PAD_FACTOR * n, dtype=complex)
     padded[:n] = v * taper
     spectrum = np.fft.fft(padded)
     freqs = np.fft.fftfreq(len(padded), d=f.grid_step)

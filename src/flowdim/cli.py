@@ -1,11 +1,15 @@
 """Experiment runner: kernel reports, demos, sweeps, and the full pipeline.
 
-Every subcommand reads a flat key=value config (optional) overridden by
-command-line flags, computes its artifacts, and writes CSV/JSON files
-named ``<subcommand>-<confighash>``, plus a run manifest.  All
-randomness flows from the single ``seed`` key.  Exit codes: 0 when all
-internal contract checks pass, 1 on a contract violation (a diagnostic
-report is still written), 2 on usage or configuration errors.
+``COMMANDS`` declares each subcommand once: its function, help text and
+``{option: type}`` map.  Each option is the flag ``--option`` and can
+also be set in a flat key=value ``--config`` file under the key
+``option``; flags take precedence.  ``main`` merges the two, builds the
+``Runner``, calls the function (which writes CSV/JSON files named
+``<subcommand>-<confighash>`` and returns whether its checks passed) and
+writes the run manifest.  All randomness flows from the single ``seed``
+key.  Exit codes: 0 when all internal contract checks pass, 1 on a
+contract violation (a diagnostic report is still written), 2 on usage or
+configuration errors.
 """
 
 from __future__ import annotations
@@ -22,9 +26,8 @@ import numpy as np
 
 from . import instances
 from .bandlimited import Band, periodic_subspace_dim
-from .dynamics import BowenWaltersMetric, RoofFunction, SuspensionPoint
+from .dynamics import BowenWaltersMetric, RoofFunction, SuspensionPoint, solenoid_from_time
 from .embedding import SolenoidEmbedding, solenoid_embed, solenoid_recover
-from .dynamics import SolenoidPoint, solenoid_from_time
 from .errors import ConfigurationError, FlowdimError
 from .io import write_table_csv, load_sample_json, load_system_json
 from .kernel import (
@@ -72,19 +75,23 @@ def _config_hash(params):
 
 
 class Runner:
-    def __init__(self, args, subcommand, params):
-        args.runner = self  # lets main write a diagnostic on a contract violation
-        self.out_dir = Path(args.out)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+    """The files of one run; the output directory is made at the first write."""
+
+    def __init__(self, out, subcommand, params):
+        self.out_dir = Path(out)
         self.subcommand = subcommand
         self.params = params
         self.hash = _config_hash(params)
         self.files = []
 
+    def _file(self, suffix):
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        return self.out_dir / f"{self.subcommand}-{self.hash}{suffix}"
+
     def path(self, suffix):
-        name = f"{self.subcommand}-{self.hash}{suffix}"
-        self.files.append(name)
-        return self.out_dir / name
+        path = self._file(suffix)
+        self.files.append(path.name)
+        return path
 
     def write_json(self, suffix, payload):
         path = self.path(suffix)
@@ -101,8 +108,7 @@ class Runner:
             "files": self.files,
             "passed": bool(passed),
         }
-        path = self.out_dir / f"{self.subcommand}-{self.hash}-manifest.json"
-        with path.open("w") as fh:
+        with self._file("-manifest.json").open("w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return 0 if passed else CONTRACT_ERROR
@@ -118,18 +124,15 @@ def _jsonify(obj):
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
-def cmd_periodic_dim(args):
-    params = _merge(_load_config(args.config), args,
-                    {"a": float, "r": float})
+def cmd_periodic_dim(runner, params):
     if "a" not in params or "r" not in params:
         raise ConfigurationError("periodic-dim requires --a and --r")
-    runner = Runner(args, "periodic-dim", params)
     formula, cert = periodic_subspace_dim(params["a"], params["r"])
     payload = {"formula": formula, "rank": cert.rank,
                "pass": bool(cert.consistent),
                "n_points": cert.n_points}
     runner.write_json(".json", payload)
-    return runner.finish(cert.consistent)
+    return cert.consistent
 
 
 def _kernel_spec(params):
@@ -139,11 +142,7 @@ def _kernel_spec(params):
                       window=params.get("window", 200.0))
 
 
-def cmd_kernel_report(args):
-    params = _merge(_load_config(args.config), args, {
-        "rho": str, "tau": float, "band-lo": float, "band-hi": float,
-        "window": float, "delta": float})
-    runner = Runner(args, "kernel-report", params)
+def cmd_kernel_report(runner, params):
     spec = _kernel_spec(params)
     delta = params.get("delta", 0.1)
     constants = certify_constants(spec, delta)
@@ -163,15 +162,11 @@ def cmd_kernel_report(args):
         "reverified": reverify_constants(spec, constants),
     }
     runner.write_json(".json", checks)
-    passed = (checks["phi0_error"] < 1e-9 and checks["budget_ok"]
-              and checks["reverified"] and leakage < 1e-3)
-    return runner.finish(passed)
+    return (checks["phi0_error"] < 1e-9 and checks["budget_ok"]
+            and checks["reverified"] and leakage < 1e-3)
 
 
-def cmd_solenoid_demo(args):
-    params = _merge(_load_config(args.config), args, {
-        "depth": int, "T": float, "seed": int, "n-points": int})
-    runner = Runner(args, "solenoid-demo", params)
+def cmd_solenoid_demo(runner, params):
     depth = params.get("depth", 4)
     T = params.get("T", 2e4)
     seed = params.get("seed", 0)
@@ -193,15 +188,12 @@ def cmd_solenoid_demo(args):
     write_table_csv(runner.path(".csv"), rows, header=("tau", "n", "coord_error"))
     passed = worst < 1e-2
     runner.write_json(".json", {"worst_relative_error": worst, "pass": passed})
-    return runner.finish(passed)
+    return passed
 
 
-def cmd_widim_sweep(args):
-    params = _merge(_load_config(args.config), args, {
-        "sample": str, "eps-list": str})
+def cmd_widim_sweep(runner, params):
     if "sample" not in params:
         raise ConfigurationError("widim-sweep requires --sample manifest.json")
-    runner = Runner(args, "widim-sweep", params)
     sample = load_sample_json(params["sample"])
     eps_list = [float(e) for e in str(params.get("eps-list", "0.1,0.2,0.3")).split(",")]
     rows = [(eps, 1, widim_upper(sample, eps)) for eps in sorted(eps_list)]
@@ -209,14 +201,10 @@ def cmd_widim_sweep(args):
     antitone = all(rows[i][2] >= rows[i + 1][2] for i in range(len(rows) - 1))
     runner.write_json(".json", {"antitone": antitone,
                                 "note": "values are upper estimates (grid regime)"})
-    return runner.finish(True)
+    return True
 
 
-def cmd_mdim_table(args):
-    params = _merge(_load_config(args.config), args, {
-        "family": str, "D": int, "N-max": int, "eps-list": str,
-        "metric-mean": str, "system": str})
-    runner = Runner(args, "mdim-table", params)
+def cmd_mdim_table(runner, params):
     family = params.get("family", "cube")
     eps_list = sorted(float(e) for e in str(params.get("eps-list", "0.3")).split(","))
     n_max = params.get("N-max", 4)
@@ -237,15 +225,12 @@ def cmd_mdim_table(args):
     runner.write_json(".json", {"diagnostics": table.diagnostics,
                                 "kind": table.kind,
                                 "note": "entries are upper estimates (grid regime)"})
-    return runner.finish(True)
+    return True
 
 
-def cmd_bw_metric(args):
-    params = _merge(_load_config(args.config), args, {
-        "system": str, "height-grid": int, "max-segments": int})
+def cmd_bw_metric(runner, params):
     if "system" not in params:
         raise ConfigurationError("bw-metric requires --system manifest.json")
-    runner = Runner(args, "bw-metric", params)
     sys, roof = load_system_json(params["system"])
     if roof is None:
         roof = RoofFunction.constant(1.0, len(sys))
@@ -259,14 +244,10 @@ def cmd_bw_metric(args):
     runner.write_json(".json", {"symmetric": symmetric,
                                 "height_grid": grid, "max_segments": segments,
                                 "note": "upper bounds of the chain infimum"})
-    return runner.finish(symmetric)
+    return symmetric
 
 
-def cmd_embed_pipeline(args):
-    params = _merge(_load_config(args.config), args, {
-        "delta": float, "rho": str, "N": int, "base-size": int,
-        "heights": int, "seed": int})
-    runner = Runner(args, "embed-pipeline", params)
+def cmd_embed_pipeline(runner, params):
     result = instances.run_embedding_pipeline(
         delta=params.get("delta", 0.2),
         rho=Fraction(str(params.get("rho", 1))),
@@ -275,13 +256,13 @@ def cmd_embed_pipeline(args):
         n_heights=params.get("heights", 10),
         seed=params.get("seed", 2024),
     )
+    constants = result.run.constants
     payload = {
         "seed": result.run.seed,
         "eps": result.eps,
-        "delta": result.run.delta,
-        "delta_prime": result.run.delta_prime,
-        "constants": {"K_dec": result.constants.K_dec,
-                      "S_sup": result.constants.S_sup},
+        "delta": constants.delta,
+        "delta_prime": constants.delta_prime,
+        "constants": {"K_dec": constants.K_dec, "S_sup": constants.S_sup},
         "search_tries": result.search_report.tries,
         "sup_change": result.sup_change,
         "node_residual": result.node_residual,
@@ -294,7 +275,29 @@ def cmd_embed_pipeline(args):
         "pass": result.passed,
     }
     runner.write_json(".json", payload)
-    return runner.finish(result.passed)
+    return result.passed
+
+
+# Subcommand -> (function, help, {option: type}).
+COMMANDS = {
+    "periodic-dim": (cmd_periodic_dim, "periodic-subspace dimension certificate",
+                     {"a": float, "r": float}),
+    "kernel-report": (cmd_kernel_report, "interpolation kernel constants and samples",
+                      {"rho": str, "tau": float, "band-lo": float, "band-hi": float,
+                       "window": float, "delta": float}),
+    "solenoid-demo": (cmd_solenoid_demo, "embed/recover round trip",
+                      {"depth": int, "T": float, "seed": int, "n-points": int}),
+    "widim-sweep": (cmd_widim_sweep, "width-dimension estimates over epsilons",
+                    {"sample": str, "eps-list": str}),
+    "mdim-table": (cmd_mdim_table, "mean-dimension estimate tables",
+                   {"family": str, "D": int, "N-max": int, "eps-list": str,
+                    "metric-mean": str, "system": str}),
+    "bw-metric": (cmd_bw_metric, "Bowen-Walters distance table",
+                  {"system": str, "height-grid": int, "max-segments": int}),
+    "embed-pipeline": (cmd_embed_pipeline, "end-to-end delta-embedding run",
+                       {"delta": float, "rho": str, "N": int, "base-size": int,
+                        "heights": int, "seed": int}),
+}
 
 
 def build_parser():
@@ -304,61 +307,26 @@ def build_parser():
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--out", default="artifacts", help="output directory")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("periodic-dim", help="periodic-subspace dimension certificate")
-    p.add_argument("--a", type=float)
-    p.add_argument("--r", type=float)
-    p.set_defaults(func=cmd_periodic_dim)
-
-    p = sub.add_parser("kernel-report", help="interpolation kernel constants and samples")
-    for flag, typ in (("--rho", str), ("--tau", float), ("--band-lo", float),
-                      ("--band-hi", float), ("--window", float), ("--delta", float)):
-        p.add_argument(flag, type=typ)
-    p.set_defaults(func=cmd_kernel_report)
-
-    p = sub.add_parser("solenoid-demo", help="embed/recover round trip")
-    for flag, typ in (("--depth", int), ("--T", float), ("--seed", int),
-                      ("--n-points", int)):
-        p.add_argument(flag, type=typ)
-    p.set_defaults(func=cmd_solenoid_demo)
-
-    p = sub.add_parser("widim-sweep", help="width-dimension estimates over epsilons")
-    p.add_argument("--sample")
-    p.add_argument("--eps-list")
-    p.set_defaults(func=cmd_widim_sweep)
-
-    p = sub.add_parser("mdim-table", help="mean-dimension estimate tables")
-    for flag, typ in (("--family", str), ("--D", int), ("--N-max", int),
-                      ("--eps-list", str), ("--metric-mean", str), ("--system", str)):
-        p.add_argument(flag, type=typ)
-    p.set_defaults(func=cmd_mdim_table)
-
-    p = sub.add_parser("bw-metric", help="Bowen-Walters distance table")
-    p.add_argument("--system")
-    p.add_argument("--height-grid", type=int)
-    p.add_argument("--max-segments", type=int)
-    p.set_defaults(func=cmd_bw_metric)
-
-    p = sub.add_parser("embed-pipeline", help="end-to-end delta-embedding run")
-    for flag, typ in (("--delta", float), ("--rho", str), ("--N", int),
-                      ("--base-size", int), ("--heights", int), ("--seed", int)):
-        p.add_argument(flag, type=typ)
-    p.set_defaults(func=cmd_embed_pipeline)
-
+    for name, (_, help_text, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for key, typ in options.items():
+            p.add_argument(f"--{key}", type=typ)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    func, _, options = COMMANDS[args.subcommand]
+    runner = None
     try:
-        return args.func(args)
+        params = _merge(_load_config(args.config), args, options)
+        runner = Runner(args.out, args.subcommand, params)
+        return runner.finish(func(runner, params))
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except FlowdimError as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
-        runner = getattr(args, "runner", None)
         if runner is not None:
             runner.write_json("-diagnostic.json", {"error": type(exc).__name__,
                                                    "message": str(exc)})

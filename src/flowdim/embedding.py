@@ -34,7 +34,7 @@ from .errors import (
     SearchBudgetError,
     TruncationDepthError,
 )
-from .kernel import KernelSpec, interpolation_kernel
+from .kernel import KernelConstants, KernelSpec, interpolation_kernel
 from .metric import MetricSample, widim_upper
 
 COLLISION_TOL = 1e-12
@@ -43,6 +43,7 @@ COLLISION_TOL = 1e-12
 # 1e-12 steps in the shipped configs), far below the gap between distinct
 # phases (1/7 step at rho = 7/6).
 PHASE_TOL = 1e-9
+MODULUS_REL_TOL = 0.25  # solenoid_recover's relative modulus tolerance
 
 
 def minimal_start_index(c: float) -> int:
@@ -211,8 +212,7 @@ def bohr_cross_term_bound(moduli, freqs, m_index: int, T: float) -> float:
 
 
 def solenoid_recover(sig, emb: SolenoidEmbedding, T: float,
-                     scale: float = 1.0,
-                     modulus_rel_tol: float = 0.25) -> SolenoidPoint:
+                     scale: float = 1.0) -> SolenoidPoint:
     """Read the solenoid coordinates back from a signal via Bohr means.
 
     Coordinate n is the phase of the recovered coefficient at frequency
@@ -226,10 +226,10 @@ def solenoid_recover(sig, emb: SolenoidEmbedding, T: float,
         lam = 2.0 * np.pi / fact
         coeff = bohr_coefficient(sig, lam, T)
         expected = 2.0 ** -n * scale
-        if abs(abs(coeff) - expected) > modulus_rel_tol * expected:
+        if abs(abs(coeff) - expected) > MODULUS_REL_TOL * expected:
             raise NotEmbeddingImageError(
                 f"coefficient at frequency 1/{n}! has modulus {abs(coeff):.3g}, "
-                f"expected {expected:.3g} within {modulus_rel_tol:.0%}")
+                f"expected {expected:.3g} within {MODULUS_REL_TOL:.0%}")
         x_n = (fact / (2.0 * np.pi)) * np.angle(coeff)
         coords.append(x_n % fact)
     # Coordinates for n < m (not carried by the signal) are reduced from x_m.
@@ -335,10 +335,10 @@ class EmbeddingRun:
     states (exact for the times the node sums require), ``phi_N`` holds
     the N-th solenoid coordinate of each state, and F/G are the real
     sample matrices (columns Re then Im over the period nodes).
+    ``constants`` are the kernel constants certified for this run's delta.
     """
 
-    delta: float
-    delta_prime: float
+    constants: KernelConstants
     eps: float
     kernel: KernelSpec
     phi_N: np.ndarray
@@ -362,6 +362,14 @@ class EmbeddingRun:
         if not self.node_margin >= 1.0 / self.kernel.rho_float:
             raise ConfigurationError("node_margin must be at least the node spacing 1/rho")
         self._tables = {}
+
+    @property
+    def delta(self):
+        return self.constants.delta
+
+    @property
+    def delta_prime(self):
+        return self.constants.delta_prime
 
     def kernel_rows(self, nodes, t0: float, dt: float, n: int):
         """Rows phi(t0 + j dt - node), j < n, for nodes within node_margin of the grid.
@@ -415,7 +423,7 @@ class EmbeddingRun:
         """
         rho = self.kernel.rho_float
         w = float(np.abs(self.correction_rows()).max())
-        return (2.0 * rho * self.kernel.constants().K_dec * w
+        return (2.0 * rho * self.constants.K_dec * w
                 * (math.pi / 2.0 - math.atan(self.node_margin - 1.0 / rho)))
 
 
@@ -428,12 +436,9 @@ def perturb_signal_map(run: EmbeddingRun, f_map, x: int) -> Signal:
     On the grid, h is the weights times the node rows of ``run.kernel_rows``.
     The check sup|h| + ``run.node_tail_bound()`` < delta assumes the
     envelope K_dec / (1 + t^2), certified only on |t| <= window.
-    Requires sup_t |f(x)(t)| <= 1 - delta and certified kernel constants.
+    Requires sup_t |f(x)(t)| <= 1 - delta.
     """
     kernel = run.kernel
-    constants = kernel.constants()
-    if constants.delta != run.delta:
-        raise ConfigurationError("kernel constants certified for a different delta")
     f_sig = f_map(x)
     if f_sig.sup_norm() > 1.0 - run.delta + 1e-9:
         raise PreconditionError("need sup |f(x)| <= 1 - delta")

@@ -148,7 +148,6 @@ class PipelineResult:
 
     instance: SuspensionInstance
     run: EmbeddingRun
-    constants: object
     eps: float
     search_report: object
     sup_change: float
@@ -222,8 +221,7 @@ def run_embedding_pipeline(delta: float = 0.2, rho=1, N: int = 2,
 
     G, report = epsilon_embedding_search(F, d_window, eps, search_bound, seed)
 
-    run = EmbeddingRun(delta=delta, delta_prime=delta_prime, eps=eps,
-                       kernel=spec, phi_N=phi_N,
+    run = EmbeddingRun(constants=constants, eps=eps, kernel=spec, phi_N=phi_N,
                        advance=inst.advance, F=F, G=G, seed=seed,
                        node_margin=node_margin)
     if equiv_shifts is None:
@@ -234,10 +232,8 @@ def run_embedding_pipeline(delta: float = 0.2, rho=1, N: int = 2,
     def g_map(idx):
         return perturb_signal_map(run, f_map, idx)
 
-    sup_change = 0.0
-    for i in range(n_states):
-        sup_change = max(sup_change, float(
-            np.abs(g_map(i).values - f_map(i).values).max()))
+    h_of = {i: g_map(i).values - f_map(i).values for i in range(n_states)}
+    sup_change = max(float(np.abs(h).max()) for h in h_of.values())
 
     # Node identities: g(x)(-Phi_N + k/rho) = G^C(T^{-Phi_N} x)(k).
     GC = complex_rows(G)
@@ -250,7 +246,6 @@ def run_embedding_pipeline(delta: float = 0.2, rho=1, N: int = 2,
 
     # Equivariance: h(T^r x)(t) = h(x)(t + r) on the common window.
     equiv_residual = 0.0
-    h_of = {i: g_map(i).values - f_map(i).values for i in range(n_states)}
     for r in equiv_shifts:
         steps = round(r * n_heights)
         if abs(steps / n_heights - r) > 1e-9:
@@ -269,7 +264,7 @@ def run_embedding_pipeline(delta: float = 0.2, rho=1, N: int = 2,
         lambda pid: inst.factor(d_window.index(pid)),
         d_window, delta, match_tol=1e-6)
 
-    return PipelineResult(instance=inst, run=run, constants=constants, eps=eps,
+    return PipelineResult(instance=inst, run=run, eps=eps,
                           search_report=report, sup_change=sup_change,
                           node_residual=node_residual,
                           equivariance_residual=equiv_residual, verdict=verdict)

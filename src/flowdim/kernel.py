@@ -22,6 +22,9 @@ from .bandlimited import Band, Signal, band_support_check
 from .errors import ConfigurationError, QuadratureError
 
 NODE_SNAP_TOL = 1e-12
+QUAD_NODES = 512               # half-support nodes of the bump's base rule
+CERTIFY_GRID_POINTS = 10_000   # per side of the certification window
+REVERIFY_GRID_POINTS = 20_000  # over one lattice period
 
 
 @dataclass(frozen=True)
@@ -173,11 +176,11 @@ class KernelSpec:
 
     The bump is the standard normalized exp(-1/(1-u^2)) on (-tau/2, tau/2);
     its transform is evaluated with an even trapezoidal rule of at least
-    ``quad_nodes`` half-support nodes, doubled for the convergence check.
+    ``QUAD_NODES`` half-support nodes, doubled for the convergence check.
     """
 
     def __init__(self, band: Band, rho, tau: float, N: int = None,
-                 window: float = 200.0, quad_nodes: int = 512):
+                 window: float = 200.0):
         rho = Fraction(rho)
         if N is None:
             N = 1
@@ -192,12 +195,8 @@ class KernelSpec:
             raise ConfigurationError("need 0 < rho < b - a")
         if not (self.rho_float + self.tau < band.width):
             raise ConfigurationError("need rho + tau < b - a")
-        if quad_nodes < 512:
-            raise ConfigurationError("quadrature needs at least 512 nodes")
         self.window = float(window)
-        self.quad_nodes = quad_nodes
-        self.bump_norm = 1.0 / float(self._trapezoid(quad_nodes)[1].sum())
-        self._constants = None
+        self.bump_norm = 1.0 / float(self._trapezoid(QUAD_NODES)[1].sum())
 
     @property
     def rho_float(self):
@@ -215,13 +214,7 @@ class KernelSpec:
 
     def bump_integral_check(self):
         """Integral of the normalized bump under the doubled rule."""
-        return float(self._trapezoid(2 * self.quad_nodes)[1].sum() * self.bump_norm)
-
-    def constants(self):
-        if self._constants is None:
-            raise ConfigurationError(
-                "kernel constants not certified; call certify_constants first")
-        return self._constants
+        return float(self._trapezoid(2 * QUAD_NODES)[1].sum() * self.bump_norm)
 
 
 def bump_transform(z, spec: KernelSpec, tol: float = 1e-10):
@@ -230,14 +223,14 @@ def bump_transform(z, spec: KernelSpec, tol: float = 1e-10):
     psi is even and flat at its endpoints, so the even trapezoidal rule
     on psi(xi) cos(2 pi z xi) converges spectrally; the cosine is real on
     real z.  h(0) = 1 by normalization.  One rule serves the call:
-    ``spec.quad_nodes`` doubled until it reaches 4 tau max|z|.  Its
+    ``QUAD_NODES`` doubled until it reaches 4 tau max|z|.  Its
     doubled rule must agree within ``tol`` (scaled by the value's
     magnitude) or ``QuadratureError`` is raised with the achieved
     tolerance.  Chunking keeps memory at O(chunk x nodes).
     """
     z = np.asarray(z)
     zz = z.ravel().astype(complex if np.iscomplexobj(z) else float)
-    n = spec.quad_nodes
+    n = QUAD_NODES
     z_max = float(np.abs(zz).max()) if zz.size else 0.0
     while n < 4.0 * spec.tau * z_max:
         n *= 2
@@ -276,21 +269,16 @@ def interpolation_kernel(t, spec: KernelSpec):
     return complex(value[0]) if scalar else value
 
 
-def kernel_signal(spec: KernelSpec, window: float = None, grid_step: float = None) -> Signal:
-    """The kernel sampled as a Signal, for spectral checks and exports."""
-    window = spec.window if window is None else window
-    if grid_step is None:
-        grid_step = 1.0 / (4.0 * max(abs(spec.band.a), abs(spec.band.b), 1.0))
-    return Signal.from_function(lambda t: interpolation_kernel(t, spec),
-                                spec.band, window, grid_step)
+def kernel_band_leakage(spec: KernelSpec) -> float:
+    """Spectral energy fraction of the sampled kernel outside [a - pad, b + pad].
 
-
-def kernel_band_leakage(spec: KernelSpec, pad: float = None) -> float:
-    """Spectral energy fraction of the sampled kernel outside [a - pad, b + pad]."""
-    sig = kernel_signal(spec)
-    if pad is None:
-        pad = 8.0 / sig.window
-    return band_support_check(sig, pad)
+    The kernel is sampled on its window at step 1 / (4 max(|a|, |b|, 1));
+    pad = 8 / window.
+    """
+    grid_step = 1.0 / (4.0 * max(abs(spec.band.a), abs(spec.band.b), 1.0))
+    sig = Signal.from_function(lambda t: interpolation_kernel(t, spec),
+                               spec.band, spec.window, grid_step)
+    return band_support_check(sig, 8.0 / spec.window)
 
 
 @dataclass
@@ -323,8 +311,7 @@ def lattice_envelope_sum(K_dec: float, rho: float, t):
             / (1.0 - 2.0 * q * np.cos(2.0 * np.pi * rho * np.asarray(t)) + q * q))
 
 
-def certify_constants(spec: KernelSpec, delta: float,
-                      grid_points: int = 10_000) -> KernelConstants:
+def certify_constants(spec: KernelSpec, delta: float) -> KernelConstants:
     """Measure K_dec on the window and derive the perturbation budget delta'.
 
     K_dec carries a 10% safety margin over the measured maximum of
@@ -337,19 +324,16 @@ def certify_constants(spec: KernelSpec, delta: float,
     """
     if delta <= 0:
         raise ConfigurationError("delta must be positive")
-    t = np.linspace(-spec.window, spec.window, 2 * grid_points + 1)
+    t = np.linspace(-spec.window, spec.window, 2 * CERTIFY_GRID_POINTS + 1)
     envelope = np.abs(interpolation_kernel(t, spec)) * (1.0 + t * t)
     K_dec = 1.1 * float(envelope.max())
     x = np.pi * spec.rho_float
     S_sup = K_dec * x / math.tanh(x)
-    constants = KernelConstants(K_dec=K_dec, delta_prime=0.9 * delta / S_sup,
-                                S_sup=S_sup, delta=delta, window=spec.window)
-    spec._constants = constants
-    return constants
+    return KernelConstants(K_dec=K_dec, delta_prime=0.9 * delta / S_sup,
+                           S_sup=S_sup, delta=delta, window=spec.window)
 
 
-def reverify_constants(spec: KernelSpec, constants: KernelConstants,
-                       grid_points: int = 20_000) -> bool:
+def reverify_constants(spec: KernelSpec, constants: KernelConstants) -> bool:
     """Re-check the certified budget on an independent, finer, offset grid.
 
     The lattice sum is evaluated there in its Poisson-summation form
@@ -359,7 +343,7 @@ def reverify_constants(spec: KernelSpec, constants: KernelConstants,
     """
     rho = spec.rho_float
     period = 1.0 / rho
-    offset = period / (2.0 * grid_points)
-    t_grid = np.linspace(offset, period + offset, grid_points, endpoint=False)
+    offset = period / (2.0 * REVERIFY_GRID_POINTS)
+    t_grid = np.linspace(offset, period + offset, REVERIFY_GRID_POINTS, endpoint=False)
     S = float(lattice_envelope_sum(constants.K_dec, rho, t_grid).max())
     return S <= constants.S_sup and constants.delta_prime * S < constants.delta

@@ -209,7 +209,7 @@ def test_criterion_9_embedding_pipeline():
     n_states = len(result.instance.sample)
     checks = {
         "states <= 200": n_states <= 200,
-        "delta' certified": result.constants.check(),
+        "delta' certified": result.run.constants.check(),
         "search succeeded": result.search_report.tries >= 1,
         "sup|g-f| < delta": result.sup_change < 0.2,
         "node residual < 1e-8": result.node_residual < 1e-8,

@@ -457,7 +457,7 @@ def test_node_tail_bound_covers_the_dropped_envelope_sum(fine_pipeline):
     angle = np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, size=(len(run.F), run.F.shape[1] // 2))
     run = replace(run, G=run.F + 0.5 * run.delta_prime * np.hstack([np.cos(angle), np.sin(angle)]))
     bound = run.node_tail_bound()
-    K_dec = run.kernel.constants().K_dec
+    K_dec = run.constants.K_dec
     weights = np.abs(run.correction_rows())
     rho, period, far = run.kernel.rho_float, run.period, 4000.0
     emb = SolenoidEmbedding(c=1.0, K=inst.depth, window=16.0, grid_step=0.05)

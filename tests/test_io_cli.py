@@ -1,8 +1,12 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from flowdim import cli
 from flowdim.cli import main
 from flowdim.dynamics import RoofFunction, SuspensionPoint, bw_distance, suspend
 from flowdim.io import (
@@ -175,3 +179,52 @@ class TestCli:
         assert payload["verdict_passed"] is True
         assert payload["seed"] == 3
         assert payload["constants"]["K_dec"] > 0
+
+
+def _artifacts(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("argv", [
+    ["periodic-dim", "--a", "1", "--r", "2.5"],
+    ["widim-sweep", "--sample", "{sample}", "--eps-list", "0.2,0.3"],
+    ["mdim-table", "--family", "cube", "--D", "1", "--N-max", "2"],
+    ["bw-metric", "--system", "{system}", "--height-grid", "4", "--max-segments", "4"],
+])
+def test_config_file_and_flags_write_identical_artifacts(tmp_path, argv):
+    sample = tmp_path / "sample.json"
+    sample.write_text(json.dumps({"points": [[i / 10, j / 10] for i in range(6) for j in range(6)],
+                                  "metric": "sup"}))
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps({"points": [0.0, 0.25, 0.5, 0.75], "metric": "circle",
+                                  "period": 1.0, "step": [1, 2, 3, 0]}))
+    sub, *flags = [a.format(sample=sample, system=system) for a in argv]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{flags[i][2:]} = {flags[i + 1]}\n"
+                           for i in range(0, len(flags), 2)))
+    by_flags, by_config = tmp_path / "flags", tmp_path / "config"
+    assert main(["--out", str(by_flags), sub, *flags]) == 0
+    assert main(["--config", str(cfg), "--out", str(by_config), sub]) == 0
+    written = _artifacts(by_flags)
+    assert len(written) >= 2
+    assert written == _artifacts(by_config)
+
+
+@pytest.mark.parametrize("sub", ["periodic-dim", "bw-metric"])
+def test_missing_required_option_exits_2_and_writes_nothing(tmp_path, sub):
+    out = tmp_path / "out"
+    assert main(["--out", str(out), sub]) == 2
+    assert not out.exists()
+
+
+def test_readme_cli_lines_parse_to_their_table_entry():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```\n(.*?)```", readme, re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("flowdim ")]
+    seen = set()
+    for line in lines:
+        args = cli.build_parser().parse_args(shlex.split(line)[1:])
+        func = cli.COMMANDS[args.subcommand][0]
+        assert func.__name__ == "cmd_" + args.subcommand.replace("-", "_")
+        seen.add(args.subcommand)
+    assert seen == set(cli.COMMANDS)
