@@ -13,7 +13,7 @@ from flowdim.instances import run_embedding_pipeline
 result = run_embedding_pipeline(delta=0.2, rho=1, N=2,
                                 base_size=12, n_heights=10, seed=2024)
 
-print("sample states:          ", len(result.instance.sample))
+print("sample states:          ", len(result.instance.flow.values))
 print("certified K_dec:        ", result.run.constants.K_dec)
 print("certified S_sup:        ", result.run.constants.S_sup)
 print("perturbation budget d': ", result.run.delta_prime)

@@ -3,7 +3,8 @@
 ``COMMANDS`` declares each subcommand once: its function, help text and
 ``{option: type}`` map.  Each option is the flag ``--option`` and can
 also be set in a flat key=value ``--config`` file under the key
-``option``; flags take precedence.  ``main`` merges the two, builds the
+``option``; flags take precedence, and a key that is no option is a
+configuration error.  ``main`` merges the two, builds the
 ``Runner``, calls the function (which writes CSV/JSON files named
 ``<subcommand>-<confighash>`` and returns whether its checks passed) and
 writes the run manifest.  All randomness flows from the single ``seed``
@@ -59,6 +60,9 @@ def _load_config(path):
 
 def _merge(config, args, keys):
     """Apply CLI overrides on top of the config, then parse types."""
+    unknown = sorted(set(config) - set(keys))
+    if unknown:
+        raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")
     out = dict(config)
     for key, caster in keys.items():
         flag = getattr(args, key.replace("-", "_"), None)
@@ -248,17 +252,18 @@ def cmd_bw_metric(runner, params):
 
 
 def cmd_embed_pipeline(runner, params):
+    seed = params.get("seed", 2024)
     result = instances.run_embedding_pipeline(
         delta=params.get("delta", 0.2),
         rho=Fraction(str(params.get("rho", 1))),
         N=params.get("N", 2),
         base_size=params.get("base-size", 12),
         n_heights=params.get("heights", 10),
-        seed=params.get("seed", 2024),
+        seed=seed,
     )
     constants = result.run.constants
     payload = {
-        "seed": result.run.seed,
+        "seed": seed,
         "eps": result.eps,
         "delta": constants.delta,
         "delta_prime": constants.delta_prime,

@@ -74,7 +74,6 @@ class RoofFunction:
         self.values = np.asarray(values, dtype=float)
         if self.values.ndim != 1 or np.any(self.values <= 0):
             raise InvariantViolationError("roof values must be positive")
-        self.f_min = float(self.values.min())
 
     @classmethod
     def constant(cls, value, n):

@@ -44,6 +44,14 @@ COLLISION_TOL = 1e-12
 # phases (1/7 step at rho = 7/6).
 PHASE_TOL = 1e-9
 MODULUS_REL_TOL = 0.25  # solenoid_recover's relative modulus tolerance
+MAX_TRIES = 10_000  # perturbations epsilon_embedding_search draws before it gives up
+# Nodes farther than this from the signal window are dropped, and
+# ``EmbeddingRun.node_tail_bound`` bounds their sum (3.9e-4 at the README
+# example).  The bound assumes the K_dec / (1 + t^2) envelope, which is
+# certified only on the kernel's window |t| <= 200.
+NODE_MARGIN = 200.0
+MATCH_TOL = 1e-6  # image distance at which verify_delta_embedding matches a pair
+N_MAX = 4         # signal_metric truncation used by verify_delta_embedding
 
 
 def minimal_start_index(c: float) -> int:
@@ -78,9 +86,6 @@ class SolenoidEmbedding:
 
     def frequencies(self):
         return np.array([1.0 / math.factorial(n) for n in range(self.m, self.K + 1)])
-
-    def moduli(self):
-        return np.array([2.0 ** -n for n in range(self.m, self.K + 1)])
 
 
 def solenoid_coefficients(p: SolenoidPoint, emb: SolenoidEmbedding):
@@ -211,21 +216,20 @@ def bohr_cross_term_bound(moduli, freqs, m_index: int, T: float) -> float:
     return float((a[mask] * 2.0 / (T * gaps[mask])).sum())
 
 
-def solenoid_recover(sig, emb: SolenoidEmbedding, T: float,
-                     scale: float = 1.0) -> SolenoidPoint:
+def solenoid_recover(sig, emb: SolenoidEmbedding, T: float) -> SolenoidPoint:
     """Read the solenoid coordinates back from a signal via Bohr means.
 
     Coordinate n is the phase of the recovered coefficient at frequency
     2 pi / n!, scaled back to [0, n!); the round-trip error decays like
-    n!/T.  A coefficient modulus off by more than 25% from 2^-n * scale
-    means the signal is not an embedding image.
+    n!/T.  A coefficient modulus off by more than 25% from 2^-n means
+    the signal is not an embedding image.
     """
     coords = []
     for n in range(emb.m, emb.K + 1):
         fact = math.factorial(n)
         lam = 2.0 * np.pi / fact
         coeff = bohr_coefficient(sig, lam, T)
-        expected = 2.0 ** -n * scale
+        expected = 2.0 ** -n
         if abs(abs(coeff) - expected) > MODULUS_REL_TOL * expected:
             raise NotEmbeddingImageError(
                 f"coefficient at frequency 1/{n}! has modulus {abs(coeff):.3g}, "
@@ -251,17 +255,15 @@ class SearchReport:
 
 
 def epsilon_embedding_search(F, sample: MetricSample, eps: float,
-                             delta_prime: float, seed: int,
-                             max_tries: int = 10_000,
-                             check_widim: bool = True):
+                             delta_prime: float, seed: int):
     """Perturb F into G so that equal G-rows force distance < eps.
 
     Precondition (checked): d(x, y) < eps implies ||F(x)-F(y)||_inf <
     delta_prime.  The returned G satisfies sup ||F-G||_inf < delta_prime
     and has no row pair within 1e-12 in sup norm at distance >= eps.
-    Seeded uniform perturbations with rejection; the zero perturbation
-    is tried first.  The half-dimension advisory is a warning only,
-    because the nerve estimate is an upper bound.
+    Seeded uniform perturbations with rejection, at most ``MAX_TRIES``;
+    the zero perturbation is tried first.  The half-dimension advisory
+    is a warning only, because the nerve estimate is an upper bound.
     """
     F = np.asarray(F, dtype=float)
     n, M = F.shape
@@ -282,18 +284,16 @@ def epsilon_embedding_search(F, sample: MetricSample, eps: float,
             witness=(sample.points[iu[k]], sample.points[ju[k]],
                      float(d[iu[k], ju[k]]), float(row_gap[k])))
 
-    advisory = None
-    if check_widim:
-        advisory = widim_upper(sample, eps)
-        if not advisory < M / 2:
-            warnings.warn(
-                f"width-dimension upper estimate {advisory} is not below M/2 = {M / 2}; "
-                "the search may fail", RuntimeWarning, stacklevel=2)
+    advisory = widim_upper(sample, eps)
+    if not advisory < M / 2:
+        warnings.warn(
+            f"width-dimension upper estimate {advisory} is not below M/2 = {M / 2}; "
+            "the search may fail", RuntimeWarning, stacklevel=2)
 
     far = ~close
     rng = np.random.default_rng(seed)
     best_pair = None
-    for attempt in range(max_tries):
+    for attempt in range(MAX_TRIES):
         if attempt == 0:
             G = F.copy()
         else:
@@ -311,7 +311,7 @@ def epsilon_embedding_search(F, sample: MetricSample, eps: float,
         k = int(np.argmax(collisions))
         best_pair = (sample.points[iu[k]], sample.points[ju[k]])
     raise SearchBudgetError(
-        f"no eps-embedding found in {max_tries} tries", best_pair=best_pair)
+        f"no eps-embedding found in {MAX_TRIES} tries", best_pair=best_pair)
 
 
 def complex_rows(F):
@@ -339,28 +339,20 @@ class EmbeddingRun:
     """
 
     constants: KernelConstants
-    eps: float
     kernel: KernelSpec
     phi_N: np.ndarray
     advance: object
     F: np.ndarray
     G: np.ndarray
-    seed: int
-    # Nodes farther than this from the signal window are dropped, and
-    # ``node_tail_bound`` bounds their sum (3.9e-4 at the README example).
-    # The bound assumes the K_dec / (1 + t^2) envelope, which is certified
-    # only on the kernel's window |t| <= 200.
-    node_margin: float = 200.0
 
     def __post_init__(self):
-        if not (0 < self.eps < self.delta):
-            raise ConfigurationError("need 0 < eps < delta")
         sup = float(np.abs(self.G - self.F).max())
         if not sup < self.delta_prime:
             raise ConfigurationError(
                 f"sup |F - G| = {sup:.3g} must stay below delta' = {self.delta_prime:.3g}")
-        if not self.node_margin >= 1.0 / self.kernel.rho_float:
-            raise ConfigurationError("node_margin must be at least the node spacing 1/rho")
+        if not NODE_MARGIN >= 1.0 / self.kernel.rho_float:
+            raise ConfigurationError(
+                f"node spacing 1/rho must not exceed NODE_MARGIN = {NODE_MARGIN}")
         self._tables = {}
 
     @property
@@ -372,7 +364,7 @@ class EmbeddingRun:
         return self.constants.delta_prime
 
     def kernel_rows(self, nodes, t0: float, dt: float, n: int):
-        """Rows phi(t0 + j dt - node), j < n, for nodes within node_margin of the grid.
+        """Rows phi(t0 + j dt - node), j < n, for nodes within NODE_MARGIN of the grid.
 
         Each offset node - t0 splits into m whole grid steps and a phase
         p, so entry j is phi((j - m) dt - p): a window of the table of phi
@@ -381,7 +373,7 @@ class EmbeddingRun:
         phase; phases that agree modulo dt to within PHASE_TOL dt share
         one table.
         """
-        span = n + math.ceil(self.node_margin / dt)
+        span = n + math.ceil(NODE_MARGIN / dt)
         phases, table = self._tables.get((dt, n), ([], np.empty((0, 2 * span + 1))))
         steps = np.rint((nodes - t0) / dt).astype(np.int64)
         offsets = nodes - t0 - steps * dt
@@ -415,7 +407,7 @@ class EmbeddingRun:
         return complex_rows(self.G) - complex_rows(self.F)
 
     def node_tail_bound(self):
-        """Bound on |h| from the nodes beyond node_margin M that are dropped.
+        """Bound on |h| from the nodes beyond NODE_MARGIN M that are dropped.
 
         Nodes are 1/rho apart, so under |phi(t)| <= K_dec / (1 + t^2) each
         side sums to at most rho K_dec max|w| times the envelope's integral
@@ -424,30 +416,29 @@ class EmbeddingRun:
         rho = self.kernel.rho_float
         w = float(np.abs(self.correction_rows()).max())
         return (2.0 * rho * self.constants.K_dec * w
-                * (math.pi / 2.0 - math.atan(self.node_margin - 1.0 / rho)))
+                * (math.pi / 2.0 - math.atan(NODE_MARGIN - 1.0 / rho)))
 
 
-def perturb_signal_map(run: EmbeddingRun, f_map, x: int) -> Signal:
-    """Build g(x) = f(x) + h(x) with node corrections and a checked budget.
+def perturb_signal_map(run: EmbeddingRun, f_sig: Signal, x: int) -> Signal:
+    """Build g(x) = f(x) + h(x) from ``f_sig`` = f(x), with a checked budget.
 
     h places kernel translates on the node set {k/rho + n N! - Phi(x)_N}
     of the sample index x, weighted by the G-F corrections read along
-    the orbit, truncated to nodes within the window plus ``run.node_margin``.
+    the orbit, truncated to nodes within the window plus ``NODE_MARGIN``.
     On the grid, h is the weights times the node rows of ``run.kernel_rows``.
     The check sup|h| + ``run.node_tail_bound()`` < delta assumes the
     envelope K_dec / (1 + t^2), certified only on |t| <= window.
     Requires sup_t |f(x)(t)| <= 1 - delta.
     """
     kernel = run.kernel
-    f_sig = f_map(x)
     if f_sig.sup_norm() > 1.0 - run.delta + 1e-9:
         raise PreconditionError("need sup |f(x)| <= 1 - delta")
     phi = float(run.phi_N[x])
     period = run.period
 
     t = f_sig.times()
-    lo = t[0] - run.node_margin
-    hi = t[-1] + run.node_margin
+    lo = t[0] - NODE_MARGIN
+    hi = t[-1] + NODE_MARGIN
     # Period starts n N! - Phi(x)_N, each with the corrections of its state.
     starts = np.arange(math.floor((lo + phi) / period), math.ceil((hi + phi) / period) + 1)
     starts = starts * period - phi
@@ -477,36 +468,34 @@ class EmbeddingVerdict:
     worst_distance: float
     min_image_separation: float
 
-    def __bool__(self):
-        return self.passed
 
-
-def verify_delta_embedding(g_map, phi_map, sample: MetricSample, delta: float,
-                           match_tol: float, n_max: int = 4) -> EmbeddingVerdict:
+def verify_delta_embedding(signals, phis, sample: MetricSample,
+                           delta: float) -> EmbeddingVerdict:
     """Check that matching images force sample distance below delta.
 
-    A pair matches when both the signal metric of its g-images and the
-    solenoid distance of its factor images fall within ``match_tol``.
+    ``signals`` and ``phis`` hold the g-image and the factor image of each
+    sample point, in the order of ``sample.points``.  A pair matches when
+    both the signal metric (truncated at ``N_MAX``) of its g-images and the
+    solenoid distance of its factor images fall within ``MATCH_TOL``.
     Every matching pair must satisfy d(x, y) < delta; the verdict also
     reports the smallest image separation among non-matching pairs.
     The signal metric is taken one row of pairs (i, j > i) at a time.
     """
-    if match_tol <= 0:
-        raise ConfigurationError("match_tol must be positive")
     points = sample.points
     n = len(points)
-    signals = [g_map(p) for p in points]
-    phis = [phi_map(p) for p in points]
+    if len(signals) != n or len(phis) != n:
+        raise InvariantViolationError(
+            f"{len(signals)} signals and {len(phis)} factor points for {n} sample points")
     iu, ju = np.triu_indices(n, k=1)
     sm = sd = np.zeros(len(iu))
     if n > 1:
         if len({p.depth for p in phis}) > 1:
             raise InvariantViolationError("solenoid points must share a depth")
-        sm = np.concatenate([_weighted_sup(signals[i], signals[i + 1:], n_max)
+        sm = np.concatenate([_weighted_sup(signals[i], signals[i + 1:], N_MAX)
                              for i in range(n - 1)])
         coords = np.array([p.coords for p in phis])
         sd = _solenoid_gaps(coords[iu], coords[ju])
-    matched = (sm <= match_tol) & (sd <= match_tol)
+    matched = (sm <= MATCH_TOL) & (sd <= MATCH_TOL)
     d = sample.dist[iu, ju][matched]
     worst_pair, worst_distance = None, -math.inf
     if len(d):

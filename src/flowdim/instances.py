@@ -9,7 +9,6 @@ solenoid for the end-to-end perturbation pipeline.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -41,6 +40,9 @@ from .kernel import KernelSpec, certify_constants
 from .metric import MetricSample, OrbitMetricSpec, orbit_metric_R
 
 GRID_STEP = 0.1
+BAND = Band(0.0, 2.0)  # the pipeline kernel's band
+TAU = 0.5              # the pipeline kernel's bump width
+SIGNAL_WINDOW = 16.0   # half-length of the pipeline's signal window
 
 
 def rotation_system(n_points: int) -> DynSystem:
@@ -102,12 +104,11 @@ class SuspensionInstance:
     ``flow`` is the every-height ``mapping_torus`` of the rotation on a
     cycle of length ``base_size`` (a multiple of 6) with ``n_heights``
     grid heights per unit time, so sample index state * n_heights + j
-    holds the point (state, j / n_heights).  ``sample`` is its BW table;
-    the factor reads the total orbit coordinate modulo n!.
+    holds the point (state, j / n_heights).  The factor reads the total
+    orbit coordinate modulo n!.
     """
 
     flow: FlowSystem
-    sample: MetricSample
     depth: int
     base_size: int
     n_heights: int
@@ -117,8 +118,7 @@ class SuspensionInstance:
         if base_size % 6 != 0:
             raise ConfigurationError("base size must be a multiple of 6")
         flow = mapping_torus(rotation_system(base_size), n_heights, every_height=True)
-        sample = MetricSample(flow.point_ids(), flow.metric_matrix(flow.values))
-        return cls(flow, sample, depth, base_size, n_heights)
+        return cls(flow, depth, base_size, n_heights)
 
     def total_time(self, idx: int) -> float:
         p = self.flow.values[idx]
@@ -164,10 +164,7 @@ class PipelineResult:
 
 def run_embedding_pipeline(delta: float = 0.2, rho=1, N: int = 2,
                            base_size: int = 12, n_heights: int = 10,
-                           seed: int = 2024, window: float = 16.0,
-                           tau: float = 0.5, band: Band = None,
-                           node_margin: float = 200.0,
-                           equiv_shifts=None) -> PipelineResult:
+                           seed: int = 2024) -> PipelineResult:
     """Assemble the desk instance and run the full perturbation pipeline.
 
     Steps: certify the kernel budget delta', sample the equivariant
@@ -177,32 +174,29 @@ def run_embedding_pipeline(delta: float = 0.2, rho=1, N: int = 2,
     sub-period shift near 0.3 (snapped onto the height grid) and at the
     full node period N!.
     """
-    band = Band(0.0, 2.0) if band is None else band
     inst = SuspensionInstance.build(base_size=base_size, n_heights=n_heights,
                                     depth=max(3, N))
-    spec = KernelSpec(band, rho, tau, N=N, window=200.0)
+    spec = KernelSpec(BAND, rho, TAU, N=N, window=200.0)
     constants = certify_constants(spec, delta)
     delta_prime = constants.delta_prime
 
-    emb = SolenoidEmbedding(c=min(1.0, band.b / 2.0), K=inst.depth,
-                            window=window, grid_step=0.05)
+    emb = SolenoidEmbedding(c=min(1.0, BAND.b / 2.0), K=inst.depth,
+                            window=SIGNAL_WINDOW, grid_step=0.05)
     scale = 1.0 - delta
-
-    @functools.cache
-    def f_map(idx):
-        return solenoid_embed(inst.factor(idx), emb, scale=scale)
+    n_states = len(inst.flow.values)
+    factors = [inst.factor(i) for i in range(n_states)]
+    f = [solenoid_embed(p, emb, scale=scale) for p in factors]
 
     period = math.factorial(N)
-    n_states = len(inst.sample)
     phi_N = np.array([inst.total_time(i) % period for i in range(n_states)])
 
     # Sample f along the orbit at the period nodes k/rho, a uniform grid.
     rho_count = spec.lattice.period_count
     nodes = spec.lattice.window_nodes()
     freqs = emb.frequencies()
-    FC = np.array([exp_sum_grid(solenoid_coefficients(inst.factor(i), emb) * scale,
+    FC = np.array([exp_sum_grid(solenoid_coefficients(p, emb) * scale,
                                 freqs, 0.0, 1.0 / spec.rho_float, rho_count)
-                   for i in range(n_states)])
+                   for p in factors])
     F = real_rows(FC)
 
     # Orbit window metric over one node period, gridded at the height step.
@@ -221,19 +215,11 @@ def run_embedding_pipeline(delta: float = 0.2, rho=1, N: int = 2,
 
     G, report = epsilon_embedding_search(F, d_window, eps, search_bound, seed)
 
-    run = EmbeddingRun(constants=constants, eps=eps, kernel=spec, phi_N=phi_N,
-                       advance=inst.advance, F=F, G=G, seed=seed,
-                       node_margin=node_margin)
-    if equiv_shifts is None:
-        h = 1.0 / n_heights
-        equiv_shifts = (max(h, round(0.3 / h) * h), float(run.period))
-
-    @functools.cache
-    def g_map(idx):
-        return perturb_signal_map(run, f_map, idx)
-
-    h_of = {i: g_map(i).values - f_map(i).values for i in range(n_states)}
-    sup_change = max(float(np.abs(h).max()) for h in h_of.values())
+    run = EmbeddingRun(constants=constants, kernel=spec, phi_N=phi_N,
+                       advance=inst.advance, F=F, G=G)
+    g = [perturb_signal_map(run, fi, i) for i, fi in enumerate(f)]
+    h_of = [gi.values - fi.values for gi, fi in zip(g, f)]
+    sup_change = max(float(np.abs(h).max()) for h in h_of)
 
     # Node identities: g(x)(-Phi_N + k/rho) = G^C(T^{-Phi_N} x)(k).
     GC = complex_rows(G)
@@ -241,12 +227,13 @@ def run_embedding_pipeline(delta: float = 0.2, rho=1, N: int = 2,
     for i in range(n_states):
         base_state = inst.advance(i, -phi_N[i])
         targets = -phi_N[i] + nodes
-        got = g_map(i).evaluate(targets)
+        got = g[i].evaluate(targets)
         node_residual = max(node_residual, float(np.abs(got - GC[base_state]).max()))
 
     # Equivariance: h(T^r x)(t) = h(x)(t + r) on the common window.
+    h = 1.0 / n_heights
     equiv_residual = 0.0
-    for r in equiv_shifts:
+    for r in (max(h, round(0.3 / h) * h), float(run.period)):
         steps = round(r * n_heights)
         if abs(steps / n_heights - r) > 1e-9:
             raise ConfigurationError("equivariance shifts must sit on the height grid")
@@ -259,10 +246,7 @@ def run_embedding_pipeline(delta: float = 0.2, rho=1, N: int = 2,
             rhs = h_of[i][shift_idx:]
             equiv_residual = max(equiv_residual, float(np.abs(lhs - rhs).max()))
 
-    verdict = verify_delta_embedding(
-        lambda pid: g_map(d_window.index(pid)),
-        lambda pid: inst.factor(d_window.index(pid)),
-        d_window, delta, match_tol=1e-6)
+    verdict = verify_delta_embedding(g, factors, d_window, delta)
 
     return PipelineResult(instance=inst, run=run, eps=eps,
                           search_report=report, sup_change=sup_change,

@@ -23,6 +23,7 @@ from .errors import ConfigurationError, QuadratureError
 
 NODE_SNAP_TOL = 1e-12
 QUAD_NODES = 512               # half-support nodes of the bump's base rule
+QUAD_TOL = 1e-10               # bump_transform's base/doubled rule agreement
 CERTIFY_GRID_POINTS = 10_000   # per side of the certification window
 REVERIFY_GRID_POINTS = 20_000  # over one lattice period
 
@@ -217,14 +218,14 @@ class KernelSpec:
         return float(self._trapezoid(2 * QUAD_NODES)[1].sum() * self.bump_norm)
 
 
-def bump_transform(z, spec: KernelSpec, tol: float = 1e-10):
+def bump_transform(z, spec: KernelSpec):
     """Transform h(z) = int psi(xi) exp(2 pi i z xi) dxi of the smooth bump.
 
     psi is even and flat at its endpoints, so the even trapezoidal rule
     on psi(xi) cos(2 pi z xi) converges spectrally; the cosine is real on
     real z.  h(0) = 1 by normalization.  One rule serves the call:
     ``QUAD_NODES`` doubled until it reaches 4 tau max|z|.  Its
-    doubled rule must agree within ``tol`` (scaled by the value's
+    doubled rule must agree within ``QUAD_TOL`` (scaled by the value's
     magnitude) or ``QuadratureError`` is raised with the achieved
     tolerance.  Chunking keeps memory at O(chunk x nodes).
     """
@@ -248,9 +249,9 @@ def bump_transform(z, spec: KernelSpec, tol: float = 1e-10):
         scale = np.maximum(1.0, np.abs(fine))
         worst = max(worst, float((np.abs(fine - coarse) / scale).max()))
         out[start:start + chunk] = fine
-    if worst > tol:
+    if worst > QUAD_TOL:
         raise QuadratureError(
-            f"bump transform quadrature disagreement {worst:.3g} exceeds {tol:.3g}",
+            f"bump transform quadrature disagreement {worst:.3g} exceeds {QUAD_TOL:.3g}",
             achieved_tol=worst)
     return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 

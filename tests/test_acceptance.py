@@ -206,7 +206,7 @@ def test_criterion_8_solenoid_round_trip():
 def test_criterion_9_embedding_pipeline():
     result = run_embedding_pipeline(delta=0.2, rho=Fraction(1), N=2,
                                     base_size=12, n_heights=10, seed=2024)
-    n_states = len(result.instance.sample)
+    n_states = len(result.instance.flow.values)
     checks = {
         "states <= 200": n_states <= 200,
         "delta' certified": result.run.constants.check(),

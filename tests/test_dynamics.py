@@ -363,8 +363,7 @@ class TestSuspensionInstance:
 
     def test_sample_is_the_torus_table(self):
         inst = SuspensionInstance.build(base_size=6, n_heights=5)
-        assert len(inst.sample) == 30
-        assert inst.sample.points == inst.flow.point_ids()
+        assert len(inst.flow.values) == len(inst.flow.point_ids()) == 30
         assert inst.total_time(7) == pytest.approx(1.4)
         assert inst.factor(7).coords == pytest.approx((0.4, 1.4, 1.4))
 

@@ -6,6 +6,7 @@ import pytest
 from flowdim.bandlimited import shift, signal_metric
 from flowdim.dynamics import SolenoidPoint, solenoid_act, solenoid_distance, solenoid_from_time
 from flowdim.embedding import (
+    NODE_MARGIN,
     SolenoidEmbedding,
     bohr_coefficient,
     bohr_cross_term_bound,
@@ -19,6 +20,7 @@ from flowdim.embedding import (
 from flowdim.errors import (
     ConfigurationError,
     IncompatibleSignalError,
+    InvariantViolationError,
     NotEmbeddingImageError,
     PreconditionError,
     SearchBudgetError,
@@ -184,16 +186,14 @@ class TestEpsilonEmbeddingSearch:
     def test_zero_perturbation_accepted_first(self):
         sample = three_point_sample()
         F = np.array([[0.5, 0.5], [0.2, 0.2], [0.2, 0.2]])
-        G, report = epsilon_embedding_search(F, sample, eps=0.01, delta_prime=0.1,
-                                             seed=0, check_widim=False)
+        G, report = epsilon_embedding_search(F, sample, eps=0.01, delta_prime=0.1, seed=0)
         assert report.tries == 1
         assert np.array_equal(G, F)
 
     def test_identical_far_rows_get_separated(self):
         sample = three_point_sample()
         F = np.array([[0.2, 0.2], [0.2, 0.2], [0.21, 0.21]])
-        G, report = epsilon_embedding_search(F, sample, eps=0.01, delta_prime=0.1,
-                                             seed=7, check_widim=False)
+        G, report = epsilon_embedding_search(F, sample, eps=0.01, delta_prime=0.1, seed=7)
         assert np.abs(G - F).max() < 0.1
         assert np.abs(G[0] - G[1]).max() > 1e-12
         # Exhaustive pair check of the embedding contract.
@@ -206,18 +206,18 @@ class TestEpsilonEmbeddingSearch:
         sample = three_point_sample()
         F = np.array([[0.9, 0.9], [-0.9, -0.9], [0.2, 0.2]])
         with pytest.raises(PreconditionError) as err:
-            epsilon_embedding_search(F, sample, eps=0.01, delta_prime=0.1,
-                                     seed=1, check_widim=False)
+            epsilon_embedding_search(F, sample, eps=0.01, delta_prime=0.1, seed=1)
         assert err.value.witness is not None
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion(self, monkeypatch):
         # Force failure: rows clipped to the same corner collide forever.
+        import flowdim.embedding
+        monkeypatch.setattr(flowdim.embedding, "MAX_TRIES", 5)
         d = np.array([[0.0, 1.0], [1.0, 0.0]])
         sample = MetricSample([0, 1], d)
         F = np.array([[1.0], [1.0]])
         with pytest.raises(SearchBudgetError):
-            epsilon_embedding_search(F, sample, eps=0.5, delta_prime=1e-30,
-                                     seed=3, max_tries=5, check_widim=False)
+            epsilon_embedding_search(F, sample, eps=0.5, delta_prime=1e-30, seed=3)
 
     def test_widim_advisory_warns_but_proceeds(self):
         xs = np.linspace(0, 1, 21)
@@ -233,23 +233,21 @@ class TestEpsilonEmbeddingSearch:
 class TestVerifyDeltaEmbedding:
     def test_separated_images_pass_vacuously(self, emb):
         pts = [solenoid_from_time(t, 4) for t in (0.0, 1.3, 3.1)]
-        sigs = {i: solenoid_embed(p, emb) for i, p in enumerate(pts)}
+        sigs = [solenoid_embed(p, emb) for p in pts]
         d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
         sample = MetricSample([0, 1, 2], d)
-        verdict = verify_delta_embedding(lambda i: sigs[i], lambda i: pts[i],
-                                         sample, delta=0.5, match_tol=1e-6,
-                                         n_max=4)
+        verdict = verify_delta_embedding(sigs, pts, sample, delta=0.5)
         assert verdict.passed
         assert verdict.n_matched == 0
         assert verdict.min_image_separation > 1e-6
 
-    def test_nonpositive_match_tol_is_configuration_error(self, emb):
+    def test_lists_must_match_the_sample(self, emb):
         p = solenoid_from_time(0.7, 4)
         sig = solenoid_embed(p, emb)
         sample = MetricSample(["x", "y"], np.array([[0.0, 1.0], [1.0, 0.0]]))
-        with pytest.raises(ConfigurationError):
-            verify_delta_embedding(lambda i: sig, lambda i: p, sample,
-                                   delta=0.5, match_tol=0.0)
+        for signals, phis in (([sig], [p, p]), ([sig, sig], [p]), ([sig] * 3, [p] * 3)):
+            with pytest.raises(InvariantViolationError):
+                verify_delta_embedding(signals, phis, sample, delta=0.5)
 
     def test_pair_rows_equal_the_per_pair_metrics(self, emb):
         # Three factor points occur twice, so three pairs match.
@@ -258,8 +256,7 @@ class TestVerifyDeltaEmbedding:
         sigs = [solenoid_embed(p, emb) for p in pts]
         x = np.random.default_rng(3).uniform(size=len(pts))
         sample = MetricSample(list(range(len(pts))), np.abs(np.subtract.outer(x, x)))
-        verdict = verify_delta_embedding(lambda i: sigs[i], lambda i: pts[i],
-                                         sample, delta=0.5, match_tol=1e-6)
+        verdict = verify_delta_embedding(sigs, pts, sample, delta=0.5)
         pairs = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))]
         sm = {q: signal_metric(sigs[q[0]], sigs[q[1]], 4) for q in pairs}
         sd = {q: solenoid_distance(pts[q[0]], pts[q[1]]) for q in pairs}
@@ -279,27 +276,45 @@ class TestVerifyDeltaEmbedding:
         sigs = [solenoid_embed(p, emb), solenoid_embed(p, other)]
         sample = MetricSample(["x", "y"], np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(IncompatibleSignalError):
-            verify_delta_embedding(lambda i: sigs[sample.index(i)], lambda i: p, sample,
-                                   delta=0.5, match_tol=1e-6)
+            verify_delta_embedding(sigs, [p, p], sample, delta=0.5)
 
     def test_constant_map_fails_with_witness(self, emb):
         p = solenoid_from_time(0.7, 4)
         sig = solenoid_embed(p, emb)
         d = np.array([[0.0, 1.0], [1.0, 0.0]])
         sample = MetricSample(["x", "y"], d)
-        verdict = verify_delta_embedding(lambda i: sig, lambda i: p, sample,
-                                         delta=0.5, match_tol=1e-6, n_max=4)
+        verdict = verify_delta_embedding([sig, sig], [p, p], sample, delta=0.5)
         assert not verdict.passed
         assert verdict.worst_pair == ("x", "y")
         assert verdict.worst_distance == pytest.approx(1.0)
 
 
+def test_node_spacing_beyond_node_margin_is_configuration_error():
+    # node_tail_bound integrates the envelope past NODE_MARGIN - 1/rho,
+    # which must not be negative: 1/rho = 200 passes, 1/rho = 300 fails.
+    from fractions import Fraction
+
+    from flowdim.bandlimited import Band
+    from flowdim.embedding import EmbeddingRun
+    from flowdim.kernel import KernelConstants, KernelSpec
+
+    constants = KernelConstants(K_dec=1.0, delta_prime=0.01, S_sup=1.0, delta=0.2,
+                                window=200.0)
+    F = np.zeros((2, 2))
+
+    def run(rho):
+        return EmbeddingRun(constants=constants, kernel=KernelSpec(Band(0.0, 2.0), rho, 0.5),
+                            phi_N=np.zeros(2), advance=None, F=F, G=F)
+
+    run(Fraction(1, 200))
+    with pytest.raises(ConfigurationError, match="NODE_MARGIN"):
+        run(Fraction(1, 300))
+
+
 @pytest.fixture(scope="module")
 def small_pipeline():
     from flowdim.instances import run_embedding_pipeline
-    return run_embedding_pipeline(base_size=6, n_heights=5, seed=11,
-                                  window=12.0, node_margin=150.0,
-                                  equiv_shifts=(0.4, 2.0))
+    return run_embedding_pipeline(base_size=6, n_heights=5, seed=11)
 
 
 class TestPerturbSignalMap:
@@ -314,7 +329,7 @@ class TestPerturbSignalMap:
         inst = res.instance
         emb = SolenoidEmbedding(c=1.0, K=inst.depth, window=12.0, grid_step=0.05)
         f_map = lambda i: solenoid_embed(inst.factor(int(i)), emb, scale=0.8)
-        g = perturb_signal_map(run0, f_map, 3)
+        g = perturb_signal_map(run0, f_map(3), 3)
         f = f_map(3)
         assert np.array_equal(g.values, f.values)
 
@@ -330,7 +345,7 @@ class TestPerturbSignalMap:
         pad = 8.0 / 12.0
         for i in (0, 7):
             f = f_map(i)
-            g = perturb_signal_map(res.run, f_map, i)
+            g = perturb_signal_map(res.run, f, i)
             leak_f = band_support_check(f, pad)
             leak_g = band_support_check(g, pad)
             assert leak_g < 2.0 * leak_f + kernel_leak + 1e-6
@@ -341,12 +356,12 @@ class TestPerturbSignalMap:
         inst = res.instance
         emb = SolenoidEmbedding(c=1.0, K=inst.depth, window=12.0, grid_step=0.05)
         f_map = lambda i: solenoid_embed(inst.factor(int(i)), emb, scale=0.8)
-        g = perturb_signal_map(res.run, f_map, 0)
+        g = perturb_signal_map(res.run, f_map(0), 0)
         sup = float(np.abs(g.values - f_map(0).values).max())
         assert sup + res.run.node_tail_bound() < res.run.delta
         monkeypatch.setattr(EmbeddingRun, "node_tail_bound", lambda run: run.delta - sup / 2)
         with pytest.raises(ConfigurationError, match="node tail"):
-            perturb_signal_map(res.run, f_map, 0)
+            perturb_signal_map(res.run, f_map(0), 0)
 
     def test_pipeline_verdict_on_small_instance(self, small_pipeline):
         assert small_pipeline.passed
@@ -364,7 +379,7 @@ def test_pipeline_rows_are_the_signal_at_the_nodes(fine_pipeline):
     inst, run = fine_pipeline.instance, fine_pipeline.run
     emb = SolenoidEmbedding(c=1.0, K=inst.depth, window=16.0, grid_step=0.05)
     nodes = run.kernel.lattice.window_nodes()
-    for i in range(len(inst.sample)):
+    for i in range(len(inst.flow.values)):
         coeffs = solenoid_coefficients(inst.factor(i), emb) * (1.0 - run.delta)
         want = direct_exp_sum(coeffs, emb.frequencies(), nodes)
         assert np.abs(run.F[i] - np.concatenate([want.real, want.imag])).max() <= 1e-12
@@ -394,8 +409,8 @@ def test_off_grid_corrections_match_the_direct_kernel_sum(fine_pipeline, monkeyp
         return interpolation_kernel(t, spec)
 
     monkeypatch.setattr(flowdim.embedding, "interpolation_kernel", counted)
-    h = {i: perturb_signal_map(run, f_map, i).values - f_map(i).values
-         for i in range(len(inst.sample))}
+    h = {i: perturb_signal_map(run, f_map(i), i).values - f_map(i).values
+         for i in range(len(inst.flow.values))}
     assert len(calls) <= 3
 
     t = f_map(0).times()
@@ -404,7 +419,7 @@ def test_off_grid_corrections_match_the_direct_kernel_sum(fine_pipeline, monkeyp
     for p in set(phase.values()):
         i = min(j for j in phase if phase[j] == p)
         phi = float(run.phi_N[i])
-        lo, hi = t[0] - run.node_margin, t[-1] + run.node_margin
+        lo, hi = t[0] - NODE_MARGIN, t[-1] + NODE_MARGIN
         nodes, weights = [], []
         for n in range(math.floor((lo + phi) / 2) - 1, math.ceil((hi + phi) / 2) + 2):
             row = corrections[inst.advance(i, 2 * n - phi)]
@@ -463,7 +478,7 @@ def test_node_tail_bound_covers_the_dropped_envelope_sum(fine_pipeline):
     emb = SolenoidEmbedding(c=1.0, K=inst.depth, window=16.0, grid_step=0.05)
     times = solenoid_embed(inst.factor(0), emb).times()
     t = times[np.linspace(0, len(times) - 1, 41).astype(int)]
-    lo, hi = t[0] - run.node_margin, t[-1] + run.node_margin
+    lo, hi = t[0] - NODE_MARGIN, t[-1] + NODE_MARGIN
     worst = 0.0
     for i in (0, 1, 2):
         phi = float(run.phi_N[i])

@@ -52,7 +52,7 @@ class TestSystemIO:
         sys, roof = load_system({
             "points": [0.0, 0.25, 0.5, 0.75], "metric": "circle", "period": 1.0,
             "step": [1, 2, 3, 0], "roof": [1.0, 1.0, 2.0, 1.0]})
-        assert roof.f_min == 1.0
+        assert roof.values.min() == 1.0
         [out] = suspend(sys, roof, [SuspensionPoint(0, 0.0)], 1.0)
         assert out.state == 1
 
@@ -215,6 +215,15 @@ def test_missing_required_option_exits_2_and_writes_nothing(tmp_path, sub):
     out = tmp_path / "out"
     assert main(["--out", str(out), sub]) == 2
     assert not out.exists()
+
+
+def test_unknown_config_key_exits_2_and_writes_nothing(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("a = 1\nr = 2.5\nrr = 0.5\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "periodic-dim"]) == 2
+    assert not out.exists()
+    assert "unknown config keys: rr" in capsys.readouterr().err
 
 
 def test_readme_cli_lines_parse_to_their_table_entry():

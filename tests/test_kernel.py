@@ -154,9 +154,11 @@ class TestBumpTransform:
                        epsabs=1e-14, epsrel=1e-13)[0] / norm
             assert abs(bump_transform(z, spec) - ref) < 1e-12
 
-    def test_tolerance_below_rounding_floor_raises(self, spec):
+    def test_tolerance_below_rounding_floor_raises(self, spec, monkeypatch):
+        import flowdim.kernel
+        monkeypatch.setattr(flowdim.kernel, "QUAD_TOL", 1e-18)
         with pytest.raises(QuadratureError) as info:
-            bump_transform(np.array([0.37, 5.0, 17.5, 150.0]), spec, tol=1e-18)
+            bump_transform(np.array([0.37, 5.0, 17.5, 150.0]), spec)
         assert 1e-18 < info.value.achieved_tol < 1e-10
 
 
