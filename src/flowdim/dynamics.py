@@ -6,7 +6,10 @@ points; ``suspend`` flows a whole sequence.  The Bowen-Walters distance
 is computed on a finite graph of (state, height-level) nodes in roof-1
 normalized coordinates; it is an upper bound of the true path infimum,
 antitone as the segment budget grows and as the height grid refines
-along nested (divisibility) chains.
+along nested (divisibility) chains.  ``BowenWaltersMetric.closure(nodes)``
+is the one query without a segment budget: it runs Dijkstra on the level
+graph pruned of the horizontal edges that shorter ones imply.  Budgeted
+queries count edges, so they run on the full level graph.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from .metric import MetricSample
 
 CIRCLE_TOL = 1e-9
 MAX_SUSPEND_STEPS = 10_000_000
+# Entries of the (x, z, y) redundancy test held at once by one chunk of rows.
+PRUNE_CHUNK = 1 << 16
 
 
 class DynSystem:
@@ -151,6 +156,12 @@ class BowenWaltersMetric:
     Horizontal segments at height t cost (1-t) d(x,y) + t d(Tx,Ty);
     vertical segments cost flow time.  ``height_grid`` counts the
     uniform grid cells, so levels are {j/height_grid}.
+
+    ``closure(nodes)`` is the chain infimum without a segment budget,
+    solved on the pruned level graph (``_pruned``, built on the first
+    closure query); the chain lengths equal those of the full graph up to
+    rounding.  A budgeted ``matrix`` runs on the full graph, since a
+    dropped edge costs a chain of two segments or more.
     """
 
     def __init__(self, sys: DynSystem, roof: RoofFunction, height_grid: int = 16,
@@ -207,17 +218,48 @@ class BowenWaltersMetric:
         self._rows = np.empty((n_nodes, n_nodes))
         self._solved = np.zeros(n_nodes, dtype=bool)
 
-    def _solve(self, nodes):
-        """Fill the rows of the given nodes that no earlier query solved."""
-        todo = np.unique(np.compress(~self._solved[nodes], nodes))
-        if len(todo):
-            self._rows[todo] = dijkstra(self._graph, directed=False, indices=todo)
-            self._solved[todo] = True
+    @functools.cached_property
+    def _pruned(self):
+        """The level graph without the horizontal edges that shorter ones imply.
 
-    def closure(self):
-        """All-pairs chain infimum on the grid (unbounded segment count)."""
-        self._solve(np.arange(len(self._solved)))
-        return self._rows
+        Edge (x, y) of a level is dropped when some z has c(x, z) + c(z, y)
+        <= c(x, y) with both c(x, z) < c(x, y) and c(z, y) < c(x, y).  By
+        induction on edge cost every dropped edge is the length of a chain
+        of kept ones, so the chain infimum is unchanged; the strict
+        inequalities keep every zero-cost edge, and with them the zero-cost
+        classes.  Rows of x are tested PRUNE_CHUNK entries at a time.
+        """
+        graph = self._graph.tocoo()
+        nL, nS = self.n_levels, self.n_states
+        level = graph.row % nL
+        horizontal = level == graph.col % nL
+        x, y = graph.row[horizontal] // nL, graph.col[horizontal] // nL
+        cost = np.zeros((nL, nS, nS))
+        cost[level[horizontal], x, y] = graph.data[horizontal]
+        implied = np.zeros(cost.shape, dtype=bool)
+        rows = max(1, PRUNE_CHUNK // max(1, nS * nS))
+        for c, out in zip(cost, implied):
+            for lo in range(0, nS, rows):
+                c_xz = c[lo:lo + rows, :, None]
+                c_xy = c[lo:lo + rows, None, :]
+                out[lo:lo + rows] = ((c_xz + c <= c_xy) & (c_xz < c_xy) & (c < c_xy)).any(axis=1)
+        keep = ~horizontal
+        keep[horizontal] = ~implied[level[horizontal], x, y]
+        return csr_matrix((graph.data[keep], (graph.row[keep], graph.col[keep])),
+                          shape=graph.shape)
+
+    def closure(self, nodes=None):
+        """Chain infimum between the nodes (all nodes by default), with no segment budget.
+
+        The rows that no earlier query solved are filled by one Dijkstra
+        from those nodes over the pruned level graph.
+        """
+        nodes = np.arange(len(self._solved)) if nodes is None else np.asarray(nodes)
+        todo = np.unique(nodes[~self._solved[nodes]])
+        if len(todo):
+            self._rows[todo] = dijkstra(self._pruned, directed=False, indices=todo)
+            self._solved[todo] = True
+        return self._rows[np.ix_(nodes, nodes)]
 
     def _lift(self, max_segments):
         """The level graph lifted to nodes (k, r, v), stored at (2k + r) V + v.
@@ -254,11 +296,10 @@ class BowenWaltersMetric:
     def matrix(self, points, max_segments: int | None = None):
         """Chain-length upper bounds of the BW distance between the points.
 
-        With ``max_segments=None`` the closure rows of the points are read,
-        and one Dijkstra from the points no earlier query reached solves
-        the missing ones.  A finite budget bounds the number of horizontal
-        edges plus maximal vertical runs; one Dijkstra from all the points
-        over the segment-count lift answers it.
+        With ``max_segments=None`` the table is ``closure`` of the points'
+        nodes.  A finite budget bounds the number of horizontal edges plus
+        maximal vertical runs; one Dijkstra from all the points over the
+        segment-count lift of the full level graph answers it.
         """
         states, heights = _canonical(self.sys, self.roof, *_arrays(points))
         h = heights / self.roof.values[states]
@@ -269,8 +310,7 @@ class BowenWaltersMetric:
                 f"normalized height {h[np.argmax(missing)]} is not on the metric's level grid")
         nodes = states * self.n_levels + on_level.argmax(axis=1)
         if max_segments is None:
-            self._solve(nodes)
-            return self._rows[np.ix_(nodes, nodes)]
+            return self.closure(nodes)
         if max_segments < 2:
             raise ConfigurationError("max_segments must be at least 2")
         n = self._graph.shape[0]

@@ -73,9 +73,6 @@ class MetricSample:
     def __len__(self):
         return len(self.points)
 
-    def index(self, point):
-        return self._index[point]
-
     def distance(self, p, q):
         return float(self.dist[self._index[p], self._index[q]])
 

@@ -24,7 +24,7 @@ from flowdim.errors import (
     InvariantViolationError,
     UnsupportedDirectionError,
 )
-from flowdim.instances import SuspensionInstance, rotation_system
+from flowdim.instances import SuspensionInstance, cube_shift_system, rotation_system
 from flowdim.metric import MetricSample, OrbitMetricSpec, orbit_metric_R
 
 
@@ -255,6 +255,57 @@ class TestBowenWalters:
         bw = BowenWaltersMetric(rot12, roof1, height_grid=4)
         with pytest.raises(InvariantViolationError, match="level grid"):
             bw.matrix([SuspensionPoint(0, 0.25), SuspensionPoint(1, 0.3)])
+
+    @settings(max_examples=60)
+    @given(data=st.data(), n=st.integers(1, 7), grid=st.integers(1, 6),
+           classes=st.booleans(), permute=st.booleans())
+    def test_pruned_closure_matches_the_dense_graph(self, data, n, grid, classes, permute):
+        # Coordinates on a quarter grid make ties c(x,z) + c(z,y) = c(x,y)
+        # common; with ``classes`` the states share fewer base points, so
+        # the pseudometric has zero-distance classes.
+        m = data.draw(st.integers(1, n)) if classes else n
+        quarter = st.integers(0, 4).map(lambda k: k / 4)
+        coords = st.one_of(quarter, st.floats(0.0, 1.0))
+        pts = np.array(data.draw(st.lists(st.tuples(coords, coords), min_size=m, max_size=m)))
+        pts = pts[data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+                  if classes else np.arange(n)]
+        dist = np.abs(pts[:, None] - pts[None, :]).max(axis=2)
+        if permute:
+            step = data.draw(st.permutations(range(n)))
+        else:
+            step = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        roof = RoofFunction(data.draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n)))
+        extra = data.draw(st.lists(st.floats(0.0, 1.0), max_size=2))
+        bw = BowenWaltersMetric(DynSystem(MetricSample(list(range(n)), dist), step),
+                                roof, grid, extra_heights=extra)
+        np.testing.assert_allclose(bw.closure(), dijkstra(bw._graph, directed=False),
+                                   rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_pruned_closure_keeps_the_cube_shift_zero_classes(self, N):
+        # The base metric reads block 0 only: classes of 4^(N-1) states at
+        # distance 0, and the shift moves them apart again.
+        sys = cube_shift_system(1, N)
+        bw = BowenWaltersMetric(sys, RoofFunction.constant(1.0, len(sys)), 4)
+        dense = dijkstra(bw._graph, directed=False)
+        assert np.count_nonzero(dense == 0.0) > len(dense)
+        np.testing.assert_allclose(bw.closure(), dense, rtol=1e-15, atol=0)
+
+    def test_torus_closure_keeps_only_the_cycle_edges(self):
+        bw = BowenWaltersMetric(rotation_system(96), RoofFunction.constant(1.0, 96), 16)
+        nL = bw.n_levels
+        points = [SuspensionPoint(i, j / 16) for i in range(96) for j in range(16)]
+        table = bw.matrix(points)
+        graph = bw._pruned.tocoo()
+        horizontal = graph.row % nL == graph.col % nL
+        gaps = (graph.col[horizontal] // nL - graph.row[horizontal] // nL) % 96
+        assert graph.nnz == 6528 and bw._graph.nnz == 158_304
+        assert np.count_nonzero(horizontal) == 2 * 96 * nL
+        assert set(gaps.tolist()) == {1, 95}
+        np.testing.assert_array_equal(table[::16, ::16], bw.sys.base.dist)
+        # Budgeted tables still read the full graph (see the dense min-plus test).
+        p, q = SuspensionPoint(0, 0.0), SuspensionPoint(48, 0.0)
+        assert bw.distance(p, q, max_segments=2) == 48.0 == table[0, 48 * 16]
 
     def test_bounded_budget_reaches_closure(self, rot12, roof1):
         bw = BowenWaltersMetric(rot12, roof1, height_grid=8)

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -237,3 +240,13 @@ def test_readme_cli_lines_parse_to_their_table_entry():
         assert func.__name__ == "cmd_" + args.subcommand.replace("-", "_")
         seen.add(args.subcommand)
     assert seen == set(cli.COMMANDS)
+
+
+def test_python_dash_m_runs_the_cli_from_the_source_tree():
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-m", "flowdim", "--help"], cwd=root,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: flowdim")
+    assert "bw-metric" in done.stdout
