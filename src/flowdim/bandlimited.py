@@ -5,7 +5,9 @@ frequency band [a, b] and oversampling 1/dt >= 4 max(|a|, |b|, 1).
 All sups are grid sups; the weighted metric truncates its tail at
 ``n_max`` with certified remainder 2^(1-n_max).  Off-grid evaluation
 uses Kaiser-windowed sinc interpolation, accurate to ~1e-12 for
-signals respecting the declared band.
+signals respecting the declared band.  ``_grid_factors`` splits
+exponentials on a uniform grid into block factors; the exponential sums,
+the Bohr means and the kernel's bump transform all run on it.
 """
 
 from __future__ import annotations
@@ -124,6 +126,19 @@ class Signal:
 
     def sup_norm(self):
         return float(np.abs(self.values).max()) if len(self.values) else 0.0
+
+
+def _grid_factors(omega, t0: float, dt: float, n: int):
+    """Block factors of exp(i omega_k t_j) on t_j = t0 + j dt, j < n.
+
+    With B = ceil(sqrt(n)) and j = q B + r, entry (j, k) equals
+    head[q, k] * tail[r, k]; head has ceil(n / B) rows and tail B rows.
+    """
+    B = max(1, math.ceil(math.sqrt(n)))
+    rows = -(-n // B)
+    head = np.exp(1j * np.outer(t0 + (B * dt) * np.arange(rows), omega))
+    tail = np.exp(1j * np.outer(dt * np.arange(B), omega))
+    return head, tail
 
 
 def signal_metric(f: Signal, g: Signal, n_max: int) -> float:

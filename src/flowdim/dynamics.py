@@ -196,17 +196,21 @@ class BowenWaltersMetric:
             cols.append(ju * nL + li)
             costs.append((1.0 - t) * d_now + t * d_next)
 
-        # Vertical edges within a fiber (adjacent levels).
+        # Vertical edges within a fiber (adjacent levels), then the gluing:
+        # (x, 1) is the same point as (Tx, 0).  Only these edges change
+        # level, so only they can share a node pair (at height_grid 1 a fixed
+        # point's vertical edge is its gluing edge); a pair keeps its least cost.
         fiber = np.arange(nS) * nL
-        for li, gap in enumerate(np.diff(self.levels)):
-            rows.append(fiber + li)
-            cols.append(fiber + li + 1)
-            costs.append(np.full(nS, gap))
-
-        # Gluing: (x, 1) is the same point as (Tx, 0).
-        rows.append(fiber + nL - 1)
-        cols.append(step * nL)
-        costs.append(np.zeros(nS))
+        ends = np.concatenate([np.c_[fiber + li, fiber + li + 1] for li in range(nL - 1)]
+                              + [np.c_[fiber + nL - 1, step * nL]])
+        gaps = np.r_[np.repeat(np.diff(self.levels), nS), np.zeros(nS)]
+        ends.sort(axis=1)
+        key = ends[:, 0] * n_nodes + ends[:, 1]
+        order = np.lexsort((gaps, key))
+        first = order[np.r_[True, np.diff(key[order]) != 0]]
+        rows.append(ends[first, 0])
+        cols.append(ends[first, 1])
+        costs.append(gaps[first])
 
         rows, cols, costs = (np.concatenate(a) for a in (rows, cols, costs))
         self._graph = coo_matrix(

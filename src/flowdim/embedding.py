@@ -4,12 +4,14 @@ The embedding sends a truncated solenoid point x to the exponential sum
 f_x(t) = sum_{n >= m} 2^-n exp(2 pi i (t + x_n) / n!), a band-[0, c]
 signal of sup norm at most 1.  Bohr means recover the coefficients, and
 hence the point, from signal values alone.  Both directions run on
-uniform grids t_j = t0 + j dt through one block factorization: with
-j = q B + r and B = ceil(sqrt(n)), exp(2 pi i f t_j) is the product of a
-row factor in q and a column factor in r, so ``exp_sum_grid`` computes
-the n values as one rank-K matrix product of (rows + B) K exponentials,
-and a Bohr mean contracts the reshaped values with the same two factors
-at the single frequency -lam / (2 pi).  The perturbation stage
+uniform grids t_j = t0 + j dt through one block factorization,
+``bandlimited._grid_factors`` (which also evaluates the kernel's bump
+transform, over its uniform quadrature nodes): with j = q B + r and
+B = ceil(sqrt(n)), exp(2 pi i f t_j) is the product of a row factor in q
+and a column factor in r, so ``exp_sum_grid`` computes the n values as
+one rank-K matrix product of (rows + B) K exponentials, and a Bohr mean
+contracts the reshaped values with the same two factors at the single
+frequency -lam / (2 pi).  The perturbation stage
 corrects an equivariant signal map on a lattice of sample nodes using
 the interpolation kernel, within a certified sup budget, so that the
 pair (signal map, solenoid factor) separates sample states.
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bandlimited import Band, Signal, _weighted_sup
+from .bandlimited import Band, Signal, _grid_factors, _weighted_sup
 from .dynamics import SolenoidPoint, _solenoid_gaps
 from .errors import (
     ConfigurationError,
@@ -112,19 +114,6 @@ def solenoid_embed(p: SolenoidPoint, emb: SolenoidEmbedding,
     n = int(round(2 * emb.window / emb.grid_step)) + 1
     values = exp_sum_grid(coeffs, emb.frequencies(), -emb.window, emb.grid_step, n)
     return Signal(Band(0.0, emb.c), emb.window, emb.grid_step, values, sup_bound=True)
-
-
-def _grid_factors(omega, t0: float, dt: float, n: int):
-    """Block factors of exp(i omega_k t_j) on t_j = t0 + j dt, j < n.
-
-    With B = ceil(sqrt(n)) and j = q B + r, entry (j, k) equals
-    head[q, k] * tail[r, k]; head has ceil(n / B) rows and tail B rows.
-    """
-    B = max(1, math.ceil(math.sqrt(n)))
-    rows = -(-n // B)
-    head = np.exp(1j * np.outer(t0 + (B * dt) * np.arange(rows), omega))
-    tail = np.exp(1j * np.outer(dt * np.arange(B), omega))
-    return head, tail
 
 
 def exp_sum_grid(coeffs, freqs, t0: float, dt: float, n: int):

@@ -7,7 +7,9 @@ lattice product g (value 1 at 0, zeros exactly on the punctured lattice
 to sin(pi rho z)/(pi rho z); that closed form is the production
 evaluator, while the truncated product is kept as an independent
 cross-check path with a certified relative tail bound.  h is an even
-trapezoidal rule; the lattice sum behind the budget is in closed form.
+trapezoidal rule on uniform nodes, evaluated as the block product of
+``bandlimited._grid_factors`` with the points as frequencies; the lattice
+sum behind the budget is in closed form.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bandlimited import Band, Signal, band_support_check
+from .bandlimited import Band, Signal, _grid_factors, band_support_check
 from .errors import ConfigurationError, QuadratureError
 
 NODE_SNAP_TOL = 1e-12
@@ -82,11 +84,15 @@ def product_function(z, lat: Lattice, K_trunc: int):
     real_axis = bool(np.all(w.imag == 0.0))
     w2 = (w.real * w.real) if real_axis else (w * w)
     out = np.ones(w2.shape, dtype=float if real_axis else complex)
+    flat_w2, flat_out = w2.reshape(-1), out.reshape(-1)
     chunk = 1 << 16
     for start in range(1, K_trunc + 1, chunk):
-        k = np.arange(start, min(start + chunk, K_trunc + 1), dtype=float)
-        factors = 1.0 - w2[..., None] / (k * k)
-        out *= factors.prod(axis=-1)
+        k2 = np.arange(start, min(start + chunk, K_trunc + 1), dtype=float) ** 2
+        # Blocks of points keep each factor table near 2^20 entries.
+        block = max(1, (1 << 20) // len(k2))
+        for lo in range(0, len(flat_w2), block):
+            factors = 1.0 - flat_w2[lo:lo + block, None] / k2
+            flat_out[lo:lo + block] *= factors.prod(axis=-1)
     out = out.astype(complex)
     on, k_hit = _snap_to_lattice(w)
     out[on & (np.abs(k_hit) <= K_trunc)] = 0.0
@@ -213,46 +219,57 @@ class KernelSpec:
         wt[0] /= 2.0
         return xi, wt
 
-    def bump_integral_check(self):
-        """Integral of the normalized bump under the doubled rule."""
-        return float(self._trapezoid(2 * QUAD_NODES)[1].sum() * self.bump_norm)
-
 
 def bump_transform(z, spec: KernelSpec):
     """Transform h(z) = int psi(xi) exp(2 pi i z xi) dxi of the smooth bump.
 
     psi is even and flat at its endpoints, so the even trapezoidal rule
-    on psi(xi) cos(2 pi z xi) converges spectrally; the cosine is real on
-    real z.  h(0) = 1 by normalization.  One rule serves the call:
-    ``QUAD_NODES`` doubled until it reaches 4 tau max|z|.  Its
-    doubled rule must agree within ``QUAD_TOL`` (scaled by the value's
-    magnitude) or ``QuadratureError`` is raised with the achieved
-    tolerance.  Chunking keeps memory at O(chunk x nodes).
+    on psi(xi) cos(2 pi z xi) converges spectrally.  h(0) = 1 by
+    normalization.  One rule serves the call: ``QUAD_NODES`` doubled
+    until it reaches 4 tau max|z|.  Its doubled rule must agree within
+    ``QUAD_TOL`` (scaled by the value's magnitude) or ``QuadratureError``
+    is raised with the achieved tolerance.
+
+    The K nodes xi_k = k dxi are uniform, so with k = q B + r the wave
+    exp(2 pi i z xi_k) is head[q](z) tail[r](z), the block factors of
+    ``_grid_factors`` with the points as frequencies: rows + B ~ 2 sqrt(K)
+    exponentials per point.  The weights, reshaped to rows x B and
+    stacked over the doubled rule and the base rule (its even nodes at
+    twice the weight), meet tail in one real matrix product; head then
+    contracts each point's column.  The cosine is the real part on real
+    z and the mean of the sums at z and -z on complex z.  Points are
+    taken in chunks whose product holds 2^16 complex entries (1 MB).
     """
     z = np.asarray(z)
-    zz = z.ravel().astype(complex if np.iscomplexobj(z) else float)
+    real = not np.iscomplexobj(z)
+    zz = z.ravel().astype(float if real else complex)
     n = QUAD_NODES
     z_max = float(np.abs(zz).max()) if zz.size else 0.0
     while n < 4.0 * spec.tau * z_max:
         n *= 2
     xi, fine_wt = spec._trapezoid(2 * n)
-    fine_wt = fine_wt * spec.bump_norm
-    # The base rule's nodes are the even fine nodes, at twice the weight.
-    coarse_wt = 2.0 * fine_wt[::2]
-    out = np.empty(zz.shape, dtype=complex)
-    worst = 0.0
-    chunk = max(1, (1 << 16) // len(xi))
-    for start in range(0, len(zz), chunk):
-        waves = np.cos(2.0 * np.pi * np.outer(zz[start:start + chunk], xi))
-        fine = waves @ fine_wt
-        coarse = waves[:, ::2] @ coarse_wt
-        scale = np.maximum(1.0, np.abs(fine))
-        worst = max(worst, float((np.abs(fine - coarse) / scale).max()))
-        out[start:start + chunk] = fine
+    K = len(xi)
+    B = math.ceil(math.sqrt(K))  # the block width of _grid_factors
+    rows = -(-K // B)
+    weights = np.zeros((2, rows * B))  # nodes past K weigh 0
+    weights[0, :K] = fine_wt * spec.bump_norm
+    weights[1, :K:2] = 2.0 * weights[0, :K:2]
+    weights = weights.reshape(2 * rows, B)
+    points = zz if real else np.concatenate([zz, -zz])
+    sums = np.empty((2, len(points)), dtype=complex)
+    chunk = max(1, (1 << 16) // (2 * rows))
+    for start in range(0, len(points), chunk):
+        head, tail = _grid_factors(2.0 * np.pi * points[start:start + chunk], 0.0, xi[1], K)
+        # A real product: tail viewed as interleaved real and imaginary parts.
+        blocks = (weights @ tail.view(float)).view(complex).reshape(2, rows, -1)
+        sums[:, start:start + chunk] = (head * blocks).sum(axis=1)
+    fine, coarse = sums.real if real else (sums[:, :len(zz)] + sums[:, len(zz):]) / 2.0
+    worst = float((np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine))).max(initial=0.0))
     if worst > QUAD_TOL:
         raise QuadratureError(
             f"bump transform quadrature disagreement {worst:.3g} exceeds {QUAD_TOL:.3g}",
             achieved_tol=worst)
+    out = fine.astype(complex)
     return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 

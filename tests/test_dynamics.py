@@ -307,6 +307,14 @@ class TestBowenWalters:
         p, q = SuspensionPoint(0, 0.0), SuspensionPoint(48, 0.0)
         assert bw.distance(p, q, max_segments=2) == 48.0 == table[0, 48 * 16]
 
+    def test_fixed_point_glue_and_vertical_edge_merge_to_the_cheaper(self):
+        # At height_grid 1, (x, 0)-(x, 1) is both a vertical edge of cost 1
+        # and, for Tx = x, the gluing edge of cost 0.
+        sys = DynSystem(MetricSample([0, 1], np.array([[0.0, 1.0], [1.0, 0.0]])), [0, 1])
+        bw = BowenWaltersMetric(sys, RoofFunction.constant(1.0, 2), height_grid=1)
+        assert bw._graph[0, 1] == 0.0
+        assert bw.closure()[0, 1] == 0.0
+
     def test_bounded_budget_reaches_closure(self, rot12, roof1):
         bw = BowenWaltersMetric(rot12, roof1, height_grid=8)
         p = SuspensionPoint(0, 0.0)

@@ -154,6 +154,14 @@ class TestCli:
         fb = next(b.glob("mdim-table-*.csv")).read_bytes()
         assert fa == fb
 
+    def test_kernel_report_rerun_determinism(self, tmp_path):
+        a, b = tmp_path / "one", tmp_path / "two"
+        for out in (a, b):
+            assert main(["--out", str(out), "kernel-report", "--rho", "1", "--tau", "0.5",
+                         "--band-lo", "0", "--band-hi", "2"]) == 0
+        assert len(_artifacts(a)) == 3
+        assert _artifacts(a) == _artifacts(b)
+
     def test_solenoid_demo(self, tmp_path):
         code = main(["--out", str(tmp_path), "solenoid-demo", "--depth", "3",
                      "--T", "800", "--n-points", "2", "--seed", "1"])

@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
 from flowdim.bandlimited import Band
@@ -22,6 +25,7 @@ from flowdim.kernel import (
     reverify_constants,
     sinc_product,
 )
+from oracles import bump_integral_check, bump_transform_outer
 
 
 @pytest.fixture(scope="module")
@@ -128,10 +132,26 @@ class TestGrowthAudit:
         assert report.fitted_C <= 1.0 + 1e-9
 
 
+@st.composite
+def bump_points(draw):
+    """Real or complex points, 0-d or an array, with |Re z| up to a drawn reach.
+
+    At tau = 0.5 the reaches 300 and 600 double the rule to 2,048 and
+    4,096 nodes; |Im z| <= 1 keeps every wave below e^(pi tau) in modulus,
+    so rounding in the waves cannot swamp a small sum.
+    """
+    reach = draw(st.sampled_from([1.0, 200.0, 300.0, 600.0]))
+    shape = draw(st.sampled_from([(), (0,), (9,), (3, 4)]))
+    z = draw(arrays(float, shape, elements=st.floats(-reach, reach)))
+    if draw(st.booleans()):
+        z = z + 1j * draw(arrays(float, shape, elements=st.floats(-1.0, 1.0)))
+    return z
+
+
 class TestBumpTransform:
     def test_normalized_at_origin(self, spec):
         assert abs(bump_transform(0.0, spec) - 1.0) < 1e-10
-        assert abs(spec.bump_integral_check() - 1.0) < 1e-10
+        assert abs(bump_integral_check(spec) - 1.0) < 1e-10
 
     def test_imaginary_axis_growth(self, spec):
         for y in (1.0, 5.0, 10.0):
@@ -153,6 +173,19 @@ class TestBumpTransform:
             ref = quad(bump, -half, half, weight="cos", wvar=2.0 * math.pi * z,
                        epsabs=1e-14, epsrel=1e-13)[0] / norm
             assert abs(bump_transform(z, spec) - ref) < 1e-12
+
+    @settings(max_examples=60)
+    @given(z=bump_points())
+    @example(z=np.linspace(-300.0, 300.0, 7))  # 2,048 nodes, 45 x 46 blocks, 22 padded
+    @example(z=np.linspace(-600.0, 600.0, 7) + 0.5j)  # 4,096 nodes
+    @example(z=np.array(-600.0))
+    @example(z=np.array(0.25 - 0.75j))
+    @example(z=np.zeros(0))
+    def test_matches_outer_product_oracle(self, spec, z):
+        got = bump_transform(z, spec)
+        ref = bump_transform_outer(z, spec)
+        assert np.shape(got) == np.shape(ref) == np.shape(z)
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
 
     def test_tolerance_below_rounding_floor_raises(self, spec, monkeypatch):
         import flowdim.kernel
