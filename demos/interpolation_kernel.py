@@ -58,5 +58,7 @@ constants = certify_constants(spec, delta=0.2)
 print("\ncertified: K_dec =", constants.K_dec)
 print("           S_sup =", constants.S_sup)
 print("           delta' =", constants.delta_prime)
+print("on the whole line: grid on [0, T0 =", constants.T0, "] with slack",
+      constants.grid_slack, "| tail bound beyond T0:", constants.tail_bound)
 print("budget delta' * S_sup < delta:", constants.check())
 print("re-verified on a finer offset grid:", reverify_constants(spec, constants))

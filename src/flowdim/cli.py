@@ -161,6 +161,10 @@ def cmd_kernel_report(runner, params):
         "K_dec": constants.K_dec,
         "delta_prime": constants.delta_prime,
         "S_sup": constants.S_sup,
+        "T0": constants.T0,
+        "tail_bound": constants.tail_bound,
+        "grid_step": constants.grid_step,
+        "grid_slack": constants.grid_slack,
         "leakage": leakage,
         "budget_ok": constants.check(),
         "reverified": reverify_constants(spec, constants),

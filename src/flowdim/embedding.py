@@ -49,8 +49,8 @@ MODULUS_REL_TOL = 0.25  # solenoid_recover's relative modulus tolerance
 MAX_TRIES = 10_000  # perturbations epsilon_embedding_search draws before it gives up
 # Nodes farther than this from the signal window are dropped, and
 # ``EmbeddingRun.node_tail_bound`` bounds their sum (3.9e-4 at the README
-# example).  The bound assumes the K_dec / (1 + t^2) envelope, which is
-# certified only on the kernel's window |t| <= 200.
+# example) under the K_dec / (1 + t^2) envelope that ``certify_constants``
+# certifies on the whole line.
 NODE_MARGIN = 200.0
 MATCH_TOL = 1e-6  # image distance at which verify_delta_embedding matches a pair
 N_MAX = 4         # signal_metric truncation used by verify_delta_embedding
@@ -400,7 +400,7 @@ class EmbeddingRun:
 
         Nodes are 1/rho apart, so under |phi(t)| <= K_dec / (1 + t^2) each
         side sums to at most rho K_dec max|w| times the envelope's integral
-        past M - 1/rho >= 0.  K_dec is certified only on |t| <= window.
+        past M - 1/rho >= 0.
         """
         rho = self.kernel.rho_float
         w = float(np.abs(self.correction_rows()).max())
@@ -415,8 +415,8 @@ def perturb_signal_map(run: EmbeddingRun, f_sig: Signal, x: int) -> Signal:
     of the sample index x, weighted by the G-F corrections read along
     the orbit, truncated to nodes within the window plus ``NODE_MARGIN``.
     On the grid, h is the weights times the node rows of ``run.kernel_rows``.
-    The check sup|h| + ``run.node_tail_bound()`` < delta assumes the
-    envelope K_dec / (1 + t^2), certified only on |t| <= window.
+    The check sup|h| + ``run.node_tail_bound()`` < delta rests on the
+    envelope K_dec / (1 + t^2), certified on the whole line.
     Requires sup_t |f(x)(t)| <= 1 - delta.
     """
     kernel = run.kernel

@@ -26,7 +26,14 @@ from .errors import ConfigurationError, QuadratureError
 NODE_SNAP_TOL = 1e-12
 QUAD_NODES = 512               # half-support nodes of the bump's base rule
 QUAD_TOL = 1e-10               # bump_transform's base/doubled rule agreement
-CERTIFY_GRID_POINTS = 10_000   # per side of the certification window
+# Cap on the base rule's half-support nodes: its weight table (doubled and
+# base rule) then holds 2 x 2^21 doubles, 32 MB.
+QUAD_MAX_NODES = 1 << 20
+K_MARGIN = 0.1                 # K_dec = (1 + K_MARGIN) x the envelope's grid max
+# Cap on certify_constants' half-line grid.  The points it needs grow like
+# T0^3, and T0 like (tau^2 rho)^(-1/3): 396 at tau = 0.5, rho = 1, but
+# 3.7e7 at tau = 0.05.
+CERTIFY_MAX_POINTS = 1 << 20
 REVERIFY_GRID_POINTS = 20_000  # over one lattice period
 
 
@@ -228,7 +235,10 @@ def bump_transform(z, spec: KernelSpec):
     normalization.  One rule serves the call: ``QUAD_NODES`` doubled
     until it reaches 4 tau max|z|.  Its doubled rule must agree within
     ``QUAD_TOL`` (scaled by the value's magnitude) or ``QuadratureError``
-    is raised with the achieved tolerance.
+    is raised with the achieved tolerance.  A non-finite point, or one
+    that needs more than ``QUAD_MAX_NODES`` base nodes, raises
+    ``QuadratureError`` with ``achieved_tol = inf`` before any table is
+    built.
 
     The K nodes xi_k = k dxi are uniform, so with k = q B + r the wave
     exp(2 pi i z xi_k) is head[q](z) tail[r](z), the block factors of
@@ -243,8 +253,14 @@ def bump_transform(z, spec: KernelSpec):
     z = np.asarray(z)
     real = not np.iscomplexobj(z)
     zz = z.ravel().astype(float if real else complex)
+    if not np.all(np.isfinite(zz)):
+        raise QuadratureError("bump transform needs finite points", achieved_tol=math.inf)
     n = QUAD_NODES
     z_max = float(np.abs(zz).max()) if zz.size else 0.0
+    if 4.0 * spec.tau * z_max > QUAD_MAX_NODES:
+        raise QuadratureError(
+            f"bump transform at |z| = {z_max:.3g} needs a rule of more than "
+            f"{QUAD_MAX_NODES} nodes", achieved_tol=math.inf)
     while n < 4.0 * spec.tau * z_max:
         n *= 2
     xi, fine_wt = spec._trapezoid(2 * n)
@@ -277,13 +293,15 @@ def interpolation_kernel(t, spec: KernelSpec):
     """phi(t) = exp(pi i t (a+b)) h(t) g(t): value 1 at 0, zeros on the lattice.
 
     Rapidly decreasing on the real axis with spectrum numerically inside
-    [a, b]; evaluated with the closed-form lattice product.
+    [a, b]; evaluated with the closed-form lattice product.  Points that
+    ``bump_transform`` rejects raise its ``QuadratureError``.
     """
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     tt = np.atleast_1d(t)
+    h = bump_transform(tt, spec)
     phase = np.exp(1j * np.pi * tt * (spec.band.a + spec.band.b))
-    value = phase * bump_transform(tt, spec) * sinc_product(tt, spec.rho_float)
+    value = phase * h * sinc_product(tt, spec.rho_float)
     return complex(value[0]) if scalar else value
 
 
@@ -303,8 +321,10 @@ def kernel_band_leakage(spec: KernelSpec) -> float:
 class KernelConstants:
     """Certified decay and interpolation-budget constants.
 
-    |phi(t)| <= K_dec / (1 + t^2) on the certification window, S_sup is
-    the exact sup over t of that envelope's lattice sum, and
+    |phi(t)| <= K_dec / (1 + t^2) on the whole line (|phi| is even): on
+    [0, T0] the grid max at step ``grid_step`` plus ``grid_slack`` stays
+    at or below K_dec, and beyond T0 the closed-form ``tail_bound`` does.
+    S_sup is the exact sup over t of that envelope's lattice sum, and
     delta_prime * S_sup < delta by construction.
     """
 
@@ -312,7 +332,10 @@ class KernelConstants:
     delta_prime: float
     S_sup: float
     delta: float
-    window: float
+    T0: float
+    tail_bound: float
+    grid_step: float
+    grid_slack: float
 
     def check(self):
         return self.delta_prime * self.S_sup < self.delta
@@ -329,26 +352,81 @@ def lattice_envelope_sum(K_dec: float, rho: float, t):
             / (1.0 - 2.0 * q * np.cos(2.0 * np.pi * rho * np.asarray(t)) + q * q))
 
 
-def certify_constants(spec: KernelSpec, delta: float) -> KernelConstants:
-    """Measure K_dec on the window and derive the perturbation budget delta'.
+def bump_second_derivative_norm(spec: KernelSpec) -> float:
+    """||psi''||_1 of the normalized bump psi, in closed form, bounded from above.
 
-    K_dec carries a 10% safety margin over the measured maximum of
-    |phi(t)| (1 + t^2); beyond the window the bump decay dominates the
-    quadratic envelope.  The envelope's lattice sum
-    sum_k K_dec / (1 + (t - k/rho)^2) peaks at t = 0, where the
-    Mittag-Leffler expansion of coth gives it exactly:
+    psi' is unimodal on each half of the support, so ||psi''||_1 =
+    4 sup|psi'|.  With u = 2 xi / tau, |psi'| = bump_norm (4 / tau)
+    u exp(-1/(1 - u^2)) / (1 - u^2)^2, whose maximum sits where
+    1 - 3 u^4 = 0.  bump_norm comes from a trapezoid rule, so the relative
+    disagreement of its doubled rule is added as slack.
+    """
+    base = float(spec._trapezoid(QUAD_NODES)[1].sum())
+    doubled = float(spec._trapezoid(2 * QUAD_NODES)[1].sum())
+    u2 = 1.0 / math.sqrt(3.0)
+    peak = math.sqrt(u2) * math.exp(-1.0 / (1.0 - u2)) / (1.0 - u2) ** 2
+    return 16.0 * spec.bump_norm / spec.tau * peak * (1.0 + abs(doubled - base) / doubled)
+
+
+def certify_constants(spec: KernelSpec, delta: float) -> KernelConstants:
+    """Certify |phi(t)| <= K_dec / (1 + t^2) on the whole line; derive delta'.
+
+    |phi| = |h| |sinc(rho t)| is even, so the envelope E(t) = (1 + t^2)
+    |phi(t)| is certified on t >= 0, in two parts.
+
+    Tail, t >= T0: psi is flat at its ends, so two integrations by parts
+    give |h(t)| <= ||psi''||_1 / (2 pi t)^2
+    (``bump_second_derivative_norm``), and |sinc(rho t)| <= 1 / (pi rho t);
+    so E(t) <= (1 + T0^-2) ||psi''||_1 / (4 pi^2) / (pi rho T0), a bound
+    that falls with T0.  T0 is the first of 1, 2, 4, ... at which it is
+    below E(0) = 1.
+
+    Half-line grid, [0, T0]: |h| <= 1, |h'| <= 2 pi int |xi| psi <= pi tau
+    and |d/dt sinc(rho t)| <= pi rho / 2, so E has Lipschitz constant
+    L = 2 T0 + (1 + T0^2) (pi tau + pi rho / 2).  The grid step is at most
+    K_MARGIN / L, so E moves by at most the margin over E(0) across a
+    step and every t lies within L step / 2 of a node.  The evaluated h
+    tracks the true one within ``QUAD_TOL``, which moves E by at most
+    QUAD_TOL (1 + T0^2).  Those two terms are the grid slack.  A grid of
+    more than ``CERTIFY_MAX_POINTS`` points raises ``ConfigurationError``
+    before it is built.
+
+    K_dec is (1 + K_MARGIN) times the grid max, and ``ConfigurationError``
+    is raised unless it covers the grid max plus the slack, and the tail.
+    The envelope's lattice sum sum_k K_dec / (1 + (t - k/rho)^2) peaks at
+    t = 0, where the Mittag-Leffler expansion of coth gives it exactly:
     S_sup = K_dec pi rho coth(pi rho).  delta' = 0.9 delta / S_sup, so
     the product delta' * S_sup sits strictly below delta.
     """
     if delta <= 0:
         raise ConfigurationError("delta must be positive")
-    t = np.linspace(-spec.window, spec.window, 2 * CERTIFY_GRID_POINTS + 1)
+    rho = spec.rho_float
+    tail_scale = bump_second_derivative_norm(spec) / (4.0 * math.pi ** 2) / (math.pi * rho)
+    T0 = 1.0
+    while (1.0 + T0 ** -2) * tail_scale / T0 >= 1.0:
+        T0 *= 2.0
+    tail = (1.0 + T0 ** -2) * tail_scale / T0
+    lipschitz = 2.0 * T0 + (1.0 + T0 * T0) * (math.pi * spec.tau + math.pi * rho / 2.0)
+    intervals = math.ceil(lipschitz * T0 / K_MARGIN)
+    if intervals >= CERTIFY_MAX_POINTS:
+        raise ConfigurationError(
+            f"certifying the kernel at tau = {spec.tau:g}, rho = {rho:g} needs "
+            f"{intervals + 1} grid points on [0, {T0:g}], more than {CERTIFY_MAX_POINTS}")
+    step = T0 / intervals
+    t = step * np.arange(intervals + 1)
     envelope = np.abs(interpolation_kernel(t, spec)) * (1.0 + t * t)
-    K_dec = 1.1 * float(envelope.max())
-    x = np.pi * spec.rho_float
+    grid_max = float(envelope.max())
+    K_dec = (1.0 + K_MARGIN) * grid_max
+    slack = lipschitz * step / 2.0 + QUAD_TOL * (1.0 + T0 * T0)
+    if not (grid_max + slack <= K_dec and tail <= K_dec):
+        raise ConfigurationError(
+            f"K_dec = {K_dec:.6g} does not cover the grid max {grid_max:.6g} plus "
+            f"slack {slack:.3g}, or the tail bound {tail:.6g} beyond T0 = {T0:g}")
+    x = np.pi * rho
     S_sup = K_dec * x / math.tanh(x)
     return KernelConstants(K_dec=K_dec, delta_prime=0.9 * delta / S_sup,
-                           S_sup=S_sup, delta=delta, window=spec.window)
+                           S_sup=S_sup, delta=delta, T0=T0, tail_bound=tail,
+                           grid_step=step, grid_slack=slack)
 
 
 def reverify_constants(spec: KernelSpec, constants: KernelConstants) -> bool:

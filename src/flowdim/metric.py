@@ -173,13 +173,12 @@ def widim_upper(sample: MetricSample, eps: float) -> int:
     return cover_nerve(sample, eps).nerve_dim
 
 
-def spanning_number(sample: MetricSample, eps: float, exact: bool = False) -> int:
-    """Size of an eps-spanning set (closed balls, d <= eps).
+def spanning_number(sample: MetricSample, eps: float) -> int:
+    """Size of a greedy eps-spanning set (closed balls, d <= eps).
 
-    Greedy mode picks the center covering the most uncovered points
-    (ties broken by lowest id) and carries the classical guarantee
-    greedy <= (1 + ln n) * optimum.  ``exact=True`` runs a subset DP
-    and is available for samples of at most 15 points.
+    Picks the center covering the most uncovered points (ties broken by
+    lowest id) and carries the classical guarantee
+    greedy <= (1 + ln n) * optimum.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -187,33 +186,6 @@ def spanning_number(sample: MetricSample, eps: float, exact: bool = False) -> in
     if n == 0:
         return 0
     within = sample.dist <= eps
-    if exact:
-        if n > 15:
-            raise ValueError("exact mode supports at most 15 points")
-        masks = []
-        for row in within:
-            m = 0
-            for j in np.flatnonzero(row):
-                m |= 1 << int(j)
-            masks.append(m)
-        full = (1 << n) - 1
-        INF = n + 1
-        dp = [INF] * (1 << n)
-        dp[0] = 0
-        for state in range(1 << n):
-            if dp[state] >= INF:
-                continue
-            if state == full:
-                break
-            # Lowest uncovered point must be covered by some center.
-            low = (~state & full)
-            low = (low & -low).bit_length() - 1
-            for c in range(n):
-                if within[c, low]:
-                    nxt = state | masks[c]
-                    if dp[state] + 1 < dp[nxt]:
-                        dp[nxt] = dp[state] + 1
-        return dp[full]
     covered = np.zeros(n, dtype=bool)
     count = 0
     while not covered.all():

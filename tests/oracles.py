@@ -4,10 +4,15 @@ Each one is the straightforward form of a quantity that ``src/`` computes
 in a faster or more structured way; none is called outside the tests.
 """
 
+import math
+
 import numpy as np
 
 from flowdim.errors import QuadratureError
-from flowdim.kernel import QUAD_NODES, QUAD_TOL, KernelSpec
+from flowdim.kernel import QUAD_NODES, QUAD_TOL, KernelSpec, interpolation_kernel
+from flowdim.metric import MetricSample
+
+CERTIFY_GRID_POINTS = 10_000   # per side of the certification window
 
 
 def bump_transform_outer(z, spec: KernelSpec):
@@ -47,3 +52,57 @@ def bump_transform_outer(z, spec: KernelSpec):
 def bump_integral_check(spec: KernelSpec):
     """Integral of the normalized bump under the doubled rule."""
     return float(spec._trapezoid(2 * QUAD_NODES)[1].sum() * spec.bump_norm)
+
+
+def certify_scan(spec: KernelSpec, delta: float):
+    """K_dec, S_sup and delta' from the envelope's max on 20,001 points of the window.
+
+    The window scan that ``flowdim.kernel.certify_constants`` replaced by
+    its half-line grid and closed-form tail: K_dec is 1.1 times the
+    largest |phi(t)| (1 + t^2) on [-window, window].
+    """
+    t = np.linspace(-spec.window, spec.window, 2 * CERTIFY_GRID_POINTS + 1)
+    envelope = np.abs(interpolation_kernel(t, spec)) * (1.0 + t * t)
+    K_dec = 1.1 * float(envelope.max())
+    x = np.pi * spec.rho_float
+    S_sup = K_dec * x / math.tanh(x)
+    return K_dec, S_sup, 0.9 * delta / S_sup
+
+
+def spanning_number_exact(sample: MetricSample, eps: float) -> int:
+    """Size of a smallest eps-spanning set (closed balls, d <= eps).
+
+    A subset DP over covered sets, for samples of at most 15 points.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    n = len(sample)
+    if n == 0:
+        return 0
+    within = sample.dist <= eps
+    if n > 15:
+        raise ValueError("exact mode supports at most 15 points")
+    masks = []
+    for row in within:
+        m = 0
+        for j in np.flatnonzero(row):
+            m |= 1 << int(j)
+        masks.append(m)
+    full = (1 << n) - 1
+    INF = n + 1
+    dp = [INF] * (1 << n)
+    dp[0] = 0
+    for state in range(1 << n):
+        if dp[state] >= INF:
+            continue
+        if state == full:
+            break
+        # Lowest uncovered point must be covered by some center.
+        low = (~state & full)
+        low = (low & -low).bit_length() - 1
+        for c in range(n):
+            if within[c, low]:
+                nxt = state | masks[c]
+                if dp[state] + 1 < dp[nxt]:
+                    dp[nxt] = dp[state] + 1
+    return dp[full]

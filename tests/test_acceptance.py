@@ -42,6 +42,7 @@ from flowdim.metric import (
     widim_upper,
 )
 
+from oracles import spanning_number_exact
 from test_metric import torus_rotation, _window_shifted
 
 
@@ -269,7 +270,7 @@ def test_criterion_10_metric_space_contracts():
         sample = MetricSample(list(range(n)), dist)
         eps = float(rng.uniform(0.1, 0.9))
         greedy = spanning_number(sample, eps)
-        exact = spanning_number(sample, eps, exact=True)
+        exact = spanning_number_exact(sample, eps)
         if greedy > (1.0 + math.log(n)) * exact:
             guarantee_violations += 1
     passed = sig_violations == 0 and bw_violations == 0 and guarantee_violations == 0

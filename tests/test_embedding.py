@@ -299,7 +299,7 @@ def test_node_spacing_beyond_node_margin_is_configuration_error():
     from flowdim.kernel import KernelConstants, KernelSpec
 
     constants = KernelConstants(K_dec=1.0, delta_prime=0.01, S_sup=1.0, delta=0.2,
-                                window=200.0)
+                                T0=2.0, tail_bound=0.5, grid_step=0.01, grid_slack=0.05)
     F = np.zeros((2, 2))
 
     def run(rho):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -11,9 +12,9 @@ from scipy.integrate import quad
 from flowdim.bandlimited import Band
 from flowdim.errors import ConfigurationError, QuadratureError
 from flowdim.kernel import (
-    KernelConstants,
     KernelSpec,
     Lattice,
+    bump_second_derivative_norm,
     bump_transform,
     certify_constants,
     growth_audit,
@@ -25,12 +26,18 @@ from flowdim.kernel import (
     reverify_constants,
     sinc_product,
 )
-from oracles import bump_integral_check, bump_transform_outer
+from oracles import bump_integral_check, bump_transform_outer, certify_scan
 
 
 @pytest.fixture(scope="module")
 def spec():
     return KernelSpec(Band(0.0, 2.0), Fraction(1), 0.5, window=200.0)
+
+
+@pytest.fixture(scope="module", params=[Fraction(1), Fraction(7, 6)], ids=["rho=1", "rho=7/6"])
+def certified(request):
+    spec = KernelSpec(Band(0.0, 2.0), request.param, 0.5)
+    return spec, certify_constants(spec, 0.1)
 
 
 def _lattice_envelope_sup(K_dec, rho, t_grid, node_span=4000):
@@ -194,6 +201,19 @@ class TestBumpTransform:
             bump_transform(np.array([0.37, 5.0, 17.5, 150.0]), spec)
         assert 1e-18 < info.value.achieved_tol < 1e-10
 
+    # 1e7 needs a base rule of 4 tau |z| = 2e7 nodes, past QUAD_MAX_NODES.
+    @pytest.mark.parametrize("evaluate, z", [
+        (bump_transform, [0.0, np.inf]), (bump_transform, [np.nan]),
+        (bump_transform, [0.0, 1e7]), (bump_transform, [0.5 + 1j * np.inf]),
+        (interpolation_kernel, [0.0, np.inf]), (interpolation_kernel, [np.nan]),
+        (interpolation_kernel, [0.0, 1e7]),
+    ], ids=["h-inf", "h-nan", "h-past-cap", "h-complex-inf",
+            "phi-inf", "phi-nan", "phi-past-cap"])
+    def test_rejects_points_without_a_finite_rule(self, spec, evaluate, z):
+        with pytest.raises(QuadratureError) as info:
+            evaluate(np.array(z), spec)
+        assert info.value.achieved_tol == math.inf
+
 
 class TestInterpolationKernel:
     def test_unit_at_origin(self, spec):
@@ -255,14 +275,60 @@ class TestCertifyConstants:
 
     def test_reverify_rejects_understated_sup(self, spec):
         c = certify_constants(spec, 0.1)
-        low = KernelConstants(K_dec=c.K_dec, delta_prime=c.delta_prime,
-                              S_sup=c.S_sup * (1.0 - 1e-9), delta=c.delta, window=c.window)
+        low = dataclasses.replace(c, S_sup=c.S_sup * (1.0 - 1e-9))
         assert low.check()
         assert not reverify_constants(spec, low)
 
     def test_invalid_delta(self, spec):
         with pytest.raises(ConfigurationError):
             certify_constants(spec, 0.0)
+
+    @pytest.mark.parametrize("delta", [0.1, 0.2])
+    def test_matches_window_scan_bit_for_bit(self, spec, delta):
+        c = certify_constants(spec, delta)
+        assert (c.K_dec, c.S_sup, c.delta_prime) == certify_scan(spec, delta)
+
+    def test_certificate_fields(self, certified):
+        _, c = certified
+        assert c.T0 == 2.0
+        assert 0.49 < c.tail_bound < 0.59
+        # L step / 2 <= K_MARGIN / 2, plus QUAD_TOL (1 + T0^2).
+        assert 0.049 < c.grid_slack <= 0.05 + 5e-10
+        assert c.K_dec / 1.1 + c.grid_slack <= c.K_dec
+        assert c.tail_bound <= c.K_dec
+
+    @settings(max_examples=40)
+    @given(t=arrays(float, st.integers(1, 16), elements=st.floats(-1e4, 1e4)))
+    @example(t=np.array([0.0, 2.0, -2.0, 1e4, -1e4]))
+    def test_envelope_holds_on_the_line(self, certified, t):
+        spec, c = certified
+        envelope = np.abs(interpolation_kernel(t, spec)) * (1.0 + t * t)
+        assert np.all(envelope <= c.K_dec)
+        assert np.all(envelope[np.abs(t) >= c.T0] <= c.tail_bound)
+
+    def test_margin_must_cover_quadrature_slack(self, spec, monkeypatch):
+        import flowdim.kernel
+        # QUAD_TOL (1 + T0^2) = 0.25 at T0 = 2, past the 10% margin over phi(0) = 1.
+        monkeypatch.setattr(flowdim.kernel, "QUAD_TOL", 0.05)
+        with pytest.raises(ConfigurationError, match="does not cover"):
+            certify_constants(spec, 0.1)
+
+    def test_grid_past_the_cap_is_a_configuration_error(self):
+        # tau = 0.05 puts T0 at 128 and asks for 3.7e7 grid points.
+        narrow = KernelSpec(Band(0.0, 2.0), Fraction(1), 0.05)
+        with pytest.raises(ConfigurationError, match="grid points"):
+            certify_constants(narrow, 0.1)
+
+    def test_second_derivative_norm_matches_trapezoid(self, spec):
+        half = spec.tau / 2.0
+        xi = np.linspace(-half, half, 400_001)[1:-1]
+        u = xi / half
+        s = 1.0 - u * u
+        # psi = bump_norm exp(f), f = -1/(1 - u^2); d^2/du^2 exp(f) = exp(f) (f'^2 + f'').
+        d2 = np.exp(-1.0 / s) * ((2.0 * u / s ** 2) ** 2 - 2.0 / s ** 2 - 8.0 * u * u / s ** 3)
+        numeric = np.trapezoid(np.abs(d2), xi) * spec.bump_norm / half ** 2
+        closed = bump_second_derivative_norm(spec)
+        assert closed == pytest.approx(numeric, rel=1e-6)
 
 
 class TestKernelSpecValidation:

@@ -21,6 +21,7 @@ from flowdim.metric import (
     widim_upper,
 )
 from flowdim.dynamics import DynSystem, mapping_torus
+from oracles import spanning_number_exact
 
 
 def grid_sample(n, dims=1, upper=1.0):
@@ -166,7 +167,7 @@ class TestSpanningNumber:
             dist = np.abs(pts[:, None, 0] - pts[None, :, 0])
             s = MetricSample(list(range(n)), dist)
             eps = float(rng.uniform(0.05, 0.8))
-            exact = spanning_number(s, eps, exact=True)
+            exact = spanning_number_exact(s, eps)
             best = None
             within = dist <= eps
             for mask in range(1, 1 << n):
@@ -184,12 +185,12 @@ class TestSpanningNumber:
             dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
             s = MetricSample(list(range(n)), dist)
             e1, e2 = sorted(rng.uniform(0.05, 1.2, size=2))
-            assert spanning_number(s, e1, exact=True) >= spanning_number(s, e2, exact=True)
+            assert spanning_number_exact(s, e1) >= spanning_number_exact(s, e2)
 
     def test_exact_mode_size_limit(self):
         s = grid_sample(16)
         with pytest.raises(ValueError):
-            spanning_number(s, 0.2, exact=True)
+            spanning_number_exact(s, 0.2)
 
 
 class TestMdimTable:
