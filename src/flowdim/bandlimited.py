@@ -147,21 +147,35 @@ def signal_metric(f: Signal, g: Signal, n_max: int) -> float:
     Grid sups; the omitted tail is bounded by 2^(1-n_max) for signals
     with sup bound 1.  Exact metric axioms hold on equal grids.
     """
-    return float(_weighted_sup(f, [g], n_max)[0])
+    t, (fv, gv) = _near_values([f, g], n_max)
+    return float(_weighted_sup(t, fv, gv[None], n_max)[0])
 
 
-def _weighted_sup(f: Signal, others, n_max: int):
-    """``signal_metric`` from f to each signal of ``others``, as an array."""
-    if not all(f.same_grid(g) for g in others):
+def _near_values(signals, n_max: int):
+    """|t| for the grid times with |t| <= n_max, and each signal's values there.
+
+    The signals must share the first one's grid; the values come back
+    stacked, one row per signal.
+    """
+    f = signals[0]
+    if not all(f.same_grid(g) for g in signals[1:]):
         raise IncompatibleSignalError("signals must share window and grid")
     if n_max < 1 or n_max > f.window + 1e-12:
         raise ValueError("need 1 <= n_max <= window")
-    t = f.times()
-    near = np.abs(t) <= n_max + 1e-12
-    diff = np.abs(f.values[near] - np.array([g.values[near] for g in others]))
+    t = np.abs(f.times())
+    near = t <= n_max + 1e-12
+    return t[near], np.array([g.values[near] for g in signals])
+
+
+def _weighted_sup(t, v, others, n_max: int):
+    """``signal_metric`` from the values v to each row of ``others``, as an array.
+
+    v and the rows hold values at the times of ``_near_values``, whose |t| is t.
+    """
+    diff = np.abs(v - others)
     total = 0.0
     for n in range(1, int(n_max) + 1):
-        total = total + diff[..., np.abs(t[near]) <= n + 1e-12].max(axis=-1) / 2.0 ** n
+        total = total + diff[..., t <= n + 1e-12].max(axis=-1) / 2.0 ** n
     return total
 
 

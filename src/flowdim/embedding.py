@@ -11,10 +11,14 @@ B = ceil(sqrt(n)), exp(2 pi i f t_j) is the product of a row factor in q
 and a column factor in r, so ``exp_sum_grid`` computes the n values as
 one rank-K matrix product of (rows + B) K exponentials, and a Bohr mean
 contracts the reshaped values with the same two factors at the single
-frequency -lam / (2 pi).  The perturbation stage
+frequency -lam / (2 pi); one call takes a matrix of coefficient rows,
+one signal per row, on the same factors.  The perturbation stage
 corrects an equivariant signal map on a lattice of sample nodes using
 the interpolation kernel, within a certified sup budget, so that the
-pair (signal map, solenoid factor) separates sample states.
+pair (signal map, solenoid factor) separates sample states.  Its kernel
+sum on the signal grid is, per node phase, a correlation of the node
+weights with one table of the kernel, taken as one block product on
+the lattice the nodes' grid steps lie on (``_lattice_sum``).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bandlimited import Band, Signal, _grid_factors, _weighted_sup
+from .bandlimited import Band, Signal, _grid_factors, _near_values, _weighted_sup
 from .dynamics import SolenoidPoint, _solenoid_gaps
 from .errors import (
     ConfigurationError,
@@ -119,11 +123,16 @@ def solenoid_embed(p: SolenoidPoint, emb: SolenoidEmbedding,
 def exp_sum_grid(coeffs, freqs, t0: float, dt: float, n: int):
     """Values sum_k c_k exp(2 pi i f_k t_j) on the grid t_j = t0 + j dt, j < n.
 
-    One (rows x K) @ (K x B) product of the block factors, so only
-    (rows + B) K exponentials are evaluated and no n x K temporary exists.
+    ``coeffs`` is one vector of K coefficients, giving n values, or an
+    S x K matrix of coefficient rows, giving an S x n array.  Each row is
+    one (rows x K) @ (K x B) product of the block factors, which are
+    evaluated once for all rows, so only (rows + B) K exponentials are
+    evaluated and no n x K temporary exists.
     """
     head, tail = _grid_factors(2.0 * np.pi * np.asarray(freqs, dtype=float), t0, dt, n)
-    return ((head * coeffs) @ tail.T).ravel()[:n]
+    coeffs = np.asarray(coeffs)
+    values = (head * coeffs[..., None, :]) @ tail.T
+    return values.reshape(*coeffs.shape[:-1], -1)[..., :n]
 
 
 def _trapezoid_mean(vals, lam: float, t0: float, dt: float, T: float) -> complex:
@@ -316,15 +325,48 @@ def real_rows(FC):
     return np.concatenate([FC.real, FC.imag], axis=1)
 
 
+def _lattice_sum(table, starts, weights, n: int):
+    """sum_k w_k table[s_k + j], j < n, for integer starts s_k.
+
+    The starts lie on the lattice c + g r, with c their minimum and g the
+    gcd of their differences (n for a single start), so with the weights
+    summed onto that lattice as I[r] and j = g a + b, entry j is
+    sum_r I[r] U[a + r, b] for the rows U[q] = table[c + g q + b],
+    b < min(g, n), a view of the table.  That is one product of the
+    Toeplitz matrix M[a, q] = I[q - a] with U; where M would hold more
+    entries than the node x grid matrix of table windows, it is instead
+    one convolution of I with each column of U.  The table must extend
+    n entries past max s_k + n - 1.
+    """
+    c = int(starts.min())
+    g = int(np.gcd.reduce(starts - c)) or n
+    width = min(g, n)
+    blocks = -(-n // g)
+    lattice = np.zeros((int(starts.max()) - c) // g + 1, dtype=complex)
+    np.add.at(lattice, (starts - c) // g, weights)
+    rows = blocks + len(lattice) - 1
+    U = sliding_window_view(table, width)[c::g][:rows]
+    if blocks * rows <= len(starts) * n:
+        padded = np.concatenate([np.zeros(blocks - 1), lattice, np.zeros(blocks - 1)])
+        out = np.ascontiguousarray(sliding_window_view(padded, rows)[::-1]) @ U
+    else:
+        out = np.stack([np.convolve(U[:, b], lattice[::-1], "valid") for b in range(width)],
+                       axis=1)
+    return out.ravel()[:n]
+
+
 @dataclass
 class EmbeddingRun:
     """Everything the perturbation stage needs about one pipeline run.
 
-    ``advance(state_index, time)`` realizes the time-t map on sample
-    states (exact for the times the node sums require), ``phi_N`` holds
-    the N-th solenoid coordinate of each state, and F/G are the real
-    sample matrices (columns Re then Im over the period nodes).
-    ``constants`` are the kernel constants certified for this run's delta.
+    ``advance(state_index, times)`` realizes the time-t map on sample
+    states (exact for the times the node sums require): for an array of
+    times it returns the int array of image indices, for a scalar time
+    an int.  ``phi_N`` holds the N-th solenoid coordinate of each state,
+    and F/G are the real sample matrices (columns Re then Im over the
+    period nodes); their complex differences, the node weights, are
+    computed once, when the run is made.  ``constants`` are the kernel
+    constants certified for this run's delta.
     """
 
     constants: KernelConstants
@@ -342,6 +384,7 @@ class EmbeddingRun:
         if not NODE_MARGIN >= 1.0 / self.kernel.rho_float:
             raise ConfigurationError(
                 f"node spacing 1/rho must not exceed NODE_MARGIN = {NODE_MARGIN}")
+        self._corrections = complex_rows(self.G) - complex_rows(self.F)
         self._tables = {}
 
     @property
@@ -352,18 +395,18 @@ class EmbeddingRun:
     def delta_prime(self):
         return self.constants.delta_prime
 
-    def kernel_rows(self, nodes, t0: float, dt: float, n: int):
-        """Rows phi(t0 + j dt - node), j < n, for nodes within NODE_MARGIN of the grid.
+    def kernel_sum(self, nodes, weights, t0: float, dt: float, n: int):
+        """sum_k w_k phi(t0 + j dt - nu_k), j < n, over nodes within NODE_MARGIN of the grid.
 
-        Each offset node - t0 splits into m whole grid steps and a phase
-        p, so entry j is phi((j - m) dt - p): a window of the table of phi
-        at phase p on the grid steps.  The run builds each table with one
+        Each offset nu_k - t0 splits into m_k whole grid steps and a phase
+        p, so term j is w_k T[span - m_k + j] on the table T of phi at
+        phase p over the grid steps.  The run builds each table with one
         ``interpolation_kernel`` call, the first time a node has its
         phase; phases that agree modulo dt to within PHASE_TOL dt share
-        one table.
+        one table.  Each phase's terms are summed by ``_lattice_sum``.
         """
         span = n + math.ceil(NODE_MARGIN / dt)
-        phases, table = self._tables.get((dt, n), ([], np.empty((0, 2 * span + 1))))
+        phases, tables = self._tables.setdefault((dt, n), ([], []))
         steps = np.rint((nodes - t0) / dt).astype(np.int64)
         offsets = nodes - t0 - steps * dt
         which = np.full(len(nodes), -1)
@@ -373,15 +416,19 @@ class EmbeddingRun:
                 phases.append(offsets[np.argmax(which < 0)])
                 row = interpolation_kernel(dt * np.arange(-span, span + 1) - phases[k],
                                            self.kernel)
-                table = np.vstack([table, row])
+                # _lattice_sum's block rows read up to n entries past the end.
+                tables.append(np.concatenate([row, np.zeros(n)]))
             gap = offsets - phases[k]
             wrap = np.rint(gap / dt).astype(np.int64)
             hit = (which < 0) & (np.abs(gap - wrap * dt) <= PHASE_TOL * dt)
             which[hit] = k
             steps[hit] += wrap[hit]
             k += 1
-        self._tables[dt, n] = phases, table
-        return sliding_window_view(table, n, axis=1)[which, span - steps]
+        out = np.zeros(n, dtype=complex)
+        for k in np.unique(which):
+            mine = which == k
+            out += _lattice_sum(tables[k], span - steps[mine], weights[mine], n)
+        return out
 
     @property
     def period(self):
@@ -393,7 +440,7 @@ class EmbeddingRun:
         return self.kernel.lattice.period_count
 
     def correction_rows(self):
-        return complex_rows(self.G) - complex_rows(self.F)
+        return self._corrections
 
     def node_tail_bound(self):
         """Bound on |h| from the nodes beyond NODE_MARGIN M that are dropped.
@@ -403,7 +450,7 @@ class EmbeddingRun:
         past M - 1/rho >= 0.
         """
         rho = self.kernel.rho_float
-        w = float(np.abs(self.correction_rows()).max())
+        w = float(np.abs(self._corrections).max())
         return (2.0 * rho * self.constants.K_dec * w
                 * (math.pi / 2.0 - math.atan(NODE_MARGIN - 1.0 / rho)))
 
@@ -414,7 +461,8 @@ def perturb_signal_map(run: EmbeddingRun, f_sig: Signal, x: int) -> Signal:
     h places kernel translates on the node set {k/rho + n N! - Phi(x)_N}
     of the sample index x, weighted by the G-F corrections read along
     the orbit, truncated to nodes within the window plus ``NODE_MARGIN``.
-    On the grid, h is the weights times the node rows of ``run.kernel_rows``.
+    On the grid, h is ``run.kernel_sum`` of the kept nodes and weights,
+    with the weights read in one ``run.advance`` call over the period starts.
     The check sup|h| + ``run.node_tail_bound()`` < delta rests on the
     envelope K_dec / (1 + t^2), certified on the whole line.
     Requires sup_t |f(x)(t)| <= 1 - delta.
@@ -432,10 +480,9 @@ def perturb_signal_map(run: EmbeddingRun, f_sig: Signal, x: int) -> Signal:
     starts = np.arange(math.floor((lo + phi) / period), math.ceil((hi + phi) / period) + 1)
     starts = starts * period - phi
     nodes = (starts[:, None] + np.arange(run.nodes_per_period) / kernel.rho_float).ravel()
-    weights = run.correction_rows()[[run.advance(x, float(s)) for s in starts]].ravel()
+    weights = run.correction_rows()[run.advance(x, starts)].ravel()
     keep = (lo <= nodes) & (nodes <= hi)
-    rows = run.kernel_rows(nodes[keep], t[0], f_sig.grid_step, len(t))
-    h_vals = weights[keep] @ rows
+    h_vals = run.kernel_sum(nodes[keep], weights[keep], t[0], f_sig.grid_step, len(t))
     g_vals = f_sig.values + h_vals
     sup_change = float(np.abs(h_vals).max())
     tail = run.node_tail_bound()
@@ -468,7 +515,9 @@ def verify_delta_embedding(signals, phis, sample: MetricSample,
     solenoid distance of its factor images fall within ``MATCH_TOL``.
     Every matching pair must satisfy d(x, y) < delta; the verdict also
     reports the smallest image separation among non-matching pairs.
-    The signal metric is taken one row of pairs (i, j > i) at a time.
+    The grid is checked and the values at |t| <= ``N_MAX`` are gathered
+    once per signal; the signal metric is then taken one row of pairs
+    (i, j > i) at a time.
     """
     points = sample.points
     n = len(points)
@@ -480,7 +529,8 @@ def verify_delta_embedding(signals, phis, sample: MetricSample,
     if n > 1:
         if len({p.depth for p in phis}) > 1:
             raise InvariantViolationError("solenoid points must share a depth")
-        sm = np.concatenate([_weighted_sup(signals[i], signals[i + 1:], N_MAX)
+        t, values = _near_values(signals, N_MAX)
+        sm = np.concatenate([_weighted_sup(t, values[i], values[i + 1:], N_MAX)
                              for i in range(n - 1)])
         coords = np.array([p.coords for p in phis])
         sd = _solenoid_gaps(coords[iu], coords[ju])

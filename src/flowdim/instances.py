@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandlimited import Band
+from .bandlimited import Band, Signal
 from .dynamics import (
     DynSystem,
     FlowSystem,
@@ -32,7 +32,6 @@ from .embedding import (
     perturb_signal_map,
     real_rows,
     solenoid_coefficients,
-    solenoid_embed,
     verify_delta_embedding,
 )
 from .errors import ConfigurationError
@@ -127,19 +126,23 @@ class SuspensionInstance:
     def factor(self, idx: int) -> SolenoidPoint:
         return solenoid_from_time(self.total_time(idx), self.depth)
 
-    def advance(self, idx: int, t: float) -> int:
+    def advance(self, idx: int, t):
         """Index of the time-t image; the image must be a sample state.
 
         The roof is constant 1, so the flow adds t to the total orbit
         coordinate modulo the cycle length; the image height must land
-        back on the height grid, and its grid slot is its index.
+        back on the height grid, and its grid slot is its index.  An
+        array of times gives the int array of their image indices.
         """
+        t = np.asarray(t, dtype=float)
         tau = (self.total_time(idx) + t) % self.base_size
-        slot = round(tau * self.n_heights)
-        if abs(slot / self.n_heights - tau) > 1e-9:
+        slot = np.rint(tau * self.n_heights)
+        off = np.abs(slot / self.n_heights - tau) > 1e-9
+        if np.any(off):
             raise ConfigurationError(
-                f"time-{t} image of state {idx} leaves the height grid")
-        return slot % (self.base_size * self.n_heights)
+                f"time-{t[off][0]} image of state {idx} leaves the height grid")
+        index = slot.astype(np.int64) % (self.base_size * self.n_heights)
+        return int(index) if index.ndim == 0 else index
 
 
 @dataclass
@@ -182,22 +185,21 @@ def run_embedding_pipeline(delta: float = 0.2, rho=1, N: int = 2,
 
     emb = SolenoidEmbedding(c=min(1.0, BAND.b / 2.0), K=inst.depth,
                             window=SIGNAL_WINDOW, grid_step=0.05)
-    scale = 1.0 - delta
     n_states = len(inst.flow.values)
     factors = [inst.factor(i) for i in range(n_states)]
-    f = [solenoid_embed(p, emb, scale=scale) for p in factors]
+    coeffs = np.array([solenoid_coefficients(p, emb) for p in factors]) * (1.0 - delta)
+    freqs = emb.frequencies()
+    n_grid = int(round(2 * emb.window / emb.grid_step)) + 1
+    f = [Signal(Band(0.0, emb.c), emb.window, emb.grid_step, values, sup_bound=True)
+         for values in exp_sum_grid(coeffs, freqs, -emb.window, emb.grid_step, n_grid)]
 
     period = math.factorial(N)
     phi_N = np.array([inst.total_time(i) % period for i in range(n_states)])
 
     # Sample f along the orbit at the period nodes k/rho, a uniform grid.
-    rho_count = spec.lattice.period_count
     nodes = spec.lattice.window_nodes()
-    freqs = emb.frequencies()
-    FC = np.array([exp_sum_grid(solenoid_coefficients(p, emb) * scale,
-                                freqs, 0.0, 1.0 / spec.rho_float, rho_count)
-                   for p in factors])
-    F = real_rows(FC)
+    F = real_rows(exp_sum_grid(coeffs, freqs, 0.0, 1.0 / spec.rho_float,
+                               spec.lattice.period_count))
 
     # Orbit window metric over one node period, gridded at the height step.
     d_window = orbit_metric_R(inst.flow, OrbitMetricSpec("R-window", period, 1.0 / n_heights))

@@ -205,6 +205,8 @@ class KernelSpec:
         self.lattice = Lattice(rho, N)
         self.band = band
         self.tau = float(tau)
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ConfigurationError(f"need a finite bump width tau > 0, got {self.tau}")
         if not (0 < self.rho_float < band.width):
             raise ConfigurationError("need 0 < rho < b - a")
         if not (self.rho_float + self.tau < band.width):

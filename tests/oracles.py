@@ -8,6 +8,9 @@ import math
 
 import numpy as np
 
+from numpy.lib.stride_tricks import sliding_window_view
+
+from flowdim.embedding import NODE_MARGIN, PHASE_TOL
 from flowdim.errors import QuadratureError
 from flowdim.kernel import QUAD_NODES, QUAD_TOL, KernelSpec, interpolation_kernel
 from flowdim.metric import MetricSample
@@ -67,6 +70,41 @@ def certify_scan(spec: KernelSpec, delta: float):
     x = np.pi * spec.rho_float
     S_sup = K_dec * x / math.tanh(x)
     return K_dec, S_sup, 0.9 * delta / S_sup
+
+
+def kernel_rows(run, nodes, t0: float, dt: float, n: int):
+    """Rows phi(t0 + j dt - node), j < n, for nodes within NODE_MARGIN of the grid.
+
+    The node x grid matrix that ``flowdim.embedding.EmbeddingRun.kernel_sum``
+    contracts with the weights without forming it.  Each offset node - t0
+    splits into m whole grid steps and a phase p, so entry j is
+    phi((j - m) dt - p): a window of the table of phi at phase p on the
+    grid steps.  Tables are built with one ``interpolation_kernel`` call
+    per phase, the first time a node has it, and kept on the run apart
+    from ``kernel_sum``'s; phases that agree modulo dt to within
+    PHASE_TOL dt share one table.
+    """
+    tables = run.__dict__.setdefault("_oracle_tables", {})
+    span = n + math.ceil(NODE_MARGIN / dt)
+    phases, table = tables.get((dt, n), ([], np.empty((0, 2 * span + 1))))
+    steps = np.rint((nodes - t0) / dt).astype(np.int64)
+    offsets = nodes - t0 - steps * dt
+    which = np.full(len(nodes), -1)
+    k = 0
+    while np.any(which < 0):
+        if k == len(phases):
+            phases.append(offsets[np.argmax(which < 0)])
+            row = interpolation_kernel(dt * np.arange(-span, span + 1) - phases[k],
+                                       run.kernel)
+            table = np.vstack([table, row])
+        gap = offsets - phases[k]
+        wrap = np.rint(gap / dt).astype(np.int64)
+        hit = (which < 0) & (np.abs(gap - wrap * dt) <= PHASE_TOL * dt)
+        which[hit] = k
+        steps[hit] += wrap[hit]
+        k += 1
+    tables[dt, n] = phases, table
+    return sliding_window_view(table, n, axis=1)[which, span - steps]
 
 
 def spanning_number_exact(sample: MetricSample, eps: float) -> int:

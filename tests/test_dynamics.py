@@ -420,6 +420,17 @@ class TestSuspensionInstance:
                 for i, q in enumerate(flow.evolve(flow.values, t)):
                     assert inst.advance(i, t) == index[q.state, round(q.height * n)]
 
+    def test_advance_maps_an_array_of_times(self):
+        inst = SuspensionInstance.build(base_size=6, n_heights=5)
+        times = np.arange(-64, 65) / 5
+        for i in (0, 7, 29):
+            got = inst.advance(i, times)
+            assert got.dtype == np.int64
+            assert got.tolist() == [inst.advance(i, float(t)) for t in times]
+            assert type(inst.advance(i, float(times[3]))) is int
+        with pytest.raises(ConfigurationError, match="leaves the height grid"):
+            inst.advance(0, np.array([0.2, 0.25]))
+
     def test_sample_is_the_torus_table(self):
         inst = SuspensionInstance.build(base_size=6, n_heights=5)
         assert len(inst.flow.values) == len(inst.flow.point_ids()) == 30

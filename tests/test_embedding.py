@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowdim.bandlimited import shift, signal_metric
 from flowdim.dynamics import SolenoidPoint, solenoid_act, solenoid_distance, solenoid_from_time
@@ -27,6 +30,7 @@ from flowdim.errors import (
     TruncationDepthError,
 )
 from flowdim.metric import MetricSample
+from oracles import kernel_rows
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +103,15 @@ class TestExpSumGrid:
         want = direct_exp_sum(coeffs, emb.frequencies(), t0 + dt * np.arange(n))
         assert len(got) == n
         assert np.abs(got - want).max() <= 1e-13
+
+
+    def test_coefficient_rows_give_one_signal_per_row(self, emb):
+        rows = np.array([solenoid_coefficients(solenoid_from_time(t, 4), emb)
+                         for t in (0.0, 5.9, 17.3)])
+        got = exp_sum_grid(rows, emb.frequencies(), -3.3, 0.01, 1009)
+        assert got.shape == (3, 1009)
+        for row, coeffs in zip(got, rows):
+            assert np.array_equal(row, exp_sum_grid(coeffs, emb.frequencies(), -3.3, 0.01, 1009))
 
 
 class TestBohrCoefficient:
@@ -289,11 +302,8 @@ class TestVerifyDeltaEmbedding:
         assert verdict.worst_distance == pytest.approx(1.0)
 
 
-def test_node_spacing_beyond_node_margin_is_configuration_error():
-    # node_tail_bound integrates the envelope past NODE_MARGIN - 1/rho,
-    # which must not be negative: 1/rho = 200 passes, 1/rho = 300 fails.
-    from fractions import Fraction
-
+def _bare_run(rho):
+    """An EmbeddingRun with zero corrections and no dynamics, for the kernel alone."""
     from flowdim.bandlimited import Band
     from flowdim.embedding import EmbeddingRun
     from flowdim.kernel import KernelConstants, KernelSpec
@@ -301,14 +311,16 @@ def test_node_spacing_beyond_node_margin_is_configuration_error():
     constants = KernelConstants(K_dec=1.0, delta_prime=0.01, S_sup=1.0, delta=0.2,
                                 T0=2.0, tail_bound=0.5, grid_step=0.01, grid_slack=0.05)
     F = np.zeros((2, 2))
+    return EmbeddingRun(constants=constants, kernel=KernelSpec(Band(0.0, 2.0), rho, 0.5),
+                        phi_N=np.zeros(2), advance=None, F=F, G=F)
 
-    def run(rho):
-        return EmbeddingRun(constants=constants, kernel=KernelSpec(Band(0.0, 2.0), rho, 0.5),
-                            phi_N=np.zeros(2), advance=None, F=F, G=F)
 
-    run(Fraction(1, 200))
+def test_node_spacing_beyond_node_margin_is_configuration_error():
+    # node_tail_bound integrates the envelope past NODE_MARGIN - 1/rho,
+    # which must not be negative: 1/rho = 200 passes, 1/rho = 300 fails.
+    _bare_run(Fraction(1, 200))
     with pytest.raises(ConfigurationError, match="NODE_MARGIN"):
-        run(Fraction(1, 300))
+        _bare_run(Fraction(1, 300))
 
 
 @pytest.fixture(scope="module")
@@ -365,6 +377,20 @@ class TestPerturbSignalMap:
 
     def test_pipeline_verdict_on_small_instance(self, small_pipeline):
         assert small_pipeline.passed
+
+    def test_corrections_follow_the_matrices(self, small_pipeline):
+        from dataclasses import replace
+
+        from flowdim.embedding import complex_rows
+        run = small_pipeline.run
+        noise = np.random.default_rng(4).uniform(-0.5, 0.5, size=run.F.shape)
+        moved = replace(run, G=run.F + noise * run.delta_prime)
+        assert np.array_equal(moved.correction_rows(),
+                              complex_rows(moved.G) - complex_rows(moved.F))
+        assert moved.node_tail_bound() > 0
+        back = replace(moved, G=run.F.copy())
+        assert not np.any(back.correction_rows())
+        assert back.node_tail_bound() == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -433,7 +459,7 @@ def test_off_grid_corrections_match_the_direct_kernel_sum(fine_pipeline, monkeyp
         assert np.abs(h[i][sampled] - want).max() <= 1e-12
 
 
-def test_kernel_rows_share_one_table_across_the_half_step(fine_pipeline, monkeypatch):
+def test_kernel_sum_shares_one_table_across_the_half_step(fine_pipeline, monkeypatch):
     # Nodes half a grid step off the grid round to phases near +dt/2 and
     # -dt/2; both are one phase modulo dt and must read one table.
     from dataclasses import replace
@@ -454,11 +480,90 @@ def test_kernel_rows_share_one_table_across_the_half_step(fine_pipeline, monkeyp
     nodes = np.concatenate([half - 1e-14, half + 1e-14])
     phases = (nodes - t0) / dt - np.rint((nodes - t0) / dt)
     assert phases.min() < 0 < phases.max()
-    rows = run.kernel_rows(nodes, t0, dt, n)
+    rng = np.random.default_rng(3)
+    weights = rng.normal(size=len(nodes)) + 1j * rng.normal(size=len(nodes))
+    got = run.kernel_sum(nodes, weights, t0, dt, n)
     assert len(calls) == 1
     t = t0 + dt * np.arange(n)
-    want = interpolation_kernel(t[None, :] - nodes[:, None], run.kernel)
-    assert np.abs(rows - want).max() <= 1e-12
+    want = weights @ interpolation_kernel(t[None, :] - nodes[:, None], run.kernel)
+    assert np.abs(got - want).max() <= 1e-12
+
+
+def test_kernel_sum_of_sparse_nodes_holds_no_toeplitz(fine_pipeline):
+    # Steps -3990, -3989 and 4600 have gcd 1, so their Toeplitz product
+    # would hold 641 x 9,230 complex entries (95 MB); the convolutions
+    # hold a few columns of the table.
+    import tracemalloc
+    from dataclasses import replace
+
+    run = replace(fine_pipeline.run)
+    t0, dt, n = -16.0, 0.05, 641
+    nodes = t0 + dt * np.array([-3990.0, -3989.0, 4600.0])
+    weights = np.array([1.0, -2.0j, 0.5 + 0.5j])
+    run.kernel_sum(nodes[:1], weights[:1], t0, dt, n)  # builds the one table
+    tracemalloc.start()
+    got = run.kernel_sum(nodes, weights, t0, dt, n)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 2**20
+    assert np.abs(got - weights @ kernel_rows(run, nodes, t0, dt, n)).max() <= 1e-12
+
+
+# Node offsets in grid steps: 0.5 and -0.5 are one phase modulo the step.
+PHASE_STEPS = (0.0, 0.5, -0.5, 0.25, 1 / 7, 3 / 7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rho=st.sampled_from([Fraction(1), Fraction(7, 6)]),
+       n=st.integers(1, 60),
+       stride=st.integers(1, 12),
+       count=st.integers(1, 200),
+       phase_count=st.integers(1, len(PHASE_STEPS)),
+       t0=st.floats(-30.0, 30.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_kernel_sum_matches_the_node_rows(rho, n, stride, count, phase_count, t0, seed):
+    # Random node sets on a stride-`stride` step lattice with random gaps,
+    # each node at one of a few phases: few nodes at stride 1 take the
+    # convolution branch of the lattice sum, dense strided ones the
+    # Toeplitz product.
+    from unittest import mock
+
+    import flowdim.embedding
+    from flowdim.kernel import interpolation_kernel
+
+    rng = np.random.default_rng(seed)
+    dt = 0.5
+    reach = int(NODE_MARGIN / dt) - 1
+    steps = stride * rng.integers(-(reach // stride), (n - 1 + reach) // stride + 1, size=count)
+    offsets = rng.choice(PHASE_STEPS[:phase_count], size=count)
+    nodes = t0 + dt * (steps + offsets)
+    weights = rng.normal(size=count) + 1j * rng.normal(size=count)
+    run = _bare_run(rho)
+    with mock.patch.object(flowdim.embedding, "interpolation_kernel",
+                           wraps=interpolation_kernel) as built:
+        got = run.kernel_sum(nodes, weights, t0, dt, n)
+    want = weights @ kernel_rows(run, nodes, t0, dt, n)
+    assert np.abs(got - want).max() <= 1e-12
+    assert built.call_count <= len({round(float(p) % 1.0, 9) for p in offsets})
+
+
+def test_pipeline_at_seven_node_phases(monkeypatch):
+    # At rho = 7/6 and N = 3 the nodes k 6/7 sit at 7 phases modulo 0.05.
+    import flowdim.embedding
+    from flowdim.instances import run_embedding_pipeline
+    from flowdim.kernel import interpolation_kernel
+
+    calls = []
+
+    def counted(t, spec):
+        calls.append(len(t))
+        return interpolation_kernel(t, spec)
+
+    monkeypatch.setattr(flowdim.embedding, "interpolation_kernel", counted)
+    res = run_embedding_pipeline(rho=Fraction(7, 6), N=3, base_size=6)
+    assert len(calls) == 7
+    assert res.node_residual < 1e-8
+    assert res.passed
 
 
 def test_node_tail_bound_covers_the_dropped_envelope_sum(fine_pipeline):
@@ -493,3 +598,23 @@ def test_node_tail_bound_covers_the_dropped_envelope_sum(fine_pipeline):
         envelope = K_dec / (1.0 + (t[:, None] - np.array(nodes)[None, :]) ** 2)
         worst = max(worst, float((envelope @ np.array(w)).max()))
     assert bound / 2 < worst <= bound
+
+
+def test_unperturbed_signal_map_fails_the_verdict_that_g_passes():
+    # At the README example states 6 apart on the 12-cycle share their
+    # factor point (depth 3 reads the time modulo 3! = 6), so the
+    # unperturbed f matches those 60 pairs; g = f + h separates every pair.
+    from flowdim.instances import SIGNAL_WINDOW, run_embedding_pipeline
+    from flowdim.metric import OrbitMetricSpec, orbit_metric_R
+
+    res = run_embedding_pipeline(delta=0.2, rho=1, N=2, base_size=12, n_heights=10, seed=2024)
+    inst, run = res.instance, res.run
+    assert res.verdict.passed and res.verdict.n_matched == 0
+    emb = SolenoidEmbedding(c=1.0, K=inst.depth, window=SIGNAL_WINDOW, grid_step=0.05)
+    factors = [inst.factor(i) for i in range(len(inst.flow.values))]
+    f = [solenoid_embed(p, emb, scale=1.0 - run.delta) for p in factors]
+    window = orbit_metric_R(inst.flow, OrbitMetricSpec("R-window", run.period, 1.0 / inst.n_heights))
+    verdict = verify_delta_embedding(f, factors, window, run.delta)
+    assert verdict.n_matched == 60
+    assert verdict.passed is False
+    assert verdict.worst_distance == pytest.approx(6.0, abs=1e-9)

@@ -228,6 +228,14 @@ def test_missing_required_option_exits_2_and_writes_nothing(tmp_path, sub):
     assert not out.exists()
 
 
+def test_kernel_report_with_zero_bump_width_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "kernel-report", "--rho", "1", "--tau", "0",
+                 "--band-lo", "0", "--band-hi", "2"]) == 2
+    assert not out.exists()
+    assert "tau" in capsys.readouterr().err
+
+
 def test_unknown_config_key_exits_2_and_writes_nothing(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("a = 1\nr = 2.5\nrr = 0.5\n")

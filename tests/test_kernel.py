@@ -332,6 +332,11 @@ class TestCertifyConstants:
 
 
 class TestKernelSpecValidation:
+    @pytest.mark.parametrize("tau", [0.0, -0.3, math.nan, math.inf])
+    def test_bump_width_must_be_positive_and_finite(self, tau):
+        with pytest.raises(ConfigurationError, match="tau"):
+            KernelSpec(Band(0.0, 2.0), Fraction(1), tau)
+
     def test_rho_tau_budget(self):
         with pytest.raises(ConfigurationError):
             KernelSpec(Band(0.0, 1.0), Fraction(1), 0.5)  # rho + tau >= width
