@@ -40,7 +40,6 @@ from .dynamics import (
     bw_distance,
     mapping_torus,
     solenoid_act,
-    solenoid_distance,
     solenoid_from_time,
     suspend,
 )

@@ -114,10 +114,6 @@ class SuspensionPoint:
     state: int
     height: float
 
-    def canonical(self, sys: DynSystem, roof: RoofFunction) -> "SuspensionPoint":
-        states, heights = _canonical(sys, roof, [self.state], [self.height])
-        return SuspensionPoint(int(states[0]), float(heights[0]))
-
 
 def suspend(sys: DynSystem, roof: RoofFunction, points, t: float) -> list:
     """Flow a sequence of suspension points by time t.
@@ -256,12 +252,13 @@ class BowenWaltersMetric:
         """Chain infimum between the nodes (all nodes by default), with no segment budget.
 
         The rows that no earlier query solved are filled by one Dijkstra
-        from those nodes over the pruned level graph.
+        from those nodes over the pruned level graph, run as directed: the
+        graph stores both directions of every edge, at one cost.
         """
         nodes = np.arange(len(self._solved)) if nodes is None else np.asarray(nodes)
         todo = np.unique(nodes[~self._solved[nodes]])
         if len(todo):
-            self._rows[todo] = dijkstra(self._pruned, directed=False, indices=todo)
+            self._rows[todo] = dijkstra(self._pruned, indices=todo)
             self._solved[todo] = True
         return self._rows[np.ix_(nodes, nodes)]
 
@@ -412,15 +409,12 @@ def solenoid_from_time(tau: float, depth: int) -> SolenoidPoint:
     return SolenoidPoint(tuple(tau % f for f in facts))
 
 
-def solenoid_distance(p: SolenoidPoint, q: SolenoidPoint) -> float:
-    """Max over coordinates of the circle distance scaled by circumference."""
-    if p.depth != q.depth:
-        raise InvariantViolationError("solenoid points must share a depth")
-    return float(_solenoid_gaps(np.array(p.coords), np.array(q.coords)))
-
-
 def _solenoid_gaps(a, b):
-    """``solenoid_distance`` along the last axis of coordinate arrays a and b."""
+    """Solenoid distance along the last axis of coordinate arrays a and b.
+
+    The max over coordinates n of the circle distance of a_n and b_n on
+    the circle of circumference n!, scaled by that circumference.
+    """
     facts = np.array(_factorials(np.shape(a)[-1]), dtype=float)
     gap = np.abs(a - b) % facts
     return (np.minimum(gap, facts - gap) / facts).max(axis=-1, initial=0.0)

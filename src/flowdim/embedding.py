@@ -9,10 +9,11 @@ uniform grids t_j = t0 + j dt through one block factorization,
 transform, over its uniform quadrature nodes): with j = q B + r and
 B = ceil(sqrt(n)), exp(2 pi i f t_j) is the product of a row factor in q
 and a column factor in r, so ``exp_sum_grid`` computes the n values as
-one rank-K matrix product of (rows + B) K exponentials, and a Bohr mean
-contracts the reshaped values with the same two factors at the single
-frequency -lam / (2 pi); one call takes a matrix of coefficient rows,
-one signal per row, on the same factors.  The perturbation stage
+one rank-K matrix product of (rows + B) K exponentials, and the Bohr
+means contract the reshaped values with the same two factors at the
+frequencies -lam / (2 pi), all of them in one pass over the values; one
+``exp_sum_grid`` call takes a matrix of coefficient rows, one signal per
+row, on the same factors.  The perturbation stage
 corrects an equivariant signal map on a lattice of sample nodes using
 the interpolation kernel, within a certified sup budget, so that the
 pair (signal map, solenoid factor) separates sample states.  Its kernel
@@ -135,21 +136,26 @@ def exp_sum_grid(coeffs, freqs, t0: float, dt: float, n: int):
     return values.reshape(*coeffs.shape[:-1], -1)[..., :n]
 
 
-def _trapezoid_mean(vals, lam: float, t0: float, dt: float, T: float) -> complex:
-    """(dt / T) times the trapezoid sum of vals_j exp(-i lam t_j), t_j = t0 + j dt."""
+def _trapezoid_mean(vals, lam, t0: float, dt: float, T: float):
+    """(dt / T) times the trapezoid sums of vals_j exp(-i lam_k t_j), t_j = t0 + j dt.
+
+    One sum per frequency lam_k: the values are read once, as the B-column
+    reshape contracted with the B x K tail factor.
+    """
     n = len(vals)
     if n < 2:
-        return 0j  # no interval to integrate over, as with np.trapezoid
-    head, tail = _grid_factors([-lam], t0, dt, n)
-    a, b = head[:, 0], tail[:, 0]
-    B = len(b)
+        return np.zeros(len(lam), dtype=complex)  # no interval, as with np.trapezoid
+    head, tail = _grid_factors(-np.asarray(lam, dtype=float), t0, dt, n)
+    B = len(tail)
     full = n // B
-    total = a[:full] @ (vals[:full * B].reshape(full, B) @ b)
-    if full < len(a):
-        total += a[full] * (vals[full * B:] @ b[:n - full * B])
+    # Sum each frequency's products as one contiguous row, pairwise, so the
+    # order does not depend on how many frequencies share the pass.
+    total = (head[:full] * (vals[:full * B].reshape(full, B) @ tail)).T.copy().sum(axis=1)
+    if full < len(head):
+        total += head[full] * (vals[full * B:] @ tail[:n - full * B])
     last = n - 1
-    ends = vals[0] * a[0] + vals[last] * a[last // B] * b[last % B]
-    return complex((total - ends / 2.0) * dt / T)
+    ends = vals[0] * head[0] + vals[last] * head[last // B] * tail[last % B]
+    return (total - ends / 2.0) * dt / T
 
 
 def _nodes_in(sig: Signal, T: float):
@@ -174,24 +180,35 @@ def _nodes_in(sig: Signal, T: float):
     return i0, i1
 
 
-def bohr_coefficient(sig, lam: float, T: float) -> complex:
+def bohr_coefficient(sig, lam, T: float):
     """Time average (1/T) int_0^T f(t) exp(-i lam t) dt by composite trapezoid.
 
     ``sig`` is a callable t-array -> values, or a Signal whose grid
     covers [0, T] (used directly when fine enough, else interpolated).
     The quadrature step obeys step <= min(0.01, 1/(8 |lam| + 8)); the
     average converges to the coefficient at frequency lam at rate O(1/T)
-    for absolutely summable exponential sums.
+    for absolutely summable exponential sums.  A scalar ``lam`` gives a
+    complex, an array of frequencies the array of their averages.
 
     The nodes form a uniform grid t_j = t0 + j dt: the Signal's own
     nodes in [0, T] (1e-12 slack at both ends), or linspace(0, T) for
-    callables and interpolated Signals.  The trapezoid sum is computed
-    as a^T (V.reshape(rows, B) @ b) with the block factors a, b of
-    exp(-i lam t_j), minus half of the two end terms, times dt / T.
+    callables and interpolated Signals.  Frequencies that share a step
+    requirement share one pass over those values (``_trapezoid_mean``).
     """
     if T <= 0:
         raise ConfigurationError("averaging length T must be positive")
-    step_req = min(0.01, 1.0 / (8.0 * abs(lam) + 8.0))
+    lams = np.asarray(lam, dtype=float)
+    flat = lams.ravel()
+    steps = np.minimum(0.01, 1.0 / (8.0 * np.abs(flat) + 8.0))
+    out = np.empty(len(flat), dtype=complex)
+    for step_req in np.unique(steps):
+        mine = steps == step_req
+        out[mine] = _bohr_means(sig, flat[mine], T, step_req)
+    return complex(out[0]) if lams.ndim == 0 else out.reshape(lams.shape)
+
+
+def _bohr_means(sig, lam, T: float, step_req: float):
+    """``bohr_coefficient`` at the frequencies lam, on nodes at most step_req apart."""
     if isinstance(sig, Signal) and sig.grid_step <= step_req and T <= sig.window:
         i0, i1 = _nodes_in(sig, T)
         t0 = -sig.window + sig.grid_step * i0
@@ -218,15 +235,15 @@ def solenoid_recover(sig, emb: SolenoidEmbedding, T: float) -> SolenoidPoint:
     """Read the solenoid coordinates back from a signal via Bohr means.
 
     Coordinate n is the phase of the recovered coefficient at frequency
-    2 pi / n!, scaled back to [0, n!); the round-trip error decays like
+    2 pi / n!, scaled back to [0, n!); one ``bohr_coefficient`` call
+    recovers every coefficient.  The round-trip error decays like
     n!/T.  A coefficient modulus off by more than 25% from 2^-n means
     the signal is not an embedding image.
     """
+    facts = [math.factorial(n) for n in range(emb.m, emb.K + 1)]
+    coeffs = bohr_coefficient(sig, 2.0 * np.pi / np.array(facts, dtype=float), T)
     coords = []
-    for n in range(emb.m, emb.K + 1):
-        fact = math.factorial(n)
-        lam = 2.0 * np.pi / fact
-        coeff = bohr_coefficient(sig, lam, T)
+    for n, fact, coeff in zip(range(emb.m, emb.K + 1), facts, coeffs):
         expected = 2.0 ** -n
         if abs(abs(coeff) - expected) > MODULUS_REL_TOL * expected:
             raise NotEmbeddingImageError(

@@ -9,6 +9,7 @@ solenoid for the end-to-end perturbation pipeline.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -119,28 +120,34 @@ class SuspensionInstance:
         flow = mapping_torus(rotation_system(base_size), n_heights, every_height=True)
         return cls(flow, depth, base_size, n_heights)
 
-    def total_time(self, idx: int) -> float:
-        p = self.flow.values[idx]
-        return p.state + p.height
+    @functools.cached_property
+    def _times(self):
+        """The total orbit coordinate state + height of every sample index."""
+        return np.array([p.state + p.height for p in self.flow.values])
+
+    def total_time(self, idx):
+        return self._times[idx]
 
     def factor(self, idx: int) -> SolenoidPoint:
         return solenoid_from_time(self.total_time(idx), self.depth)
 
-    def advance(self, idx: int, t):
-        """Index of the time-t image; the image must be a sample state.
+    def advance(self, idx, t):
+        """Indices of the time-t images; each image must be a sample state.
 
         The roof is constant 1, so the flow adds t to the total orbit
         coordinate modulo the cycle length; the image height must land
-        back on the height grid, and its grid slot is its index.  An
-        array of times gives the int array of their image indices.
+        back on the height grid, and its grid slot is its index.  Indices
+        and times broadcast against each other: arrays give the int array
+        of image indices, two scalars an int.
         """
-        t = np.asarray(t, dtype=float)
+        idx, t = np.broadcast_arrays(idx, np.asarray(t, dtype=float))
         tau = (self.total_time(idx) + t) % self.base_size
         slot = np.rint(tau * self.n_heights)
         off = np.abs(slot / self.n_heights - tau) > 1e-9
         if np.any(off):
+            k = np.argmax(off)
             raise ConfigurationError(
-                f"time-{t[off][0]} image of state {idx} leaves the height grid")
+                f"time-{t.flat[k]} image of state {idx.flat[k]} leaves the height grid")
         index = slot.astype(np.int64) % (self.base_size * self.n_heights)
         return int(index) if index.ndim == 0 else index
 
@@ -186,7 +193,8 @@ def run_embedding_pipeline(delta: float = 0.2, rho=1, N: int = 2,
     emb = SolenoidEmbedding(c=min(1.0, BAND.b / 2.0), K=inst.depth,
                             window=SIGNAL_WINDOW, grid_step=0.05)
     n_states = len(inst.flow.values)
-    factors = [inst.factor(i) for i in range(n_states)]
+    states = np.arange(n_states)
+    factors = [inst.factor(i) for i in states]
     coeffs = np.array([solenoid_coefficients(p, emb) for p in factors]) * (1.0 - delta)
     freqs = emb.frequencies()
     n_grid = int(round(2 * emb.window / emb.grid_step)) + 1
@@ -194,7 +202,7 @@ def run_embedding_pipeline(delta: float = 0.2, rho=1, N: int = 2,
          for values in exp_sum_grid(coeffs, freqs, -emb.window, emb.grid_step, n_grid)]
 
     period = math.factorial(N)
-    phi_N = np.array([inst.total_time(i) % period for i in range(n_states)])
+    phi_N = inst.total_time(states) % period
 
     # Sample f along the orbit at the period nodes k/rho, a uniform grid.
     nodes = spec.lattice.window_nodes()
@@ -220,17 +228,12 @@ def run_embedding_pipeline(delta: float = 0.2, rho=1, N: int = 2,
     run = EmbeddingRun(constants=constants, kernel=spec, phi_N=phi_N,
                        advance=inst.advance, F=F, G=G)
     g = [perturb_signal_map(run, fi, i) for i, fi in enumerate(f)]
-    h_of = [gi.values - fi.values for gi, fi in zip(g, f)]
-    sup_change = max(float(np.abs(h).max()) for h in h_of)
+    h_rows = np.array([gi.values - fi.values for gi, fi in zip(g, f)])
+    sup_change = float(np.abs(h_rows).max())
 
     # Node identities: g(x)(-Phi_N + k/rho) = G^C(T^{-Phi_N} x)(k).
-    GC = complex_rows(G)
-    node_residual = 0.0
-    for i in range(n_states):
-        base_state = inst.advance(i, -phi_N[i])
-        targets = -phi_N[i] + nodes
-        got = g[i].evaluate(targets)
-        node_residual = max(node_residual, float(np.abs(got - GC[base_state]).max()))
+    got = np.array([g[i].evaluate(-phi_N[i] + nodes) for i in states])
+    node_residual = float(np.abs(got - complex_rows(G)[inst.advance(states, -phi_N)]).max())
 
     # Equivariance: h(T^r x)(t) = h(x)(t + r) on the common window.
     h = 1.0 / n_heights
@@ -242,11 +245,8 @@ def run_embedding_pipeline(delta: float = 0.2, rho=1, N: int = 2,
         shift_idx = int(round(r / emb.grid_step))
         if abs(shift_idx * emb.grid_step - r) > 1e-9:
             raise ConfigurationError("equivariance shifts must sit on the signal grid")
-        for i in range(n_states):
-            j = inst.advance(i, r)
-            lhs = h_of[j][:len(h_of[j]) - shift_idx]
-            rhs = h_of[i][shift_idx:]
-            equiv_residual = max(equiv_residual, float(np.abs(lhs - rhs).max()))
+        lhs = h_rows[inst.advance(states, r), :n_grid - shift_idx]
+        equiv_residual = max(equiv_residual, float(np.abs(lhs - h_rows[:, shift_idx:]).max()))
 
     verdict = verify_delta_embedding(g, factors, d_window, delta)
 

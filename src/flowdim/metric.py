@@ -41,8 +41,7 @@ class MetricSample:
         if self.dist.shape != (n, n):
             raise MetricInvariantError(
                 f"distance table shape {self.dist.shape} does not match {n} points")
-        self._index = {p: i for i, p in enumerate(self.points)}
-        if len(self._index) != n:
+        if len(set(self.points)) != n:
             raise MetricInvariantError("point ids must be unique")
         if validate and n > 0:
             self._validate()
@@ -72,9 +71,6 @@ class MetricSample:
 
     def __len__(self):
         return len(self.points)
-
-    def distance(self, p, q):
-        return float(self.dist[self._index[p], self._index[q]])
 
     def diameter(self):
         return float(self.dist.max()) if len(self.points) else 0.0

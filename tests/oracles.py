@@ -10,8 +10,16 @@ import numpy as np
 
 from numpy.lib.stride_tricks import sliding_window_view
 
+from flowdim.dynamics import (
+    DynSystem,
+    RoofFunction,
+    SolenoidPoint,
+    SuspensionPoint,
+    _canonical,
+    _solenoid_gaps,
+)
 from flowdim.embedding import NODE_MARGIN, PHASE_TOL
-from flowdim.errors import QuadratureError
+from flowdim.errors import InvariantViolationError, QuadratureError
 from flowdim.kernel import QUAD_NODES, QUAD_TOL, KernelSpec, interpolation_kernel
 from flowdim.metric import MetricSample
 
@@ -144,3 +152,21 @@ def spanning_number_exact(sample: MetricSample, eps: float) -> int:
                 if dp[state] + 1 < dp[nxt]:
                     dp[nxt] = dp[state] + 1
     return dp[full]
+
+
+def canonical(p: SuspensionPoint, sys: DynSystem, roof: RoofFunction) -> SuspensionPoint:
+    """One suspension point in canonical form: height in [0, f(x)), (x, f(x)) as (Tx, 0)."""
+    states, heights = _canonical(sys, roof, [p.state], [p.height])
+    return SuspensionPoint(int(states[0]), float(heights[0]))
+
+
+def solenoid_distance(p: SolenoidPoint, q: SolenoidPoint) -> float:
+    """Max over coordinates of the circle distance scaled by circumference."""
+    if p.depth != q.depth:
+        raise InvariantViolationError("solenoid points must share a depth")
+    return float(_solenoid_gaps(np.array(p.coords), np.array(q.coords)))
+
+
+def sample_distance(sample: MetricSample, p, q) -> float:
+    """The distance between the points with ids p and q of a metric sample."""
+    return float(sample.dist[sample.points.index(p), sample.points.index(q)])

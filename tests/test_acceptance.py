@@ -42,7 +42,7 @@ from flowdim.metric import (
     widim_upper,
 )
 
-from oracles import spanning_number_exact
+from oracles import canonical, spanning_number_exact
 from test_metric import torus_rotation, _window_shifted
 
 
@@ -252,8 +252,8 @@ def test_criterion_10_metric_space_contracts():
     sys = rotation_system(12)
     roof = RoofFunction.constant(1.0, 12)
     bw = BowenWaltersMetric(sys, roof, height_grid=8)
-    pts = [SuspensionPoint(int(rng.integers(12)), int(rng.integers(0, 9)) / 8.0)
-           .canonical(sys, roof) for _ in range(25)]
+    pts = [canonical(SuspensionPoint(int(rng.integers(12)), int(rng.integers(0, 9)) / 8.0),
+                     sys, roof) for _ in range(25)]
     mat = bw.matrix(pts)
     bw_violations = 0
     for _ in range(1000):

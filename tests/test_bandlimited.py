@@ -1,7 +1,11 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from flowdim.bandlimited import (
+    SUP_BLOCK,
     Band,
     Signal,
     band_support_check,
@@ -25,6 +29,12 @@ def tone(freq, band=None, window=20.0, step=1 / 8, sup_bound=True):
                                 band, window, step, sup_bound=sup_bound)
 
 
+def raw(values, sup_bound=False, validate=True):
+    """The Signal on band [0, 1], grid step 0.025, that holds exactly these values."""
+    return Signal(Band(0, 1), (len(values) - 1) * 0.0125, 0.025, values,
+                  sup_bound=sup_bound, validate=validate)
+
+
 class TestSignal:
     def test_oversampling_enforced(self):
         with pytest.raises(InvariantViolationError):
@@ -34,6 +44,52 @@ class TestSignal:
         with pytest.raises(InvariantViolationError):
             Signal.from_function(lambda t: 0 * t + 2.0, Band(0, 1), 10.0, 1 / 8,
                                  sup_bound=True)
+
+    @pytest.mark.parametrize("n", [0, 1, SUP_BLOCK - 1, SUP_BLOCK, SUP_BLOCK + 1,
+                                   int(np.random.default_rng(7).integers(2, 5 * SUP_BLOCK))])
+    def test_sup_norm_is_the_max_modulus_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        want = float(np.abs(v).max()) if n else 0.0
+        assert raw(v, validate=False).sup_norm().hex() == want.hex()
+
+    @pytest.mark.parametrize("nan_at, big_at", [(0, None), (-1, None), (SUP_BLOCK + 3, 5),
+                                                (5, SUP_BLOCK + 3)])
+    def test_nan_fails_the_sup_bound_in_any_block(self, nan_at, big_at):
+        # A NaN propagates through the block maxima whichever block holds it,
+        # also next to a block whose max exceeds the bound.
+        v = np.full(2 * SUP_BLOCK + 1, 0.5, dtype=complex)
+        v[nan_at] = np.nan
+        if big_at is not None:
+            v[big_at] = 2.0
+        assert math.isnan(raw(v).sup_norm())
+        with pytest.raises(InvariantViolationError):
+            raw(v, sup_bound=True)
+
+    def test_nan_in_a_short_signal_fails_the_sup_bound(self):
+        v = np.zeros(81, dtype=complex)
+        v[40] = np.nan
+        with pytest.raises(InvariantViolationError):
+            Signal(Band(0, 1), 1.0, 0.025, v, sup_bound=True)
+
+    def test_violation_in_the_last_partial_block_raises(self):
+        v = np.full(2 * SUP_BLOCK + 7, 0.5, dtype=complex)
+        v[-1] = 1.0 + 1e-9
+        raw(v, sup_bound=True)  # on the tolerance: accepted
+        v[-1] = 1.0 + 2e-9
+        with pytest.raises(InvariantViolationError):
+            raw(v, sup_bound=True)
+
+    def test_sup_check_allocates_no_signal_length_array(self):
+        v = 0.5 * np.exp(1j * np.linspace(0.0, 100.0, (1 << 21) + 1))
+        tracemalloc.start()
+        try:
+            sig = raw(v, sup_bound=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sig.values is v
+        assert peak < 2 * 2 ** 20
 
     def test_grid_mismatch_rejected(self):
         f = tone(0.5)

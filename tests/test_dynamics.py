@@ -15,7 +15,6 @@ from flowdim.dynamics import (
     bw_distance,
     mapping_torus,
     solenoid_act,
-    solenoid_distance,
     solenoid_from_time,
     suspend,
 )
@@ -26,6 +25,7 @@ from flowdim.errors import (
 )
 from flowdim.instances import SuspensionInstance, cube_shift_system, rotation_system
 from flowdim.metric import MetricSample, OrbitMetricSpec, orbit_metric_R
+from oracles import canonical, solenoid_distance
 
 
 def dense_min_plus(bw, source, max_segments):
@@ -101,6 +101,30 @@ def seeded_metric(seed, grid, n_extra):
     return BowenWaltersMetric(sys, roof, grid, extra_heights=rng.uniform(0, 1, n_extra))
 
 
+def drawn_metric(data, n, grid, classes, permute):
+    """A BowenWaltersMetric on n drawn states, for the pruned-closure properties.
+
+    Coordinates on a quarter grid make ties c(x,z) + c(z,y) = c(x,y)
+    common; with ``classes`` the states share fewer base points, so the
+    pseudometric has zero-distance classes.
+    """
+    m = data.draw(st.integers(1, n)) if classes else n
+    quarter = st.integers(0, 4).map(lambda k: k / 4)
+    coords = st.one_of(quarter, st.floats(0.0, 1.0))
+    pts = np.array(data.draw(st.lists(st.tuples(coords, coords), min_size=m, max_size=m)))
+    pts = pts[data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+              if classes else np.arange(n)]
+    dist = np.abs(pts[:, None] - pts[None, :]).max(axis=2)
+    if permute:
+        step = data.draw(st.permutations(range(n)))
+    else:
+        step = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    roof = RoofFunction(data.draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n)))
+    extra = data.draw(st.lists(st.floats(0.0, 1.0), max_size=2))
+    return BowenWaltersMetric(DynSystem(MetricSample(list(range(n)), dist), step),
+                              roof, grid, extra_heights=extra)
+
+
 @pytest.fixture
 def rot12():
     return rotation_system(12)
@@ -146,7 +170,7 @@ class TestSuspend:
             assert via.height == pytest.approx(direct.height, abs=1e-9)
 
     def test_roof_boundary_canonicalizes(self, rot12, roof1):
-        assert SuspensionPoint(5, 1.0).canonical(rot12, roof1) == SuspensionPoint(6, 0.0)
+        assert canonical(SuspensionPoint(5, 1.0), rot12, roof1) == SuspensionPoint(6, 0.0)
 
     @settings(max_examples=80)
     @given(data=st.data(), n=st.integers(1, 6), permute=st.booleans(),
@@ -179,7 +203,7 @@ class TestSuspend:
             with pytest.raises(InvariantViolationError):
                 suspend(rot12, roof1, [SuspensionPoint(0, 0.5), bad], 0.5)
             with pytest.raises(InvariantViolationError):
-                bad.canonical(rot12, roof1)
+                canonical(bad, rot12, roof1)
 
 
 class TestBowenWalters:
@@ -201,8 +225,8 @@ class TestBowenWalters:
     def test_symmetry_and_triangle_on_grid(self, rot12, roof1):
         bw = BowenWaltersMetric(rot12, roof1, height_grid=8)
         rng = np.random.default_rng(9)
-        pts = [SuspensionPoint(int(rng.integers(12)), int(rng.integers(9)) / 8.0)
-               .canonical(rot12, roof1) for _ in range(15)]
+        pts = [canonical(SuspensionPoint(int(rng.integers(12)), int(rng.integers(9)) / 8.0),
+                         rot12, roof1) for _ in range(15)]
         mat = bw.matrix(pts)
         assert np.allclose(mat, mat.T, atol=1e-12)
         n = len(pts)
@@ -260,26 +284,25 @@ class TestBowenWalters:
     @given(data=st.data(), n=st.integers(1, 7), grid=st.integers(1, 6),
            classes=st.booleans(), permute=st.booleans())
     def test_pruned_closure_matches_the_dense_graph(self, data, n, grid, classes, permute):
-        # Coordinates on a quarter grid make ties c(x,z) + c(z,y) = c(x,y)
-        # common; with ``classes`` the states share fewer base points, so
-        # the pseudometric has zero-distance classes.
-        m = data.draw(st.integers(1, n)) if classes else n
-        quarter = st.integers(0, 4).map(lambda k: k / 4)
-        coords = st.one_of(quarter, st.floats(0.0, 1.0))
-        pts = np.array(data.draw(st.lists(st.tuples(coords, coords), min_size=m, max_size=m)))
-        pts = pts[data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
-                  if classes else np.arange(n)]
-        dist = np.abs(pts[:, None] - pts[None, :]).max(axis=2)
-        if permute:
-            step = data.draw(st.permutations(range(n)))
-        else:
-            step = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-        roof = RoofFunction(data.draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n)))
-        extra = data.draw(st.lists(st.floats(0.0, 1.0), max_size=2))
-        bw = BowenWaltersMetric(DynSystem(MetricSample(list(range(n)), dist), step),
-                                roof, grid, extra_heights=extra)
+        bw = drawn_metric(data, n, grid, classes, permute)
         np.testing.assert_allclose(bw.closure(), dijkstra(bw._graph, directed=False),
                                    rtol=1e-15, atol=0)
+
+    @settings(max_examples=60)
+    @given(data=st.data(), n=st.integers(1, 7), grid=st.integers(1, 6),
+           classes=st.booleans(), permute=st.booleans())
+    def test_directed_closure_is_the_undirected_one_bit_for_bit(self, data, n, grid, classes,
+                                                               permute):
+        bw = drawn_metric(data, n, grid, classes, permute)
+        pruned = bw._pruned.tocoo()
+        size = pruned.shape[0]
+        # Both directions of every stored edge, explicit zeros included, at one cost.
+        forward = np.argsort(pruned.row * size + pruned.col)
+        backward = np.argsort(pruned.col * size + pruned.row)
+        np.testing.assert_array_equal(pruned.row[forward], pruned.col[backward])
+        np.testing.assert_array_equal(pruned.col[forward], pruned.row[backward])
+        np.testing.assert_array_equal(pruned.data[forward], pruned.data[backward])
+        assert np.array_equal(bw.closure(), dijkstra(bw._pruned, directed=False))
 
     @pytest.mark.parametrize("N", [2, 3])
     def test_pruned_closure_keeps_the_cube_shift_zero_classes(self, N):
@@ -430,6 +453,17 @@ class TestSuspensionInstance:
             assert type(inst.advance(i, float(times[3]))) is int
         with pytest.raises(ConfigurationError, match="leaves the height grid"):
             inst.advance(0, np.array([0.2, 0.25]))
+
+    def test_advance_maps_arrays_of_indices(self):
+        inst = SuspensionInstance.build(base_size=6, n_heights=5)
+        states = np.arange(30)
+        times = 0.2 * np.arange(30) - 3.0
+        got = inst.advance(states, times)
+        assert got.tolist() == [inst.advance(i, float(t)) for i, t in zip(states, times)]
+        assert inst.advance(states, 1.4).tolist() == [inst.advance(i, 1.4) for i in states]
+        assert inst.advance(states[:, None], times[None, :4]).shape == (30, 4)
+        with pytest.raises(ConfigurationError, match="state 3 leaves"):
+            inst.advance(states[:5], np.array([0.2, 0.4, 0.6, 0.25, 0.8]))
 
     def test_sample_is_the_torus_table(self):
         inst = SuspensionInstance.build(base_size=6, n_heights=5)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowdim.bandlimited import shift, signal_metric
-from flowdim.dynamics import SolenoidPoint, solenoid_act, solenoid_distance, solenoid_from_time
+from flowdim.dynamics import SolenoidPoint, solenoid_act, solenoid_from_time
 from flowdim.embedding import (
     NODE_MARGIN,
     SolenoidEmbedding,
@@ -30,7 +30,7 @@ from flowdim.errors import (
     TruncationDepthError,
 )
 from flowdim.metric import MetricSample
-from oracles import kernel_rows
+from oracles import kernel_rows, solenoid_distance
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +129,27 @@ class TestBohrCoefficient:
             want = np.trapezoid(sig.values[mask] * np.exp(-1j * lam * t[mask]), t[mask]) / T
             got = bohr_coefficient(sig, lam, T)
             assert abs(got - want) <= 1e-10 * abs(want)
+
+    def test_frequency_array_matches_the_scalar_calls(self):
+        # 12.0 needs a finer step than the signal's grid: the signal is
+        # interpolated for it, in a pass of its own.  Differences are taken
+        # relative to the largest mean, since the means at frequencies the
+        # sum lacks are O(1/T) residues of cancellation.
+        emb = SolenoidEmbedding(c=1.0, K=4, window=60.0, grid_step=0.01)
+        sig = solenoid_embed(solenoid_from_time(9.1, 4), emb)
+        lams = np.array([2 * np.pi, np.pi, np.pi / 3, np.pi / 12, 0.7, -3.0, 12.0])
+
+        def two_tones(t):
+            return 0.5 * np.exp(2j * np.pi * t) + 0.25 * np.exp(1j * np.pi * t)
+
+        for source in (sig, two_tones):
+            for T in (50.0, 12.34):
+                want = [bohr_coefficient(source, lam, T) for lam in lams]
+                assert all(type(w) is complex for w in want)
+                got = bohr_coefficient(source, lams, T)
+                assert got.shape == lams.shape
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+                assert np.array_equal(bohr_coefficient(source, lams.reshape(7, 1), T), got[:, None])
 
     def test_nonpositive_length_is_configuration_error(self):
         with pytest.raises(ConfigurationError):
@@ -600,14 +621,35 @@ def test_node_tail_bound_covers_the_dropped_envelope_sum(fine_pipeline):
     assert bound / 2 < worst <= bound
 
 
-def test_unperturbed_signal_map_fails_the_verdict_that_g_passes():
+@pytest.fixture(scope="module")
+def readme_pipeline():
+    """The pipeline at the README example of embed-pipeline."""
+    from flowdim.instances import run_embedding_pipeline
+    return run_embedding_pipeline(delta=0.2, rho=1, N=2, base_size=12, n_heights=10, seed=2024)
+
+
+def test_readme_pipeline_perturbs(readme_pipeline):
+    # Unlike the smaller pipelines above, the search moves F here, so h is
+    # a nonzero kernel correction and the node and equivariance checks
+    # test it.
+    res = readme_pipeline
+    assert res.search_report.tries > 1
+    assert np.any(res.run.G != res.run.F)
+    assert res.sup_change > 0.0
+    assert res.run.node_tail_bound() > 0.0
+    assert res.sup_change + res.run.node_tail_bound() < res.run.delta
+    assert res.node_residual < 1e-8 and res.equivariance_residual < 1e-6
+    assert res.passed
+
+
+def test_unperturbed_signal_map_fails_the_verdict_that_g_passes(readme_pipeline):
     # At the README example states 6 apart on the 12-cycle share their
     # factor point (depth 3 reads the time modulo 3! = 6), so the
     # unperturbed f matches those 60 pairs; g = f + h separates every pair.
-    from flowdim.instances import SIGNAL_WINDOW, run_embedding_pipeline
+    from flowdim.instances import SIGNAL_WINDOW
     from flowdim.metric import OrbitMetricSpec, orbit_metric_R
 
-    res = run_embedding_pipeline(delta=0.2, rho=1, N=2, base_size=12, n_heights=10, seed=2024)
+    res = readme_pipeline
     inst, run = res.instance, res.run
     assert res.verdict.passed and res.verdict.n_matched == 0
     emb = SolenoidEmbedding(c=1.0, K=inst.depth, window=SIGNAL_WINDOW, grid_step=0.05)
