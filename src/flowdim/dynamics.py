@@ -2,14 +2,15 @@
 
 Suspension points are stored in canonical form: height in [0, f(x)),
 with (x, f(x)) rewritten as (Tx, 0), by ``_canonical`` on arrays of
-points; ``suspend`` flows a whole sequence.  The Bowen-Walters distance
-is computed on a finite graph of (state, height-level) nodes in roof-1
-normalized coordinates; it is an upper bound of the true path infimum,
-antitone as the segment budget grows and as the height grid refines
-along nested (divisibility) chains.  ``BowenWaltersMetric.closure(nodes)``
-is the one query without a segment budget: it runs Dijkstra on the level
-graph pruned of the horizontal edges that shorter ones imply.  Budgeted
-queries count edges, so they run on the full level graph.
+points; ``_flow`` flows arrays of points, each by its own time, and
+``suspend`` wraps it.  The Bowen-Walters distance is computed on a finite
+graph of (state, height-level) nodes in roof-1 normalized coordinates; it
+is an upper bound of the true path infimum, antitone as the segment
+budget grows and as the height grid refines along nested (divisibility)
+chains.  ``BowenWaltersMetric.closure(nodes)`` is the one query without a
+segment budget: it runs Dijkstra on the level graph pruned of the
+horizontal edges that shorter ones imply.  Budgeted queries count edges,
+so they run on the full level graph.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ from .metric import MetricSample
 
 CIRCLE_TOL = 1e-9
 MAX_SUSPEND_STEPS = 10_000_000
-# Entries of the (x, z, y) redundancy test held at once by one chunk of rows.
-PRUNE_CHUNK = 1 << 16
+# Entries held at once by one block of work: the (x, z, y) redundancy test of
+# the pruning, the rows of one closure Dijkstra and a window's table stack.
+BLOCK_ENTRIES = 1 << 16
 
 
 class DynSystem:
@@ -60,12 +62,15 @@ class FlowSystem:
     ``values`` are representative points (need not be closed under the
     flow at all times); ``evolve(values, t)`` returns their time-t images;
     ``metric_matrix(values)`` the distance table of a list of values.
+    ``window_blocks(times)`` yields, in order, runs of k of the times with
+    the (k, n, n) stacks of their tables metric_matrix(evolve(values, t)).
     """
 
-    def __init__(self, values, evolve, metric_matrix, ids=None):
+    def __init__(self, values, evolve, metric_matrix, window_blocks, ids=None):
         self.values = list(values)
         self.evolve = evolve
         self.metric_matrix = metric_matrix
+        self.window_blocks = window_blocks
         self._ids = list(ids) if ids is not None else list(range(len(self.values)))
 
     def point_ids(self):
@@ -115,32 +120,38 @@ class SuspensionPoint:
     height: float
 
 
-def suspend(sys: DynSystem, roof: RoofFunction, points, t: float) -> list:
-    """Flow a sequence of suspension points by time t.
+def _flow(sys: DynSystem, roof: RoofFunction, states, heights, t):
+    """Flow the points (states[i], heights[i]) by the times t, broadcast per point.
 
-    Returns the list of (T^n x, s') in canonical form, where n and s'
-    solve sum_{i<n} f(T^i x) + s' = t + s with 0 <= s' < f(T^n x).  Each
-    step moves the points not yet under their roof, by the same float
-    operations one point alone sees.  Backward flow needs an inverse.
+    Returns the canonical states and heights of the points (T^n x, s'),
+    where n and s' solve sum_{i<n} f(T^i x) + s' = t + s with
+    0 <= s' < f(T^n x).  Each step moves the points not yet under their
+    roof, forward where t >= 0 and backward where t < 0, by the same float
+    operations one point flowed alone sees.  Backward flow needs an inverse.
     """
-    states, total = _canonical(sys, roof, *_arrays(points))
+    states, total = _canonical(sys, roof, states, heights)
+    back = np.broadcast_to(np.less(t, 0), total.shape)
     total = total + t
-    if t < 0 and sys.inverse is None:
+    if back.any() and sys.inverse is None:
         raise UnsupportedDirectionError("negative flow time requires an invertible system")
     for _ in range(MAX_SUSPEND_STEPS):
-        if t >= 0:
-            move = np.flatnonzero(total >= roof.values[states] - CIRCLE_TOL)
-            total[move] -= roof.values[states[move]]
-            states[move] = sys.step[states[move]]
-        else:
-            move = np.flatnonzero(total < -CIRCLE_TOL)
-            states[move] = sys.inverse[states[move]]
-            total[move] += roof.values[states[move]]
-        if not len(move):
+        up = np.flatnonzero(~back & (total >= roof.values[states] - CIRCLE_TOL))
+        total[up] -= roof.values[states[up]]
+        states[up] = sys.step[states[up]]
+        down = np.flatnonzero(back & (total < -CIRCLE_TOL))
+        if len(down):
+            states[down] = sys.inverse[states[down]]
+            total[down] += roof.values[states[down]]
+        if not len(up) and not len(down):
             break
     else:
         raise ArithmeticError("suspension flow exceeded step budget")
-    states, heights = _canonical(sys, roof, states, np.maximum(total, 0.0))
+    return _canonical(sys, roof, states, np.maximum(total, 0.0))
+
+
+def suspend(sys: DynSystem, roof: RoofFunction, points, t: float) -> list:
+    """Flow a sequence of suspension points by time t (see ``_flow``), as a list."""
+    states, heights = _flow(sys, roof, *_arrays(points), t)
     return [SuspensionPoint(int(x), float(h)) for x, h in zip(states, heights)]
 
 
@@ -227,7 +238,7 @@ class BowenWaltersMetric:
         induction on edge cost every dropped edge is the length of a chain
         of kept ones, so the chain infimum is unchanged; the strict
         inequalities keep every zero-cost edge, and with them the zero-cost
-        classes.  Rows of x are tested PRUNE_CHUNK entries at a time.
+        classes.  Rows of x are tested BLOCK_ENTRIES entries at a time.
         """
         graph = self._graph.tocoo()
         nL, nS = self.n_levels, self.n_states
@@ -237,7 +248,7 @@ class BowenWaltersMetric:
         cost = np.zeros((nL, nS, nS))
         cost[level[horizontal], x, y] = graph.data[horizontal]
         implied = np.zeros(cost.shape, dtype=bool)
-        rows = max(1, PRUNE_CHUNK // max(1, nS * nS))
+        rows = max(1, BLOCK_ENTRIES // max(1, nS * nS))
         for c, out in zip(cost, implied):
             for lo in range(0, nS, rows):
                 c_xz = c[lo:lo + rows, :, None]
@@ -248,19 +259,37 @@ class BowenWaltersMetric:
         return csr_matrix((graph.data[keep], (graph.row[keep], graph.col[keep])),
                           shape=graph.shape)
 
+    def nodes(self, states, h):
+        """Node of each point (states[i], normalized height h[i]), or -1 off the grid.
+
+        A point sits at the first level within CIRCLE_TOL of h: the first at
+        or above h - CIRCLE_TOL, or the next one if that difference rounds down.
+        """
+        found = np.searchsorted(self.levels, h - CIRCLE_TOL)
+        level = np.full(np.shape(h), -1)
+        for j in (found + 1, found):
+            j = np.minimum(j, self.n_levels - 1)
+            near = np.abs(self.levels[j] - h) <= CIRCLE_TOL
+            level[near] = j[near]
+        return np.where(level < 0, -1, states * self.n_levels + level)
+
     def closure(self, nodes=None):
         """Chain infimum between the nodes (all nodes by default), with no segment budget.
 
-        The rows that no earlier query solved are filled by one Dijkstra
-        from those nodes over the pruned level graph, run as directed: the
-        graph stores both directions of every edge, at one cost.
+        ``nodes`` is a vector, read as one (n, n) table, or a (k, n) stack
+        of them, read as k tables.  The rows that no earlier query solved
+        are filled by Dijkstra from BLOCK_ENTRIES // (node count) of them at
+        a time over the pruned level graph, run as directed: the graph
+        stores both directions of every edge, at one cost.
         """
         nodes = np.arange(len(self._solved)) if nodes is None else np.asarray(nodes)
         todo = np.unique(nodes[~self._solved[nodes]])
-        if len(todo):
-            self._rows[todo] = dijkstra(self._pruned, indices=todo)
-            self._solved[todo] = True
-        return self._rows[np.ix_(nodes, nodes)]
+        size = max(1, BLOCK_ENTRIES // len(self._solved))
+        for lo in range(0, len(todo), size):
+            block = todo[lo:lo + size]
+            self._rows[block] = dijkstra(self._pruned, indices=block)
+        self._solved[todo] = True
+        return self._rows[nodes[..., :, None], nodes[..., None, :]]
 
     def _lift(self, max_segments):
         """The level graph lifted to nodes (k, r, v), stored at (2k + r) V + v.
@@ -304,12 +333,10 @@ class BowenWaltersMetric:
         """
         states, heights = _canonical(self.sys, self.roof, *_arrays(points))
         h = heights / self.roof.values[states]
-        on_level = np.abs(self.levels - h[:, None]) <= CIRCLE_TOL
-        missing = ~on_level.any(axis=1)
-        if missing.any():
+        nodes = self.nodes(states, h)
+        if (nodes < 0).any():
             raise InvariantViolationError(
-                f"normalized height {h[np.argmax(missing)]} is not on the metric's level grid")
-        nodes = states * self.n_levels + on_level.argmax(axis=1)
+                f"normalized height {h[np.argmax(nodes < 0)]} is not on the metric's level grid")
         if max_segments is None:
             return self.closure(nodes)
         if max_segments < 2:
@@ -349,22 +376,43 @@ def mapping_torus(sys: DynSystem, height_grid: int = 16,
     is ``suspend``.  Tables read the chain-infimum rows of their points
     from one metric on the grid, solved on first use; a table whose
     heights leave the grid is read from one metric on the grid plus them.
+    ``window_blocks`` takes the times a BLOCK_ENTRIES-sized table stack at
+    a time: one array flow, one node lookup and one closure read per block;
+    a time off the grid builds its own metric, as ``metric_matrix`` does.
     """
     roof = RoofFunction.constant(1.0, len(sys))
     bw = BowenWaltersMetric(sys, roof, height_grid)
 
     def metric_matrix(values):
-        heights = _canonical(sys, roof, *_arrays(values))[1]
-        off_grid = np.abs(bw.levels - heights[:, None]).min(axis=1) > CIRCLE_TOL
-        if not off_grid.any():
-            return bw.matrix(values)
+        states, heights = _canonical(sys, roof, *_arrays(values))
+        nodes = bw.nodes(states, heights)
+        if (nodes >= 0).all():
+            return bw.closure(nodes)
         return BowenWaltersMetric(sys, roof, height_grid,
-                                  extra_heights=np.unique(heights[off_grid])).matrix(values)
+                                  extra_heights=np.unique(heights[nodes < 0])).matrix(values)
+
+    def window_blocks(times):
+        n = len(values)
+        states, heights = _arrays(values)
+        size = max(1, BLOCK_ENTRIES // max(1, n * n))
+        for lo in range(0, len(times), size):
+            block = times[lo:lo + size]
+            k = len(block)
+            at, h = (a.reshape(k, n) for a in _flow(sys, roof, np.tile(states, k),
+                                                    np.tile(heights, k), np.repeat(block, n)))
+            nodes = bw.nodes(at, h)
+            on_grid = (nodes >= 0).all(axis=1)
+            tables = np.empty((k, n, n))
+            tables[on_grid] = bw.closure(nodes[on_grid])
+            for i in np.flatnonzero(~on_grid):
+                tables[i] = metric_matrix([*map(SuspensionPoint, at[i].tolist(), h[i].tolist())])
+            yield block, tables
 
     slots = range(height_grid if every_height else 1)
     values = [SuspensionPoint(i, j / height_grid) for i in range(len(sys)) for j in slots]
     ids = [(x, j) for x in sys.base.points for j in slots]
-    return FlowSystem(values, functools.partial(suspend, sys, roof), metric_matrix, ids=ids)
+    return FlowSystem(values, functools.partial(suspend, sys, roof), metric_matrix,
+                      window_blocks, ids=ids)
 
 
 def _factorials(K):

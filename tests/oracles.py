@@ -19,9 +19,9 @@ from flowdim.dynamics import (
     _solenoid_gaps,
 )
 from flowdim.embedding import NODE_MARGIN, PHASE_TOL
-from flowdim.errors import InvariantViolationError, QuadratureError
+from flowdim.errors import InvalidHorizonError, InvariantViolationError, QuadratureError
 from flowdim.kernel import QUAD_NODES, QUAD_TOL, KernelSpec, interpolation_kernel
-from flowdim.metric import MetricSample
+from flowdim.metric import MetricSample, OrbitMetricSpec
 
 CERTIFY_GRID_POINTS = 10_000   # per side of the certification window
 
@@ -170,3 +170,26 @@ def solenoid_distance(p: SolenoidPoint, q: SolenoidPoint) -> float:
 def sample_distance(sample: MetricSample, p, q) -> float:
     """The distance between the points with ids p and q of a metric sample."""
     return float(sample.dist[sample.points.index(p), sample.points.index(q)])
+
+
+def orbit_metric_R_loop(flow, spec: OrbitMetricSpec) -> MetricSample:
+    """Gridded sup metric sup_{t in {0, dt, ..., R}} d(tx, ty).
+
+    A lower bound of the true sup over [0, R]; the gap is controlled by
+    the flow's modulus of continuity over one grid step.  The per-time
+    loop that ``flowdim.metric.orbit_metric_R`` replaced by its blocks of
+    grid times: one ``evolve`` and one ``metric_matrix`` call per time.
+    """
+    if spec.kind != "R-window":
+        raise InvalidHorizonError("orbit_metric_R expects an R-window spec")
+    R, dt = spec.horizon, spec.time_step
+    times = np.arange(0.0, R + dt * 0.5, dt)
+    if times[-1] < R - 1e-12:
+        times = np.append(times, R)
+    out = None
+    for t in times:
+        mat = flow.metric_matrix(flow.evolve(flow.values, float(t)))
+        if not np.all(np.isfinite(mat)):
+            raise ArithmeticError(f"non-finite evolution at grid time {t}")
+        out = mat if out is None else np.maximum(out, mat)
+    return MetricSample(flow.point_ids(), out, validate=False)

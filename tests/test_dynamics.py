@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from flowdim.dynamics import (
     RoofFunction,
     SolenoidPoint,
     SuspensionPoint,
+    _flow,
     bw_distance,
     mapping_torus,
     solenoid_act,
@@ -196,6 +199,15 @@ class TestSuspend:
         points.append(SuspensionPoint(n - 1, float(roof.values[n - 1])))
         want = [scalar_suspend(sys, roof, p, t) for p in points]
         assert bits(suspend(sys, roof, points, t)) == bits(want)
+        # The array core flows each point by its own time, in both directions
+        # at once when the step map is invertible.
+        times = [t] + data.draw(st.lists(st.floats(-30.0, 30.0), min_size=len(points) - 1,
+                                         max_size=len(points) - 1))
+        if not permute:
+            times = [abs(s) for s in times]
+        want = [scalar_suspend(sys, roof, p, s) for p, s in zip(points, times)]
+        states, heights = _flow(sys, roof, *zip(*[(p.state, p.height) for p in points]), times)
+        assert bits(map(SuspensionPoint, states, heights)) == bits(want)
 
     def test_height_outside_the_roof_is_an_invariant_violation(self, rot12, roof1):
         for h in (-0.01, 1.01, float("nan")):
@@ -274,6 +286,37 @@ class TestBowenWalters:
                 bw_distance(p, q, rot12, roof1, max_segments=k)
         with pytest.raises(ConfigurationError):
             BowenWaltersMetric(rot12, roof1, height_grid=0)
+
+    @settings(max_examples=100)
+    @given(data=st.data(), grid=st.integers(1, 8))
+    def test_node_lookup_is_the_first_level_within_tolerance(self, data, grid):
+        # Levels and heights crowd within a few ulps of one another and of
+        # the tolerance boundary, where the searchsorted key rounds.
+        tol = flowdim.dynamics.CIRCLE_TOL
+
+        def crowd(a, offset, ulps):
+            x = a + offset
+            for _ in range(abs(ulps)):
+                x = np.nextafter(x, np.copysign(np.inf, ulps))
+            return float(x)
+
+        anchor = st.one_of(st.integers(0, grid).map(lambda j: j / grid), st.floats(0.0, 1.0))
+        offset = st.sampled_from([0.0, tol, -tol, tol / 2, -tol / 2, 2 * tol, -2 * tol, 3e-10])
+        near = st.builds(crowd, anchor, offset, st.integers(-3, 3))
+        h = np.array(data.draw(st.lists(near, min_size=1, max_size=12)))
+        # A level at each h - tol as the lookup key rounds it, or a few ulps
+        # away.  For h = 0.5 the key rounds below the exact h - tol: the
+        # level there lies off by more than tol, and the next one matches.
+        ulps = data.draw(st.lists(st.integers(-2, 2), min_size=len(h), max_size=len(h)))
+        edges = [crowd(x, -tol, u) for x, u in zip(h, ulps)]
+        extra = [min(max(x, 0.0), 1.0) for x in edges + data.draw(st.lists(near, max_size=4))]
+        sys = DynSystem(MetricSample([0, 1, 2], np.zeros((3, 3))), [1, 2, 0])
+        bw = BowenWaltersMetric(sys, RoofFunction.constant(1.0, 3), grid, extra_heights=extra)
+        states = np.arange(len(h)) % 3
+        on_level = np.abs(bw.levels - h[:, None]) <= tol
+        want = np.where(on_level.any(axis=1), states * bw.n_levels + on_level.argmax(axis=1), -1)
+        np.testing.assert_array_equal(bw.nodes(states, h), want)
+        np.testing.assert_array_equal(bw.nodes(states[None], h[None]), want[None])
 
     def test_height_off_the_level_grid_is_an_invariant_violation(self, rot12, roof1):
         bw = BowenWaltersMetric(rot12, roof1, height_grid=4)
@@ -365,9 +408,21 @@ class TestMappingTorus:
         sys = DynSystem(MetricSample(list(range(7)), np.zeros((7, 7))), step)
         torus = mapping_torus(sys, height_grid=5, every_height=True)
         roof = RoofFunction.constant(1.0, 7)
-        for t in (0.0, 0.2, 1.0, 2.6, 13.35, 29.9, -0.4, -7.8, -30.0):
+        times = (0.0, 0.2, 1.0, 2.6, 13.35, 29.9, -0.4, -7.8, -30.0,
+                 0.1, 0.3, 0.1 * 3, 0.7, 1 / 3, 2.4, 5.0, 6.9999999999, 100.1, -0.2, -1.0,
+                 -2.6, -5.0, -1 / 3, -13.35, -100.1)
+        wants = []
+        for t in times:
             want = [scalar_suspend(sys, roof, p, t) for p in torus.values]
             assert bits(torus.evolve(torus.values, t)) == bits(want)
+            wants += want
+        # Every (value, time) pair in one batch of the array core, as the
+        # window flows them.
+        n = len(torus.values)
+        states, heights = _flow(sys, roof, np.tile([p.state for p in torus.values], len(times)),
+                                np.tile([p.height for p in torus.values], len(times)),
+                                np.repeat(times, n))
+        assert bits(map(SuspensionPoint, states, heights)) == bits(wants)
 
     def test_off_grid_window_builds_one_metric_per_time(self, monkeypatch):
         torus = mapping_torus(rotation_system(12), height_grid=4)
@@ -401,6 +456,30 @@ class TestMappingTorus:
         # One Dijkstra from the 12 query nodes of a 12 x 6-node graph.
         assert sources == [12]
         np.testing.assert_allclose(table, rotation_system(12).base.dist, rtol=0, atol=1e-12)
+
+    def test_window_allocates_under_half_the_closure_rows(self, monkeypatch):
+        # The benchmark torus window.  Its rows are solved a block of sources
+        # at a time and read as stacks of tables: one Dijkstra from all its
+        # 1,536 nodes alone would allocate 20 MB.
+        sources = []
+
+        def counted(graph, *args, indices=None, **kwargs):
+            sources.append(len(indices))
+            return dijkstra(graph, *args, indices=indices, **kwargs)
+
+        monkeypatch.setattr(flowdim.dynamics, "dijkstra", counted)
+        torus = mapping_torus(rotation_system(96), height_grid=16)
+        n_nodes = 96 * 17
+        tracemalloc.start()
+        try:
+            window = orbit_metric_R(torus, OrbitMetricSpec("R-window", 24.0, 1.0 / 16.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n_nodes * n_nodes * 8 / 2
+        assert sum(sources) == 96 * 16
+        assert max(sources) <= flowdim.dynamics.BLOCK_ENTRIES // n_nodes
+        np.testing.assert_array_equal(window.dist, rotation_system(96).base.dist)
 
     def test_every_height_values_and_ids(self):
         torus = mapping_torus(rotation_system(6), height_grid=4, every_height=True)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowdim.errors import InvalidHorizonError, MetricInvariantError
 from flowdim.instances import (
@@ -21,7 +23,7 @@ from flowdim.metric import (
     widim_upper,
 )
 from flowdim.dynamics import DynSystem, mapping_torus
-from oracles import sample_distance, spanning_number_exact
+from oracles import orbit_metric_R_loop, sample_distance, spanning_number_exact
 
 
 def grid_sample(n, dims=1, upper=1.0):
@@ -98,6 +100,43 @@ class TestOrbitMetricR:
         spec = OrbitMetricSpec("R-window", horizon=3.0, time_step=0.1)
         out = orbit_metric_R(torus, spec)
         assert np.allclose(out.dist, base, atol=1e-9)
+
+    @pytest.mark.parametrize("system,grid,every_height,R,dt", [
+        (lambda: rotation_system(96), 16, False, 24.0, 1.0 / 16.0),
+        (lambda: rotation_system(12), 10, True, 2.0, 0.1),
+        (lambda: rotation_system(12), 4, False, 2.0, 0.1),
+        (lambda: cube_shift_system(1, 4), 4, True, 3.0, 0.25),
+        (lambda: binary_shift_system(5), 8, False, 3.0, 0.3),
+        (lambda: rotation_system(12), 10, True, 0.1, 0.1),
+    ], ids=["benchmark-torus", "pipeline-torus", "off-grid", "cube-shift", "binary-shift",
+            "one-step"])
+    def test_blocks_equal_the_per_time_loop(self, system, grid, every_height, R, dt):
+        spec = OrbitMetricSpec("R-window", R, dt)
+        blocks = orbit_metric_R(mapping_torus(system(), grid, every_height), spec)
+        loop = orbit_metric_R_loop(mapping_torus(system(), grid, every_height), spec)
+        assert blocks.points == loop.points
+        assert np.array_equal(blocks.dist, loop.dist)
+
+    @settings(max_examples=40)
+    @given(data=st.data(), n=st.integers(1, 5), grid=st.integers(1, 4),
+           steps_per_unit=st.integers(1, 4), k_max=st.integers(1, 9))
+    def test_window_dominates_the_time_one_window_and_grows_with_R(
+            self, data, n, grid, steps_per_unit, k_max):
+        step = data.draw(st.permutations(range(n)))
+        xs = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+        sys = DynSystem(MetricSample(list(range(n)), np.abs(np.subtract.outer(xs, xs))), step)
+        torus = mapping_torus(sys, grid)
+        # The time-one map of the height-0 sample is the step, under the
+        # height-0 table; the grid times k dt include every integer up to R.
+        time_one = DynSystem(MetricSample(list(range(n)), torus.metric_matrix(torus.values)),
+                             step)
+        dt = 1.0 / steps_per_unit
+        previous = np.zeros((n, n))
+        for k in range(1, k_max + 1):
+            window = orbit_metric_R(torus, OrbitMetricSpec("R-window", k * dt, dt)).dist
+            assert np.all(window >= orbit_metric_Z(time_one, k // steps_per_unit + 1).dist)
+            assert np.all(window >= previous)
+            previous = window
 
     def test_default_time_step(self):
         spec = OrbitMetricSpec("R-window", horizon=2.0)
