@@ -5,7 +5,8 @@ frequency band [a, b] and oversampling 1/dt >= 4 max(|a|, |b|, 1).
 All sups are grid sups; the weighted metric truncates its tail at
 ``n_max`` with certified remainder 2^(1-n_max).  Off-grid evaluation
 uses Kaiser-windowed sinc interpolation, accurate to ~1e-12 for
-signals respecting the declared band.  ``_grid_factors`` splits
+signals respecting the declared band; its tap weights are computed once
+per distinct fractional grid offset.  ``_grid_factors`` splits
 exponentials on a uniform grid into block factors; the exponential sums,
 the Bohr means and the kernel's bump transform all run on it.
 """
@@ -115,12 +116,14 @@ class Signal:
             out[on_grid] = self.values[j0[on_grid]]
         off = ~on_grid
         if off.any():
+            # One row of tap weights per distinct fractional offset.
             offsets = np.arange(-(TAPS - 1), TAPS + 1)
-            rel = frac[off, None] - offsets[None, :]
+            phases, which = np.unique(frac[off], return_inverse=True)
+            rel = phases[:, None] - offsets[None, :]
             u = rel / TAPS
             win = (np.i0(KAISER_BETA * np.sqrt(np.clip(1.0 - u * u, 0.0, None)))
                    / np.i0(KAISER_BETA))
-            w = np.sinc(rel) * win
+            w = (np.sinc(rel) * win)[which]
             idx = j0[off, None] + offsets[None, :]
             out[off] = (self.values[idx] * w).sum(axis=1)
         return out

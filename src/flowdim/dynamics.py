@@ -9,8 +9,11 @@ is an upper bound of the true path infimum, antitone as the segment
 budget grows and as the height grid refines along nested (divisibility)
 chains.  ``BowenWaltersMetric.closure(nodes)`` is the one query without a
 segment budget: it runs Dijkstra on the level graph pruned of the
-horizontal edges that shorter ones imply.  Budgeted queries count edges,
-so they run on the full level graph.
+horizontal edges that shorter ones imply.  When T is a bijection and the
+sample metric d is exactly symmetric and T-invariant, (x, t) -> (Tx, t)
+maps the level graph onto itself cost for cost, so the closure and the
+pruning are solved once per T-orbit and permuted to the other states.
+Budgeted queries count edges, so they run on the full level graph.
 """
 
 from __future__ import annotations
@@ -169,6 +172,18 @@ class BowenWaltersMetric:
     closure query); the chain lengths equal those of the full graph up to
     rounding.  A budgeted ``matrix`` runs on the full graph, since a
     dropped edge costs a chain of two segments or more.
+
+    Each state x = T^m r is stored with the representative r of its
+    T-orbit and the shift m.  When ``sys.inverse`` is set and the base
+    distances satisfy ``np.array_equal(d, d.T)`` and
+    ``np.array_equal(d[np.ix_(step, step)], d)``, the map
+    sigma: (x, t) -> (Tx, t) carries every horizontal, vertical and gluing
+    edge to one of bit-identical cost: the horizontal cost of (Tx, Ty)
+    reads the same two floats as that of (x, y), and symmetry makes it
+    irrelevant which direction of a pair the graph reads.  So row (x, t)
+    of the closure is row (r, t) read at the columns (T^-m y, k), bit for
+    bit (see ``closure``).  Otherwise every state is its own
+    representative, with shift 0.
     """
 
     def __init__(self, sys: DynSystem, roof: RoofFunction, height_grid: int = 16,
@@ -229,6 +244,22 @@ class BowenWaltersMetric:
         self._rows = np.empty((n_nodes, n_nodes))
         self._solved = np.zeros(n_nodes, dtype=bool)
 
+        # Orbit representative and shift of each state; _back[m] is T^-m.
+        self._rep, self._shift = np.arange(nS), np.zeros(nS, dtype=np.int64)
+        back = [np.arange(nS)]
+        inverse = self.sys.inverse
+        if (inverse is not None and np.array_equal(d, d.T)
+                and np.array_equal(d[np.ix_(step, step)], d)):
+            self._rep[:] = -1
+            for r in range(nS):
+                x, m = r, 0
+                while self._rep[x] < 0:
+                    self._rep[x], self._shift[x] = r, m
+                    x, m = step[x], m + 1
+            while len(back) <= self._shift.max():
+                back.append(inverse[back[-1]])
+        self._back = np.array(back)
+
     @functools.cached_property
     def _pruned(self):
         """The level graph without the horizontal edges that shorter ones imply.
@@ -238,7 +269,10 @@ class BowenWaltersMetric:
         induction on edge cost every dropped edge is the length of a chain
         of kept ones, so the chain infimum is unchanged; the strict
         inequalities keep every zero-cost edge, and with them the zero-cost
-        classes.  Rows of x are tested BLOCK_ENTRIES entries at a time.
+        classes.  Only representative rows r are tested, BLOCK_ENTRIES
+        entries at a time: for x = T^m r the costs satisfy
+        c(x, y) = c(r, T^-m y) bit for bit, so edge (x, y) is dropped
+        exactly when (r, T^-m y) is.
         """
         graph = self._graph.tocoo()
         nL, nS = self.n_levels, self.n_states
@@ -247,13 +281,16 @@ class BowenWaltersMetric:
         x, y = graph.row[horizontal] // nL, graph.col[horizontal] // nL
         cost = np.zeros((nL, nS, nS))
         cost[level[horizontal], x, y] = graph.data[horizontal]
+        reps = np.flatnonzero(self._rep == np.arange(nS))
         implied = np.zeros(cost.shape, dtype=bool)
         rows = max(1, BLOCK_ENTRIES // max(1, nS * nS))
         for c, out in zip(cost, implied):
-            for lo in range(0, nS, rows):
-                c_xz = c[lo:lo + rows, :, None]
-                c_xy = c[lo:lo + rows, None, :]
-                out[lo:lo + rows] = ((c_xz + c <= c_xy) & (c_xz < c_xy) & (c < c_xy)).any(axis=1)
+            for lo in range(0, len(reps), rows):
+                block = reps[lo:lo + rows]
+                c_xz = c[block, :, None]
+                c_xy = c[block, None, :]
+                out[block] = ((c_xz + c <= c_xy) & (c_xz < c_xy) & (c < c_xy)).any(axis=1)
+        implied = implied[:, self._rep[:, None], self._back[self._shift]]
         keep = ~horizontal
         keep[horizontal] = ~implied[level[horizontal], x, y]
         return csr_matrix((graph.data[keep], (graph.row[keep], graph.col[keep])),
@@ -277,17 +314,34 @@ class BowenWaltersMetric:
         """Chain infimum between the nodes (all nodes by default), with no segment budget.
 
         ``nodes`` is a vector, read as one (n, n) table, or a (k, n) stack
-        of them, read as k tables.  The rows that no earlier query solved
-        are filled by Dijkstra from BLOCK_ENTRIES // (node count) of them at
-        a time over the pruned level graph, run as directed: the graph
-        stores both directions of every edge, at one cost.
+        of them, read as k tables.  For the rows that no earlier query
+        solved, the unsolved representative nodes (r, t) are solved by
+        Dijkstra from BLOCK_ENTRIES // (node count) of them at a time over
+        the pruned level graph, run as directed: the graph stores both
+        directions of every edge, at one cost.  Row (T^m r, t) is then row
+        (r, t) read at the columns (T^-m y, k).  That is exact: sigma^m maps
+        the pruned graph onto itself with the same costs, and Dijkstra with
+        nonnegative costs returns the least left-to-right float sum over
+        paths, which sigma^m keeps path by path.
         """
         nodes = np.arange(len(self._solved)) if nodes is None else np.asarray(nodes)
         todo = np.unique(nodes[~self._solved[nodes]])
+        nL = self.n_levels
+        source = self._rep[todo // nL] * nL + todo % nL
+        solve = np.unique(source[~self._solved[source]])
         size = max(1, BLOCK_ENTRIES // len(self._solved))
-        for lo in range(0, len(todo), size):
-            block = todo[lo:lo + size]
+        for lo in range(0, len(solve), size):
+            block = solve[lo:lo + size]
             self._rows[block] = dijkstra(self._pruned, indices=block)
+        self._solved[solve] = True
+        fill = ~self._solved[todo]
+        fill, source = todo[fill], source[fill]
+        # A row viewed as (state, level) blocks: its states move, its levels stay.
+        fibers = self._rows.reshape(len(self._rows), self.n_states, nL)
+        for lo in range(0, len(fill), size):
+            block = fill[lo:lo + size]
+            back = self._back[self._shift[block // nL]]
+            self._rows[block] = fibers[source[lo:lo + size, None], back].reshape(len(block), -1)
         self._solved[todo] = True
         return self._rows[nodes[..., :, None], nodes[..., None, :]]
 

@@ -9,8 +9,13 @@ import math
 import numpy as np
 
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
+from flowdim.bandlimited import KAISER_BETA, TAPS, Signal
 from flowdim.dynamics import (
+    BLOCK_ENTRIES,
+    BowenWaltersMetric,
     DynSystem,
     RoofFunction,
     SolenoidPoint,
@@ -113,6 +118,84 @@ def kernel_rows(run, nodes, t0: float, dt: float, n: int):
         k += 1
     tables[dt, n] = phases, table
     return sliding_window_view(table, n, axis=1)[which, span - steps]
+
+
+def pruned_every_row(bw: BowenWaltersMetric):
+    """The level graph without the horizontal edges that shorter ones imply.
+
+    The redundancy test run on every row x of every level, which
+    ``BowenWaltersMetric._pruned`` runs on orbit representatives only.
+    Edge (x, y) of a level is dropped when some z has c(x, z) + c(z, y)
+    <= c(x, y) with both c(x, z) < c(x, y) and c(z, y) < c(x, y).  Rows
+    of x are tested BLOCK_ENTRIES entries at a time.
+    """
+    graph = bw._graph.tocoo()
+    nL, nS = bw.n_levels, bw.n_states
+    level = graph.row % nL
+    horizontal = level == graph.col % nL
+    x, y = graph.row[horizontal] // nL, graph.col[horizontal] // nL
+    cost = np.zeros((nL, nS, nS))
+    cost[level[horizontal], x, y] = graph.data[horizontal]
+    implied = np.zeros(cost.shape, dtype=bool)
+    rows = max(1, BLOCK_ENTRIES // max(1, nS * nS))
+    for c, out in zip(cost, implied):
+        for lo in range(0, nS, rows):
+            c_xz = c[lo:lo + rows, :, None]
+            c_xy = c[lo:lo + rows, None, :]
+            out[lo:lo + rows] = ((c_xz + c <= c_xy) & (c_xz < c_xy) & (c < c_xy)).any(axis=1)
+    keep = ~horizontal
+    keep[horizontal] = ~implied[level[horizontal], x, y]
+    return csr_matrix((graph.data[keep], (graph.row[keep], graph.col[keep])),
+                      shape=graph.shape)
+
+
+def closure_every_row(bw: BowenWaltersMetric, nodes=None):
+    """Chain infimum between the nodes by Dijkstra from every query node.
+
+    ``BowenWaltersMetric.closure`` without its orbit representatives: every
+    row a query reads is solved, BLOCK_ENTRIES // (node count) sources at a
+    time, over ``pruned_every_row(bw)`` run as directed.
+    """
+    n_nodes = bw.n_states * bw.n_levels
+    nodes = np.arange(n_nodes) if nodes is None else np.asarray(nodes)
+    graph = pruned_every_row(bw)
+    rows = np.empty((n_nodes, n_nodes))
+    todo = np.unique(nodes)
+    size = max(1, BLOCK_ENTRIES // n_nodes)
+    for lo in range(0, len(todo), size):
+        block = todo[lo:lo + size]
+        rows[block] = dijkstra(graph, indices=block)
+    return rows[nodes[..., :, None], nodes[..., None, :]]
+
+
+def evaluate_per_pair(sig: Signal, t):
+    """``Signal.evaluate`` with the Kaiser-sinc weight of every (point, tap) pair.
+
+    The form that ``Signal.evaluate`` replaced by one weight row per
+    distinct fractional offset.
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    dt = sig.grid_step
+    pos = (t + sig.window) / dt
+    j0 = np.floor(pos).astype(np.int64)
+    frac = pos - j0
+    on_grid = frac < 1e-12
+    near_next = frac > 1 - 1e-12
+    j0[near_next] += 1
+    frac[near_next] = 0.0
+    on_grid |= near_next
+    out = np.empty(len(t), dtype=complex)
+    out[on_grid] = sig.values[j0[on_grid]]
+    off = ~on_grid
+    offsets = np.arange(-(TAPS - 1), TAPS + 1)
+    rel = frac[off, None] - offsets[None, :]
+    u = rel / TAPS
+    win = (np.i0(KAISER_BETA * np.sqrt(np.clip(1.0 - u * u, 0.0, None)))
+           / np.i0(KAISER_BETA))
+    w = np.sinc(rel) * win
+    idx = j0[off, None] + offsets[None, :]
+    out[off] = (sig.values[idx] * w).sum(axis=1)
+    return out
 
 
 def spanning_number_exact(sample: MetricSample, eps: float) -> int:

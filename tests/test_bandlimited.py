@@ -21,6 +21,7 @@ from flowdim.errors import (
     InvariantViolationError,
     WindowExhaustedError,
 )
+from oracles import evaluate_per_pair
 
 
 def tone(freq, band=None, window=20.0, step=1 / 8, sup_bound=True):
@@ -90,6 +91,19 @@ class TestSignal:
             tracemalloc.stop()
         assert sig.values is v
         assert peak < 2 * 2 ** 20
+
+    def test_evaluate_shares_tap_weights_bit_for_bit(self):
+        # 50,001 points of linspace(0, 200) on a grid-0.01 signal fall on a
+        # handful of fractional offsets; random times fall on one each.
+        sig = Signal.from_function(lambda t: np.exp(2j * np.pi * 0.7 * t) + 0.5 * np.cos(t),
+                                   Band(0.0, 2.0), 201.0, 0.01)
+        t = np.linspace(0.0, 200.0, 50_001)
+        frac = (t + sig.window) / sig.grid_step % 1.0
+        assert len(np.unique(frac)) < 20
+        rng = np.random.default_rng(3)
+        for times in (t, rng.uniform(-200.0, 200.0, 2_000), np.r_[t[:50], 0.0, 0.005, -0.0],
+                      np.array([]), 3.25):
+            assert np.array_equal(sig.evaluate(times), evaluate_per_pair(sig, times))
 
     def test_grid_mismatch_rejected(self):
         f = tone(0.5)

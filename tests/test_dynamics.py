@@ -28,7 +28,7 @@ from flowdim.errors import (
 )
 from flowdim.instances import SuspensionInstance, cube_shift_system, rotation_system
 from flowdim.metric import MetricSample, OrbitMetricSpec, orbit_metric_R
-from oracles import canonical, solenoid_distance
+from oracles import canonical, closure_every_row, pruned_every_row, solenoid_distance
 
 
 def dense_min_plus(bw, source, max_segments):
@@ -126,6 +126,85 @@ def drawn_metric(data, n, grid, classes, permute):
     extra = data.draw(st.lists(st.floats(0.0, 1.0), max_size=2))
     return BowenWaltersMetric(DynSystem(MetricSample(list(range(n)), dist), step),
                               roof, grid, extra_heights=extra)
+
+
+def arc_rotation(data, n, k):
+    """Rotation by k on an n-cycle, under a drawn power and scale of the arc metric."""
+    gaps = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    power = data.draw(st.sampled_from([1.0, 0.5]))
+    dist = data.draw(st.sampled_from([1.0, 0.25, 0.3])) * np.minimum(gaps, n - gaps) ** power
+    return dist, (np.arange(n) + k) % n
+
+
+def metric_on(data, dist, step, grid):
+    """A BowenWaltersMetric on the sample and step, with a drawn roof and extra heights."""
+    n = len(dist)
+    roof = RoofFunction(data.draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n)))
+    extra = data.draw(st.lists(st.floats(0.0, 1.0), max_size=2))
+    return BowenWaltersMetric(DynSystem(MetricSample(list(range(n)), dist), step),
+                              roof, grid, extra_heights=extra)
+
+
+def isometric_metric(data, kind, grid):
+    """A BowenWaltersMetric whose step is an exact isometry of its sample.
+
+    ``rotation``: rotation by k on an n-cycle (several orbits when
+    gcd(k, n) > 1, the identity at k = 0); ``identity``: the identity step
+    on drawn points; ``mirror``: points mirrored across x = 0 in the sup
+    metric, in a drawn order, with the mirror as step (points on the axis
+    are fixed).
+    """
+    quarter = st.integers(0, 4).map(lambda k: k / 4)
+    coords = st.one_of(quarter, st.floats(0.0, 1.0))
+    if kind == "rotation":
+        n = data.draw(st.integers(1, 9))
+        dist, step = arc_rotation(data, n, data.draw(st.integers(0, n - 1)))
+    elif kind == "identity":
+        n = data.draw(st.integers(1, 7))
+        pts = np.array(data.draw(st.lists(st.tuples(coords, coords), min_size=n, max_size=n)))
+        dist = np.abs(pts[:, None] - pts[None, :]).max(axis=2)
+        step = np.arange(n)
+    else:
+        half = np.array(data.draw(st.lists(st.tuples(coords, coords), min_size=1, max_size=4)))
+        axis = np.array(data.draw(st.lists(coords, max_size=2)))
+        pts = np.r_[half, half * [-1.0, 1.0], np.c_[np.zeros(len(axis)), axis]]
+        m, n = len(half), len(pts)
+        mirror = np.r_[np.arange(m, 2 * m), np.arange(m), np.arange(2 * m, n)]
+        order = np.array(data.draw(st.permutations(range(n))))
+        pts, step = pts[order], np.argsort(order)[mirror[order]]
+        dist = np.abs(pts[:, None] - pts[None, :]).max(axis=2)
+    assert np.array_equal(dist, dist.T) and np.array_equal(dist[np.ix_(step, step)], dist)
+    return metric_on(data, dist, step, grid)
+
+
+def orbit_count(step):
+    """The number of cycles of a permutation."""
+    seen = np.zeros(len(step), dtype=bool)
+    count = 0
+    for r in range(len(step)):
+        count += not seen[r]
+        while not seen[r]:
+            seen[r] = True
+            r = step[r]
+    return count
+
+
+def count_sources(monkeypatch):
+    """Patch the closure's Dijkstra to record its source counts; returns the record."""
+    sources = []
+
+    def counted(graph, *args, indices=None, **kwargs):
+        sources.append(len(indices))
+        return dijkstra(graph, *args, indices=indices, **kwargs)
+
+    monkeypatch.setattr(flowdim.dynamics, "dijkstra", counted)
+    return sources
+
+
+def same_csr(a, b):
+    """Whether two CSR matrices hold the same arrays, dtypes included."""
+    return all(np.array_equal(x, y) and x.dtype == y.dtype
+               for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)))
 
 
 @pytest.fixture
@@ -347,6 +426,64 @@ class TestBowenWalters:
         np.testing.assert_array_equal(pruned.data[forward], pruned.data[backward])
         assert np.array_equal(bw.closure(), dijkstra(bw._pruned, directed=False))
 
+    @settings(max_examples=80)
+    @given(data=st.data(), kind=st.sampled_from(["rotation", "identity", "mirror"]),
+           grid=st.integers(1, 6))
+    def test_orbit_closure_matches_the_every_row_oracles(self, data, kind, grid):
+        bw = isometric_metric(data, kind, grid)
+        assert same_csr(bw._pruned, pruned_every_row(bw))
+        n_nodes = bw.n_states * bw.n_levels
+        query = np.array(data.draw(st.lists(st.integers(0, n_nodes - 1), min_size=2,
+                                            max_size=12)))
+        with pytest.MonkeyPatch.context() as patch:
+            sources = count_sources(patch)
+            # A partial stack query first, so that later rows are filled from
+            # representatives solved by an earlier query.
+            head = query[None, :2]
+            assert np.array_equal(bw.closure(head), closure_every_row(bw, head))
+            assert np.array_equal(bw.closure(query), closure_every_row(bw, query))
+            assert np.array_equal(bw.closure(), closure_every_row(bw))
+        assert sum(sources) == orbit_count(bw.sys.step) * bw.n_levels
+
+    @pytest.mark.parametrize("sys,grid,orbits", [(rotation_system(96), 16, 1),
+                                                  (rotation_system(12), 10, 1),
+                                                  (rotation_system(12), 4, 1),
+                                                  (rotation_system(7), 3, 1),
+                                                  (cube_shift_system(1, 3), 4, 64)])
+    def test_closure_solves_one_row_per_orbit_and_level(self, monkeypatch, sys, grid, orbits):
+        # The cube shift's base metric reads block 0 only, so the shift is
+        # no isometry: every row is its own representative.
+        bw = BowenWaltersMetric(sys, RoofFunction.constant(1.0, len(sys)), grid)
+        sources = count_sources(monkeypatch)
+        got = bw.closure()
+        assert sum(sources) == orbits * bw.n_levels
+        assert same_csr(bw._pruned, pruned_every_row(bw))
+        assert np.array_equal(got, closure_every_row(bw))
+
+    @settings(max_examples=40)
+    @given(data=st.data(), n=st.integers(3, 9), grid=st.integers(1, 6),
+           moved=st.sampled_from(["pair", "entry", "cycle"]))
+    def test_near_isometry_solves_every_query_row(self, data, n, grid, moved):
+        dist, step = arc_rotation(data, n, data.draw(st.integers(1, n - 1)))
+        # Distances moved by an ulp, so that the rotation is an isometry to
+        # the last digit but not exactly: one symmetric pair, one entry of
+        # it, or every d(i, i + 1), which keeps d T-invariant but not symmetric.
+        i, j = (np.arange(n), (np.arange(n) + 1) % n) if moved == "cycle" else (0, 1)
+        dist[i, j] = np.nextafter(dist[i, j], np.inf)
+        if moved == "pair":
+            dist[1, 0] = dist[0, 1]
+        bw = metric_on(data, dist, step, grid)
+        assert same_csr(bw._pruned, pruned_every_row(bw))
+        n_nodes = bw.n_states * bw.n_levels
+        query = np.array(data.draw(st.lists(st.integers(0, n_nodes - 1), min_size=1,
+                                            max_size=12)))
+        with pytest.MonkeyPatch.context() as patch:
+            sources = count_sources(patch)
+            assert np.array_equal(bw.closure(query), closure_every_row(bw, query))
+            assert sum(sources) == len(np.unique(query))
+            assert np.array_equal(bw.closure(), closure_every_row(bw))
+        assert sum(sources) == n_nodes
+
     @pytest.mark.parametrize("N", [2, 3])
     def test_pruned_closure_keeps_the_cube_shift_zero_classes(self, N):
         # The base metric reads block 0 only: classes of 4^(N-1) states at
@@ -453,8 +590,9 @@ class TestMappingTorus:
         monkeypatch.setattr(flowdim.dynamics, "dijkstra", counted)
         torus = mapping_torus(rotation_system(12), height_grid=4)
         table = torus.metric_matrix(torus.evolve(torus.values, 0.1))
-        # One Dijkstra from the 12 query nodes of a 12 x 6-node graph.
-        assert sources == [12]
+        # The 12 query nodes of a 12 x 6-node graph share one level and one
+        # rotation orbit: one Dijkstra source, the other 11 rows permuted.
+        assert sources == [1]
         np.testing.assert_allclose(table, rotation_system(12).base.dist, rtol=0, atol=1e-12)
 
     def test_window_allocates_under_half_the_closure_rows(self, monkeypatch):
@@ -477,9 +615,26 @@ class TestMappingTorus:
         finally:
             tracemalloc.stop()
         assert peak < n_nodes * n_nodes * 8 / 2
-        assert sum(sources) == 96 * 16
+        # One source per level that a point visits: the rotation is one orbit.
+        assert sum(sources) == 16
         assert max(sources) <= flowdim.dynamics.BLOCK_ENTRIES // n_nodes
         np.testing.assert_array_equal(window.dist, rotation_system(96).base.dist)
+
+    def test_pipeline_window_solves_one_row_per_level(self, monkeypatch):
+        sources = count_sources(monkeypatch)
+        flow = SuspensionInstance.build(base_size=12, n_heights=10).flow
+        window = orbit_metric_R(flow, OrbitMetricSpec("R-window", 2.0, 0.1))
+        # The 120 every-height points of the 12-state rotation visit 10
+        # levels; the rotation is one orbit, so one source per level.
+        assert sum(sources) == 10
+        bw = BowenWaltersMetric(rotation_system(12), RoofFunction.constant(1.0, 12), 10)
+        want = 0.0
+        for t in np.arange(0.0, 2.05, 0.1):
+            moved = flow.evolve(flow.values, float(t))
+            nodes = bw.nodes(np.array([p.state for p in moved]),
+                             np.array([p.height for p in moved]))
+            want = np.maximum(want, closure_every_row(bw, nodes))
+        assert np.array_equal(window.dist, want)
 
     def test_every_height_values_and_ids(self):
         torus = mapping_torus(rotation_system(6), height_grid=4, every_height=True)
