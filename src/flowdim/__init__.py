@@ -33,7 +33,7 @@ from .bandlimited import (
 from .dynamics import (
     BowenWaltersMetric,
     DynSystem,
-    FlowSystem,
+    MappingTorus,
     RoofFunction,
     SolenoidPoint,
     SuspensionPoint,

@@ -10,7 +10,7 @@ configuration error.  ``main`` merges the two, builds the
 writes the run manifest.  All randomness flows from the single ``seed``
 key.  Exit codes: 0 when all internal contract checks pass, 1 on a
 contract violation (a diagnostic report is still written), 2 on usage or
-configuration errors.
+configuration errors, a malformed sample or system manifest among them.
 """
 
 from __future__ import annotations

@@ -41,11 +41,14 @@ BLOCK_ENTRIES = 1 << 16
 
 
 class DynSystem:
-    """A finite sample with a total step map, acting as a Z-system stand-in."""
+    """A finite sample with a total step map of integer state indices (a Z-system)."""
 
     def __init__(self, base: MetricSample, step):
         self.base = base
-        self.step = np.asarray(step, dtype=np.int64)
+        step = np.asarray(step)
+        if step.size and step.dtype.kind not in "iu":
+            raise InvariantViolationError("step entries must be integers")
+        self.step = step.astype(np.int64)
         n = len(base)
         if self.step.shape != (n,) or (n and (self.step.min() < 0 or self.step.max() >= n)):
             raise InvariantViolationError("step must map state indices to state indices")
@@ -59,34 +62,13 @@ class DynSystem:
         return len(self.base)
 
 
-class FlowSystem:
-    """A finite sample of flow states with a time-t evolution and a metric.
-
-    ``values`` are representative points (need not be closed under the
-    flow at all times); ``evolve(values, t)`` returns their time-t images;
-    ``metric_matrix(values)`` the distance table of a list of values.
-    ``window_blocks(times)`` yields, in order, runs of k of the times with
-    the (k, n, n) stacks of their tables metric_matrix(evolve(values, t)).
-    """
-
-    def __init__(self, values, evolve, metric_matrix, window_blocks, ids=None):
-        self.values = list(values)
-        self.evolve = evolve
-        self.metric_matrix = metric_matrix
-        self.window_blocks = window_blocks
-        self._ids = list(ids) if ids is not None else list(range(len(self.values)))
-
-    def point_ids(self):
-        return list(self._ids)
-
-
 class RoofFunction:
-    """Positive return times over the base states."""
+    """Positive, finite return times over the base states."""
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
-        if self.values.ndim != 1 or np.any(self.values <= 0):
-            raise InvariantViolationError("roof values must be positive")
+        if self.values.ndim != 1 or not np.all((self.values > 0) & (self.values < np.inf)):
+            raise InvariantViolationError("roof values must be positive and finite")
 
     @classmethod
     def constant(cls, value, n):
@@ -420,53 +402,68 @@ def bw_distance(p: SuspensionPoint, q: SuspensionPoint, sys: DynSystem,
     return bw.distance(p, q, max_segments=max_segments)
 
 
-def mapping_torus(sys: DynSystem, height_grid: int = 16,
-                  every_height: bool = False) -> FlowSystem:
-    """Roof-1 suspension packaged as a FlowSystem under the BW metric.
+class MappingTorus:
+    """The roof-1 suspension of a Z-system, sampled, under the BW metric.
 
-    Sample values are the height-0 points, on which the time-1 map is T;
-    with ``every_height`` they are every grid point (i, j / height_grid),
-    j < height_grid, state-major.  Ids are (base id, j) pairs; ``evolve``
-    is ``suspend``.  Tables read the chain-infimum rows of their points
-    from one metric on the grid, solved on first use; a table whose
-    heights leave the grid is read from one metric on the grid plus them.
-    ``window_blocks`` takes the times a BLOCK_ENTRIES-sized table stack at
-    a time: one array flow, one node lookup and one closure read per block;
-    a time off the grid builds its own metric, as ``metric_matrix`` does.
+    ``values`` are the height-0 points, on which the time-1 map is T; with
+    ``every_height`` they are every grid point (i, j / height_grid),
+    j < height_grid, state-major.  ``point_ids()`` are (base id, j) pairs
+    and ``evolve`` is ``suspend``.  ``metric_matrix(values)`` reads its
+    points' chain-infimum rows from one metric on the grid, solved on first
+    use, or from one metric on the grid plus the heights that leave it.
+    ``window_blocks(times)`` yields, in order, runs of k of the times with
+    the (k, n, n) stacks of the tables of the values flowed by each time, a
+    BLOCK_ENTRIES-sized stack at a time: one array flow, one node lookup
+    and one closure read per block, and one metric per time off the grid.
     """
-    roof = RoofFunction.constant(1.0, len(sys))
-    bw = BowenWaltersMetric(sys, roof, height_grid)
 
-    def metric_matrix(values):
-        states, heights = _canonical(sys, roof, *_arrays(values))
-        nodes = bw.nodes(states, heights)
-        if (nodes >= 0).all():
-            return bw.closure(nodes)
-        return BowenWaltersMetric(sys, roof, height_grid,
-                                  extra_heights=np.unique(heights[nodes < 0])).matrix(values)
+    def __init__(self, sys: DynSystem, height_grid: int, every_height: bool):
+        self.sys = sys
+        self.roof = RoofFunction.constant(1.0, len(sys))
+        self.height_grid = height_grid
+        self._bw = BowenWaltersMetric(sys, self.roof, height_grid)
+        slots = range(height_grid if every_height else 1)
+        self.values = [SuspensionPoint(i, j / height_grid) for i in range(len(sys)) for j in slots]
+        self._ids = [(x, j) for x in sys.base.points for j in slots]
 
-    def window_blocks(times):
-        n = len(values)
-        states, heights = _arrays(values)
+    def point_ids(self):
+        return list(self._ids)
+
+    def evolve(self, values, t):
+        return suspend(self.sys, self.roof, values, t)
+
+    def metric_matrix(self, values):
+        return self._table(*_canonical(self.sys, self.roof, *_arrays(values)))
+
+    def _table(self, states, heights):
+        """The table of the canonical points (states[i], heights[i])."""
+        off = self._bw.nodes(states, heights) < 0
+        bw = self._bw if not off.any() else BowenWaltersMetric(
+            self.sys, self.roof, self.height_grid, extra_heights=np.unique(heights[off]))
+        return bw.closure(bw.nodes(states, heights))
+
+    def window_blocks(self, times):
+        n = len(self.values)
+        states, heights = _arrays(self.values)
         size = max(1, BLOCK_ENTRIES // max(1, n * n))
         for lo in range(0, len(times), size):
             block = times[lo:lo + size]
             k = len(block)
-            at, h = (a.reshape(k, n) for a in _flow(sys, roof, np.tile(states, k),
+            at, h = (a.reshape(k, n) for a in _flow(self.sys, self.roof, np.tile(states, k),
                                                     np.tile(heights, k), np.repeat(block, n)))
-            nodes = bw.nodes(at, h)
+            nodes = self._bw.nodes(at, h)
             on_grid = (nodes >= 0).all(axis=1)
             tables = np.empty((k, n, n))
-            tables[on_grid] = bw.closure(nodes[on_grid])
+            tables[on_grid] = self._bw.closure(nodes[on_grid])
             for i in np.flatnonzero(~on_grid):
-                tables[i] = metric_matrix([*map(SuspensionPoint, at[i].tolist(), h[i].tolist())])
+                tables[i] = self._table(at[i], h[i])
             yield block, tables
 
-    slots = range(height_grid if every_height else 1)
-    values = [SuspensionPoint(i, j / height_grid) for i in range(len(sys)) for j in slots]
-    ids = [(x, j) for x in sys.base.points for j in slots]
-    return FlowSystem(values, functools.partial(suspend, sys, roof), metric_matrix,
-                      window_blocks, ids=ids)
+
+def mapping_torus(sys: DynSystem, height_grid: int = 16,
+                  every_height: bool = False) -> MappingTorus:
+    """The ``MappingTorus`` of ``sys`` on the given height grid."""
+    return MappingTorus(sys, height_grid, every_height)
 
 
 def _factorials(K):

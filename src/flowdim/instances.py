@@ -19,7 +19,7 @@ import numpy as np
 from .bandlimited import Band, Signal
 from .dynamics import (
     DynSystem,
-    FlowSystem,
+    MappingTorus,
     SolenoidPoint,
     mapping_torus,
     solenoid_from_time,
@@ -108,7 +108,7 @@ class SuspensionInstance:
     orbit coordinate modulo n!.
     """
 
-    flow: FlowSystem
+    flow: MappingTorus
     depth: int
     base_size: int
     n_heights: int

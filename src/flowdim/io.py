@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import DynSystem, RoofFunction
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InvariantViolationError, MetricInvariantError
 from .metric import MetricSample
 
 
@@ -50,13 +50,18 @@ def load_sample(data) -> MetricSample:
     Either ``{"points": [...], "metric": "euclidean"|"sup"}`` with
     coordinate tuples, ``{"points": [...], "metric": "circle",
     "period": P}`` with scalars, or ``{"ids": [...], "matrix": [[...]]}``.
+    Any other shape is a ``ConfigurationError``.
     """
+    if not isinstance(data, dict) or ("matrix" not in data and not np.ndim(data.get("points"))):
+        raise ConfigurationError("a sample manifest is an object with a points list or a matrix")
     if "matrix" in data:
         ids = data.get("ids", list(range(len(data["matrix"]))))
         return MetricSample(ids, np.asarray(data["matrix"], dtype=float))
     points = data["points"]
     kind = data.get("metric", "euclidean")
     if kind == "circle":
+        if "period" not in data:
+            raise ConfigurationError("a circle sample needs a period")
         period = float(data["period"])
         vals = np.asarray(points, dtype=float)
         gaps = np.abs(vals[:, None] - vals[None, :]) % period
@@ -68,24 +73,33 @@ def load_sample(data) -> MetricSample:
 
 
 def load_sample_json(path) -> MetricSample:
-    with Path(path).open() as fh:
-        return load_sample(json.load(fh))
+    return _load_json(path, load_sample)
 
 
 def load_system(data) -> tuple[DynSystem, RoofFunction | None]:
     """Build a DynSystem (and optional roof) from a JSON-style manifest.
 
     Expected keys: the sample description (as in ``load_sample``),
-    ``step`` (index list), and optionally ``roof`` (positive values).
+    ``step`` (integer index list), and optionally ``roof`` (positive,
+    finite values), both with one entry per sample point.
     """
     sample = load_sample(data)
-    step = data["step"]
-    if len(step) != len(sample):
-        raise ConfigurationError("step table length must match the sample")
+    n = len(sample)
+    if np.shape(data.get("step")) != (n,) or np.shape(data.get("roof", np.ones(n))) != (n,):
+        raise ConfigurationError(f"step and roof tables must have one entry per point ({n})")
     roof = RoofFunction(data["roof"]) if "roof" in data else None
-    return DynSystem(sample, step), roof
+    return DynSystem(sample, data["step"]), roof
 
 
 def load_system_json(path):
+    return _load_json(path, load_system)
+
+
+def _load_json(path, load):
+    """``load`` of the JSON file at path; a manifest failing its checks is a ConfigurationError."""
     with Path(path).open() as fh:
-        return load_system(json.load(fh))
+        data = json.load(fh)
+    try:
+        return load(data)
+    except (InvariantViolationError, MetricInvariantError) as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc

@@ -12,6 +12,7 @@ estimate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -78,10 +79,10 @@ class MetricSample:
 
 @dataclass
 class OrbitMetricSpec:
-    """Window description for an orbit metric.
+    """Window description for an orbit metric of a flow.
 
-    ``kind`` is ``"Z-window"`` (horizon counts steps) or ``"R-window"``
-    (horizon is a time length; ``time_step`` grids the sup over [0, R]).
+    ``kind`` is ``"R-window"``: the horizon is a time length R, and
+    ``time_step`` grids the sup over [0, R].
     """
 
     kind: str
@@ -89,15 +90,14 @@ class OrbitMetricSpec:
     time_step: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("Z-window", "R-window"):
+        if self.kind != "R-window":
             raise InvalidHorizonError(f"unknown window kind {self.kind!r}")
-        if self.horizon <= 0:
-            raise InvalidHorizonError("window horizon must be positive")
-        if self.kind == "R-window":
-            if self.time_step is None:
-                self.time_step = self.horizon / 256.0
-            if not (0 < self.time_step <= self.horizon):
-                raise InvalidHorizonError("time_step must lie in (0, horizon]")
+        if not 0 < self.horizon < math.inf:
+            raise InvalidHorizonError("window horizon must be positive and finite")
+        if self.time_step is None:
+            self.time_step = self.horizon / 256.0
+        if not (0 < self.time_step <= self.horizon):
+            raise InvalidHorizonError("time_step must lie in (0, horizon]")
 
 
 @dataclass
@@ -194,7 +194,7 @@ def spanning_number(sample: MetricSample, eps: float) -> int:
 
 def orbit_metric_Z(sys, N: int) -> MetricSample:
     """Window metric max_{0<=n<N} d(T^n x, T^n y) on the system's sample."""
-    if int(N) != N or N < 1:
+    if not math.isfinite(N) or int(N) != N or N < 1:
         raise InvalidHorizonError("window length N must be a positive integer")
     N = int(N)
     base = sys.base.dist
@@ -215,8 +215,6 @@ def orbit_metric_R(flow, spec: OrbitMetricSpec) -> MetricSample:
     over the table stacks of ``flow.window_blocks``, a block of grid times
     at a time.
     """
-    if spec.kind != "R-window":
-        raise InvalidHorizonError("orbit_metric_R expects an R-window spec")
     R, dt = spec.horizon, spec.time_step
     times = np.arange(0.0, R + dt * 0.5, dt)
     if times[-1] < R - 1e-12:
@@ -253,35 +251,31 @@ def mdim_table(sys, eps_list, N_list) -> DimensionTable:
     entries stabilize near m in the grid regime.  Diagnostics record
     epsilon-antitonicity failures (possible outside the regime).
     """
-    _check_lists(eps_list, N_list)
-    rows = []
-    for N in N_list:
-        window = orbit_metric_Z(sys, N)
-        for eps in eps_list:
-            rows.append((float(eps), int(N), widim_upper(window, eps) / N))
-    return DimensionTable(rows, kind="widim_upper/N",
-                          diagnostics=_antitone_diagnostics(rows, eps_list, N_list))
+    return _table(functools.partial(orbit_metric_Z, sys), eps_list, N_list, "widim_upper/N",
+                  lambda window, eps, N: widim_upper(window, eps) / N)
 
 
 def metric_mdim_table(sys, eps_list, n_list) -> DimensionTable:
     """Table of log A(X, eps, d, n) / (n * |log eps|) with greedy spanning sets."""
-    _check_lists(eps_list, n_list)
-    rows = []
-    for n in n_list:
-        window = orbit_metric_Z(sys, n)
-        for eps in eps_list:
-            count = spanning_number(window, eps)
-            value = math.log(count) / (n * abs(math.log(eps))) if count > 0 else 0.0
-            rows.append((float(eps), int(n), value))
-    return DimensionTable(rows, kind="log_spanning/(n|log eps|)",
-                          diagnostics=_antitone_diagnostics(rows, eps_list, n_list))
+    def value(window, eps, n):
+        count = spanning_number(window, eps)
+        return math.log(count) / (n * abs(math.log(eps))) if count > 0 else 0.0
+    return _table(functools.partial(orbit_metric_Z, sys), eps_list, n_list,
+                  "log_spanning/(n|log eps|)", value)
 
 
-def _check_lists(eps_list, n_list):
+def _table(window, eps_list, n_list, kind, value) -> DimensionTable:
+    """The rows (eps, n, value(window(n), eps, n)) over sorted, nonempty lists."""
     if not len(eps_list) or not len(n_list):
         raise ValueError("epsilon and window lists must be nonempty")
     if list(eps_list) != sorted(eps_list) or list(n_list) != sorted(n_list):
         raise ValueError("epsilon and window lists must be sorted ascending")
+    rows = []
+    for n in n_list:
+        sample = window(n)
+        rows += [(float(eps), int(n), value(sample, eps, n)) for eps in eps_list]
+    return DimensionTable(rows, kind=kind,
+                          diagnostics=_antitone_diagnostics(rows, eps_list, n_list))
 
 
 def _antitone_diagnostics(rows, eps_list, n_list):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -295,6 +296,17 @@ class TestSuspend:
                 suspend(rot12, roof1, [SuspensionPoint(0, 0.5), bad], 0.5)
             with pytest.raises(InvariantViolationError):
                 canonical(bad, rot12, roof1)
+
+    @pytest.mark.parametrize("step", [[1.5, 0], [1.0, 0.0], [True, False], ["1", "0"]])
+    def test_step_entries_must_be_integers(self, step):
+        base = MetricSample([0, 1], np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(InvariantViolationError, match="integers"):
+            DynSystem(base, step)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+    def test_roof_values_must_be_positive_and_finite(self, value):
+        with pytest.raises(InvariantViolationError, match="positive and finite"):
+            RoofFunction([1.0, value])
 
 
 class TestBowenWalters:

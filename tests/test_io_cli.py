@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shlex
@@ -12,13 +13,15 @@ import pytest
 from flowdim import cli
 from flowdim.cli import main
 from flowdim.dynamics import RoofFunction, SuspensionPoint, bw_distance, suspend
+from flowdim.instances import cube_shift_system
 from flowdim.io import (
+    _fmt,
     load_sample,
     load_sample_json,
     load_system,
     write_table_csv,
 )
-from flowdim.metric import widim_upper
+from flowdim.metric import metric_mdim_table, widim_upper
 from oracles import sample_distance
 
 
@@ -227,6 +230,54 @@ def test_missing_required_option_exits_2_and_writes_nothing(tmp_path, sub):
     out = tmp_path / "out"
     assert main(["--out", str(out), sub]) == 2
     assert not out.exists()
+
+
+CIRCLE = {"points": [0.0, 0.25, 0.5, 0.75], "metric": "circle", "period": 1.0,
+          "step": [1, 2, 3, 0]}
+
+
+def _without(key):
+    return {k: v for k, v in CIRCLE.items() if k != key}
+
+
+@pytest.mark.parametrize("sub,flag,manifest", [
+    ("bw-metric", "--system", {**CIRCLE, "roof": [1.0, 1.0]}),
+    ("bw-metric", "--system", {**CIRCLE, "roof": [1.0] * 5}),
+    ("bw-metric", "--system", _without("points")),
+    ("bw-metric", "--system", _without("step")),
+    ("bw-metric", "--system", _without("period")),
+    ("bw-metric", "--system", [0.0, 0.25, 0.5, 0.75]),
+    ("bw-metric", "--system", {**CIRCLE, "step": [1.5, 2, 3, 0]}),
+    ("bw-metric", "--system", {**CIRCLE, "step": [1, 2, 3, 4]}),
+    ("bw-metric", "--system", {**CIRCLE, "roof": [1.0, math.inf, 1.0, 1.0]}),
+    ("bw-metric", "--system", {**CIRCLE, "roof": [1.0, math.nan, 1.0, 1.0]}),
+    ("widim-sweep", "--sample", [[0, 0], [1, 0]]),
+    ("widim-sweep", "--sample", {"metric": "sup"}),
+    ("widim-sweep", "--sample", {"points": 5, "metric": "sup"}),
+    ("widim-sweep", "--sample", _without("period")),
+    ("widim-sweep", "--sample", {"matrix": [[0.0, 1.0], [2.0, 0.0]]}),
+], ids=["short-roof", "long-roof", "no-points", "no-step", "no-period", "list", "float-step",
+        "step-out-of-range", "infinite-roof", "nan-roof", "sample-list", "sample-no-points",
+        "scalar-points", "sample-no-period", "asymmetric-matrix"])
+def test_malformed_manifest_exits_2_and_writes_nothing(tmp_path, capsys, sub, flag, manifest):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    assert main(["--out", str(out), sub, flag, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not out.exists()
+
+
+def test_mdim_table_metric_mean_writes_the_spanning_table(tmp_path):
+    assert main(["--out", str(tmp_path), "mdim-table", "--family", "cube", "--D", "2",
+                 "--N-max", "4", "--metric-mean", "yes"]) == 0
+    [csv_path] = tmp_path.glob("mdim-table-*.csv")
+    [json_path] = (p for p in tmp_path.glob("mdim-table-*.json")
+                   if not p.name.endswith("-manifest.json"))
+    table = metric_mdim_table(cube_shift_system(2, 4), [0.3], [1, 2, 3, 4])
+    lines = csv_path.read_text().splitlines()
+    assert lines == ["epsilon,N,value"] + [",".join(map(_fmt, row)) for row in table.rows]
+    assert json.loads(json_path.read_text())["kind"] == "log_spanning/(n|log eps|)"
 
 
 def test_kernel_report_with_zero_bump_width_exits_2(tmp_path, capsys):

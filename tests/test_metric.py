@@ -83,6 +83,16 @@ class TestOrbitMetricZ:
         with pytest.raises(InvalidHorizonError):
             orbit_metric_Z(sys, 0)
 
+    @pytest.mark.parametrize("N", [math.inf, math.nan])
+    def test_non_finite_horizon(self, N):
+        sys = rotation_system(4)
+        with pytest.raises(InvalidHorizonError):
+            orbit_metric_Z(sys, N)
+        with pytest.raises(InvalidHorizonError):
+            mdim_table(sys, [0.5], [1, N])
+        with pytest.raises(InvalidHorizonError):
+            metric_mdim_table(sys, [0.5], [1, N])
+
 
 class TestOrbitMetricR:
     def test_zero_horizon_grid_is_base(self):
@@ -141,6 +151,17 @@ class TestOrbitMetricR:
     def test_default_time_step(self):
         spec = OrbitMetricSpec("R-window", horizon=2.0)
         assert spec.time_step == pytest.approx(2.0 / 256)
+
+    @pytest.mark.parametrize("horizon", [math.inf, -math.inf, math.nan])
+    def test_non_finite_horizon(self, horizon):
+        with pytest.raises(InvalidHorizonError, match="positive and finite"):
+            OrbitMetricSpec("R-window", horizon)
+        with pytest.raises(InvalidHorizonError, match="positive and finite"):
+            OrbitMetricSpec("R-window", horizon, 0.1)
+
+    def test_only_R_windows(self):
+        with pytest.raises(InvalidHorizonError, match="window kind"):
+            OrbitMetricSpec("Z-window", 3)
 
 
 class TestWidimUpper:
