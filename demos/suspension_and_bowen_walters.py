@@ -39,12 +39,12 @@ print("base points 0 and 3:",
 print("mixed (1, .25) vs (7, .75):",
       bw_distance(SuspensionPoint(1, 0.25), SuspensionPoint(7, 0.75), base, roof))
 
-# Refining the height grid or allowing more segments only improves the
-# upper bound:
+# Chains may hold any number of segments; refining the height grid only
+# improves the upper bound:
 p1, q1 = SuspensionPoint(1, 0.25), SuspensionPoint(7, 0.75)
 for grid in (4, 8, 16):
     print(f"height_grid={grid:2d}:",
-          bw_distance(p1, q1, base, roof, max_segments=8, height_grid=grid))
+          bw_distance(p1, q1, base, roof, height_grid=grid))
 
 # ## The mapping torus and its window metrics
 #

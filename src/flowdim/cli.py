@@ -243,14 +243,13 @@ def cmd_bw_metric(runner, params):
     if roof is None:
         roof = RoofFunction.constant(1.0, len(sys))
     grid = params.get("height-grid", 16)
-    segments = params.get("max-segments", 16)
     points = [SuspensionPoint(i, 0.0) for i in range(len(sys))]
-    mat = BowenWaltersMetric(sys, roof, grid).matrix(points, max_segments=segments)
+    mat = BowenWaltersMetric(sys, roof, grid).matrix(points)
     rows = ((i, j, mat[i, j]) for i in range(len(sys)) for j in range(len(sys)))
     write_table_csv(runner.path(".csv"), rows, header=("i", "j", "bw_distance"))
     symmetric = bool(np.allclose(mat, mat.T, atol=1e-9))
     runner.write_json(".json", {"symmetric": symmetric,
-                                "height_grid": grid, "max_segments": segments,
+                                "height_grid": grid,
                                 "note": "upper bounds of the chain infimum"})
     return symmetric
 
@@ -302,7 +301,7 @@ COMMANDS = {
                    {"family": str, "D": int, "N-max": int, "eps-list": str,
                     "metric-mean": str, "system": str}),
     "bw-metric": (cmd_bw_metric, "Bowen-Walters distance table",
-                  {"system": str, "height-grid": int, "max-segments": int}),
+                  {"system": str, "height-grid": int}),
     "embed-pipeline": (cmd_embed_pipeline, "end-to-end delta-embedding run",
                        {"delta": float, "rho": str, "N": int, "base-size": int,
                         "heights": int, "seed": int}),

@@ -4,26 +4,24 @@ Suspension points are stored in canonical form: height in [0, f(x)),
 with (x, f(x)) rewritten as (Tx, 0), by ``_canonical`` on arrays of
 points; ``_flow`` flows arrays of points, each by its own time, and
 ``suspend`` wraps it.  The Bowen-Walters distance is computed on a finite
-graph of (state, height-level) nodes in roof-1 normalized coordinates; it
-is an upper bound of the true path infimum, antitone as the segment
-budget grows and as the height grid refines along nested (divisibility)
-chains.  ``BowenWaltersMetric.closure(nodes)`` is the one query without a
-segment budget: it runs Dijkstra on the level graph pruned of the
-horizontal edges that shorter ones imply.  When T is a bijection and the
+graph of (state, height-level) nodes in roof-1 normalized coordinates,
+over chains of any number of segments; it is an upper bound of the true
+path infimum, antitone as the height grid refines along nested
+(divisibility) chains.  ``BowenWaltersMetric`` holds one graph, each
+level's horizontal edges pruned of those that shorter ones imply, and
+``closure(nodes)`` runs Dijkstra on it.  When T is a bijection and the
 sample metric d is exactly symmetric and T-invariant, (x, t) -> (Tx, t)
 maps the level graph onto itself cost for cost, so the closure and the
 pruning are solved once per T-orbit and permuted to the other states.
-Budgeted queries count edges, so they run on the full level graph.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import (
@@ -149,11 +147,10 @@ class BowenWaltersMetric:
     vertical segments cost flow time.  ``height_grid`` counts the
     uniform grid cells, so levels are {j/height_grid}.
 
-    ``closure(nodes)`` is the chain infimum without a segment budget,
-    solved on the pruned level graph (``_pruned``, built on the first
-    closure query); the chain lengths equal those of the full graph up to
-    rounding.  A budgeted ``matrix`` runs on the full graph, since a
-    dropped edge costs a chain of two segments or more.
+    ``closure(nodes)`` is the chain infimum over chains of any number of
+    segments, solved on the one graph ``_build`` makes: the level graph
+    without the horizontal edges that shorter ones imply.  Its chain
+    lengths equal those of the full level graph up to rounding.
 
     Each state x = T^m r is stored with the representative r of its
     T-orbit and the shift m.  When ``sys.inverse`` is set and the base
@@ -185,46 +182,22 @@ class BowenWaltersMetric:
         self._build()
 
     def _build(self):
+        """The orbit data and the pruned level graph ``_graph``.
+
+        Horizontal edge (x, y) of a level is dropped when some z has
+        c(x, z) + c(z, y) <= c(x, y) with both c(x, z) < c(x, y) and
+        c(z, y) < c(x, y).  By induction on edge cost every dropped edge is
+        the length of a chain of kept ones, so the chain infimum is
+        unchanged; the strict inequalities keep every zero-cost edge, and
+        with them the zero-cost classes.  Only representative rows r are
+        tested, BLOCK_ENTRIES entries at a time: for x = T^m r the costs
+        satisfy c(x, y) = c(r, T^-m y) bit for bit, so edge (x, y) is
+        dropped exactly when (r, T^-m y) is.
+        """
         d = self.sys.base.dist
         step = self.sys.step
         nL, nS = self.n_levels, self.n_states
         n_nodes = nS * nL
-        rows, cols, costs = [], [], []
-
-        # Horizontal edges at each level (complete graph per level).
-        iu, ju = np.triu_indices(nS, k=1)
-        d_now = d[iu, ju]
-        d_next = d[step[iu], step[ju]]
-        for li, t in enumerate(self.levels):
-            rows.append(iu * nL + li)
-            cols.append(ju * nL + li)
-            costs.append((1.0 - t) * d_now + t * d_next)
-
-        # Vertical edges within a fiber (adjacent levels), then the gluing:
-        # (x, 1) is the same point as (Tx, 0).  Only these edges change
-        # level, so only they can share a node pair (at height_grid 1 a fixed
-        # point's vertical edge is its gluing edge); a pair keeps its least cost.
-        fiber = np.arange(nS) * nL
-        ends = np.concatenate([np.c_[fiber + li, fiber + li + 1] for li in range(nL - 1)]
-                              + [np.c_[fiber + nL - 1, step * nL]])
-        gaps = np.r_[np.repeat(np.diff(self.levels), nS), np.zeros(nS)]
-        ends.sort(axis=1)
-        key = ends[:, 0] * n_nodes + ends[:, 1]
-        order = np.lexsort((gaps, key))
-        first = order[np.r_[True, np.diff(key[order]) != 0]]
-        rows.append(ends[first, 0])
-        cols.append(ends[first, 1])
-        costs.append(gaps[first])
-
-        rows, cols, costs = (np.concatenate(a) for a in (rows, cols, costs))
-        self._graph = coo_matrix(
-            (np.concatenate([costs, costs]),
-             (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
-            shape=(n_nodes, n_nodes)).tocsr()
-        # Chain-infimum rows, solved on demand and written in place, so the
-        # memory of rows that no table reads is never touched.
-        self._rows = np.empty((n_nodes, n_nodes))
-        self._solved = np.zeros(n_nodes, dtype=bool)
 
         # Orbit representative and shift of each state; _back[m] is T^-m.
         self._rep, self._shift = np.arange(nS), np.zeros(nS, dtype=np.int64)
@@ -242,27 +215,12 @@ class BowenWaltersMetric:
                 back.append(inverse[back[-1]])
         self._back = np.array(back)
 
-    @functools.cached_property
-    def _pruned(self):
-        """The level graph without the horizontal edges that shorter ones imply.
-
-        Edge (x, y) of a level is dropped when some z has c(x, z) + c(z, y)
-        <= c(x, y) with both c(x, z) < c(x, y) and c(z, y) < c(x, y).  By
-        induction on edge cost every dropped edge is the length of a chain
-        of kept ones, so the chain infimum is unchanged; the strict
-        inequalities keep every zero-cost edge, and with them the zero-cost
-        classes.  Only representative rows r are tested, BLOCK_ENTRIES
-        entries at a time: for x = T^m r the costs satisfy
-        c(x, y) = c(r, T^-m y) bit for bit, so edge (x, y) is dropped
-        exactly when (r, T^-m y) is.
-        """
-        graph = self._graph.tocoo()
-        nL, nS = self.n_levels, self.n_states
-        level = graph.row % nL
-        horizontal = level == graph.col % nL
-        x, y = graph.row[horizontal] // nL, graph.col[horizontal] // nL
+        # Horizontal costs of each level, read from the upper triangle and mirrored.
+        iu, ju = np.triu_indices(nS, k=1)
+        t = self.levels[:, None]
         cost = np.zeros((nL, nS, nS))
-        cost[level[horizontal], x, y] = graph.data[horizontal]
+        cost[:, iu, ju] = (1.0 - t) * d[iu, ju] + t * d[step[iu], step[ju]]
+        cost[:, ju, iu] = cost[:, iu, ju]
         reps = np.flatnonzero(self._rep == np.arange(nS))
         implied = np.zeros(cost.shape, dtype=bool)
         rows = max(1, BLOCK_ENTRIES // max(1, nS * nS))
@@ -272,11 +230,30 @@ class BowenWaltersMetric:
                 c_xz = c[block, :, None]
                 c_xy = c[block, None, :]
                 out[block] = ((c_xz + c <= c_xy) & (c_xz < c_xy) & (c < c_xy)).any(axis=1)
-        implied = implied[:, self._rep[:, None], self._back[self._shift]]
-        keep = ~horizontal
-        keep[horizontal] = ~implied[level[horizontal], x, y]
-        return csr_matrix((graph.data[keep], (graph.row[keep], graph.col[keep])),
-                          shape=graph.shape)
+        keep = ~implied[:, self._rep[:, None], self._back[self._shift]]
+        keep[:, np.arange(nS), np.arange(nS)] = False
+        level, x, y = np.nonzero(keep)
+
+        # The gluing, (x, 1) is the same point as (Tx, 0), then the vertical
+        # edges within a fiber (adjacent levels).  Only these edges change
+        # level, so only they can share a node pair (at height_grid 1 a fixed
+        # point's vertical edge is its gluing edge); the first, of cost 0, is kept.
+        fiber = np.arange(nS) * nL
+        ends = np.concatenate([np.c_[fiber + nL - 1, step * nL]]
+                              + [np.c_[fiber + li, fiber + li + 1] for li in range(nL - 1)])
+        gaps = np.r_[np.zeros(nS), np.repeat(np.diff(self.levels), nS)]
+        ends.sort(axis=1)
+        _, first = np.unique(ends[:, 0] * n_nodes + ends[:, 1], return_index=True)
+        low, high = ends[first].T
+
+        self._graph = csr_matrix(
+            (np.r_[cost[level, x, y], gaps[first], gaps[first]],
+             (np.r_[x * nL + level, low, high], np.r_[y * nL + level, high, low])),
+            shape=(n_nodes, n_nodes))
+        # Chain-infimum rows, solved on demand and written in place, so the
+        # memory of rows that no table reads is never touched.
+        self._rows = np.empty((n_nodes, n_nodes))
+        self._solved = np.zeros(n_nodes, dtype=bool)
 
     def nodes(self, states, h):
         """Node of each point (states[i], normalized height h[i]), or -1 off the grid.
@@ -293,13 +270,13 @@ class BowenWaltersMetric:
         return np.where(level < 0, -1, states * self.n_levels + level)
 
     def closure(self, nodes=None):
-        """Chain infimum between the nodes (all nodes by default), with no segment budget.
+        """Chain infimum between the nodes (all nodes by default).
 
         ``nodes`` is a vector, read as one (n, n) table, or a (k, n) stack
         of them, read as k tables.  For the rows that no earlier query
         solved, the unsolved representative nodes (r, t) are solved by
         Dijkstra from BLOCK_ENTRIES // (node count) of them at a time over
-        the pruned level graph, run as directed: the graph stores both
+        ``_graph``, run as directed: the graph stores both
         directions of every edge, at one cost.  Row (T^m r, t) is then row
         (r, t) read at the columns (T^-m y, k).  That is exact: sigma^m maps
         the pruned graph onto itself with the same costs, and Dijkstra with
@@ -314,7 +291,7 @@ class BowenWaltersMetric:
         size = max(1, BLOCK_ENTRIES // len(self._solved))
         for lo in range(0, len(solve), size):
             block = solve[lo:lo + size]
-            self._rows[block] = dijkstra(self._pruned, indices=block)
+            self._rows[block] = dijkstra(self._graph, indices=block)
         self._solved[solve] = True
         fill = ~self._solved[todo]
         fill, source = todo[fill], source[fill]
@@ -327,45 +304,11 @@ class BowenWaltersMetric:
         self._solved[todo] = True
         return self._rows[nodes[..., :, None], nodes[..., None, :]]
 
-    def _lift(self, max_segments):
-        """The level graph lifted to nodes (k, r, v), stored at (2k + r) V + v.
-
-        k counts the segments of a chain that ends at node v, and r = 1
-        while the chain is inside a vertical run.  A horizontal edge, or
-        the first step of a vertical run, moves k to k + 1; a further step
-        of a vertical run keeps k, and (k, 1, v) ends its run by passing
-        to (k, 0, v) at no cost.  Edges are directed, k <= max_segments.
-        """
-        graph = self._graph.tocoo()
-        n = graph.shape[0]
-        stay = np.arange(n)
-        row, col = np.r_[graph.row, stay], np.r_[graph.col, stay]
-        cost = np.r_[graph.data, np.zeros(n)]
-        # Kind 0: horizontal edges join two nodes of one level; kind 1:
-        # vertical and gluing edges change the level; kind 2: run exits.
-        same_level = graph.row % self.n_levels == graph.col % self.n_levels
-        kind = np.r_[np.where(same_level, 0, 1), np.full(n, 2)]
-        k = np.arange(max_segments)
-        runs = 2 * np.arange(max_segments + 1) + 1
-        moves = ((2 * k, 2 * k + 2, 0), (2 * k, 2 * k + 3, 1), (runs, runs, 1),
-                 (2 * k + 1, 2 * k, 2))
-        rows, cols, costs = [], [], []
-        for src, dst, which in moves:
-            edges = kind == which
-            rows.append(np.add.outer(src * n, row[edges]).ravel())
-            cols.append(np.add.outer(dst * n, col[edges]).ravel())
-            costs.append(np.tile(cost[edges], len(src)))
-        size = 2 * (max_segments + 1) * n
-        return csr_matrix((np.concatenate(costs), (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(size, size))
-
-    def matrix(self, points, max_segments: int | None = None):
+    def matrix(self, points):
         """Chain-length upper bounds of the BW distance between the points.
 
-        With ``max_segments=None`` the table is ``closure`` of the points'
-        nodes.  A finite budget bounds the number of horizontal edges plus
-        maximal vertical runs; one Dijkstra from all the points over the
-        segment-count lift of the full level graph answers it.
+        The ``closure`` table of the points' nodes; each point's normalized
+        height must lie on the level grid.
         """
         states, heights = _canonical(self.sys, self.roof, *_arrays(points))
         h = heights / self.roof.values[states]
@@ -373,33 +316,25 @@ class BowenWaltersMetric:
         if (nodes < 0).any():
             raise InvariantViolationError(
                 f"normalized height {h[np.argmax(nodes < 0)]} is not on the metric's level grid")
-        if max_segments is None:
-            return self.closure(nodes)
-        if max_segments < 2:
-            raise ConfigurationError("max_segments must be at least 2")
-        n = self._graph.shape[0]
-        lifted = dijkstra(self._lift(max_segments), indices=nodes)
-        return lifted.reshape(len(nodes), 2 * (max_segments + 1), n).min(axis=1)[:, nodes]
+        return self.closure(nodes)
 
-    def distance(self, p: SuspensionPoint, q: SuspensionPoint,
-                 max_segments: int | None = None) -> float:
+    def distance(self, p: SuspensionPoint, q: SuspensionPoint) -> float:
         """Chain-length upper bound of the Bowen-Walters distance (see ``matrix``)."""
-        return float(self.matrix([p, q], max_segments)[0, 1])
+        return float(self.matrix([p, q])[0, 1])
 
 
 def bw_distance(p: SuspensionPoint, q: SuspensionPoint, sys: DynSystem,
-                roof: RoofFunction, max_segments: int = 16,
-                height_grid: int = 16) -> float:
+                roof: RoofFunction, height_grid: int = 16) -> float:
     """Bowen-Walters upper bound between two suspension points.
 
     Endpoint heights are added to the level grid, so arbitrary valid
-    points are accepted.  Antitone in ``max_segments``, and in
-    ``height_grid`` along nested grids (e.g. doubling counts).
+    points are accepted.  Antitone in ``height_grid`` along nested grids
+    (e.g. doubling counts).
     """
     states, heights = _canonical(sys, roof, *_arrays([p, q]))
     bw = BowenWaltersMetric(sys, roof, height_grid,
                             extra_heights=heights / roof.values[states])
-    return bw.distance(p, q, max_segments=max_segments)
+    return bw.distance(p, q)
 
 
 class MappingTorus:

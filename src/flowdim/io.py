@@ -50,10 +50,13 @@ def load_sample(data) -> MetricSample:
     Either ``{"points": [...], "metric": "euclidean"|"sup"}`` with
     coordinate tuples, ``{"points": [...], "metric": "circle",
     "period": P}`` with scalars, or ``{"ids": [...], "matrix": [[...]]}``.
-    Any other shape is a ``ConfigurationError``.
+    Any other shape, or no points, is a ``ConfigurationError``.
     """
-    if not isinstance(data, dict) or ("matrix" not in data and not np.ndim(data.get("points"))):
+    table = data.get("matrix", data.get("points")) if isinstance(data, dict) else None
+    if not np.ndim(table):
         raise ConfigurationError("a sample manifest is an object with a points list or a matrix")
+    if not len(table):
+        raise ConfigurationError("a sample manifest needs at least one point")
     if "matrix" in data:
         ids = data.get("ids", list(range(len(data["matrix"]))))
         return MetricSample(ids, np.asarray(data["matrix"], dtype=float))

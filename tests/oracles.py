@@ -120,16 +120,47 @@ def kernel_rows(run, nodes, t0: float, dt: float, n: int):
     return sliding_window_view(table, n, axis=1)[which, span - steps]
 
 
+def level_graph(bw: BowenWaltersMetric):
+    """The full level graph of ``bw``, built from its d, step and levels alone.
+
+    Node (x, level l) is x * n_levels + l.  At each level t every pair of
+    distinct states is joined by a horizontal edge of cost
+    (1 - t) d(x, y) + t d(Tx, Ty), read with x < y; adjacent levels of a
+    fiber by a vertical edge of their gap; and (x, 1) to (Tx, 0) by a
+    gluing edge of cost 0, which wins where it joins the pair of a vertical
+    edge (a fixed point at height_grid 1).  Both directions of every edge
+    are stored, zero costs included.
+    """
+    d, step, levels = bw.sys.base.dist, bw.sys.step, bw.levels
+    n_states, n_levels = len(step), len(levels)
+    node = np.arange(n_states * n_levels).reshape(n_states, n_levels)
+    iu, ju = np.triu_indices(n_states, k=1)
+    cost = {}
+    for li, t in enumerate(levels):
+        cost.update(zip(zip(node[iu, li], node[ju, li]),
+                        (1.0 - t) * d[iu, ju] + t * d[step[iu], step[ju]]))
+    for x in range(n_states):
+        for li in range(n_levels - 1):
+            cost[node[x, li], node[x, li + 1]] = levels[li + 1] - levels[li]
+    for x in range(n_states):
+        cost[tuple(sorted((node[x, -1], node[step[x], 0])))] = 0.0
+    ends = np.array(list(cost), dtype=np.int64).reshape(-1, 2)
+    data = np.array(list(cost.values()), dtype=float)
+    size = n_states * n_levels
+    return csr_matrix((np.r_[data, data], (np.r_[ends[:, 0], ends[:, 1]],
+                                           np.r_[ends[:, 1], ends[:, 0]])), shape=(size, size))
+
+
 def pruned_every_row(bw: BowenWaltersMetric):
     """The level graph without the horizontal edges that shorter ones imply.
 
-    The redundancy test run on every row x of every level, which
-    ``BowenWaltersMetric._pruned`` runs on orbit representatives only.
-    Edge (x, y) of a level is dropped when some z has c(x, z) + c(z, y)
-    <= c(x, y) with both c(x, z) < c(x, y) and c(z, y) < c(x, y).  Rows
-    of x are tested BLOCK_ENTRIES entries at a time.
+    The redundancy test run on every row x of every level of
+    ``level_graph(bw)``, which ``BowenWaltersMetric._build`` runs on orbit
+    representatives only.  Edge (x, y) of a level is dropped when some z
+    has c(x, z) + c(z, y) <= c(x, y) with both c(x, z) < c(x, y) and
+    c(z, y) < c(x, y).  Rows of x are tested BLOCK_ENTRIES entries at a time.
     """
-    graph = bw._graph.tocoo()
+    graph = level_graph(bw).tocoo()
     nL, nS = bw.n_levels, bw.n_states
     level = graph.row % nL
     horizontal = level == graph.col % nL

@@ -29,15 +29,20 @@ from flowdim.errors import (
 )
 from flowdim.instances import SuspensionInstance, cube_shift_system, rotation_system
 from flowdim.metric import MetricSample, OrbitMetricSpec, orbit_metric_R
-from oracles import canonical, closure_every_row, pruned_every_row, solenoid_distance
+from oracles import (
+    canonical,
+    closure_every_row,
+    level_graph,
+    pruned_every_row,
+    solenoid_distance,
+)
 
 
-def dense_min_plus(bw, source, max_segments):
-    """Budgeted chain lengths from one node by the dense min-plus rounds.
+def dense_min_plus(bw, source):
+    """Chain lengths from one node by dense min-plus rounds, run to their fixpoint.
 
     Each round extends every chain by one move: a path of the vertical
-    closure or one horizontal edge (a V x V matrix per level), so
-    ``max_segments`` rounds bound the number of maximal runs.
+    closure or one horizontal edge (a V x V matrix per level).
     """
     d, step, levels = bw.sys.base.dist, bw.sys.step, bw.levels
     nS, nL = len(step), len(levels)
@@ -54,11 +59,13 @@ def dense_min_plus(bw, source, max_segments):
         horizontal[np.ix_(idx, idx)] = (1.0 - t) * d + t * d[np.ix_(step, step)]
     dist = np.full(n, np.inf)
     dist[source] = 0.0
-    for _ in range(max_segments):
+    while True:
         through_v = (dist[:, None] + vertical).min(axis=0)
         through_h = (dist[:, None] + horizontal).min(axis=0)
-        dist = np.minimum(dist, np.minimum(through_v, through_h))
-    return dist
+        extended = np.minimum(dist, np.minimum(through_v, through_h))
+        if np.array_equal(extended, dist):
+            return dist
+        dist = extended
 
 
 def scalar_suspend(sys, roof, p, t):
@@ -337,19 +344,15 @@ class TestBowenWalters:
             for j in range(n):
                 assert np.all(mat[i, j] <= mat[i] + mat[:, j] + 1e-9)
 
-    def test_antitone_in_budget_and_grid(self, rot12, roof1):
+    def test_antitone_in_grid(self, rot12, roof1):
         p, q = SuspensionPoint(1, 0.25), SuspensionPoint(7, 0.75)
-        budget_vals = [bw_distance(p, q, rot12, roof1, max_segments=k, height_grid=8)
-                       for k in (2, 4, 8)]
-        assert budget_vals[0] >= budget_vals[1] >= budget_vals[2]
-        grid_vals = [bw_distance(p, q, rot12, roof1, max_segments=8, height_grid=g)
-                     for g in (4, 8, 16)]
+        grid_vals = [bw_distance(p, q, rot12, roof1, height_grid=g) for g in (4, 8, 16)]
         assert grid_vals[0] >= grid_vals[1] >= grid_vals[2]
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("grid,n_extra", [(3, 2), (5, 1), (7, 0), (10, 2),
                                               (4, 0), (8, 0), (16, 0)])
-    def test_budgeted_matrix_matches_dense_min_plus(self, seed, grid, n_extra):
+    def test_matrix_matches_dense_min_plus(self, seed, grid, n_extra):
         bw = seeded_metric(seed + grid, grid, n_extra)
         nL = bw.n_levels
         # Every node but the top level, which is glued to the next fiber.
@@ -357,24 +360,16 @@ class TestBowenWalters:
         points = [SuspensionPoint(v // nL, bw.levels[v % nL] * bw.roof.values[v // nL])
                   for v in nodes]
         base = [i for i, v in enumerate(nodes) if v % nL == 0]
-        for k in (2, 3, 7, 16):
-            mat = bw.matrix(points, max_segments=k)
-            ref = np.array([dense_min_plus(bw, v, k)[nodes] for v in nodes])
-            np.testing.assert_allclose(mat, ref, rtol=1e-12, atol=0)
-            if n_extra == 0 and grid in (4, 8, 16):
-                # Dyadic gaps add exactly, so height-0 tables are bit-equal.
-                # From interior heights a run's gaps, added one step at a
-                # time to a chain crossing a binade, can round one ulp away.
-                assert np.array_equal(mat[np.ix_(base, base)], ref[np.ix_(base, base)])
+        mat = bw.matrix(points)
+        ref = np.array([dense_min_plus(bw, v)[nodes] for v in nodes])
+        np.testing.assert_allclose(mat, ref, rtol=1e-12, atol=0)
+        if n_extra == 0 and grid in (4, 8, 16):
+            # Dyadic gaps add exactly, so height-0 tables are bit-equal.
+            # From interior heights a run's gaps, added one step at a
+            # time to a chain crossing a binade, can round one ulp away.
+            assert np.array_equal(mat[np.ix_(base, base)], ref[np.ix_(base, base)])
 
-    def test_bad_budget_and_grid_are_configuration_errors(self, rot12, roof1):
-        bw = BowenWaltersMetric(rot12, roof1, height_grid=4)
-        p, q = SuspensionPoint(0, 0.0), SuspensionPoint(3, 0.5)
-        for k in (1, 0):
-            with pytest.raises(ConfigurationError):
-                bw.matrix([p, q], max_segments=k)
-            with pytest.raises(ConfigurationError):
-                bw_distance(p, q, rot12, roof1, max_segments=k)
+    def test_bad_grid_is_a_configuration_error(self, rot12, roof1):
         with pytest.raises(ConfigurationError):
             BowenWaltersMetric(rot12, roof1, height_grid=0)
 
@@ -419,7 +414,8 @@ class TestBowenWalters:
            classes=st.booleans(), permute=st.booleans())
     def test_pruned_closure_matches_the_dense_graph(self, data, n, grid, classes, permute):
         bw = drawn_metric(data, n, grid, classes, permute)
-        np.testing.assert_allclose(bw.closure(), dijkstra(bw._graph, directed=False),
+        assert same_csr(bw._graph, pruned_every_row(bw))
+        np.testing.assert_allclose(bw.closure(), dijkstra(level_graph(bw), directed=False),
                                    rtol=1e-15, atol=0)
 
     @settings(max_examples=60)
@@ -428,7 +424,7 @@ class TestBowenWalters:
     def test_directed_closure_is_the_undirected_one_bit_for_bit(self, data, n, grid, classes,
                                                                permute):
         bw = drawn_metric(data, n, grid, classes, permute)
-        pruned = bw._pruned.tocoo()
+        pruned = bw._graph.tocoo()
         size = pruned.shape[0]
         # Both directions of every stored edge, explicit zeros included, at one cost.
         forward = np.argsort(pruned.row * size + pruned.col)
@@ -436,14 +432,14 @@ class TestBowenWalters:
         np.testing.assert_array_equal(pruned.row[forward], pruned.col[backward])
         np.testing.assert_array_equal(pruned.col[forward], pruned.row[backward])
         np.testing.assert_array_equal(pruned.data[forward], pruned.data[backward])
-        assert np.array_equal(bw.closure(), dijkstra(bw._pruned, directed=False))
+        assert np.array_equal(bw.closure(), dijkstra(bw._graph, directed=False))
 
     @settings(max_examples=80)
     @given(data=st.data(), kind=st.sampled_from(["rotation", "identity", "mirror"]),
            grid=st.integers(1, 6))
     def test_orbit_closure_matches_the_every_row_oracles(self, data, kind, grid):
         bw = isometric_metric(data, kind, grid)
-        assert same_csr(bw._pruned, pruned_every_row(bw))
+        assert same_csr(bw._graph, pruned_every_row(bw))
         n_nodes = bw.n_states * bw.n_levels
         query = np.array(data.draw(st.lists(st.integers(0, n_nodes - 1), min_size=2,
                                             max_size=12)))
@@ -469,7 +465,7 @@ class TestBowenWalters:
         sources = count_sources(monkeypatch)
         got = bw.closure()
         assert sum(sources) == orbits * bw.n_levels
-        assert same_csr(bw._pruned, pruned_every_row(bw))
+        assert same_csr(bw._graph, pruned_every_row(bw))
         assert np.array_equal(got, closure_every_row(bw))
 
     @settings(max_examples=40)
@@ -485,7 +481,7 @@ class TestBowenWalters:
         if moved == "pair":
             dist[1, 0] = dist[0, 1]
         bw = metric_on(data, dist, step, grid)
-        assert same_csr(bw._pruned, pruned_every_row(bw))
+        assert same_csr(bw._graph, pruned_every_row(bw))
         n_nodes = bw.n_states * bw.n_levels
         query = np.array(data.draw(st.lists(st.integers(0, n_nodes - 1), min_size=1,
                                             max_size=12)))
@@ -502,7 +498,7 @@ class TestBowenWalters:
         # distance 0, and the shift moves them apart again.
         sys = cube_shift_system(1, N)
         bw = BowenWaltersMetric(sys, RoofFunction.constant(1.0, len(sys)), 4)
-        dense = dijkstra(bw._graph, directed=False)
+        dense = dijkstra(level_graph(bw), directed=False)
         assert np.count_nonzero(dense == 0.0) > len(dense)
         np.testing.assert_allclose(bw.closure(), dense, rtol=1e-15, atol=0)
 
@@ -511,31 +507,21 @@ class TestBowenWalters:
         nL = bw.n_levels
         points = [SuspensionPoint(i, j / 16) for i in range(96) for j in range(16)]
         table = bw.matrix(points)
-        graph = bw._pruned.tocoo()
+        graph = bw._graph.tocoo()
         horizontal = graph.row % nL == graph.col % nL
         gaps = (graph.col[horizontal] // nL - graph.row[horizontal] // nL) % 96
-        assert graph.nnz == 6528 and bw._graph.nnz == 158_304
+        assert graph.nnz == 6528 and level_graph(bw).nnz == 158_304
         assert np.count_nonzero(horizontal) == 2 * 96 * nL
         assert set(gaps.tolist()) == {1, 95}
         np.testing.assert_array_equal(table[::16, ::16], bw.sys.base.dist)
-        # Budgeted tables still read the full graph (see the dense min-plus test).
-        p, q = SuspensionPoint(0, 0.0), SuspensionPoint(48, 0.0)
-        assert bw.distance(p, q, max_segments=2) == 48.0 == table[0, 48 * 16]
 
     def test_fixed_point_glue_and_vertical_edge_merge_to_the_cheaper(self):
         # At height_grid 1, (x, 0)-(x, 1) is both a vertical edge of cost 1
         # and, for Tx = x, the gluing edge of cost 0.
         sys = DynSystem(MetricSample([0, 1], np.array([[0.0, 1.0], [1.0, 0.0]])), [0, 1])
         bw = BowenWaltersMetric(sys, RoofFunction.constant(1.0, 2), height_grid=1)
-        assert bw._graph[0, 1] == 0.0
+        assert bw._graph[0, 1] == 0.0 == level_graph(bw)[0, 1]
         assert bw.closure()[0, 1] == 0.0
-
-    def test_bounded_budget_reaches_closure(self, rot12, roof1):
-        bw = BowenWaltersMetric(rot12, roof1, height_grid=8)
-        p = SuspensionPoint(0, 0.0)
-        q = SuspensionPoint(6, 0.5)
-        assert bw.distance(p, q, max_segments=16) == pytest.approx(
-            bw.distance(p, q), abs=1e-12)
 
 
 class TestMappingTorus:

@@ -9,10 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from flowdim import cli
 from flowdim.cli import main
-from flowdim.dynamics import RoofFunction, SuspensionPoint, bw_distance, suspend
+from flowdim.dynamics import BowenWaltersMetric, RoofFunction, SuspensionPoint, suspend
 from flowdim.instances import cube_shift_system
 from flowdim.io import (
     _fmt,
@@ -22,7 +23,7 @@ from flowdim.io import (
     write_table_csv,
 )
 from flowdim.metric import metric_mdim_table, widim_upper
-from oracles import sample_distance
+from oracles import level_graph, sample_distance
 
 
 class TestSampleIO:
@@ -112,27 +113,34 @@ class TestCli:
         tables = []
         for out in (tmp_path / "one", tmp_path / "two"):
             code = main(["--out", str(out), "bw-metric", "--system", str(manifest),
-                         "--height-grid", "4", "--max-segments", "4"])
+                         "--height-grid", "4"])
             assert code == 0
             tables.append(next(out.glob("bw-metric-*.csv")).read_bytes())
         assert tables[0] == tables[1]
-        # The one-graph table holds exactly the per-pair distances.
+        # The table holds the height-0 chain infima of the full level graph.
         sys, _ = load_system(system)
-        roof = RoofFunction.constant(1.0, len(sys))
+        bw = BowenWaltersMetric(sys, RoofFunction.constant(1.0, len(sys)), 4)
+        dense = dijkstra(level_graph(bw), directed=False)
         lines = tables[0].decode().splitlines()
         assert len(lines) == 1 + len(sys) ** 2
         for line in lines[1:]:
             i, j, d = line.split(",")
-            assert float(d) == bw_distance(SuspensionPoint(int(i), 0.0),
-                                           SuspensionPoint(int(j), 0.0), sys, roof,
-                                           max_segments=4, height_grid=4)
+            assert float(d) == dense[int(i) * bw.n_levels, int(j) * bw.n_levels]
 
-    def test_bw_metric_budget_below_two_is_a_usage_error(self, tmp_path):
+    def test_bw_metric_segment_budget_is_a_usage_error(self, tmp_path):
         manifest = tmp_path / "system.json"
         manifest.write_text(json.dumps({"points": [0.0, 0.5], "metric": "circle",
                                         "period": 1.0, "step": [1, 0]}))
-        assert main(["--out", str(tmp_path), "bw-metric", "--system", str(manifest),
-                     "--max-segments", "1"]) == 2
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(out), "bw-metric", "--system", str(manifest),
+                  "--max-segments", "4"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max-segments = 4\n")
+        assert main(["--config", str(cfg), "--out", str(out), "bw-metric",
+                     "--system", str(manifest)]) == 2
+        assert not out.exists()
 
     def test_config_file_with_overrides(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -204,7 +212,7 @@ def _artifacts(out):
     ["periodic-dim", "--a", "1", "--r", "2.5"],
     ["widim-sweep", "--sample", "{sample}", "--eps-list", "0.2,0.3"],
     ["mdim-table", "--family", "cube", "--D", "1", "--N-max", "2"],
-    ["bw-metric", "--system", "{system}", "--height-grid", "4", "--max-segments", "4"],
+    ["bw-metric", "--system", "{system}", "--height-grid", "4"],
 ])
 def test_config_file_and_flags_write_identical_artifacts(tmp_path, argv):
     sample = tmp_path / "sample.json"
@@ -256,9 +264,14 @@ def _without(key):
     ("widim-sweep", "--sample", {"points": 5, "metric": "sup"}),
     ("widim-sweep", "--sample", _without("period")),
     ("widim-sweep", "--sample", {"matrix": [[0.0, 1.0], [2.0, 0.0]]}),
+    ("bw-metric", "--system", {"points": [], "step": []}),
+    ("widim-sweep", "--sample", {"points": [], "step": []}),
+    ("mdim-table", "--system", {"points": [], "step": []}),
+    ("widim-sweep", "--sample", {"matrix": []}),
 ], ids=["short-roof", "long-roof", "no-points", "no-step", "no-period", "list", "float-step",
         "step-out-of-range", "infinite-roof", "nan-roof", "sample-list", "sample-no-points",
-        "scalar-points", "sample-no-period", "asymmetric-matrix"])
+        "scalar-points", "sample-no-period", "asymmetric-matrix", "empty", "sample-empty",
+        "mdim-table-empty", "empty-matrix"])
 def test_malformed_manifest_exits_2_and_writes_nothing(tmp_path, capsys, sub, flag, manifest):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
