@@ -11,8 +11,11 @@ path infimum, antitone as the height grid refines along nested
 level's horizontal edges pruned of those that shorter ones imply, and
 ``closure(nodes)`` runs Dijkstra on it.  When T is a bijection and the
 sample metric d is exactly symmetric and T-invariant, (x, t) -> (Tx, t)
-maps the level graph onto itself cost for cost, so the closure and the
-pruning are solved once per T-orbit and permuted to the other states.
+maps the level graph onto itself cost for cost, so the pruning and the
+closure rows are solved once per T-orbit, and the entries of the other
+states are read from those rows through the power of T.  The same map
+keys the tables of a ``MappingTorus`` window (``orbit_key``), so that the
+window reads each distinct table once.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from .metric import MetricSample
 CIRCLE_TOL = 1e-9
 MAX_SUSPEND_STEPS = 10_000_000
 # Entries held at once by one block of work: the (x, z, y) redundancy test of
-# the pruning, the rows of one closure Dijkstra and a window's table stack.
+# the pruning, the rows of one closure Dijkstra, the column indices of one
+# closure gather and a window's table stack.
 BLOCK_ENTRIES = 1 << 16
 
 
@@ -250,10 +254,14 @@ class BowenWaltersMetric:
             (np.r_[cost[level, x, y], gaps[first], gaps[first]],
              (np.r_[x * nL + level, low, high], np.r_[y * nL + level, high, low])),
             shape=(n_nodes, n_nodes))
-        # Chain-infimum rows, solved on demand and written in place, so the
-        # memory of rows that no table reads is never touched.
-        self._rows = np.empty((n_nodes, n_nodes))
-        self._solved = np.zeros(n_nodes, dtype=bool)
+        # Chain-infimum rows of the representative nodes (r, t) only, row
+        # _slot[x] * nL + t for every state x of r's orbit, solved on demand
+        # and written in place, so the memory of rows that no table reads is
+        # never touched.
+        self._slot = np.searchsorted(reps, self._rep)
+        self._sources = (reps[:, None] * nL + np.arange(nL)).ravel()
+        self._rows = np.empty((len(self._sources), n_nodes))
+        self._solved = np.zeros(len(self._sources), dtype=bool)
 
     def nodes(self, states, h):
         """Node of each point (states[i], normalized height h[i]), or -1 off the grid.
@@ -273,36 +281,48 @@ class BowenWaltersMetric:
         """Chain infimum between the nodes (all nodes by default).
 
         ``nodes`` is a vector, read as one (n, n) table, or a (k, n) stack
-        of them, read as k tables.  For the rows that no earlier query
-        solved, the unsolved representative nodes (r, t) are solved by
-        Dijkstra from BLOCK_ENTRIES // (node count) of them at a time over
-        ``_graph``, run as directed: the graph stores both
-        directions of every edge, at one cost.  Row (T^m r, t) is then row
-        (r, t) read at the columns (T^-m y, k).  That is exact: sigma^m maps
-        the pruned graph onto itself with the same costs, and Dijkstra with
-        nonnegative costs returns the least left-to-right float sum over
-        paths, which sigma^m keeps path by path.
+        of them, read as k tables.  Only representative nodes (r, t) get a
+        row: those that no earlier query solved are solved by Dijkstra from
+        BLOCK_ENTRIES // (node count) of them at a time over ``_graph``, run
+        as directed: the graph stores both directions of every edge, at one
+        cost.  Entry ((T^m r, t), (y, k)) is then read from row (r, t) at
+        column (T^-m y, k), BLOCK_ENTRIES entries of a table at a time.
+        That is exact: sigma^m maps the pruned graph onto itself with the
+        same costs, and Dijkstra with nonnegative costs returns the least
+        left-to-right float sum over paths, which sigma^m keeps path by path.
         """
-        nodes = np.arange(len(self._solved)) if nodes is None else np.asarray(nodes)
-        todo = np.unique(nodes[~self._solved[nodes]])
         nL = self.n_levels
-        source = self._rep[todo // nL] * nL + todo % nL
-        solve = np.unique(source[~self._solved[source]])
-        size = max(1, BLOCK_ENTRIES // len(self._solved))
+        nodes = np.arange(self.n_states * nL) if nodes is None else np.asarray(nodes)
+        states, levels = np.divmod(nodes, nL)
+        rows = self._slot[states] * nL + levels
+        solve = np.unique(rows[~self._solved[rows]])
+        size = max(1, BLOCK_ENTRIES // max(1, self._rows.shape[1]))
         for lo in range(0, len(solve), size):
             block = solve[lo:lo + size]
-            self._rows[block] = dijkstra(self._graph, indices=block)
+            self._rows[block] = dijkstra(self._graph, indices=self._sources[block])
         self._solved[solve] = True
-        fill = ~self._solved[todo]
-        fill, source = todo[fill], source[fill]
-        # A row viewed as (state, level) blocks: its states move, its levels stay.
-        fibers = self._rows.reshape(len(self._rows), self.n_states, nL)
-        for lo in range(0, len(fill), size):
-            block = fill[lo:lo + size]
-            back = self._back[self._shift[block // nL]]
-            self._rows[block] = fibers[source[lo:lo + size, None], back].reshape(len(block), -1)
-        self._solved[todo] = True
-        return self._rows[nodes[..., :, None], nodes[..., None, :]]
+        # Row q of the stacked tables belongs to table q // n.
+        n = nodes.shape[-1]
+        k = math.prod(nodes.shape[:-1])
+        states, levels = states.reshape(k, n), levels.reshape(k, n)
+        rows, shifts = rows.ravel(), self._shift[states].ravel()
+        out = np.empty((k * n, n))
+        size = max(1, BLOCK_ENTRIES // max(1, n))
+        for lo in range(0, k * n, size):
+            table = np.arange(lo, min(lo + size, k * n)) // n
+            cols = self._back[shifts[lo:lo + size, None], states[table]] * nL + levels[table]
+            out[lo:lo + size] = self._rows[rows[lo:lo + size, None], cols]
+        return out.reshape(nodes.shape + (n,))
+
+    def orbit_key(self, nodes):
+        """Each node vector (the last axis) moved by sigma^-m, m the shift of its first state.
+
+        Equal keys give bit-identical ``closure`` tables: the key's table is
+        the vector's, read through sigma^-m (see ``closure``).  Without
+        orbit representatives every shift is 0 and the key is the vector.
+        """
+        states, levels = np.divmod(nodes, self.n_levels)
+        return self._back[self._shift[states[..., :1]], states] * self.n_levels + levels
 
     def matrix(self, points):
         """Chain-length upper bounds of the BW distance between the points.
@@ -344,12 +364,9 @@ class MappingTorus:
     ``every_height`` they are every grid point (i, j / height_grid),
     j < height_grid, state-major.  ``point_ids()`` are (base id, j) pairs
     and ``evolve`` is ``suspend``.  ``metric_matrix(values)`` reads its
-    points' chain-infimum rows from one metric on the grid, solved on first
-    use, or from one metric on the grid plus the heights that leave it.
-    ``window_blocks(times)`` yields, in order, runs of k of the times with
-    the (k, n, n) stacks of the tables of the values flowed by each time, a
-    BLOCK_ENTRIES-sized stack at a time: one array flow, one node lookup
-    and one closure read per block, and one metric per time off the grid.
+    points' table from one metric on the grid, or from one metric on the
+    grid plus the heights that leave it.  ``window_blocks(times)`` yields
+    the tables of the values flowed by the times, each distinct table once.
     """
 
     def __init__(self, sys: DynSystem, height_grid: int, every_height: bool):
@@ -378,21 +395,65 @@ class MappingTorus:
         return bw.closure(bw.nodes(states, heights))
 
     def window_blocks(self, times):
+        """Runs of the times with the (k, n, n) stacks of their distinct tables.
+
+        Each table is yielded once, with the first time it appears at; the
+        later times that read it are left out.  Two times read one table
+        when they read one metric and share an ``orbit_key``.  The times
+        are flowed a BLOCK_ENTRIES-sized stack of tables at a time: one
+        array flow, one level lookup and at most one closure read per
+        block.  The tables on the grid come first, in time order.  A time
+        whose heights leave the grid reads a metric on the grid plus those
+        heights; the times with the same such heights, as floats, follow
+        as one group, flowed again, which builds that metric once and holds
+        one such metric at a time.
+        """
+        times = np.asarray(times)
         n = len(self.values)
-        states, heights = _arrays(self.values)
         size = max(1, BLOCK_ENTRIES // max(1, n * n))
+        seen, off = set(), {}
         for lo in range(0, len(times), size):
             block = times[lo:lo + size]
-            k = len(block)
-            at, h = (a.reshape(k, n) for a in _flow(self.sys, self.roof, np.tile(states, k),
-                                                    np.tile(heights, k), np.repeat(block, n)))
-            nodes = self._bw.nodes(at, h)
+            states, heights = self._flowed(block)
+            nodes = self._bw.nodes(states, heights)
             on_grid = (nodes >= 0).all(axis=1)
-            tables = np.empty((k, n, n))
-            tables[on_grid] = self._bw.closure(nodes[on_grid])
             for i in np.flatnonzero(~on_grid):
-                tables[i] = self._table(at[i], h[i])
-            yield block, tables
+                extra = np.unique(heights[i][nodes[i] < 0])
+                off.setdefault(extra.tobytes(), []).append(lo + i)
+            yield from self._distinct(self._bw, block[on_grid], nodes[on_grid], seen)
+        for extra, where in off.items():
+            yield from self._off_grid(np.frombuffer(extra), times[where], size)
+
+    def _off_grid(self, extra, times, size):
+        """``window_blocks`` of times that read the metric on the grid plus ``extra``.
+
+        A frame of its own, so that the window frees this metric before it
+        builds the next group's.
+        """
+        bw = BowenWaltersMetric(self.sys, self.roof, self.height_grid, extra_heights=extra)
+        seen = set()
+        for lo in range(0, len(times), size):
+            block = times[lo:lo + size]
+            yield from self._distinct(bw, block, bw.nodes(*self._flowed(block)), seen)
+
+    def _flowed(self, block):
+        """The (k, n) canonical states and heights of the values flowed by each of k times."""
+        n, k = len(self.values), len(block)
+        states, heights = _arrays(self.values)
+        return (a.reshape(k, n) for a in _flow(self.sys, self.roof, np.tile(states, k),
+                                               np.tile(heights, k), np.repeat(block, n)))
+
+    @staticmethod
+    def _distinct(bw, block, nodes, seen):
+        """The times and ``bw`` tables of the node rows whose ``orbit_key`` is not in ``seen``."""
+        new = []
+        for i, key in enumerate(bw.orbit_key(nodes)):
+            key = key.tobytes()
+            if key not in seen:
+                seen.add(key)
+                new.append(i)
+        if new:
+            yield block[new], bw.closure(nodes[new])
 
 
 def mapping_torus(sys: DynSystem, height_grid: int = 16,

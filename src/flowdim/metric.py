@@ -213,7 +213,8 @@ def orbit_metric_R(flow, spec: OrbitMetricSpec) -> MetricSample:
     A lower bound of the true sup over [0, R]; the gap is controlled by
     the flow's modulus of continuity over one grid step.  The max runs
     over the table stacks of ``flow.window_blocks``, a block of grid times
-    at a time.
+    at a time, which holds each distinct table once: a time whose table
+    equals an earlier time's adds nothing to the max.
     """
     R, dt = spec.horizon, spec.time_step
     times = np.arange(0.0, R + dt * 0.5, dt)

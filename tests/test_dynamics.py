@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -28,11 +29,12 @@ from flowdim.errors import (
     UnsupportedDirectionError,
 )
 from flowdim.instances import SuspensionInstance, cube_shift_system, rotation_system
-from flowdim.metric import MetricSample, OrbitMetricSpec, orbit_metric_R
+from flowdim.metric import MetricSample, OrbitMetricSpec, orbit_metric_R, orbit_metric_Z
 from oracles import (
     canonical,
     closure_every_row,
     level_graph,
+    orbit_metric_R_loop,
     pruned_every_row,
     solenoid_distance,
 )
@@ -120,8 +122,7 @@ def drawn_metric(data, n, grid, classes, permute):
     pseudometric has zero-distance classes.
     """
     m = data.draw(st.integers(1, n)) if classes else n
-    quarter = st.integers(0, 4).map(lambda k: k / 4)
-    coords = st.one_of(quarter, st.floats(0.0, 1.0))
+    coords = drawn_coords()
     pts = np.array(data.draw(st.lists(st.tuples(coords, coords), min_size=m, max_size=m)))
     pts = pts[data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
               if classes else np.arange(n)]
@@ -153,17 +154,23 @@ def metric_on(data, dist, step, grid):
                               roof, grid, extra_heights=extra)
 
 
-def isometric_metric(data, kind, grid):
-    """A BowenWaltersMetric whose step is an exact isometry of its sample.
+def drawn_coords():
+    """Coordinates in [0, 1], often on a quarter grid, where ties are common."""
+    return st.one_of(st.integers(0, 4).map(lambda k: k / 4), st.floats(0.0, 1.0))
+
+
+def isometric_sample(data, kind):
+    """Distances and a step that is an exact isometry of them.
 
     ``rotation``: rotation by k on an n-cycle (several orbits when
     gcd(k, n) > 1, the identity at k = 0); ``identity``: the identity step
     on drawn points; ``mirror``: points mirrored across x = 0 in the sup
     metric, in a drawn order, with the mirror as step (points on the axis
-    are fixed).
+    are fixed); ``cycles``: a step with cycles of distinct lengths on
+    drawn points, under the sup of the sup metric along the orbit of each
+    pair, which makes the step an isometry.
     """
-    quarter = st.integers(0, 4).map(lambda k: k / 4)
-    coords = st.one_of(quarter, st.floats(0.0, 1.0))
+    coords = drawn_coords()
     if kind == "rotation":
         n = data.draw(st.integers(1, 9))
         dist, step = arc_rotation(data, n, data.draw(st.integers(0, n - 1)))
@@ -172,6 +179,17 @@ def isometric_metric(data, kind, grid):
         pts = np.array(data.draw(st.lists(st.tuples(coords, coords), min_size=n, max_size=n)))
         dist = np.abs(pts[:, None] - pts[None, :]).max(axis=2)
         step = np.arange(n)
+    elif kind == "cycles":
+        lengths = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=3, unique=True))
+        n = sum(lengths)
+        starts = np.cumsum([0] + lengths[:-1])
+        cycle = np.concatenate([s + (np.arange(m) + 1) % m for s, m in zip(starts, lengths)])
+        order = np.array(data.draw(st.permutations(range(n))))
+        step = np.argsort(order)[cycle[order]]
+        pts = np.array(data.draw(st.lists(st.tuples(coords, coords), min_size=n, max_size=n)))
+        sup = np.abs(pts[:, None] - pts[None, :]).max(axis=2)
+        dist = orbit_metric_Z(DynSystem(MetricSample(list(range(n)), sup), step),
+                              math.lcm(*lengths)).dist
     else:
         half = np.array(data.draw(st.lists(st.tuples(coords, coords), min_size=1, max_size=4)))
         axis = np.array(data.draw(st.lists(coords, max_size=2)))
@@ -182,7 +200,12 @@ def isometric_metric(data, kind, grid):
         pts, step = pts[order], np.argsort(order)[mirror[order]]
         dist = np.abs(pts[:, None] - pts[None, :]).max(axis=2)
     assert np.array_equal(dist, dist.T) and np.array_equal(dist[np.ix_(step, step)], dist)
-    return metric_on(data, dist, step, grid)
+    return dist, step
+
+
+def isometric_metric(data, kind, grid):
+    """A BowenWaltersMetric on an ``isometric_sample`` of the given kind."""
+    return metric_on(data, *isometric_sample(data, kind), grid)
 
 
 def orbit_count(step):
@@ -435,7 +458,7 @@ class TestBowenWalters:
         assert np.array_equal(bw.closure(), dijkstra(bw._graph, directed=False))
 
     @settings(max_examples=80)
-    @given(data=st.data(), kind=st.sampled_from(["rotation", "identity", "mirror"]),
+    @given(data=st.data(), kind=st.sampled_from(["rotation", "identity", "mirror", "cycles"]),
            grid=st.integers(1, 6))
     def test_orbit_closure_matches_the_every_row_oracles(self, data, kind, grid):
         bw = isometric_metric(data, kind, grid)
@@ -452,6 +475,37 @@ class TestBowenWalters:
             assert np.array_equal(bw.closure(query), closure_every_row(bw, query))
             assert np.array_equal(bw.closure(), closure_every_row(bw))
         assert sum(sources) == orbit_count(bw.sys.step) * bw.n_levels
+
+    @settings(max_examples=80)
+    @given(data=st.data(), kind=st.sampled_from(["rotation", "mirror", "cycles"]),
+           grid=st.integers(1, 4))
+    def test_equal_orbit_keys_read_equal_tables(self, data, kind, grid):
+        bw = isometric_metric(data, kind, grid)
+        step, nL = bw.sys.step, bw.n_levels
+        v = np.array(data.draw(st.lists(st.integers(0, bw.n_states * nL - 1), min_size=1,
+                                        max_size=6)))
+        states, levels = np.divmod(v, nL)
+
+        def power(x, m):
+            for _ in range(m):
+                x = step[x]
+            return x
+
+        def period(x):
+            return next(m for m in range(1, len(step) + 1) if power(x, m) == x)
+
+        # The vector moved by one power of T, then each node by its own.
+        m = data.draw(st.integers(0, 12))
+        ms = data.draw(st.lists(st.integers(0, 12), min_size=len(v), max_size=len(v)))
+        stack = np.stack([v, power(states, m) * nL + levels,
+                          np.array([power(x, k) for x, k in zip(states, ms)]) * nL + levels])
+        tables, keys = bw.closure(stack), bw.orbit_key(stack)
+        assert np.array_equal(tables[1], tables[0])
+        if all(period(states[0]) % period(x) == 0 for x in states):
+            assert np.array_equal(keys[1], keys[0])
+        for key, table in zip(keys[1:], tables[1:]):
+            if np.array_equal(key, keys[0]):
+                assert np.array_equal(table, tables[0])
 
     @pytest.mark.parametrize("sys,grid,orbits", [(rotation_system(96), 16, 1),
                                                   (rotation_system(12), 10, 1),
@@ -523,6 +577,14 @@ class TestBowenWalters:
         assert bw._graph[0, 1] == 0.0 == level_graph(bw)[0, 1]
         assert bw.closure()[0, 1] == 0.0
 
+    def test_empty_system_reads_empty_tables(self):
+        sys = DynSystem(MetricSample([], np.zeros((0, 0))), np.array([], dtype=int))
+        bw = BowenWaltersMetric(sys, RoofFunction(np.array([])), 4)
+        assert bw.matrix([]).shape == (0, 0)
+        assert bw.closure().shape == (0, 0)
+        torus = mapping_torus(sys, 4, every_height=True)
+        assert orbit_metric_R(torus, OrbitMetricSpec("R-window", 1.0, 0.3)).dist.shape == (0, 0)
+
 
 class TestMappingTorus:
     def test_time_one_map_is_step(self, rot12):
@@ -577,6 +639,71 @@ class TestMappingTorus:
         # The rotation flow is isometric: every window equals the arc distance.
         np.testing.assert_allclose(window.dist, rotation_system(12).base.dist,
                                    rtol=0, atol=1e-12)
+
+    def test_off_grid_window_builds_one_metric_per_exact_height_set(self, monkeypatch):
+        torus = mapping_torus(rotation_system(96), height_grid=16)
+        spec = OrbitMetricSpec("R-window", 2.4, 0.1)
+        sets = set()
+        for t in np.arange(0.0, 2.4 + 0.05, 0.1):
+            moved = torus.evolve(torus.values, float(t))
+            h = np.array([p.height for p in moved])
+            off = torus._bw.nodes(np.array([p.state for p in moved]), h) < 0
+            if off.any():
+                sets.add(np.unique(h[off]).tobytes())
+        builds = []
+        init = BowenWaltersMetric.__init__
+
+        def counted(self, *args, **kwargs):
+            # The window holds one off-grid metric at a time.
+            assert all(built() is None for built in builds)
+            builds.append(weakref.ref(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BowenWaltersMetric, "__init__", counted)
+        window = orbit_metric_R(torus, spec)
+        # 20 of the 25 grid times leave the grid, with 15 distinct height sets.
+        assert len(builds) == len(sets) == 15
+        assert np.array_equal(window.dist, orbit_metric_R_loop(torus, spec).dist)
+
+    @settings(max_examples=60)
+    @given(data=st.data(), kind=st.sampled_from(["cycles", "rotation", "mirror", "step"]),
+           grid=st.integers(1, 4), every_height=st.booleans(), off_grid=st.booleans(),
+           steps=st.integers(1, 12))
+    def test_window_tables_shared_along_orbits_match_the_per_time_loop(
+            self, data, kind, grid, every_height, off_grid, steps):
+        if kind == "rotation":
+            # Several orbits: gcd(k, n) > 1.
+            n = data.draw(st.sampled_from([4, 6, 8, 9]))
+            divisor = data.draw(st.sampled_from([d for d in range(2, n) if n % d == 0]))
+            k = divisor * data.draw(st.integers(1, n // divisor - 1))
+            dist, step = arc_rotation(data, n, k)
+        elif kind == "step":
+            n = data.draw(st.integers(1, 6))
+            pts = np.array(data.draw(st.lists(st.tuples(drawn_coords(), drawn_coords()),
+                                              min_size=n, max_size=n)))
+            dist = np.abs(pts[:, None] - pts[None, :]).max(axis=2)
+            step = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        else:
+            dist, step = isometric_sample(data, kind)
+        on_grid = st.integers(1, 2 * grid).map(lambda j: j / grid)
+        dt = data.draw(st.sampled_from([0.1, 0.15, 0.3, 1 / 3]) if off_grid else on_grid)
+        sys = DynSystem(MetricSample(list(range(len(dist))), dist), step)
+        spec = OrbitMetricSpec("R-window", steps * dt, dt)
+        window = orbit_metric_R(mapping_torus(sys, grid, every_height), spec)
+        loop = orbit_metric_R_loop(mapping_torus(sys, grid, every_height), spec)
+        assert np.array_equal(window.dist, loop.dist)
+
+    def test_benchmark_window_reads_each_distinct_table_once(self):
+        # The 385 grid times of the benchmark torus window visit 16 levels;
+        # times a whole number apart read one table, up to the rotation.
+        torus = mapping_torus(rotation_system(96), height_grid=16)
+        times = np.arange(0.0, 24.0 + 1 / 32, 1 / 16)
+        blocks = list(torus.window_blocks(times))
+        first = np.concatenate([block for block, _ in blocks])
+        assert len(times) == 385
+        np.testing.assert_array_equal(first, times[:16])
+        assert sum(len(tables) for _, tables in blocks) == 16
+        assert np.count_nonzero(torus._bw._solved) == 16
 
     def test_off_grid_table_solves_only_its_rows(self, monkeypatch):
         sources = []
