@@ -3,7 +3,10 @@
 Suspension points are stored in canonical form: height in [0, f(x)),
 with (x, f(x)) rewritten as (Tx, 0), by ``_canonical`` on arrays of
 points; ``_flow`` flows arrays of points, each by its own time, and
-``suspend`` wraps it.  The Bowen-Walters distance is computed on a finite
+``suspend`` wraps it.  Under a general roof the flow crosses one roof per
+step; under roof 1 the crossings have a closed form with the same bits
+(x - 1 is exact for 1 <= x < 2^53), and T^n is applied by repeated
+squaring.  The Bowen-Walters distance is computed on a finite
 graph of (state, height-level) nodes in roof-1 normalized coordinates,
 over chains of any number of segments; it is an upper bound of the true
 path infimum, antitone as the height grid refines along nested
@@ -38,7 +41,7 @@ CIRCLE_TOL = 1e-9
 MAX_SUSPEND_STEPS = 10_000_000
 # Entries held at once by one block of work: the (x, z, y) redundancy test of
 # the pruning, the rows of one closure Dijkstra, the column indices of one
-# closure gather and a window's table stack.
+# closure gather, the points of one window flow and a window's table stack.
 BLOCK_ENTRIES = 1 << 16
 
 
@@ -107,6 +110,21 @@ class SuspensionPoint:
     height: float
 
 
+def _power(step, states, n):
+    """T^n of each of the states, T given by ``step``, by repeated squaring.
+
+    ``n`` holds whole floats >= 0, one per state.  Their binary digits are
+    read as floats (n mod 2, then floor(n / 2), both exact), so no count
+    overflows, however large.
+    """
+    while n.any():
+        odd = np.fmod(n, 2.0) == 1.0
+        states[odd] = step[states[odd]]
+        n = np.floor(n / 2.0)
+        step = step[step]
+    return states
+
+
 def _flow(sys: DynSystem, roof: RoofFunction, states, heights, t):
     """Flow the points (states[i], heights[i]) by the times t, broadcast per point.
 
@@ -115,24 +133,49 @@ def _flow(sys: DynSystem, roof: RoofFunction, states, heights, t):
     0 <= s' < f(T^n x).  Each step moves the points not yet under their
     roof, forward where t >= 0 and backward where t < 0, by the same float
     operations one point flowed alone sees.  Backward flow needs an inverse.
+
+    When every roof value is 1.0 the steps have a closed form with the
+    same bits: (T^n x, x - n) with n = floor(x), x = s + t the total, then
+    the canonical form.  For a float x with 1 <= x < 2^53, x - 1 is exact:
+    x is a multiple of ulp(x) <= 1, so is x - 1, and |x - 1| < x.  So
+    forward (x >= 0) the steps subtract 1 exactly down to x - n, and cross
+    once more, to a height in [-CIRCLE_TOL, 0) read as 0, when x - n is at
+    least 1 - CIRCLE_TOL, which is the crossing the canonical form makes.
+    Backward (x < 1) each step adds 1 exactly while the sum stays at or
+    below -1, so the steps end at one rounding of x - n, or one step
+    earlier at a sum in [-CIRCLE_TOL, 0) read as 0; then x - n rounds to
+    at least 1 - CIRCLE_TOL, and the canonical form steps it back up to
+    the same point.  T^n, or T^-n for n < 0, is applied by repeated
+    squaring, so the cost grows with log |n|, not |n|.  Totals of 2^53 and
+    more in size, which the steps cannot count, are whole floats: they read
+    n = x and s' = 0.
     """
+    if not np.isfinite(t).all():
+        raise InvariantViolationError("flow times must be finite")
     states, total = _canonical(sys, roof, states, heights)
     back = np.broadcast_to(np.less(t, 0), total.shape)
     total = total + t
     if back.any() and sys.inverse is None:
         raise UnsupportedDirectionError("negative flow time requires an invertible system")
-    for _ in range(MAX_SUSPEND_STEPS):
-        up = np.flatnonzero(~back & (total >= roof.values[states] - CIRCLE_TOL))
-        total[up] -= roof.values[states[up]]
-        states[up] = sys.step[states[up]]
-        down = np.flatnonzero(back & (total < -CIRCLE_TOL))
-        if len(down):
-            states[down] = sys.inverse[states[down]]
-            total[down] += roof.values[states[down]]
-        if not len(up) and not len(down):
-            break
+    if np.all(roof.values == 1.0):
+        n = np.floor(total)
+        total -= n
+        states = _power(sys.step, states, np.maximum(n, 0.0))
+        states = _power(sys.inverse, states, np.maximum(-n, 0.0))
     else:
-        raise ArithmeticError("suspension flow exceeded step budget")
+        for _ in range(MAX_SUSPEND_STEPS):
+            up = np.flatnonzero(~back & (total >= roof.values[states] - CIRCLE_TOL))
+            total[up] -= roof.values[states[up]]
+            states[up] = sys.step[states[up]]
+            down = np.flatnonzero(back & (total < -CIRCLE_TOL))
+            if len(down):
+                states[down] = sys.inverse[states[down]]
+                total[down] += roof.values[states[down]]
+            if not len(up) and not len(down):
+                break
+        else:
+            raise ConfigurationError(
+                f"suspension flow exceeded {MAX_SUSPEND_STEPS} roof crossings")
     return _canonical(sys, roof, states, np.maximum(total, 0.0))
 
 
@@ -363,7 +406,8 @@ class MappingTorus:
     ``values`` are the height-0 points, on which the time-1 map is T; with
     ``every_height`` they are every grid point (i, j / height_grid),
     j < height_grid, state-major.  ``point_ids()`` are (base id, j) pairs
-    and ``evolve`` is ``suspend``.  ``metric_matrix(values)`` reads its
+    and ``suspend(torus.sys, torus.roof, values, t)`` flows the values.
+    ``metric_matrix(values)`` reads its
     points' table from one metric on the grid, or from one metric on the
     grid plus the heights that leave it.  ``window_blocks(times)`` yields
     the tables of the values flowed by the times, each distinct table once.
@@ -381,9 +425,6 @@ class MappingTorus:
     def point_ids(self):
         return list(self._ids)
 
-    def evolve(self, values, t):
-        return suspend(self.sys, self.roof, values, t)
-
     def metric_matrix(self, values):
         return self._table(*_canonical(self.sys, self.roof, *_arrays(values)))
 
@@ -399,32 +440,28 @@ class MappingTorus:
 
         Each table is yielded once, with the first time it appears at; the
         later times that read it are left out.  Two times read one table
-        when they read one metric and share an ``orbit_key``.  The times
-        are flowed a BLOCK_ENTRIES-sized stack of tables at a time: one
-        array flow, one level lookup and at most one closure read per
-        block.  The tables on the grid come first, in time order.  A time
-        whose heights leave the grid reads a metric on the grid plus those
-        heights; the times with the same such heights, as floats, follow
-        as one group, flowed again, which builds that metric once and holds
-        one such metric at a time.
+        when they read one metric and share an ``orbit_key``.  The values
+        are flowed by BLOCK_ENTRIES // n times per array flow, one level
+        lookup per flow; the new tables are read a BLOCK_ENTRIES-sized
+        stack at a time.  The tables on the grid come first, in time order.
+        A time whose heights leave the grid reads a metric on the grid plus
+        those heights; the times with the same such heights, as floats,
+        follow as one group, flowed again, which builds that metric once and
+        holds one such metric at a time.
         """
         times = np.asarray(times)
-        n = len(self.values)
-        size = max(1, BLOCK_ENTRIES // max(1, n * n))
         seen, off = set(), {}
-        for lo in range(0, len(times), size):
-            block = times[lo:lo + size]
-            states, heights = self._flowed(block)
+        for block, states, heights in self._flowed(times):
             nodes = self._bw.nodes(states, heights)
             on_grid = (nodes >= 0).all(axis=1)
             for i in np.flatnonzero(~on_grid):
                 extra = np.unique(heights[i][nodes[i] < 0])
-                off.setdefault(extra.tobytes(), []).append(lo + i)
+                off.setdefault(extra.tobytes(), []).append(block[i])
             yield from self._distinct(self._bw, block[on_grid], nodes[on_grid], seen)
-        for extra, where in off.items():
-            yield from self._off_grid(np.frombuffer(extra), times[where], size)
+        for extra, group in off.items():
+            yield from self._off_grid(np.frombuffer(extra), np.array(group))
 
-    def _off_grid(self, extra, times, size):
+    def _off_grid(self, extra, times):
         """``window_blocks`` of times that read the metric on the grid plus ``extra``.
 
         A frame of its own, so that the window frees this metric before it
@@ -432,28 +469,42 @@ class MappingTorus:
         """
         bw = BowenWaltersMetric(self.sys, self.roof, self.height_grid, extra_heights=extra)
         seen = set()
+        for block, states, heights in self._flowed(times):
+            yield from self._distinct(bw, block, bw.nodes(states, heights), seen)
+
+    def _flowed(self, times):
+        """Runs of BLOCK_ENTRIES // n times, each with the (k, n) states and heights.
+
+        Those are the canonical points of the values flowed by each of the
+        run's k times, from one array flow of BLOCK_ENTRIES points or fewer.
+        """
+        n = len(self.values)
+        size = max(1, BLOCK_ENTRIES // max(1, n))
+        states, heights = _arrays(self.values)
         for lo in range(0, len(times), size):
             block = times[lo:lo + size]
-            yield from self._distinct(bw, block, bw.nodes(*self._flowed(block)), seen)
-
-    def _flowed(self, block):
-        """The (k, n) canonical states and heights of the values flowed by each of k times."""
-        n, k = len(self.values), len(block)
-        states, heights = _arrays(self.values)
-        return (a.reshape(k, n) for a in _flow(self.sys, self.roof, np.tile(states, k),
-                                               np.tile(heights, k), np.repeat(block, n)))
+            k = len(block)
+            flowed = _flow(self.sys, self.roof, np.tile(states, k), np.tile(heights, k),
+                           np.repeat(block, n))
+            yield block, *(a.reshape(k, n) for a in flowed)
 
     @staticmethod
     def _distinct(bw, block, nodes, seen):
-        """The times and ``bw`` tables of the node rows whose ``orbit_key`` is not in ``seen``."""
+        """The times and ``bw`` tables of the node rows whose ``orbit_key`` is not in ``seen``.
+
+        The tables are read BLOCK_ENTRIES // n^2 at a time.
+        """
         new = []
         for i, key in enumerate(bw.orbit_key(nodes)):
             key = key.tobytes()
             if key not in seen:
                 seen.add(key)
                 new.append(i)
-        if new:
-            yield block[new], bw.closure(nodes[new])
+        n = nodes.shape[1]
+        size = max(1, BLOCK_ENTRIES // max(1, n * n))
+        for lo in range(0, len(new), size):
+            rows = new[lo:lo + size]
+            yield block[rows], bw.closure(nodes[rows])
 
 
 def mapping_torus(sys: DynSystem, height_grid: int = 16,

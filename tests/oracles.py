@@ -15,6 +15,7 @@ from scipy.sparse.csgraph import dijkstra
 from flowdim.bandlimited import KAISER_BETA, TAPS, Signal
 from flowdim.dynamics import (
     BLOCK_ENTRIES,
+    CIRCLE_TOL,
     BowenWaltersMetric,
     DynSystem,
     RoofFunction,
@@ -24,7 +25,12 @@ from flowdim.dynamics import (
     _solenoid_gaps,
 )
 from flowdim.embedding import NODE_MARGIN, PHASE_TOL
-from flowdim.errors import InvalidHorizonError, InvariantViolationError, QuadratureError
+from flowdim.errors import (
+    InvalidHorizonError,
+    InvariantViolationError,
+    QuadratureError,
+    UnsupportedDirectionError,
+)
 from flowdim.kernel import QUAD_NODES, QUAD_TOL, KernelSpec, interpolation_kernel
 from flowdim.metric import MetricSample, OrbitMetricSpec
 
@@ -274,6 +280,36 @@ def canonical(p: SuspensionPoint, sys: DynSystem, roof: RoofFunction) -> Suspens
     return SuspensionPoint(int(states[0]), float(heights[0]))
 
 
+def scalar_suspend(sys: DynSystem, roof: RoofFunction, p: SuspensionPoint,
+                   t: float) -> SuspensionPoint:
+    """One point flowed by the per-step scalar loop, its own canonical form included.
+
+    One roof crossing per step, under any roof: the form that
+    ``flowdim.dynamics._flow`` has in closed form for roof 1.
+    """
+    def canon(state, height):
+        f = float(roof.values[state])
+        if not (-CIRCLE_TOL <= height <= f + CIRCLE_TOL):
+            raise InvariantViolationError(f"height {height} outside [0, {f}]")
+        if height >= f - CIRCLE_TOL:
+            return int(sys.step[state]), 0.0
+        return state, max(height, 0.0)
+
+    state, total = canon(p.state, p.height)
+    total += t
+    if t >= 0:
+        while total >= float(roof.values[state]) - CIRCLE_TOL:
+            total -= float(roof.values[state])
+            state = int(sys.step[state])
+    else:
+        if sys.inverse is None:
+            raise UnsupportedDirectionError("negative flow time requires an invertible system")
+        while total < -CIRCLE_TOL:
+            state = int(sys.inverse[state])
+            total += float(roof.values[state])
+    return SuspensionPoint(*canon(state, max(total, 0.0)))
+
+
 def solenoid_distance(p: SolenoidPoint, q: SolenoidPoint) -> float:
     """Max over coordinates of the circle distance scaled by circumference."""
     if p.depth != q.depth:
@@ -292,7 +328,8 @@ def orbit_metric_R_loop(flow, spec: OrbitMetricSpec) -> MetricSample:
     A lower bound of the true sup over [0, R]; the gap is controlled by
     the flow's modulus of continuity over one grid step.  The per-time
     loop that ``flowdim.metric.orbit_metric_R`` replaced by its blocks of
-    grid times: one ``evolve`` and one ``metric_matrix`` call per time.
+    grid times: each value flowed by ``scalar_suspend``, then one
+    ``metric_matrix`` call per time.
     """
     if spec.kind != "R-window":
         raise InvalidHorizonError("orbit_metric_R expects an R-window spec")
@@ -302,7 +339,8 @@ def orbit_metric_R_loop(flow, spec: OrbitMetricSpec) -> MetricSample:
         times = np.append(times, R)
     out = None
     for t in times:
-        mat = flow.metric_matrix(flow.evolve(flow.values, float(t)))
+        mat = flow.metric_matrix([scalar_suspend(flow.sys, flow.roof, p, float(t))
+                                  for p in flow.values])
         if not np.all(np.isfinite(mat)):
             raise ArithmeticError(f"non-finite evolution at grid time {t}")
         out = mat if out is None else np.maximum(out, mat)

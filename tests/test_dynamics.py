@@ -25,10 +25,16 @@ from flowdim.dynamics import (
 )
 from flowdim.errors import (
     ConfigurationError,
+    FlowdimError,
     InvariantViolationError,
     UnsupportedDirectionError,
 )
-from flowdim.instances import SuspensionInstance, cube_shift_system, rotation_system
+from flowdim.instances import (
+    SuspensionInstance,
+    cube_shift_system,
+    rotation_system,
+    run_embedding_pipeline,
+)
 from flowdim.metric import MetricSample, OrbitMetricSpec, orbit_metric_R, orbit_metric_Z
 from oracles import (
     canonical,
@@ -36,6 +42,7 @@ from oracles import (
     level_graph,
     orbit_metric_R_loop,
     pruned_every_row,
+    scalar_suspend,
     solenoid_distance,
 )
 
@@ -70,36 +77,22 @@ def dense_min_plus(bw, source):
         dist = extended
 
 
-def scalar_suspend(sys, roof, p, t):
-    """One point flowed by the per-step scalar loop, its own canonical form included."""
-    tol = flowdim.dynamics.CIRCLE_TOL
-
-    def canonical(state, height):
-        f = float(roof.values[state])
-        if not (-tol <= height <= f + tol):
-            raise InvariantViolationError(f"height {height} outside [0, {f}]")
-        if height >= f - tol:
-            return int(sys.step[state]), 0.0
-        return state, max(height, 0.0)
-
-    state, total = canonical(p.state, p.height)
-    total += t
-    if t >= 0:
-        while total >= float(roof.values[state]) - tol:
-            total -= float(roof.values[state])
-            state = int(sys.step[state])
-    else:
-        if sys.inverse is None:
-            raise UnsupportedDirectionError("negative flow time requires an invertible system")
-        while total < -tol:
-            state = int(sys.inverse[state])
-            total += float(roof.values[state])
-    return SuspensionPoint(*canonical(state, max(total, 0.0)))
-
-
 def bits(points):
     """States and exact height bits, so that equal lists agree bit for bit."""
     return [(p.state, float(p.height).hex()) for p in points]
+
+
+def flow_times():
+    """Flow times in [-30, 30]: any float, or a half-integer within a few CIRCLE_TOL.
+
+    From heights 0 and 1/2 the half-integers put totals on both sides of
+    a roof crossing, where the steps decide with CIRCLE_TOL.
+    """
+    tol = flowdim.dynamics.CIRCLE_TOL
+    edges = [0.0, 1e-12, tol / 2, tol, 1.5 * tol, 2 * tol]
+    near = st.builds(lambda k, e: k / 2 + e, st.integers(-60, 60),
+                     st.sampled_from(edges + [-e for e in edges[1:]]))
+    return st.one_of(st.floats(-30.0, 30.0), near)
 
 
 def seeded_metric(seed, grid, n_extra):
@@ -285,39 +278,75 @@ class TestSuspend:
     def test_roof_boundary_canonicalizes(self, rot12, roof1):
         assert canonical(SuspensionPoint(5, 1.0), rot12, roof1) == SuspensionPoint(6, 0.0)
 
-    @settings(max_examples=80)
-    @given(data=st.data(), n=st.integers(1, 6), permute=st.booleans(),
-           t=st.floats(-30.0, 30.0))
-    def test_batch_matches_the_scalar_loop(self, data, n, permute, t):
+    @settings(max_examples=160)
+    @given(data=st.data(), n=st.integers(1, 6), permute=st.booleans(), unit=st.booleans(),
+           t=flow_times())
+    def test_batch_matches_the_scalar_loop(self, data, n, permute, unit, t):
+        # Roof 1 takes the closed form, any other roof the steps; both must
+        # match the scalar loop bit for bit, backward and at the roof.
         if permute:
             step = data.draw(st.permutations(range(n)))
         else:
             step = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
             t = abs(t)
         sys = DynSystem(MetricSample(list(range(n)), np.zeros((n, n))), step)
-        roof = RoofFunction(data.draw(st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n)))
+        roof = (RoofFunction.constant(1.0, n) if unit else
+                RoofFunction(data.draw(st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n))))
         tol = flowdim.dynamics.CIRCLE_TOL
 
         def heights(state):
             f = float(roof.values[state])
-            return st.one_of(st.floats(0.0, f), st.sampled_from([0.0, f, f - tol / 2, -tol / 2]))
+            return st.one_of(st.floats(0.0, f),
+                             st.sampled_from([0.0, f / 2, f, f - tol / 2, -tol / 2]))
 
         point = st.integers(0, n - 1).flatmap(
             lambda x: heights(x).map(lambda h: SuspensionPoint(x, h)))
-        points = data.draw(st.lists(point, max_size=12))
+        if data.draw(st.booleans()):
+            # Every grid height of every state, as an every-height torus samples them.
+            grid = data.draw(st.integers(1, 8))
+            points = [SuspensionPoint(x, j * float(roof.values[x]) / grid)
+                      for x in range(n) for j in range(grid)]
+        else:
+            points = data.draw(st.lists(point, max_size=12))
         # Every batch holds a roof-top height.
         points.append(SuspensionPoint(n - 1, float(roof.values[n - 1])))
         want = [scalar_suspend(sys, roof, p, t) for p in points]
         assert bits(suspend(sys, roof, points, t)) == bits(want)
         # The array core flows each point by its own time, in both directions
         # at once when the step map is invertible.
-        times = [t] + data.draw(st.lists(st.floats(-30.0, 30.0), min_size=len(points) - 1,
+        times = [t] + data.draw(st.lists(flow_times(), min_size=len(points) - 1,
                                          max_size=len(points) - 1))
         if not permute:
             times = [abs(s) for s in times]
         want = [scalar_suspend(sys, roof, p, s) for p, s in zip(points, times)]
         states, heights = _flow(sys, roof, *zip(*[(p.state, p.height) for p in points]), times)
         assert bits(map(SuspensionPoint, states, heights)) == bits(want)
+
+    def test_huge_roof_one_times_are_powers_of_the_step(self, rot12, roof1):
+        # Past 2^53 a step cannot subtract 1 from the total; the closed form
+        # reads the whole float as the crossing count, past int64 too.
+        for t in (1e17, 2.0 ** 53 + 2.0, 1e300, -1e17, -(2.0 ** 53) - 2.0, -1e300):
+            [out] = suspend(rot12, roof1, [SuspensionPoint(5, 0.0)], t)
+            assert out == SuspensionPoint((5 + int(t)) % 12, 0.0)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_non_finite_time_is_an_invariant_violation(self, rot12, roof1, t):
+        points = [SuspensionPoint(0, 0.0), SuspensionPoint(3, 0.5)]
+        for roof in (roof1, RoofFunction.constant(0.5, 12)):
+            with pytest.raises(InvariantViolationError, match="finite"):
+                suspend(rot12, roof, points, t)
+            with pytest.raises(InvariantViolationError, match="finite"):
+                _flow(rot12, roof, [0, 3], [0.0, 0.5], [0.5, t])
+
+    def test_step_budget_overrun_is_a_flowdim_error(self, monkeypatch, rot12, roof1):
+        monkeypatch.setattr(flowdim.dynamics, "MAX_SUSPEND_STEPS", 8)
+        point = [SuspensionPoint(0, 0.0)]
+        with pytest.raises(FlowdimError, match="roof crossings"):
+            suspend(rot12, RoofFunction.constant(0.5, 12), point, 100.0)
+        assert suspend(rot12, RoofFunction.constant(0.5, 12), point, 3.0) == [
+            SuspensionPoint(6, 0.0)]
+        # Roof 1 counts its crossings in closed form, with no budget.
+        assert suspend(rot12, roof1, point, 100.0) == [SuspensionPoint(4, 0.0)]
 
     def test_height_outside_the_roof_is_an_invariant_violation(self, rot12, roof1):
         for h in (-0.01, 1.01, float("nan")):
@@ -589,7 +618,7 @@ class TestBowenWalters:
 class TestMappingTorus:
     def test_time_one_map_is_step(self, rot12):
         torus = mapping_torus(rot12)
-        out = torus.evolve([SuspensionPoint(3, 0.0)], 1.0)
+        out = suspend(torus.sys, torus.roof, [SuspensionPoint(3, 0.0)], 1.0)
         assert out == [SuspensionPoint(4, 0.0)]
 
     def test_periodic_base_point(self, rot12):
@@ -597,11 +626,11 @@ class TestMappingTorus:
         p = SuspensionPoint(2, 0.0)
         out = [p]
         for _ in range(12):
-            out = torus.evolve(out, 1.0)
+            out = suspend(torus.sys, torus.roof, out, 1.0)
         assert out == [p]
 
     @pytest.mark.parametrize("step", [[(i + 1) % 7 for i in range(7)], [3, 0, 6, 1, 5, 2, 4]])
-    def test_every_height_evolve_matches_the_scalar_loop(self, step):
+    def test_every_height_flow_matches_the_scalar_loop(self, step):
         sys = DynSystem(MetricSample(list(range(7)), np.zeros((7, 7))), step)
         torus = mapping_torus(sys, height_grid=5, every_height=True)
         roof = RoofFunction.constant(1.0, 7)
@@ -611,7 +640,7 @@ class TestMappingTorus:
         wants = []
         for t in times:
             want = [scalar_suspend(sys, roof, p, t) for p in torus.values]
-            assert bits(torus.evolve(torus.values, t)) == bits(want)
+            assert bits(suspend(sys, roof, torus.values, t)) == bits(want)
             wants += want
         # Every (value, time) pair in one batch of the array core, as the
         # window flows them.
@@ -645,7 +674,7 @@ class TestMappingTorus:
         spec = OrbitMetricSpec("R-window", 2.4, 0.1)
         sets = set()
         for t in np.arange(0.0, 2.4 + 0.05, 0.1):
-            moved = torus.evolve(torus.values, float(t))
+            moved = suspend(torus.sys, torus.roof, torus.values, float(t))
             h = np.array([p.height for p in moved])
             off = torus._bw.nodes(np.array([p.state for p in moved]), h) < 0
             if off.any():
@@ -714,7 +743,7 @@ class TestMappingTorus:
 
         monkeypatch.setattr(flowdim.dynamics, "dijkstra", counted)
         torus = mapping_torus(rotation_system(12), height_grid=4)
-        table = torus.metric_matrix(torus.evolve(torus.values, 0.1))
+        table = torus.metric_matrix(suspend(torus.sys, torus.roof, torus.values, 0.1))
         # The 12 query nodes of a 12 x 6-node graph share one level and one
         # rotation orbit: one Dijkstra source, the other 11 rows permuted.
         assert sources == [1]
@@ -755,7 +784,7 @@ class TestMappingTorus:
         bw = BowenWaltersMetric(rotation_system(12), RoofFunction.constant(1.0, 12), 10)
         want = 0.0
         for t in np.arange(0.0, 2.05, 0.1):
-            moved = flow.evolve(flow.values, float(t))
+            moved = suspend(flow.sys, flow.roof, flow.values, float(t))
             nodes = bw.nodes(np.array([p.state for p in moved]),
                              np.array([p.height for p in moved]))
             want = np.maximum(want, closure_every_row(bw, nodes))
@@ -786,8 +815,8 @@ class TestMappingTorus:
         sys = DynSystem(base, [0])
         torus = mapping_torus(sys)
         p = SuspensionPoint(0, 0.0)
-        assert torus.evolve([p], 1.0) == [p]
-        assert torus.metric_matrix([p] + torus.evolve([p], 1.0))[0, 1] == 0.0
+        assert suspend(sys, torus.roof, [p], 1.0) == [p]
+        assert torus.metric_matrix([p] + suspend(sys, torus.roof, [p], 1.0))[0, 1] == 0.0
 
 
 class TestSuspensionInstance:
@@ -799,8 +828,44 @@ class TestSuspensionInstance:
         # below the cycle length.
         for k in range(65):
             for t in (k / n, -k / n):
-                for i, q in enumerate(flow.evolve(flow.values, t)):
+                for i, q in enumerate(suspend(flow.sys, flow.roof, flow.values, t)):
                     assert inst.advance(i, t) == index[q.state, round(q.height * n)]
+
+    def test_advance_is_the_flow_at_the_pipeline_times(self, monkeypatch):
+        # Every (index, time) pair the pipeline asks of advance: the period
+        # starts of each state's perturbation, of both signs, -Phi_N and the
+        # two equivariance shifts.  The flowed point's node (state, level)
+        # of the 11-level grid is sample index state * 10 + level.
+        calls = []
+        advance = SuspensionInstance.advance
+
+        def recorded(self, idx, t):
+            calls.append(np.broadcast_arrays(idx, np.asarray(t, dtype=float)))
+            return advance(self, idx, t)
+
+        monkeypatch.setattr(SuspensionInstance, "advance", recorded)
+        result = run_embedding_pipeline()
+        inst, n = result.instance, result.instance.n_heights
+        assert (inst.base_size, n) == (12, 10)
+        assert len(calls) == 12 * n + 3
+        assert any(np.array_equal(t, -result.run.phi_N) for _, t in calls)
+        assert any(np.all(t == 2.0) for _, t in calls)
+        idx = np.concatenate([i.ravel() for i, _ in calls])
+        times = np.concatenate([t.ravel() for _, t in calls])
+        assert times.min() < 0 < times.max()
+        values = inst.flow.values
+        states, heights = _flow(inst.flow.sys, inst.flow.roof, [values[i].state for i in idx],
+                                [values[i].height for i in idx], times)
+        nodes = inst.flow._bw.nodes(states, heights)
+        assert (nodes >= 0).all()
+        state, level = np.divmod(nodes, n + 1)
+        assert (level < n).all()
+        assert np.array_equal(advance(inst, idx, times), state * n + level)
+        # An image off the height grid has no node, and advance refuses it.
+        states, heights = _flow(inst.flow.sys, inst.flow.roof, [3], [0.4], 0.05)
+        assert inst.flow._bw.nodes(states, heights)[0] == -1
+        with pytest.raises(ConfigurationError, match="leaves the height grid"):
+            inst.advance(3 * n + 4, 0.05)
 
     def test_advance_maps_an_array_of_times(self):
         inst = SuspensionInstance.build(base_size=6, n_heights=5)
