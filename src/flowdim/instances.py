@@ -35,7 +35,7 @@ from .embedding import (
     solenoid_coefficients,
     verify_delta_embedding,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InvariantViolationError
 from .kernel import KernelSpec, certify_constants
 from .metric import MetricSample, OrbitMetricSpec, orbit_metric_R
 
@@ -138,9 +138,12 @@ class SuspensionInstance:
         coordinate modulo the cycle length; the image height must land
         back on the height grid, and its grid slot is its index.  Indices
         and times broadcast against each other: arrays give the int array
-        of image indices, two scalars an int.
+        of image indices, two scalars an int.  A time that is not finite
+        raises ``InvariantViolationError``, as in ``dynamics._flow``.
         """
         idx, t = np.broadcast_arrays(idx, np.asarray(t, dtype=float))
+        if not np.isfinite(t).all():
+            raise InvariantViolationError("flow times must be finite")
         tau = (self.total_time(idx) + t) % self.base_size
         slot = np.rint(tau * self.n_heights)
         off = np.abs(slot / self.n_heights - tau) > 1e-9

@@ -1,13 +1,17 @@
 """JSON and CSV interchange for samples, systems, and tables.
 
-CSV numeric columns are rendered with repr-faithful formatting so
-reruns with identical inputs produce byte-identical files.
+A CSV table is its header row, quoted by ``csv``, then one line per row,
+every line ended by CRLF.  Integers (other than ``bool``) are written in
+decimal and every other value as ``%.17g`` of its float, so reruns with
+identical inputs produce byte-identical files.  Rows are streamed in
+chunks of ``CSV_CHUNK``; all rows of a table have one width.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -17,19 +21,59 @@ from .errors import ConfigurationError, InvariantViolationError, MetricInvariant
 from .metric import MetricSample
 
 
+# Rows formatted per column and written per fh.write.  A chunk's live row
+# tuples stay well under the default young-generation GC threshold (700),
+# so streaming a table starts next to no collections.
+CSV_CHUNK = 256
+
+
 def _fmt(x):
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".17g")
 
 
+def _column_format(column):
+    """A column's format and the values it formats, giving ``_fmt``'s text.
+
+    ``%d`` for a column of integers (``bool`` excluded), ``%.17g`` for a
+    column of float subclasses, and for any other column ``%s`` of
+    ``_fmt`` of each value.
+    """
+    kinds = set(map(type, column))
+    if all(issubclass(k, float) for k in kinds):
+        return "%.17g", column
+    if all(issubclass(k, (int, np.integer)) and k is not bool for k in kinds):
+        return "%d", column
+    return "%s", tuple(map(_fmt, column))
+
+
 def write_table_csv(path, rows, header=("epsilon", "N", "value")):
+    """Write the header, then the rows, CSV_CHUNK at a time, with one format per column.
+
+    Rows are taken lazily from any iterable of sequences; rows of unequal
+    width raise ``InvariantViolationError``.  Their width need not be the
+    header's.
+    """
     path = Path(path)
+    rows = iter(rows)
+    done, width = 0, None
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        csv.writer(fh).writerow(header)
+        while chunk := list(islice(rows, CSV_CHUNK)):
+            widths = list(map(len, chunk))
+            width = widths[0] if width is None else width
+            if widths.count(width) != len(chunk):
+                bad = next(i for i, w in enumerate(widths) if w != width)
+                raise InvariantViolationError(
+                    f"row {done + bad} has {widths[bad]} fields, row 0 has {width}")
+            if width:
+                formats, columns = zip(*map(_column_format, zip(*chunk)))
+                lines = map(",".join(formats).__mod__, zip(*columns))
+            else:
+                lines = [""] * len(chunk)
+            fh.write("\r\n".join(lines) + "\r\n")
+            done += len(chunk)
     return path
 
 

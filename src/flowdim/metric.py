@@ -157,14 +157,16 @@ def cover_nerve(sample: MetricSample, eps: float) -> CoverNerve:
 
 
 def widim_upper(sample: MetricSample, eps: float) -> int:
-    """Upper estimate of the eps-width dimension of the sample.
+    """Brick-heuristic estimate of the eps-width dimension of the sample.
 
-    Returns the corrected nerve order of the greedy ball cover (see
-    ``CoverNerve``).  The partition of unity subordinate to the cover
-    maps the sample into the nerve and identifies only points lying in
-    a common element, hence points at distance < eps, which is what
-    makes the value an upper estimate.  Meaningful in the grid regime
-    only; always <= len(sample) - 1.
+    Returns ``nerve_dim = floor(log2(order))`` of the greedy ball cover
+    (see ``CoverNerve``).  What the cover proves is ``order - 1``: the
+    partition of unity subordinate to the cover maps the sample into the
+    nerve, of dimension ``order - 1``, and identifies only points lying in
+    a common element, hence points at distance < eps.  The ``log2``
+    correction is a heuristic from brick tilings of sup-metric products
+    and can sit below the true eps-width dimension.  Meaningful in the
+    grid regime only; always <= len(sample) - 1.
     """
     return cover_nerve(sample, eps).nerve_dim
 

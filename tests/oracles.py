@@ -4,7 +4,9 @@ Each one is the straightforward form of a quantity that ``src/`` computes
 in a faster or more structured way; none is called outside the tests.
 """
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from flowdim.errors import (
     QuadratureError,
     UnsupportedDirectionError,
 )
+from flowdim.io import _fmt
 from flowdim.kernel import QUAD_NODES, QUAD_TOL, KernelSpec, interpolation_kernel
 from flowdim.metric import MetricSample, OrbitMetricSpec
 
@@ -345,3 +348,18 @@ def orbit_metric_R_loop(flow, spec: OrbitMetricSpec) -> MetricSample:
             raise ArithmeticError(f"non-finite evolution at grid time {t}")
         out = mat if out is None else np.maximum(out, mat)
     return MetricSample(flow.point_ids(), out, validate=False)
+
+
+def write_table_csv_rowwise(path, rows, header=("epsilon", "N", "value")):
+    """The table written one row per ``csv.writer.writerow`` call, ``_fmt`` on each value.
+
+    The writer that ``flowdim.io.write_table_csv`` replaced by its chunks
+    formatted column by column.
+    """
+    path = Path(path)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+    return path

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -888,6 +889,17 @@ class TestSuspensionInstance:
         assert inst.advance(states[:, None], times[None, :4]).shape == (30, 4)
         with pytest.raises(ConfigurationError, match="state 3 leaves"):
             inst.advance(states[:5], np.array([0.2, 0.4, 0.6, 0.25, 0.8]))
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan,
+                                   np.array([0.2, math.nan, 0.4])],
+                             ids=["inf", "-inf", "nan", "nan-in-array"])
+    def test_advance_refuses_a_time_that_is_not_finite(self, t):
+        inst = SuspensionInstance.build(base_size=6, n_heights=5)
+        # No numpy RuntimeWarning comes before the refusal.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantViolationError, match="finite"):
+                inst.advance(3, t)
 
     def test_sample_is_the_torus_table(self):
         inst = SuspensionInstance.build(base_size=6, n_heights=5)

@@ -5,17 +5,22 @@ import re
 import shlex
 import subprocess
 import sys
+from itertools import cycle, islice
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import dijkstra
 
 from flowdim import cli
 from flowdim.cli import main
 from flowdim.dynamics import BowenWaltersMetric, RoofFunction, SuspensionPoint, suspend
+from flowdim.errors import InvariantViolationError
 from flowdim.instances import cube_shift_system
 from flowdim.io import (
+    CSV_CHUNK,
     _fmt,
     load_sample,
     load_sample_json,
@@ -23,7 +28,7 @@ from flowdim.io import (
     write_table_csv,
 )
 from flowdim.metric import metric_mdim_table, widim_upper
-from oracles import level_graph, sample_distance
+from oracles import level_graph, sample_distance, write_table_csv_rowwise
 
 
 class TestSampleIO:
@@ -65,12 +70,107 @@ class TestSystemIO:
         assert out.state == 1
 
 
+def _numpy_ints(kind):
+    info = np.iinfo(kind)
+    return st.integers(int(info.min), int(info.max)).map(kind)
+
+
+# The value kinds a table column may hold; "int|float" and "any" mix kinds
+# within one column.
+CELLS = {
+    "int": st.integers(-2 ** 70, 2 ** 70),
+    "np-int": st.one_of(*map(_numpy_ints, (np.int8, np.int32, np.int64, np.uint64))),
+    "float": st.floats(),
+    "np-float64": st.floats().map(np.float64),
+    "bool": st.booleans(),
+    "numeric-str": st.one_of(st.integers().map(str), st.floats().map(repr)),
+}
+CELLS["int|float"] = st.one_of(CELLS["int"], CELLS["float"])
+CELLS["any"] = st.one_of(*CELLS.values())
+
+
+@st.composite
+def csv_tables(draw):
+    """Rows of one width in 0-4, in runs whose column kinds change from run to run.
+
+    A run cycles through a few drawn rows for up to a little over a chunk,
+    so longer tables span several chunks, and a column can change kind
+    at a chunk boundary or within a chunk.
+    """
+    width = draw(st.integers(0, 4))
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=width, max_size=width))
+        cells = st.tuples(*(CELLS[k] for k in kinds))
+        run = draw(st.lists(cells.map(draw(st.sampled_from([tuple, list]))),
+                            min_size=1, max_size=4))
+        size = draw(st.sampled_from([1, 3, CSV_CHUNK // 3, CSV_CHUNK, CSV_CHUNK + 1]))
+        rows += islice(cycle(run), size)
+    return rows
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
 class TestCsvDeterminism:
     def test_reruns_are_byte_identical(self, tmp_path):
         rows = [(0.1, 1, 1 / 3), (0.2, 2, np.pi)]
         p1 = write_table_csv(tmp_path / "a.csv", rows)
         p2 = write_table_csv(tmp_path / "b.csv", rows)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestCsvTable:
+    @settings(max_examples=150)
+    @given(rows=csv_tables(), lazy=st.booleans(),
+           header=st.lists(st.sampled_from(["eps", "N", 'a "b"', "c,d", ""]), max_size=4))
+    def test_bytes_are_the_row_by_row_writer_s(self, csv_dir, rows, lazy, header):
+        got = write_table_csv(csv_dir / "got.csv", (r for r in rows) if lazy else rows, header)
+        want = write_table_csv_rowwise(csv_dir / "want.csv", rows, header)
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("bad", [1, CSV_CHUNK, CSV_CHUNK + 7])
+    def test_rows_of_unequal_width_raise(self, tmp_path, bad):
+        rows = [(i, 0.5) for i in range(CSV_CHUNK + 10)]
+        rows[bad] = (bad, 0.5, 1.0)
+        with pytest.raises(InvariantViolationError, match=f"row {bad} has 3 fields"):
+            write_table_csv(tmp_path / "t.csv", (r for r in rows))
+
+    def test_row_width_need_not_be_the_header_s(self, tmp_path):
+        path = write_table_csv(tmp_path / "t.csv", [(0.5, 1), (0.25, 2)])
+        assert path.read_bytes() == b"epsilon,N,value\r\n0.5,1\r\n0.25,2\r\n"
+
+
+def test_readme_examples_write_the_row_by_row_writer_s_bytes(tmp_path, monkeypatch):
+    """Each CSV-writing subcommand at its README example writes the reference bytes."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```\n(.*?)```", readme, re.S).group(1)
+    examples = {line.split()[3]: shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("flowdim ")}
+    (tmp_path / "sample.json").write_text(json.dumps(
+        {"points": [[0, 0], [1, 0], [0.3, 0.1], [0.5, 0.9], [0.2, 0.2]], "metric": "euclidean"}))
+    (tmp_path / "system.json").write_text(json.dumps(
+        {"points": [0, 1, 2, 3, 4, 5], "metric": "circle", "period": 6,
+         "step": [1, 2, 3, 4, 5, 0]}))
+    calls = []
+
+    def spy(path, rows, header=("epsilon", "N", "value")):
+        rows = list(rows)
+        calls.append((path, rows, header))
+        return write_table_csv(path, iter(rows), header)
+
+    monkeypatch.setattr(cli, "write_table_csv", spy)
+    monkeypatch.chdir(tmp_path)
+    for sub in ["kernel-report", "solenoid-demo", "widim-sweep", "mdim-table", "bw-metric"]:
+        argv = [str(tmp_path / "out") if a == "artifacts" else a for a in examples[sub]]
+        assert main(argv) == 0
+        path, rows, header = calls.pop()
+        assert path.name.startswith(sub) and not calls
+        want = write_table_csv_rowwise(tmp_path / "want.csv", rows, header)
+        assert path.read_bytes() == want.read_bytes()
+        assert len(rows) > 1
 
 
 class TestCli:
