@@ -1,12 +1,12 @@
 # The lattice product and the interpolation kernel.
 #
 # On the uniform lattice {k/rho} the normalized zero product collapses
-# to sin(pi rho z)/(pi rho z); the truncated product is kept as an
-# independent cross-check with a certified tail bound.  Multiplying by
-# a smooth-bump transform and a band-centering phase yields the
-# interpolation kernel: value 1 at the origin, zeros on the punctured
-# lattice, spectrum inside [a, b], quadratic-envelope decay certified
-# into an interpolation budget.
+# to sin(pi rho z)/(pi rho z), which gives its growth envelopes exactly:
+# |f(x)| <= 1 on the reals and |f(iy)| = sinh(pi rho |y|)/(pi rho |y|)
+# <= e^(pi rho |y|).  Multiplying by a smooth-bump transform and a
+# band-centering phase yields the interpolation kernel: value 1 at the
+# origin, zeros on the punctured lattice, spectrum inside [a, b],
+# quadratic-envelope decay certified into an interpolation budget.
 
 import numpy as np
 from fractions import Fraction
@@ -14,33 +14,24 @@ from fractions import Fraction
 from flowdim import (
     Band,
     KernelSpec,
-    Lattice,
     bump_transform,
     certify_constants,
-    growth_audit,
     interpolation_kernel,
-    product_function,
-    product_truncation_bound,
     sinc_product,
 )
 from flowdim.kernel import kernel_band_leakage, reverify_constants
 
-# ## Truncated product vs closed form
+# ## The lattice product in closed form
 
-lat = Lattice(Fraction(1), 2)
 for z in (0.0, 0.5, 1.0, 2.5):
-    approx = product_function(z, lat, 100_000)
-    exact = sinc_product(z, 1.0)
-    bound = product_truncation_bound(z, lat, 100_000)
-    print(f"z={z}: product {approx.real:+.8f}  sinc {exact.real:+.8f}  "
-          f"tail bound {float(bound):.1e}")
+    print(f"z={z}: f(z) = {sinc_product(z, 1.0).real:+.8f}")
 
-# ## Growth: polynomial along the reals, exponential along i*R
+# ## Growth: bounded along the reals, exponential along i*R
 
-audit = growth_audit(lat, K_trunc=20_000)
-print("\ngrowth audit passed:", audit.passed,
-      "| fitted real-axis constant:", audit.fitted_C)
-print("|f(2i)| =", abs(product_function(2j, lat, 100_000)),
+x = np.linspace(-20.0, 20.0, 2001)
+print("\nmax |f(x)| on [-20, 20]:", np.abs(sinc_product(x, 1.0)).max())
+print("|f(2i)| =", abs(sinc_product(2j, 1.0)),
+      "= sinh(2 pi)/(2 pi) =", np.sinh(2 * np.pi) / (2 * np.pi),
       "<= e^(2 pi) =", np.exp(2 * np.pi))
 
 # ## The kernel and its certified constants

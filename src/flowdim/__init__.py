@@ -59,10 +59,7 @@ from .kernel import (
     Lattice,
     bump_transform,
     certify_constants,
-    growth_audit,
     interpolation_kernel,
-    product_function,
-    product_truncation_bound,
     sinc_product,
 )
 from .metric import (

@@ -140,8 +140,10 @@ def cmd_periodic_dim(runner, params):
 
 
 def _kernel_spec(params):
-    band = Band(params.get("band-lo", 0.0), params.get("band-hi", 2.0))
-    return KernelSpec(band, Fraction(str(params.get("rho", 1))),
+    a, b = params.get("band-lo", 0.0), params.get("band-hi", 2.0)
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ConfigurationError(f"need finite band edges a < b, got [{a}, {b}]")
+    return KernelSpec(Band(a, b), Fraction(str(params.get("rho", 1))),
                       params.get("tau", 0.5),
                       window=params.get("window", 200.0))
 

@@ -185,8 +185,10 @@ def run_embedding_pipeline(delta: float = 0.2, rho=1, N: int = 2,
     build g = f + h, and verify the delta-embedding together with the
     node and equivariance identities.  Equivariance is checked at a
     sub-period shift near 0.3 (snapped onto the height grid) and at the
-    full node period N!.
+    full node period N!.  delta must lie in (0, 1).
     """
+    if not 0 < delta < 1:
+        raise ConfigurationError(f"need 0 < delta < 1, got {delta}")
     inst = SuspensionInstance.build(base_size=base_size, n_heights=n_heights,
                                     depth=max(3, N))
     spec = KernelSpec(BAND, rho, TAU, N=N, window=200.0)

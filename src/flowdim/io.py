@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from itertools import islice
 from pathlib import Path
 
@@ -53,27 +54,35 @@ def write_table_csv(path, rows, header=("epsilon", "N", "value")):
 
     Rows are taken lazily from any iterable of sequences; rows of unequal
     width raise ``InvariantViolationError``.  Their width need not be the
-    header's.
+    header's.  The table is streamed into the hidden sibling
+    ``.<name>.tmp`` and moved onto path only once its last row is written,
+    so a write that fails leaves whatever file was at path untouched.
     """
     path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
     rows = iter(rows)
     done, width = 0, None
-    with path.open("w", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        while chunk := list(islice(rows, CSV_CHUNK)):
-            widths = list(map(len, chunk))
-            width = widths[0] if width is None else width
-            if widths.count(width) != len(chunk):
-                bad = next(i for i, w in enumerate(widths) if w != width)
-                raise InvariantViolationError(
-                    f"row {done + bad} has {widths[bad]} fields, row 0 has {width}")
-            if width:
-                formats, columns = zip(*map(_column_format, zip(*chunk)))
-                lines = map(",".join(formats).__mod__, zip(*columns))
-            else:
-                lines = [""] * len(chunk)
-            fh.write("\r\n".join(lines) + "\r\n")
-            done += len(chunk)
+    try:
+        with tmp.open("w", newline="") as fh:
+            csv.writer(fh).writerow(header)
+            while chunk := list(islice(rows, CSV_CHUNK)):
+                widths = list(map(len, chunk))
+                width = widths[0] if width is None else width
+                if widths.count(width) != len(chunk):
+                    bad = next(i for i, w in enumerate(widths) if w != width)
+                    raise InvariantViolationError(
+                        f"row {done + bad} has {widths[bad]} fields, row 0 has {width}")
+                if width:
+                    formats, columns = zip(*map(_column_format, zip(*chunk)))
+                    lines = map(",".join(formats).__mod__, zip(*columns))
+                else:
+                    lines = [""] * len(chunk)
+                fh.write("\r\n".join(lines) + "\r\n")
+                done += len(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 

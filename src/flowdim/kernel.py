@@ -4,9 +4,8 @@ The kernel phi(t) = exp(pi i t (a+b)) h(t) g(t) multiplies a smooth-bump
 transform h (entire, h(0)=1, |h(x+iy)| <= exp(pi tau |y|)) with the
 lattice product g (value 1 at 0, zeros exactly on the punctured lattice
 {k/rho}).  Because the lattice is uniform, the full product collapses
-to sin(pi rho z)/(pi rho z); that closed form is the production
-evaluator, while the truncated product is kept as an independent
-cross-check path with a certified relative tail bound.  h is an even
+to sin(pi rho z)/(pi rho z), and ``sinc_product`` evaluates that closed
+form; it is the package's only evaluator of the product.  h is an even
 trapezoidal rule on uniform nodes, evaluated as the block product of
 ``bandlimited._grid_factors`` with the points as frequencies; the lattice
 sum behind the budget is in closed form.
@@ -76,46 +75,6 @@ def _snap_to_lattice(w):
     return on, k
 
 
-def product_function(z, lat: Lattice, K_trunc: int):
-    """Truncated lattice product prod_{k=1}^{K} (1 - (rho z)^2 / k^2).
-
-    Evaluates to exactly 0 at included lattice points and exactly 1 at 0.
-    The relative truncation error is bounded by
-    ``product_truncation_bound``.  Accepts scalars or arrays.
-    """
-    if K_trunc < 1:
-        raise ConfigurationError("K_trunc must be at least 1")
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    w = lat.rho_float * np.atleast_1d(z)
-    real_axis = bool(np.all(w.imag == 0.0))
-    w2 = (w.real * w.real) if real_axis else (w * w)
-    out = np.ones(w2.shape, dtype=float if real_axis else complex)
-    flat_w2, flat_out = w2.reshape(-1), out.reshape(-1)
-    chunk = 1 << 16
-    for start in range(1, K_trunc + 1, chunk):
-        k2 = np.arange(start, min(start + chunk, K_trunc + 1), dtype=float) ** 2
-        # Blocks of points keep each factor table near 2^20 entries.
-        block = max(1, (1 << 20) // len(k2))
-        for lo in range(0, len(flat_w2), block):
-            factors = 1.0 - flat_w2[lo:lo + block, None] / k2
-            flat_out[lo:lo + block] *= factors.prod(axis=-1)
-    out = out.astype(complex)
-    on, k_hit = _snap_to_lattice(w)
-    out[on & (np.abs(k_hit) <= K_trunc)] = 0.0
-    return complex(out[0]) if scalar else out
-
-
-def product_truncation_bound(z, lat: Lattice, K_trunc: int):
-    """Certified relative tail bound exp(|rho z|^2 / K_trunc) - 1.
-
-    Valid once K_trunc exceeds roughly 2 |rho z|; the acceptance
-    configurations satisfy this with orders of magnitude to spare.
-    """
-    w = np.abs(lat.rho_float * np.asarray(z, dtype=complex))
-    return np.expm1(w * w / K_trunc)
-
-
 def sinc_product(z, rho: float):
     """Closed-form full product sin(pi rho z) / (pi rho z), zero-snapped.
 
@@ -135,54 +94,6 @@ def sinc_product(z, rho: float):
     on, _ = _snap_to_lattice(w)
     out[on] = 0.0
     return complex(out[0]) if scalar else out
-
-
-@dataclass
-class GrowthAudit:
-    """Outcome of sampling the product against its growth envelopes."""
-
-    real_axis_ok: bool
-    imag_axis_ok: bool
-    fitted_C: float
-    real_margin: float
-    imag_margin: float
-    n_samples: int
-
-    @property
-    def passed(self):
-        return self.real_axis_ok and self.imag_axis_ok
-
-
-def growth_audit(lat: Lattice, K_trunc: int = 20_000,
-                 n_real: int = 2001, n_imag: int = 801) -> GrowthAudit:
-    """Check |f(x)| <= C (1+|x|)^(5 rho N!) (fitted C) and |f(iy)| <= e^(pi rho |y|).
-
-    The imaginary-axis envelope carries no fitted constant.  Real-axis
-    samples cover |x| <= 10 N!; imaginary samples |y| <= 20.  Violations
-    produce a failing report, not an exception.
-    """
-    rho = lat.rho_float
-    exponent = 5 * lat.period_count
-    x = np.linspace(-10 * math.factorial(lat.N), 10 * math.factorial(lat.N), n_real)
-    fx = np.abs(product_function(x, lat, K_trunc))
-    envelope_x = (1.0 + np.abs(x)) ** exponent
-    fitted_C = float((fx / envelope_x).max())
-    real_margin = float(fx.max())
-
-    y = np.linspace(-20.0, 20.0, n_imag)
-    fy = np.abs(product_function(1j * y, lat, K_trunc))
-    bound_y = np.exp(np.pi * rho * np.abs(y))
-    imag_ok = bool(np.all(fy <= bound_y * (1 + 1e-12)))
-    imag_margin = float((bound_y - fy).min())
-
-    return GrowthAudit(
-        real_axis_ok=bool(np.isfinite(fitted_C)),
-        imag_axis_ok=imag_ok,
-        fitted_C=fitted_C,
-        real_margin=real_margin,
-        imag_margin=imag_margin,
-        n_samples=n_real + n_imag,
-    )
 
 
 class KernelSpec:
@@ -212,6 +123,8 @@ class KernelSpec:
         if not (self.rho_float + self.tau < band.width):
             raise ConfigurationError("need rho + tau < b - a")
         self.window = float(window)
+        if not (math.isfinite(self.window) and self.window > 0):
+            raise ConfigurationError(f"need a finite window > 0, got {self.window}")
         self.bump_norm = 1.0 / float(self._trapezoid(QUAD_NODES)[1].sum())
 
     @property
@@ -400,8 +313,8 @@ def certify_constants(spec: KernelSpec, delta: float) -> KernelConstants:
     S_sup = K_dec pi rho coth(pi rho).  delta' = 0.9 delta / S_sup, so
     the product delta' * S_sup sits strictly below delta.
     """
-    if delta <= 0:
-        raise ConfigurationError("delta must be positive")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ConfigurationError(f"need a finite delta > 0, got {delta}")
     rho = spec.rho_float
     tail_scale = bump_second_derivative_norm(spec) / (4.0 * math.pi ** 2) / (math.pi * rho)
     T0 = 1.0

@@ -138,6 +138,20 @@ class TestCsvTable:
         with pytest.raises(InvariantViolationError, match=f"row {bad} has 3 fields"):
             write_table_csv(tmp_path / "t.csv", (r for r in rows))
 
+    @pytest.mark.parametrize("earlier", [None, b"epsilon,N,value\r\n0.5,1,2\r\n"],
+                             ids=["no-file", "earlier-file"])
+    def test_failed_write_leaves_the_path_as_it_was(self, tmp_path, earlier):
+        path = tmp_path / "kernel-report-0123456789ab.csv"
+        if earlier is not None:
+            path.write_bytes(earlier)
+        rows = [(i, 0.5, 1.0) for i in range(600)]
+        rows[300] = (300, 0.5)
+        with pytest.raises(InvariantViolationError, match="row 300 has 2 fields"):
+            write_table_csv(path, (r for r in rows))
+        assert [p.name for p in tmp_path.iterdir()] == ([] if earlier is None else [path.name])
+        if earlier is not None:
+            assert path.read_bytes() == earlier
+
     def test_row_width_need_not_be_the_header_s(self, tmp_path):
         path = write_table_csv(tmp_path / "t.csv", [(0.5, 1), (0.25, 2)])
         assert path.read_bytes() == b"epsilon,N,value\r\n0.5,1\r\n0.25,2\r\n"
@@ -399,6 +413,25 @@ def test_kernel_report_with_zero_bump_width_exits_2(tmp_path, capsys):
                  "--band-lo", "0", "--band-hi", "2"]) == 2
     assert not out.exists()
     assert "tau" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel-report", "--window", "0"],
+    ["kernel-report", "--window", "-5"],
+    ["kernel-report", "--window", "inf"],
+    ["kernel-report", "--band-lo", "nan"],
+    ["kernel-report", "--band-hi", "inf"],
+    ["kernel-report", "--band-lo", "3", "--band-hi", "2"],
+    ["kernel-report", "--delta", "nan"],
+    ["kernel-report", "--delta", "inf"],
+    ["embed-pipeline", "--delta", "nan"],
+    ["embed-pipeline", "--delta", "1.5"],
+], ids=lambda argv: " ".join(argv))
+def test_bad_kernel_numbers_exit_2_and_write_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(["--out", str(out), *argv]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not out.exists()
 
 
 def test_unknown_config_key_exits_2_and_writes_nothing(tmp_path, capsys):

@@ -17,16 +17,19 @@ from flowdim.kernel import (
     bump_second_derivative_norm,
     bump_transform,
     certify_constants,
-    growth_audit,
     interpolation_kernel,
     kernel_band_leakage,
     lattice_envelope_sum,
-    product_function,
-    product_truncation_bound,
     reverify_constants,
     sinc_product,
 )
-from oracles import bump_integral_check, bump_transform_outer, certify_scan
+from oracles import (
+    bump_integral_check,
+    bump_transform_outer,
+    certify_scan,
+    product_function,
+    product_truncation_bound,
+)
 
 
 @pytest.fixture(scope="module")
@@ -119,12 +122,13 @@ class TestProductFunction:
 
 
 class TestGrowthAudit:
+    """The growth envelopes of the lattice product."""
+
     def test_origin_value(self):
-        lat = Lattice(Fraction(1), 2)
-        report = growth_audit(lat, K_trunc=5000)
-        assert report.passed
+        x = np.linspace(-20.0, 20.0, 2001)
+        assert sinc_product(0.0, 1.0) == 1.0
         # |f| <= 1 on the real axis for the unit lattice.
-        assert report.real_margin <= 1.0 + 1e-9
+        assert np.abs(sinc_product(x, 1.0)).max() <= 1.0 + 1e-9
 
     def test_imaginary_axis_bound_absolute(self):
         lat = Lattice(Fraction(1), 2)
@@ -133,10 +137,43 @@ class TestGrowthAudit:
         # Truncations undershoot the closed form sinh(2 pi)/(2 pi).
         assert v == pytest.approx(math.sinh(2 * math.pi) / (2 * math.pi), rel=1e-3)
 
-    def test_audit_report_fields(self):
-        report = growth_audit(Lattice(Fraction(1, 2), 2), K_trunc=2000)
-        assert report.imag_axis_ok
-        assert report.fitted_C <= 1.0 + 1e-9
+
+RHOS = [0.5, 1.0, 1.5, 4.0, 7.0 / 6.0]
+
+
+@pytest.mark.parametrize("rho", RHOS, ids=["1/2", "1", "3/2", "4", "7/6"])
+class TestSincProduct:
+    """The production evaluator of the lattice product, against its closed form."""
+
+    def test_one_at_origin_and_zero_on_the_punctured_lattice(self, rho):
+        assert sinc_product(0.0, rho) == 1.0
+        k = np.concatenate([np.arange(1, 61), -np.arange(1, 61)])
+        assert np.all(sinc_product(k / rho, rho) == 0.0)
+
+    def test_conjugate_symmetry(self, rho):
+        rng = np.random.default_rng(0)
+        z = rng.uniform(-3, 3, 50) + 1j * rng.uniform(-3, 3, 50)
+        assert np.array_equal(sinc_product(np.conj(z), rho), np.conj(sinc_product(z, rho)))
+
+    def test_bounded_by_one_on_the_real_axis(self, rho):
+        x = np.linspace(-50.0, 50.0, 20_001)
+        assert np.abs(sinc_product(x, rho)).max() <= 1.0
+
+    def test_imaginary_axis_is_sinh_quotient_below_exponential(self, rho):
+        y = np.linspace(-20.0, 20.0, 801)
+        y = y[y != 0.0]
+        got = np.abs(sinc_product(1j * y, rho))
+        u = np.pi * rho * np.abs(y)
+        np.testing.assert_allclose(got, np.sinh(u) / u, rtol=1e-12, atol=0.0)
+        assert np.all(got <= np.exp(u))
+
+    def test_continuous_across_the_series_switch(self, rho):
+        # |rho z| = 1e-8 approached from both sides, along four directions.
+        directions = np.exp(1j * np.pi * np.array([0.0, 0.25, 0.5, 1.0]))
+        below, above = sinc_product(np.outer([1 - 1e-9, 1 + 1e-9], directions) * 1e-8 / rho, rho)
+        assert np.abs(below - above).max() <= 1e-15
+        w = np.pi * 1e-8 * directions
+        assert np.abs(below - (1.0 - w * w / 6.0)).max() <= 1e-15
 
 
 @st.composite
@@ -280,8 +317,9 @@ class TestCertifyConstants:
         assert not reverify_constants(spec, low)
 
     def test_invalid_delta(self, spec):
-        with pytest.raises(ConfigurationError):
-            certify_constants(spec, 0.0)
+        for delta in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match="delta"):
+                certify_constants(spec, delta)
 
     @pytest.mark.parametrize("delta", [0.1, 0.2])
     def test_matches_window_scan_bit_for_bit(self, spec, delta):
