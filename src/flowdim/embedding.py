@@ -8,12 +8,15 @@ uniform grids t_j = t0 + j dt through one block factorization,
 ``bandlimited._grid_factors`` (which also evaluates the kernel's bump
 transform, over its uniform quadrature nodes): with j = q B + r and
 B = ceil(sqrt(n)), exp(2 pi i f t_j) is the product of a row factor in q
-and a column factor in r, so ``exp_sum_grid`` computes the n values as
-one rank-K matrix product of (rows + B) K exponentials, and the Bohr
-means contract the reshaped values with the same two factors at the
-frequencies -lam / (2 pi), all of them in one pass over the values; one
-``exp_sum_grid`` call takes a matrix of coefficient rows, one signal per
-row, on the same factors.  The perturbation stage
+and a column factor in r, both built by recurrence from three
+exponentials per frequency, so ``exp_sum_grid`` computes the n values as
+one rank-K matrix product, and the Bohr means contract the reshaped
+values with the same two factors at the frequencies -lam / (2 pi), all
+of them in one pass over the values; one ``exp_sum_grid`` call takes a
+matrix of coefficient rows, one signal per row, on the same factors.
+``exp_sum_signals`` certifies the sup bound of such signals from their
+coefficients (``exp_sum_bound``), before any grid is evaluated, so no
+sample is scanned for it.  The perturbation stage
 corrects an equivariant signal map on a lattice of sample nodes using
 the interpolation kernel, within a certified sup budget, so that the
 pair (signal map, solenoid factor) separates sample states.  Its kernel
@@ -31,7 +34,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bandlimited import Band, Signal, _grid_factors, _near_values, _weighted_sup
+from .bandlimited import (
+    SUP_BOUND_TOL,
+    UNIT_ROUNDOFF,
+    Band,
+    Signal,
+    _grid_factors,
+    _grid_rounding,
+    _near_values,
+    _weighted_sup,
+)
 from .dynamics import SolenoidPoint, _solenoid_gaps
 from .errors import (
     ConfigurationError,
@@ -111,14 +123,15 @@ def solenoid_embed(p: SolenoidPoint, emb: SolenoidEmbedding,
                    scale: float = 1.0) -> Signal:
     """Embed a solenoid point as a band-[0, c] signal on the window.
 
-    Coefficient moduli sum to at most 1, so the sup bound holds; the
-    action on the solenoid intertwines with the signal shift flow.
-    ``scale`` multiplies the sum (used to keep |f| <= 1 - delta).
+    Coefficient moduli sum to at most 1, so the sup bound holds; it is
+    certified from them by ``exp_sum_signals``.  The action on the
+    solenoid intertwines with the signal shift flow.  ``scale``
+    multiplies the sum (used to keep |f| <= 1 - delta); one that lifts
+    the moduli's sum above 1 raises ``InvariantViolationError``.
     """
     coeffs = solenoid_coefficients(p, emb) * scale
-    n = int(round(2 * emb.window / emb.grid_step)) + 1
-    values = exp_sum_grid(coeffs, emb.frequencies(), -emb.window, emb.grid_step, n)
-    return Signal(Band(0.0, emb.c), emb.window, emb.grid_step, values, sup_bound=True)
+    return exp_sum_signals([coeffs], emb.frequencies(), Band(0.0, emb.c),
+                           emb.window, emb.grid_step)[0]
 
 
 def exp_sum_grid(coeffs, freqs, t0: float, dt: float, n: int):
@@ -127,13 +140,56 @@ def exp_sum_grid(coeffs, freqs, t0: float, dt: float, n: int):
     ``coeffs`` is one vector of K coefficients, giving n values, or an
     S x K matrix of coefficient rows, giving an S x n array.  Each row is
     one (rows x K) @ (K x B) product of the block factors, which are
-    evaluated once for all rows, so only (rows + B) K exponentials are
-    evaluated and no n x K temporary exists.
+    built once for all rows from 3 K exponentials, so no n x K temporary
+    exists.
     """
     head, tail = _grid_factors(2.0 * np.pi * np.asarray(freqs, dtype=float), t0, dt, n)
     coeffs = np.asarray(coeffs)
     values = (head * coeffs[..., None, :]) @ tail.T
     return values.reshape(*coeffs.shape[:-1], -1)[..., :n]
+
+
+def exp_sum_bound(coeffs, n: int) -> float:
+    """Bound on |exp_sum_grid(coeffs, freqs, t0, dt, n)| for real freqs, from the coefficients.
+
+    The largest row sum of |c_k|, times (1 + ``_grid_rounding(n)``)
+    (1 + 8u K) with u = 2^-53: each value sums K products (c_k head)
+    tail of factors within ``_grid_rounding(n)`` of modulus 1, and one
+    rounded product plus a K-term complex sum, in any order, add at most
+    sqrt(5) u + sqrt(2) (K + 2) u <= 8u K relative to the sum of the
+    terms' moduli (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 3.6).  A coefficient that is not
+    finite raises ``InvariantViolationError``.
+    """
+    coeffs = np.asarray(coeffs)
+    if not np.all(np.isfinite(coeffs)):
+        raise InvariantViolationError("exponential-sum coefficients must be finite")
+    K = coeffs.shape[-1]
+    total = float(np.abs(coeffs).sum(axis=-1).max(initial=0.0))
+    return total * (1.0 + _grid_rounding(n)) * (1.0 + 8.0 * UNIT_ROUNDOFF * K)
+
+
+def exp_sum_signals(coeffs, freqs, band: Band, window: float, grid_step: float):
+    """One sup-bound Signal per coefficient row of sum_k c_k exp(2 pi i f_k t).
+
+    The signals sit on the grid -window + j grid_step, as many samples as
+    window and step imply; the frequencies must be real.  The sup bound
+    is certified from the coefficients before any grid is evaluated:
+    ``exp_sum_bound`` above 1 + ``SUP_BOUND_TOL`` raises
+    ``InvariantViolationError``, so ``Signal.sup_norm`` scans none of
+    them.  Each signal's grid is then checked (``Signal.check_grid``).
+    """
+    coeffs = np.asarray(coeffs)
+    n = int(round(2 * window / grid_step)) + 1
+    bound = exp_sum_bound(coeffs, n)
+    if not bound <= 1.0 + SUP_BOUND_TOL:
+        raise InvariantViolationError(
+            f"coefficient moduli bound the sum by {bound:.17g}, above the sup bound 1")
+    signals = [Signal(band, window, grid_step, values, sup_bound=True, validate=False)
+               for values in exp_sum_grid(coeffs, freqs, -window, grid_step, n)]
+    for sig in signals:
+        sig.check_grid()
+    return signals
 
 
 def _trapezoid_mean(vals, lam, t0: float, dt: float, T: float):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandlimited import Band, Signal
+from .bandlimited import Band
 from .dynamics import (
     DynSystem,
     MappingTorus,
@@ -30,6 +30,7 @@ from .embedding import (
     complex_rows,
     epsilon_embedding_search,
     exp_sum_grid,
+    exp_sum_signals,
     perturb_signal_map,
     real_rows,
     solenoid_coefficients,
@@ -202,9 +203,8 @@ def run_embedding_pipeline(delta: float = 0.2, rho=1, N: int = 2,
     factors = [inst.factor(i) for i in states]
     coeffs = np.array([solenoid_coefficients(p, emb) for p in factors]) * (1.0 - delta)
     freqs = emb.frequencies()
-    n_grid = int(round(2 * emb.window / emb.grid_step)) + 1
-    f = [Signal(Band(0.0, emb.c), emb.window, emb.grid_step, values, sup_bound=True)
-         for values in exp_sum_grid(coeffs, freqs, -emb.window, emb.grid_step, n_grid)]
+    f = exp_sum_signals(coeffs, freqs, Band(0.0, emb.c), emb.window, emb.grid_step)
+    n_grid = len(f[0].values)
 
     period = math.factorial(N)
     phi_N = inst.total_time(states) % period

@@ -7,8 +7,9 @@ lattice product g (value 1 at 0, zeros exactly on the punctured lattice
 to sin(pi rho z)/(pi rho z), and ``sinc_product`` evaluates that closed
 form; it is the package's only evaluator of the product.  h is an even
 trapezoidal rule on uniform nodes, evaluated as the block product of
-``bandlimited._grid_factors`` with the points as frequencies; the lattice
-sum behind the budget is in closed form.
+``bandlimited._grid_factors`` with the points as frequencies: three
+exponentials per point, products for the rest.  The lattice sum behind
+the budget is in closed form.
 """
 
 from __future__ import annotations
@@ -19,7 +20,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bandlimited import Band, Signal, _grid_factors, band_support_check
+from .bandlimited import (
+    TAPER_MIN,
+    UNIT_ROUNDOFF,
+    Band,
+    Signal,
+    _block_shape,
+    _grid_factors,
+    _grid_rounding,
+    band_support_check,
+)
 from .errors import ConfigurationError, QuadratureError
 
 NODE_SNAP_TOL = 1e-12
@@ -142,48 +152,74 @@ class KernelSpec:
         return xi, wt
 
 
+def _rule(spec: KernelSpec, z_max: float):
+    """Nodes and weights of the trapezoidal rule ``bump_transform`` uses up to |z| = z_max.
+
+    ``QUAD_NODES`` doubled until it reaches 4 tau z_max, then doubled once
+    more for the convergence check; the weights carry ``bump_norm``.  A
+    z_max that needs more than ``QUAD_MAX_NODES`` base nodes raises
+    ``QuadratureError`` with ``achieved_tol = inf``.
+    """
+    if 4.0 * spec.tau * z_max > QUAD_MAX_NODES:
+        raise QuadratureError(
+            f"bump transform at |z| = {z_max:.3g} needs a rule of more than "
+            f"{QUAD_MAX_NODES} nodes", achieved_tol=math.inf)
+    n = QUAD_NODES
+    while n < 4.0 * spec.tau * z_max:
+        n *= 2
+    xi, wt = spec._trapezoid(2 * n)
+    return xi, wt * spec.bump_norm
+
+
+def _bump_rounding(spec: KernelSpec, z_max: float) -> float:
+    """Bound on |computed h(t) - the rule's h(t)| for real |t| <= z_max.
+
+    The K waves exp(2 pi i t xi_k) are within ``_grid_rounding(K, reach)``
+    relative of exact (``bandlimited._grid_factors``), reach = 2 pi z_max
+    (K + B) dxi, and the two sums over them (B terms, then rows) add at
+    most rows + B roundings, again ``_grid_rounding(K)`` relative: both
+    times the weights' sum, since the weights are positive.
+    """
+    xi, wt = _rule(spec, z_max)
+    K = len(xi)
+    reach = 2.0 * math.pi * z_max * (K + _block_shape(K)[1]) * float(xi[1])
+    return float(wt.sum()) * (_grid_rounding(K, reach) + _grid_rounding(K))
+
+
 def bump_transform(z, spec: KernelSpec):
     """Transform h(z) = int psi(xi) exp(2 pi i z xi) dxi of the smooth bump.
 
     psi is even and flat at its endpoints, so the even trapezoidal rule
     on psi(xi) cos(2 pi z xi) converges spectrally.  h(0) = 1 by
-    normalization.  One rule serves the call: ``QUAD_NODES`` doubled
-    until it reaches 4 tau max|z|.  Its doubled rule must agree within
-    ``QUAD_TOL`` (scaled by the value's magnitude) or ``QuadratureError``
-    is raised with the achieved tolerance.  A non-finite point, or one
-    that needs more than ``QUAD_MAX_NODES`` base nodes, raises
-    ``QuadratureError`` with ``achieved_tol = inf`` before any table is
-    built.
+    normalization.  One rule serves the call (``_rule``): ``QUAD_NODES``
+    doubled until it reaches 4 tau max|z|.  Its doubled rule must agree
+    within ``QUAD_TOL`` (scaled by the value's magnitude) or
+    ``QuadratureError`` is raised with the achieved tolerance.  A
+    non-finite point, or one that needs more than ``QUAD_MAX_NODES`` base
+    nodes, raises ``QuadratureError`` with ``achieved_tol = inf`` before
+    any table is built.
 
     The K nodes xi_k = k dxi are uniform, so with k = q B + r the wave
     exp(2 pi i z xi_k) is head[q](z) tail[r](z), the block factors of
-    ``_grid_factors`` with the points as frequencies: rows + B ~ 2 sqrt(K)
-    exponentials per point.  The weights, reshaped to rows x B and
-    stacked over the doubled rule and the base rule (its even nodes at
-    twice the weight), meet tail in one real matrix product; head then
-    contracts each point's column.  The cosine is the real part on real
-    z and the mean of the sums at z and -z on complex z.  Points are
-    taken in chunks whose product holds 2^16 complex entries (1 MB).
+    ``_grid_factors`` with the points as frequencies: three exponentials
+    per point, products for the rest (``_bump_rounding`` bounds their
+    rounding).  The weights, reshaped to rows x B and stacked over the
+    doubled rule and the base rule (its even nodes at twice the weight),
+    meet tail in one real matrix product; head then contracts each
+    point's column.  The cosine is the real part on real z and the mean
+    of the sums at z and -z on complex z.  Points are taken in chunks
+    whose product holds 2^16 complex entries (1 MB).
     """
     z = np.asarray(z)
     real = not np.iscomplexobj(z)
     zz = z.ravel().astype(float if real else complex)
     if not np.all(np.isfinite(zz)):
         raise QuadratureError("bump transform needs finite points", achieved_tol=math.inf)
-    n = QUAD_NODES
-    z_max = float(np.abs(zz).max()) if zz.size else 0.0
-    if 4.0 * spec.tau * z_max > QUAD_MAX_NODES:
-        raise QuadratureError(
-            f"bump transform at |z| = {z_max:.3g} needs a rule of more than "
-            f"{QUAD_MAX_NODES} nodes", achieved_tol=math.inf)
-    while n < 4.0 * spec.tau * z_max:
-        n *= 2
-    xi, fine_wt = spec._trapezoid(2 * n)
+    xi, fine_wt = _rule(spec, float(np.abs(zz).max()) if zz.size else 0.0)
     K = len(xi)
-    B = math.ceil(math.sqrt(K))  # the block width of _grid_factors
-    rows = -(-K // B)
+    rows, B = _block_shape(K)
     weights = np.zeros((2, rows * B))  # nodes past K weigh 0
-    weights[0, :K] = fine_wt * spec.bump_norm
+    weights[0, :K] = fine_wt
     weights[1, :K:2] = 2.0 * weights[0, :K:2]
     weights = weights.reshape(2 * rows, B)
     points = zz if real else np.concatenate([zz, -zz])
@@ -224,9 +260,21 @@ def kernel_band_leakage(spec: KernelSpec) -> float:
     """Spectral energy fraction of the sampled kernel outside [a - pad, b + pad].
 
     The kernel is sampled on its window at step 1 / (4 max(|a|, |b|, 1));
-    pad = 8 / window.
+    pad = 8 / window.  A window whose grid would hold more than
+    ``CERTIFY_MAX_POINTS`` samples, or fewer than the ``TAPER_MIN`` that
+    ``band_support_check``'s edge tapers need, raises
+    ``ConfigurationError`` before the grid is built.
     """
     grid_step = 1.0 / (4.0 * max(abs(spec.band.a), abs(spec.band.b), 1.0))
+    points = round(2 * spec.window / grid_step) + 1
+    if points > CERTIFY_MAX_POINTS:
+        raise ConfigurationError(
+            f"the leakage check of window {spec.window:g} needs {points} grid points, "
+            f"more than {CERTIFY_MAX_POINTS}")
+    if points < TAPER_MIN:
+        raise ConfigurationError(
+            f"the leakage check of window {spec.window:g} has {points} grid point, "
+            f"fewer than the {TAPER_MIN} its tapers need")
     sig = Signal.from_function(lambda t: interpolation_kernel(t, spec),
                                spec.band, spec.window, grid_step)
     return band_support_check(sig, 8.0 / spec.window)
@@ -300,9 +348,12 @@ def certify_constants(spec: KernelSpec, delta: float) -> KernelConstants:
     and |d/dt sinc(rho t)| <= pi rho / 2, so E has Lipschitz constant
     L = 2 T0 + (1 + T0^2) (pi tau + pi rho / 2).  The grid step is at most
     K_MARGIN / L, so E moves by at most the margin over E(0) across a
-    step and every t lies within L step / 2 of a node.  The evaluated h
-    tracks the true one within ``QUAD_TOL``, which moves E by at most
-    QUAD_TOL (1 + T0^2).  Those two terms are the grid slack.  A grid of
+    step and every t lies within L step / 2 of a node.  The rule's h
+    tracks the true one within ``QUAD_TOL``, and the computed h tracks the
+    rule's within ``_bump_rounding`` at T0; the phase, sinc, modulus and
+    products that make |phi| from h add at most 16u (u = 2^-53) on values
+    at most 1.  Together they move E by at most (QUAD_TOL + rounding)
+    (1 + T0^2).  Those two terms are the grid slack.  A grid of
     more than ``CERTIFY_MAX_POINTS`` points raises ``ConfigurationError``
     before it is built.
 
@@ -332,7 +383,8 @@ def certify_constants(spec: KernelSpec, delta: float) -> KernelConstants:
     envelope = np.abs(interpolation_kernel(t, spec)) * (1.0 + t * t)
     grid_max = float(envelope.max())
     K_dec = (1.0 + K_MARGIN) * grid_max
-    slack = lipschitz * step / 2.0 + QUAD_TOL * (1.0 + T0 * T0)
+    rounding = _bump_rounding(spec, float(t[-1])) + 16.0 * UNIT_ROUNDOFF
+    slack = lipschitz * step / 2.0 + (QUAD_TOL + rounding) * (1.0 + T0 * T0)
     if not (grid_max + slack <= K_dec and tail <= K_dec):
         raise ConfigurationError(
             f"K_dec = {K_dec:.6g} does not cover the grid max {grid_max:.6g} plus "

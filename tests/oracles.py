@@ -48,6 +48,19 @@ from flowdim.metric import MetricSample, OrbitMetricSpec
 CERTIFY_GRID_POINTS = 10_000   # per side of the certification window
 
 
+def grid_factors_per_entry(omega, t0: float, dt: float, n: int):
+    """The block factors of ``flowdim.bandlimited._grid_factors``, one exponential per entry.
+
+    head[q] = exp(i omega (t0 + q B dt)) and tail[r] = exp(i omega r dt),
+    B = ceil(sqrt(n)), each from its own rounded argument.
+    """
+    B = max(1, math.ceil(math.sqrt(n)))
+    rows = -(-n // B)
+    head = np.exp(1j * np.outer(t0 + (B * dt) * np.arange(rows), omega))
+    tail = np.exp(1j * np.outer(dt * np.arange(B), omega))
+    return head, tail
+
+
 def bump_transform_outer(z, spec: KernelSpec):
     """The bump transform as chunked cosines over the (points x nodes) outer product.
 

@@ -3,11 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowdim.bandlimited import (
     SUP_BLOCK,
     Band,
     Signal,
+    _grid_factors,
+    _grid_rounding,
     band_support_check,
     fold_real,
     periodic_subspace_dim,
@@ -21,7 +25,8 @@ from flowdim.errors import (
     InvariantViolationError,
     WindowExhaustedError,
 )
-from oracles import evaluate_per_pair
+from flowdim.kernel import QUAD_MAX_NODES
+from oracles import evaluate_per_pair, grid_factors_per_entry
 
 
 def tone(freq, band=None, window=20.0, step=1 / 8, sup_bound=True):
@@ -110,6 +115,71 @@ class TestSignal:
         g = tone(0.5, window=10.0)
         with pytest.raises(IncompatibleSignalError):
             signal_metric(f, g, 4)
+
+
+# The solenoid-demo grid: window 20,050 at step 0.01, frequencies 2 pi / n!.
+SOLENOID_GRID = (2 * np.pi / np.array([1.0, 2.0, 6.0, 24.0]), -20050.0, 0.01, 4_010_001)
+# bump_transform's largest accepted rule at tau = 0.5: QUAD_MAX_NODES base
+# nodes, 2 QUAD_MAX_NODES doubled ones at step tau / 2 / (2 QUAD_MAX_NODES),
+# for points up to |z| = QUAD_MAX_NODES / (4 tau).
+LARGEST_RULE = (2 * np.pi * np.array([QUAD_MAX_NODES / 2.0, -1000.0, 0.37]), 0.0,
+                0.25 / (2 * QUAD_MAX_NODES), 2 * QUAD_MAX_NODES)
+
+
+@st.composite
+def grids(draw):
+    """omega (real or complex), t0, dt and n, with |Im omega| |t| <= 30 on the grid."""
+    n = draw(st.one_of(st.integers(1, 5000), st.integers(1, 4_010_001)))
+    dt = draw(st.floats(1e-7, 0.1)) * draw(st.sampled_from([1.0, -1.0]))
+    t0 = draw(st.floats(-2.1e4, 2.1e4))
+    omega = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4)))
+    if draw(st.booleans()):
+        span = abs(t0) + (n + math.isqrt(n) + 1) * abs(dt)
+        imag = draw(st.lists(st.floats(-30.0, 30.0), min_size=len(omega),
+                             max_size=len(omega)))
+        omega = omega + 1j * np.array(imag) / span
+    return omega, t0, dt, n
+
+
+class TestGridFactors:
+    """The recurrence against one exponential per entry, within the documented bound.
+
+    Both are within ``_grid_rounding(n, reach)`` relative of the exact
+    waves: the per-entry form rounds each argument once, from t0 + q B dt,
+    and takes one exponential.  So they differ by at most twice it.
+    """
+
+    @settings(max_examples=40)
+    @given(grid=grids())
+    @example(grid=SOLENOID_GRID)
+    @example(grid=LARGEST_RULE)
+    @example(grid=(LARGEST_RULE[0] + 10j * 2 * np.pi, *LARGEST_RULE[1:]))
+    @example(grid=(np.array([0.0, 2 * np.pi]), 0.0, 0.1, 1))
+    def test_matches_the_per_entry_oracle(self, grid):
+        omega, t0, dt, n = grid
+        head, tail = _grid_factors(omega, t0, dt, n)
+        want_head, want_tail = grid_factors_per_entry(omega, t0, dt, n)
+        B = len(tail)
+        assert B * len(head) >= n > B * (len(head) - 1)
+        assert head.shape == want_head.shape and tail.shape == want_tail.shape
+        reach = float(np.abs(omega).max()) * (abs(t0) + (n + B) * abs(dt))
+        bound = 2.0 * _grid_rounding(n, reach)
+        assert np.all(np.abs(head - want_head) <= bound * np.abs(want_head))
+        assert np.all(np.abs(tail - want_tail) <= bound * np.abs(want_tail))
+
+    @pytest.mark.parametrize("grid", [SOLENOID_GRID, LARGEST_RULE],
+                             ids=["solenoid", "largest-rule"])
+    def test_real_waves_keep_modulus_one(self, grid):
+        # Every |head[q] tail[r]| lies between the products of the extreme moduli.
+        omega, t0, dt, n = grid
+        head, tail = (np.abs(f) for f in _grid_factors(omega, t0, dt, n))
+        bound = _grid_rounding(n)
+        assert (head.max(axis=0) * tail.max(axis=0)).max() <= 1.0 + bound
+        assert (head.min(axis=0) * tail.min(axis=0)).min() >= 1.0 - bound
+
+    def test_bound_is_far_below_the_sup_tolerance_at_the_solenoid_grid(self):
+        # rows + B = 4,006 units of 8u: about 3.6e-12, against SUP_BOUND_TOL = 1e-9.
+        assert 3e-12 < _grid_rounding(4_010_001) < 4e-12
 
 
 class TestSignalMetric:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowdim.bandlimited import shift, signal_metric
+from flowdim.bandlimited import SUP_BOUND_TOL, Band, shift, signal_metric
 from flowdim.dynamics import SolenoidPoint, solenoid_act, solenoid_from_time
 from flowdim.embedding import (
     NODE_MARGIN,
@@ -14,7 +14,9 @@ from flowdim.embedding import (
     bohr_coefficient,
     bohr_cross_term_bound,
     epsilon_embedding_search,
+    exp_sum_bound,
     exp_sum_grid,
+    exp_sum_signals,
     solenoid_coefficients,
     solenoid_embed,
     solenoid_recover,
@@ -112,6 +114,75 @@ class TestExpSumGrid:
         assert got.shape == (3, 1009)
         for row, coeffs in zip(got, rows):
             assert np.array_equal(row, exp_sum_grid(coeffs, emb.frequencies(), -3.3, 0.01, 1009))
+
+
+class TestCoefficientSupBound:
+    """The sup bound of an exponential sum is certified from its coefficients;
+    ``Signal.sup_norm`` is the scan oracle."""
+
+    def test_scan_is_within_the_bound_at_the_solenoid_grid(self):
+        emb = SolenoidEmbedding(c=1.0, K=4, window=20050.0, grid_step=0.01)
+        rng = np.random.default_rng(24)
+        for tau in rng.uniform(0, 24, size=3):
+            p = solenoid_from_time(float(tau), 4)
+            sig = solenoid_embed(p, emb)
+            assert len(sig.values) == 4_010_001 and sig.sup_bound
+            bound = exp_sum_bound(solenoid_coefficients(p, emb), len(sig.values))
+            assert sig.sup_norm() <= bound <= 1.0 + SUP_BOUND_TOL
+
+    def test_scan_is_within_the_bound_on_the_pipeline_rows(self, monkeypatch):
+        import flowdim.instances
+        from flowdim.instances import run_embedding_pipeline
+        made = []
+
+        def recording(coeffs, *args):
+            signals = exp_sum_signals(coeffs, *args)
+            made.append((np.array(coeffs), signals))
+            return signals
+
+        monkeypatch.setattr(flowdim.instances, "exp_sum_signals", recording)
+        run_embedding_pipeline(delta=0.2, rho=1, N=2, base_size=12, n_heights=10, seed=2024)
+        [(coeffs, signals)] = made
+        assert len(signals) == len(coeffs) == 120
+        for row, sig in zip(coeffs, signals):
+            assert sig.sup_bound
+            assert sig.sup_norm() <= exp_sum_bound(row, len(sig.values)) <= 1.0 - 0.2 + 1e-9
+
+    @pytest.mark.parametrize("scale, bad", [(1.5, None), (1.0, np.nan), (1.0, np.inf),
+                                            (1.0, complex(0.1, np.nan))],
+                             ids=["scale-1.5", "nan", "inf", "complex-nan"])
+    def test_refused_before_any_grid_is_evaluated(self, emb, monkeypatch, scale, bad):
+        import flowdim.embedding
+
+        def no_grid(*args):
+            raise AssertionError("a grid was evaluated")
+
+        monkeypatch.setattr(flowdim.embedding, "_grid_factors", no_grid)
+        p = solenoid_from_time(3.7, 4)
+        if bad is None:
+            # The moduli 1/2 + ... + 1/16 = 0.9375 times 1.5 pass 1.
+            with pytest.raises(InvariantViolationError, match="sup bound"):
+                solenoid_embed(p, emb, scale=scale)
+            return
+        coeffs = solenoid_coefficients(p, emb)
+        coeffs[2] = bad
+        with pytest.raises(InvariantViolationError, match="finite"):
+            exp_sum_signals([coeffs], emb.frequencies(), Band(0.0, 1.0), 20.0, 0.125)
+
+    def test_grid_is_checked(self, emb):
+        coeffs = solenoid_coefficients(solenoid_from_time(3.7, 4), emb)
+        # Step 0.5 is below the oversampling bound 4 of band [0, 1].
+        with pytest.raises(InvariantViolationError, match="oversampling"):
+            exp_sum_signals([coeffs], emb.frequencies(), Band(0.0, 1.0), 20.0, 0.5)
+
+    def test_signals_equal_the_grid_values(self, emb):
+        rows = np.array([solenoid_coefficients(solenoid_from_time(t, 4), emb)
+                         for t in (0.0, 5.9)])
+        signals = exp_sum_signals(rows, emb.frequencies(), Band(0.0, 1.0), 20.0, 0.125)
+        want = exp_sum_grid(rows, emb.frequencies(), -20.0, 0.125, 321)
+        for sig, values in zip(signals, want):
+            assert (sig.window, sig.grid_step) == (20.0, 0.125)
+            assert np.array_equal(sig.values, values)
 
 
 class TestBohrCoefficient:

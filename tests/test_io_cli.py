@@ -434,6 +434,19 @@ def test_bad_kernel_numbers_exit_2_and_write_nothing(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("window, says", [
+    ("1e9", "needs 16000000001 grid points, more than 1048576"),
+    ("1e-9", "has 1 grid point, fewer than the 2"),
+], ids=["huge", "tiny"])
+def test_leakage_window_out_of_range_exits_2_and_writes_nothing(tmp_path, capsys, window, says):
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "kernel-report", "--window", window]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: the leakage check of window {float(window):g} ")
+    assert says in err
+    assert not out.exists()
+
+
 def test_unknown_config_key_exits_2_and_writes_nothing(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("a = 1\nr = 2.5\nrr = 0.5\n")

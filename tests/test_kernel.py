@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
-from flowdim.bandlimited import Band
+from flowdim.bandlimited import UNIT_ROUNDOFF, Band
 from flowdim.errors import ConfigurationError, QuadratureError
 from flowdim.kernel import (
+    CERTIFY_MAX_POINTS,
+    QUAD_TOL,
     KernelSpec,
     Lattice,
+    _bump_rounding,
     bump_second_derivative_norm,
     bump_transform,
     certify_constants,
@@ -351,6 +354,17 @@ class TestCertifyConstants:
         with pytest.raises(ConfigurationError, match="does not cover"):
             certify_constants(spec, 0.1)
 
+    @pytest.mark.parametrize("tau", [0.5, 0.1])
+    def test_slack_holds_the_rounding_term_and_reverifies(self, tau):
+        spec = KernelSpec(Band(0.0, 2.0), Fraction(1), tau)
+        c = certify_constants(spec, 0.2)
+        assert reverify_constants(spec, c) and c.check()
+        rounding = _bump_rounding(spec, c.T0) + 16.0 * UNIT_ROUNDOFF
+        assert 0.0 < rounding < 1e-11
+        lipschitz = 2.0 * c.T0 + (1.0 + c.T0 ** 2) * (math.pi * tau + math.pi / 2.0)
+        rest = c.grid_slack - (QUAD_TOL + rounding) * (1.0 + c.T0 ** 2)
+        assert rest == pytest.approx(lipschitz * c.grid_step / 2.0, rel=1e-14)
+
     def test_grid_past_the_cap_is_a_configuration_error(self):
         # tau = 0.05 puts T0 at 128 and asks for 3.7e7 grid points.
         narrow = KernelSpec(Band(0.0, 2.0), Fraction(1), 0.05)
@@ -367,6 +381,28 @@ class TestCertifyConstants:
         numeric = np.trapezoid(np.abs(d2), xi) * spec.bump_norm / half ** 2
         closed = bump_second_derivative_norm(spec)
         assert closed == pytest.approx(numeric, rel=1e-6)
+
+
+class TestBandLeakage:
+    @pytest.mark.parametrize("window, match", [(1e9, "16000000001 grid points"),
+                                               (65536.0, f"more than {CERTIFY_MAX_POINTS}"),
+                                               (1e-9, "1 grid point")])
+    def test_window_out_of_range_is_refused_before_the_grid(self, monkeypatch, window, match):
+        import flowdim.kernel
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the leakage grid was built")
+
+        monkeypatch.setattr(flowdim.kernel.Signal, "from_function", no_grid)
+        spec = KernelSpec(Band(0.0, 2.0), Fraction(1), 0.5, window=window)
+        with pytest.raises(ConfigurationError, match=match) as info:
+            kernel_band_leakage(spec)
+        assert f"window {window:g}" in str(info.value)
+
+    def test_smallest_windows_are_checked(self):
+        # Step 1/8: window 1/16 holds 2 grid points, the least the tapers take.
+        spec = KernelSpec(Band(0.0, 2.0), Fraction(1), 0.5, window=1 / 16)
+        assert 0.0 <= kernel_band_leakage(spec) <= 1.0
 
 
 class TestKernelSpecValidation:
