@@ -181,8 +181,8 @@ def _grid_factors(omega, t0: float, dt: float, n: int):
       most 2u |omega| (|t0| + (n + B) |dt|) relative, and for real omega
       it turns the phase only.
     So for real omega every |head[q] tail[r]| is within 8u (rows + B) of
-    1: 3.6e-12 at the solenoid's 4,010,001-point grid, where rows + B is
-    4,006.
+    1: 2.5e-12 at solenoid-demo's 2,010,001-point grid, where rows + B is
+    2,836.
     """
     rows, B = _block_shape(n)
     omega = np.asarray(omega)

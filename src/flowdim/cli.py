@@ -181,17 +181,27 @@ def cmd_solenoid_demo(runner, params):
     T = params.get("T", 2e4)
     seed = params.get("seed", 0)
     n_points = params.get("n-points", 5)
+    if not (0.0 < T < math.inf):
+        raise ConfigurationError(f"need a finite averaging length T > 0, got T = {T}")
+    if n_points < 1:
+        raise ConfigurationError(f"need n-points >= 1, got {n_points}")
     rng = np.random.default_rng(seed)
-    emb = SolenoidEmbedding(c=1.0, K=depth, window=T + 50.0, grid_step=0.01)
+    emb = SolenoidEmbedding(c=1.0, K=depth, window=T / 2 + 50.0, grid_step=0.01)
     rows = []
     worst = 0.0
     for _ in range(n_points):
         tau = float(rng.uniform(0, math.factorial(depth)))
-        p = solenoid_from_time(tau, depth)
-        rec = solenoid_recover(solenoid_embed(p, emb), emb, T)
+        # The embedding intertwines the flow with the shift: f_q(t) = f_p(t + T/2)
+        # for p drawn at time tau and q = phi_{T/2} p.  So the mean of
+        # f_q(t) exp(-i lam t) over [-T/2, T/2] is exp(i lam T/2) times the
+        # mean of f_p(t) exp(-i lam t) over [0, T].  At lam = 2 pi / n! that
+        # factor turns coordinate n by T/2, as q_n = p_n + T/2, so each
+        # coordinate's error is that of p over [0, T], on half of p's window.
+        q = solenoid_from_time(tau + T / 2, depth)
+        rec = solenoid_recover(solenoid_embed(q, emb), emb, T, start=-T / 2)
         for n in range(1, depth + 1):
             fact = math.factorial(n)
-            gap = abs(rec.coords[n - 1] - p.coords[n - 1]) % fact
+            gap = abs(rec.coords[n - 1] - q.coords[n - 1]) % fact
             gap = min(gap, fact - gap)
             rows.append((tau, n, gap))
             worst = max(worst, gap / fact)

@@ -2,8 +2,13 @@
 
 The embedding sends a truncated solenoid point x to the exponential sum
 f_x(t) = sum_{n >= m} 2^-n exp(2 pi i (t + x_n) / n!), a band-[0, c]
-signal of sup norm at most 1.  Bohr means recover the coefficients, and
-hence the point, from signal values alone.  Both directions run on
+signal of sup norm at most 1.  Bohr means over an interval [start,
+start + T] recover the coefficients, and hence the point, from signal
+values alone.  The embedding is equivariant, f_{phi_s x}(t) = f_x(t + s),
+so the mean over [0, T] of f_x exp(-i lam t) is exp(-i lam T/2) times
+the mean over [-T/2, T/2] of f_{phi_{T/2} x}: the centred interval needs
+a window of only T/2 and reads the same error (the solenoid demo
+recovers that way).  Both directions run on
 uniform grids t_j = t0 + j dt through one block factorization,
 ``bandlimited._grid_factors`` (which also evaluates the kernel's bump
 transform, over its uniform quadrature nodes): with j = q B + r and
@@ -14,9 +19,10 @@ one rank-K matrix product, and the Bohr means contract the reshaped
 values with the same two factors at the frequencies -lam / (2 pi), all
 of them in one pass over the values; one ``exp_sum_grid`` call takes a
 matrix of coefficient rows, one signal per row, on the same factors.
-``exp_sum_signals`` certifies the sup bound of such signals from their
-coefficients (``exp_sum_bound``), before any grid is evaluated, so no
-sample is scanned for it.  The perturbation stage
+``exp_sum_signals`` refuses more than ``EXP_SUM_MAX_SAMPLES`` samples
+and certifies the sup bound of such signals from their coefficients
+(``exp_sum_bound``), both before any grid is evaluated, so no sample is
+scanned for it.  The perturbation stage
 corrects an equivariant signal map on a lattice of sample nodes using
 the interpolation kernel, within a certified sup budget, so that the
 pair (signal map, solenoid factor) separates sample states.  Its kernel
@@ -69,6 +75,13 @@ MAX_TRIES = 10_000  # perturbations epsilon_embedding_search draws before it giv
 # example) under the K_dec / (1 + t^2) envelope that ``certify_constants``
 # certifies on the whole line.
 NODE_MARGIN = 200.0
+# Most samples one exp_sum_signals call evaluates, rows times grid: 134 MB
+# of complex values.  One signal on the window 20,050 at step 0.01 holds
+# 4,010,001.
+EXP_SUM_MAX_SAMPLES = 1 << 23
+# Deepest solenoid truncation: 22! is the largest factorial float64
+# holds exactly, and the coordinate circles are float64 n!.
+MAX_DEPTH = 22
 MATCH_TOL = 1e-6  # image distance at which verify_delta_embedding matches a pair
 N_MAX = 4         # signal_metric truncation used by verify_delta_embedding
 
@@ -97,6 +110,10 @@ class SolenoidEmbedding:
         self.m = minimal_start_index(self.c)
         if self.K < self.m:
             raise ConfigurationError(f"need truncation depth K >= m = {self.m}")
+        if self.K > MAX_DEPTH:
+            raise ConfigurationError(
+                f"truncation depth K = {self.K} exceeds MAX_DEPTH = {MAX_DEPTH}, the largest "
+                f"n whose n! float64 holds exactly")
         if self.grid_step is None:
             self.grid_step = 1.0 / (8.0 * max(self.c, 1.0))
         limit = 4.0 * max(self.c, 1.0)
@@ -173,14 +190,21 @@ def exp_sum_signals(coeffs, freqs, band: Band, window: float, grid_step: float):
     """One sup-bound Signal per coefficient row of sum_k c_k exp(2 pi i f_k t).
 
     The signals sit on the grid -window + j grid_step, as many samples as
-    window and step imply; the frequencies must be real.  The sup bound
-    is certified from the coefficients before any grid is evaluated:
-    ``exp_sum_bound`` above 1 + ``SUP_BOUND_TOL`` raises
-    ``InvariantViolationError``, so ``Signal.sup_norm`` scans none of
-    them.  Each signal's grid is then checked (``Signal.check_grid``).
+    window and step imply; the frequencies must be real.  Before any grid
+    is evaluated, rows times samples above ``EXP_SUM_MAX_SAMPLES``, or a
+    sample count that is not finite, raise ``ConfigurationError``, and
+    the sup bound is certified from the coefficients: ``exp_sum_bound``
+    above 1 + ``SUP_BOUND_TOL`` raises ``InvariantViolationError``, so
+    ``Signal.sup_norm`` scans none of them.  Each signal's grid is then
+    checked (``Signal.check_grid``).
     """
     coeffs = np.asarray(coeffs)
-    n = int(round(2 * window / grid_step)) + 1
+    span = 2 * window / grid_step
+    n = int(round(span)) + 1 if math.isfinite(span) else math.inf
+    if not len(coeffs) * n <= EXP_SUM_MAX_SAMPLES:
+        raise ConfigurationError(
+            f"exponential sums on window {window:g} at step {grid_step:g} need "
+            f"{len(coeffs)} x {n} = {len(coeffs) * n} samples, more than {EXP_SUM_MAX_SAMPLES}")
     bound = exp_sum_bound(coeffs, n)
     if not bound <= 1.0 + SUP_BOUND_TOL:
         raise InvariantViolationError(
@@ -214,8 +238,8 @@ def _trapezoid_mean(vals, lam, t0: float, dt: float, T: float):
     return (total - ends / 2.0) * dt / T
 
 
-def _nodes_in(sig: Signal, T: float):
-    """Index range [i0, i1) of the grid times in [-1e-12, T + 1e-12].
+def _nodes_in(sig: Signal, T: float, start: float = 0.0):
+    """Index range [i0, i1) of the grid times in [start - 1e-12, start + T + 1e-12].
 
     Grid times are evaluated exactly as ``Signal.times`` computes them,
     so the range selects the same nodes as masking that array.
@@ -223,59 +247,64 @@ def _nodes_in(sig: Signal, T: float):
     def at(j):
         return -sig.window + sig.grid_step * j
 
-    i0 = math.ceil(sig.window / sig.grid_step)
-    while i0 > 0 and at(i0 - 1) >= -1e-12:
+    lo, hi = start - 1e-12, start + T + 1e-12
+    i0 = math.ceil((sig.window + start) / sig.grid_step)
+    while i0 > 0 and at(i0 - 1) >= lo:
         i0 -= 1
-    while at(i0) < -1e-12:
+    while at(i0) < lo:
         i0 += 1
-    i1 = math.floor((sig.window + T) / sig.grid_step) + 1
-    while i1 < len(sig.values) and at(i1) <= T + 1e-12:
+    i1 = math.floor((sig.window + start + T) / sig.grid_step) + 1
+    while i1 < len(sig.values) and at(i1) <= hi:
         i1 += 1
-    while at(i1 - 1) > T + 1e-12:
+    while at(i1 - 1) > hi:
         i1 -= 1
     return i0, i1
 
 
-def bohr_coefficient(sig, lam, T: float):
-    """Time average (1/T) int_0^T f(t) exp(-i lam t) dt by composite trapezoid.
+def bohr_coefficient(sig, lam, T: float, start: float = 0.0):
+    """Time average (1/T) int_start^(start+T) f(t) exp(-i lam t) dt by composite trapezoid.
 
     ``sig`` is a callable t-array -> values, or a Signal whose grid
-    covers [0, T] (used directly when fine enough, else interpolated).
-    The quadrature step obeys step <= min(0.01, 1/(8 |lam| + 8)); the
-    average converges to the coefficient at frequency lam at rate O(1/T)
-    for absolutely summable exponential sums.  A scalar ``lam`` gives a
-    complex, an array of frequencies the array of their averages.
+    covers [start, start + T] (used directly when fine enough, else
+    interpolated).  The quadrature step obeys step <= min(0.01,
+    1/(8 |lam| + 8)); the average converges to the coefficient at
+    frequency lam at rate O(1/T) for absolutely summable exponential
+    sums.  A scalar ``lam`` gives a complex, an array of frequencies the
+    array of their averages.
 
     The nodes form a uniform grid t_j = t0 + j dt: the Signal's own
-    nodes in [0, T] (1e-12 slack at both ends), or linspace(0, T) for
-    callables and interpolated Signals.  Frequencies that share a step
-    requirement share one pass over those values (``_trapezoid_mean``).
+    nodes in [start, start + T] (1e-12 slack at both ends), or
+    linspace(start, start + T) for callables and interpolated Signals.
+    Frequencies that share a step requirement share one pass over those
+    values (``_trapezoid_mean``).
     """
-    if T <= 0:
-        raise ConfigurationError("averaging length T must be positive")
+    if not (0.0 < T < math.inf and math.isfinite(start)):
+        raise ConfigurationError(
+            f"need a finite averaging interval of length T > 0, got start {start}, T {T}")
     lams = np.asarray(lam, dtype=float)
     flat = lams.ravel()
     steps = np.minimum(0.01, 1.0 / (8.0 * np.abs(flat) + 8.0))
     out = np.empty(len(flat), dtype=complex)
     for step_req in np.unique(steps):
         mine = steps == step_req
-        out[mine] = _bohr_means(sig, flat[mine], T, step_req)
+        out[mine] = _bohr_means(sig, flat[mine], T, start, step_req)
     return complex(out[0]) if lams.ndim == 0 else out.reshape(lams.shape)
 
 
-def _bohr_means(sig, lam, T: float, step_req: float):
+def _bohr_means(sig, lam, T: float, start: float, step_req: float):
     """``bohr_coefficient`` at the frequencies lam, on nodes at most step_req apart."""
-    if isinstance(sig, Signal) and sig.grid_step <= step_req and T <= sig.window:
-        i0, i1 = _nodes_in(sig, T)
+    if (isinstance(sig, Signal) and sig.grid_step <= step_req
+            and -sig.window <= start and start + T <= sig.window):
+        i0, i1 = _nodes_in(sig, T, start)
         t0 = -sig.window + sig.grid_step * i0
         return _trapezoid_mean(sig.values[i0:i1], lam, t0, sig.grid_step, T)
     n = int(math.ceil(T / step_req))
-    tt = np.linspace(0.0, T, n + 1)
+    tt = np.linspace(start, start + T, n + 1)
     if isinstance(sig, Signal):
         vals = sig.evaluate(tt)
     else:
         vals = np.asarray(sig(tt), dtype=complex)
-    return _trapezoid_mean(vals, lam, 0.0, T / n, T)
+    return _trapezoid_mean(vals, lam, start, T / n, T)
 
 
 def bohr_cross_term_bound(moduli, freqs, m_index: int, T: float) -> float:
@@ -287,8 +316,9 @@ def bohr_cross_term_bound(moduli, freqs, m_index: int, T: float) -> float:
     return float((a[mask] * 2.0 / (T * gaps[mask])).sum())
 
 
-def solenoid_recover(sig, emb: SolenoidEmbedding, T: float) -> SolenoidPoint:
-    """Read the solenoid coordinates back from a signal via Bohr means.
+def solenoid_recover(sig, emb: SolenoidEmbedding, T: float,
+                     start: float = 0.0) -> SolenoidPoint:
+    """Read the solenoid coordinates back from a signal via Bohr means over [start, start + T].
 
     Coordinate n is the phase of the recovered coefficient at frequency
     2 pi / n!, scaled back to [0, n!); one ``bohr_coefficient`` call
@@ -297,7 +327,7 @@ def solenoid_recover(sig, emb: SolenoidEmbedding, T: float) -> SolenoidPoint:
     the signal is not an embedding image.
     """
     facts = [math.factorial(n) for n in range(emb.m, emb.K + 1)]
-    coeffs = bohr_coefficient(sig, 2.0 * np.pi / np.array(facts, dtype=float), T)
+    coeffs = bohr_coefficient(sig, 2.0 * np.pi / np.array(facts, dtype=float), T, start)
     coords = []
     for n, fact, coeff in zip(range(emb.m, emb.K + 1), facts, coeffs):
         expected = 2.0 ** -n

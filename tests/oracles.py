@@ -26,7 +26,7 @@ from flowdim.dynamics import (
     _canonical,
     _solenoid_gaps,
 )
-from flowdim.embedding import NODE_MARGIN, PHASE_TOL
+from flowdim.embedding import NODE_MARGIN, PHASE_TOL, bohr_cross_term_bound
 from flowdim.errors import (
     ConfigurationError,
     InvalidHorizonError,
@@ -379,6 +379,42 @@ def solenoid_distance(p: SolenoidPoint, q: SolenoidPoint) -> float:
     if p.depth != q.depth:
         raise InvariantViolationError("solenoid points must share a depth")
     return float(_solenoid_gaps(np.array(p.coords), np.array(q.coords)))
+
+
+def _solenoid_terms(depth: int):
+    """Circumferences n!, frequencies 2 pi / n! and moduli 2^-n of the embedding sum, n <= depth."""
+    facts = np.array([math.factorial(n) for n in range(1, depth + 1)], dtype=float)
+    return facts, 2.0 * np.pi / facts, 2.0 ** -np.arange(1, depth + 1)
+
+
+def solenoid_coordinate_bound(n: int, depth: int, T: float) -> float:
+    """n!/(2 pi) asin(c / 2^-n), c = ``bohr_cross_term_bound`` at coordinate n.
+
+    A Bohr mean over any interval of length T is within c of the
+    coefficient 2^-n at frequency 2 pi / n!, so its phase is within
+    asin(c / 2^-n) and the recovered coordinate within this many units
+    of its circle of circumference n!.
+    """
+    facts, lam, moduli = _solenoid_terms(depth)
+    cross = bohr_cross_term_bound(moduli, lam, n - 1, T)
+    return facts[n - 1] / (2.0 * math.pi) * math.asin(cross / moduli[n - 1])
+
+
+def solenoid_exact_mean_error(tau: float, n: int, depth: int, T: float) -> float:
+    """Circle error of coordinate n of the orbit point at time tau, read from the exact Bohr mean over [0, T].
+
+    The mean of sum_k 2^-k exp(i lam_k (tau + t)) exp(-i lam_n t) over
+    [0, T] in closed form: each k != n contributes its coefficient times
+    (exp(i g T) - 1) / (i g T), g = lam_k - lam_n.
+    """
+    facts, lam, moduli = _solenoid_terms(depth)
+    coeffs = moduli * np.exp(1j * lam * (tau % facts))
+    others = np.arange(depth) != n - 1
+    g = lam[others] - lam[n - 1]
+    mean = coeffs[n - 1] + (coeffs[others] * np.expm1(1j * g * T) / (1j * g * T)).sum()
+    fact = facts[n - 1]
+    gap = abs(fact / (2.0 * math.pi) * np.angle(mean) % fact - tau % fact) % fact
+    return min(gap, fact - gap)
 
 
 def sample_distance(sample: MetricSample, p, q) -> float:

@@ -117,7 +117,7 @@ class TestSignal:
             signal_metric(f, g, 4)
 
 
-# The solenoid-demo grid: window 20,050 at step 0.01, frequencies 2 pi / n!.
+# A solenoid grid twice solenoid-demo's: window 20,050 at step 0.01, frequencies 2 pi / n!.
 SOLENOID_GRID = (2 * np.pi / np.array([1.0, 2.0, 6.0, 24.0]), -20050.0, 0.01, 4_010_001)
 # bump_transform's largest accepted rule at tau = 0.5: QUAD_MAX_NODES base
 # nodes, 2 QUAD_MAX_NODES doubled ones at step tau / 2 / (2 QUAD_MAX_NODES),

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from flowdim.bandlimited import SUP_BOUND_TOL, Band, shift, signal_metric
 from flowdim.dynamics import SolenoidPoint, solenoid_act, solenoid_from_time
 from flowdim.embedding import (
+    EXP_SUM_MAX_SAMPLES,
+    MAX_DEPTH,
     NODE_MARGIN,
     SolenoidEmbedding,
     bohr_coefficient,
@@ -30,6 +33,7 @@ from flowdim.errors import (
     PreconditionError,
     SearchBudgetError,
     TruncationDepthError,
+    WindowExhaustedError,
 )
 from flowdim.metric import MetricSample
 from oracles import kernel_rows, solenoid_distance
@@ -78,6 +82,15 @@ class TestSolenoidEmbed:
         # c = 0.4 needs 1/3! = 0.1667.
         assert SolenoidEmbedding(c=1.0, K=3, window=10.0).m == 1
         assert SolenoidEmbedding(c=0.4, K=3, window=10.0).m == 3
+
+    def test_depth_beyond_exact_float64_factorials_is_refused(self):
+        # 22! is the last factorial float64 holds exactly; the circle
+        # of x_23 would not be the integer 23!.
+        assert float(math.factorial(MAX_DEPTH)) == math.factorial(MAX_DEPTH)
+        assert float(math.factorial(MAX_DEPTH + 1)) != math.factorial(MAX_DEPTH + 1)
+        assert SolenoidEmbedding(c=1.0, K=MAX_DEPTH, window=10.0).K == MAX_DEPTH
+        with pytest.raises(ConfigurationError, match="MAX_DEPTH = 22"):
+            SolenoidEmbedding(c=1.0, K=MAX_DEPTH + 1, window=10.0)
 
 
 def direct_exp_sum(coeffs, freqs, t):
@@ -169,6 +182,24 @@ class TestCoefficientSupBound:
         with pytest.raises(InvariantViolationError, match="finite"):
             exp_sum_signals([coeffs], emb.frequencies(), Band(0.0, 1.0), 20.0, 0.125)
 
+    @pytest.mark.parametrize("rows, window, says", [
+        (1, 5e8, "window 5e+08 at step 0.01 need 1 x 100000000001 = 100000000001 samples"),
+        (3, 20050.0, "window 20050 at step 0.01 need 3 x 4010001 = 12030003 samples"),
+        (1, math.inf, "window inf at step 0.01"),
+        (1, math.nan, "window nan at step 0.01"),
+    ], ids=["huge-window", "three-solenoid-rows", "inf", "nan"])
+    def test_too_many_samples_refused_before_any_grid_is_evaluated(self, emb, monkeypatch,
+                                                                   rows, window, says):
+        import flowdim.embedding
+
+        def no_grid(*args):
+            raise AssertionError("a grid was evaluated")
+
+        monkeypatch.setattr(flowdim.embedding, "_grid_factors", no_grid)
+        coeffs = [solenoid_coefficients(solenoid_from_time(3.7, 4), emb)] * rows
+        with pytest.raises(ConfigurationError, match=f"{re.escape(says)}.*more than {EXP_SUM_MAX_SAMPLES}"):
+            exp_sum_signals(coeffs, emb.frequencies(), Band(0.0, 1.0), window, 0.01)
+
     def test_grid_is_checked(self, emb):
         coeffs = solenoid_coefficients(solenoid_from_time(3.7, 4), emb)
         # Step 0.5 is below the oversampling bound 4 of band [0, 1].
@@ -185,21 +216,79 @@ class TestCoefficientSupBound:
             assert np.array_equal(sig.values, values)
 
 
+def assert_matches_masked_trapezoid(window, T, start=None):
+    """The Signal path's means equal np.trapezoid over the masked times in [start, start + T]."""
+    emb = SolenoidEmbedding(c=1.0, K=4, window=window, grid_step=0.01)
+    sig = solenoid_embed(solenoid_from_time(9.1, 4), emb)
+    t = sig.times()
+    lo = 0.0 if start is None else start
+    mask = (t >= lo - 1e-12) & (t <= lo + T + 1e-12)
+    for n in range(1, 5):
+        lam = 2.0 * np.pi / math.factorial(n)
+        want = np.trapezoid(sig.values[mask] * np.exp(-1j * lam * t[mask]), t[mask]) / T
+        got = bohr_coefficient(sig, lam, T) if start is None else bohr_coefficient(sig, lam, T, start)
+        assert abs(got - want) <= 1e-10 * abs(want)
+
+
 class TestBohrCoefficient:
     @pytest.mark.parametrize("window, T", [(20050.0, 2e4), (600.005, 600.005),
                                            (600.005, 0.004), (60.0, 60.0)])
     def test_signal_path_matches_masked_trapezoid(self, window, T):
         # 600.005 is not a multiple of the grid step, so no node sits on 0,
         # and [0, 0.004] holds no node at all.
-        emb = SolenoidEmbedding(c=1.0, K=4, window=window, grid_step=0.01)
+        assert_matches_masked_trapezoid(window, T)
+
+    @pytest.mark.parametrize("window, T, start", [
+        (10050.0, 2e4, -1e4), (600.005, 300.0, -123.456789), (600.005, 0.004, -300.0031),
+        (60.0, 120.0, -60.0), (60.0, 17.5, 42.5)],
+        ids=["solenoid-demo", "off-lattice", "no-node", "whole-window", "right-edge"])
+    def test_signal_path_matches_masked_trapezoid_from_a_start(self, window, T, start):
+        # Nodes of the 600.005 window sit at 0.005 mod 0.01, so
+        # [-300.0031, -299.9991] holds none.
+        assert_matches_masked_trapezoid(window, T, start)
+
+    def test_explicit_zero_start_is_the_default_bit_for_bit(self):
+        emb = SolenoidEmbedding(c=1.0, K=4, window=60.0, grid_step=0.01)
         sig = solenoid_embed(solenoid_from_time(9.1, 4), emb)
-        t = sig.times()
-        mask = (t >= -1e-12) & (t <= T + 1e-12)
-        for n in range(1, 5):
-            lam = 2.0 * np.pi / math.factorial(n)
-            want = np.trapezoid(sig.values[mask] * np.exp(-1j * lam * t[mask]), t[mask]) / T
-            got = bohr_coefficient(sig, lam, T)
-            assert abs(got - want) <= 1e-10 * abs(want)
+        lams = np.array([2 * np.pi, np.pi, np.pi / 3, np.pi / 12, 0.7, -3.0, 12.0])
+        for source in (sig, lambda t: np.exp(2j * np.pi * t)):
+            for T in (50.0, 12.34, 0.004):
+                assert np.array_equal(bohr_coefficient(source, lams, T, 0.0),
+                                      bohr_coefficient(source, lams, T))
+        emb = SolenoidEmbedding(c=1.0, K=3, window=600.0, grid_step=0.01)
+        sig = solenoid_embed(solenoid_from_time(4.3, 3), emb)
+        assert (solenoid_recover(sig, emb, 500.0, start=0.0).coords
+                == solenoid_recover(sig, emb, 500.0).coords)
+
+    @pytest.mark.parametrize("T, start", [(50.0, 20.0), (50.0, -61.0), (10.0, 55.0)])
+    def test_interval_off_the_window_is_interpolated_and_exhausts_it(self, T, start):
+        # [start, start + T] leaves the window [-60, 60], so the Signal path
+        # does not apply, and interpolating at its far end runs out of window.
+        emb = SolenoidEmbedding(c=1.0, K=4, window=60.0, grid_step=0.01)
+        sig = solenoid_embed(solenoid_from_time(9.1, 4), emb)
+        with pytest.raises(WindowExhaustedError):
+            bohr_coefficient(sig, np.pi, T, start)
+
+    def test_coarse_grid_is_interpolated_from_a_start(self):
+        # Frequencies 12 and pi need steps 1/104 and 0.01, finer than the
+        # grid's 1/8: the signal is interpolated on linspace(start, start + T).
+        emb = SolenoidEmbedding(c=1.0, K=4, window=60.0)
+        p = solenoid_from_time(9.1, 4)
+        sig = solenoid_embed(p, emb)
+        coeffs, freqs = solenoid_coefficients(p, emb), emb.frequencies()
+
+        def exact(t):
+            return np.exp(2j * np.pi * np.outer(t, freqs)) @ coeffs
+
+        for lam in (12.0, np.pi):
+            want = bohr_coefficient(exact, lam, 30.0, -25.5)
+            assert abs(bohr_coefficient(sig, lam, 30.0, -25.5) - want) <= 1e-10
+
+    @pytest.mark.parametrize("T, start", [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan),
+                                          (1.0, -math.inf)])
+    def test_interval_that_is_not_finite_is_configuration_error(self, T, start):
+        with pytest.raises(ConfigurationError, match="finite averaging interval"):
+            bohr_coefficient(lambda t: np.ones_like(t, dtype=complex), 1.0, T, start)
 
     def test_frequency_array_matches_the_scalar_calls(self):
         # 12.0 needs a finer step than the signal's grid: the signal is
@@ -275,6 +364,29 @@ class TestSolenoidRecover:
             fact = math.factorial(n)
             gap = abs(rec.coords[n - 1] - p.coords[n - 1]) % fact
             assert min(gap, fact - gap) <= 1e-2 * fact
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(0.0, 24.0, exclude_max=True))
+    def test_half_window_recovers_the_drawn_point_s_error(self, tau):
+        # f_q(t) = f_p(t + T/2) for q = phi_{T/2} p: recovering q over
+        # [-T/2, T/2] makes the [0, T] error of p, up to the rounding of the
+        # grid times (about one ulp of the window in time).
+        T = 1000.0
+        p = solenoid_from_time(tau, 4)
+        q = solenoid_act(p, T / 2)
+        emb_p = SolenoidEmbedding(c=1.0, K=4, window=T + 50.0, grid_step=0.01)
+        emb_q = SolenoidEmbedding(c=1.0, K=4, window=T / 2 + 50.0, grid_step=0.01)
+        rec_p = solenoid_recover(solenoid_embed(p, emb_p), emb_p, T)
+        rec_q = solenoid_recover(solenoid_embed(q, emb_q), emb_q, T, start=-T / 2)
+        moduli = 2.0 ** -np.arange(1, 5)
+        freqs = 2.0 * np.pi / np.array([1.0, 2.0, 6.0, 24.0])
+        for n in range(1, 5):
+            fact = math.factorial(n)
+            err_p, err_q = [min(gap, fact - gap) for gap in
+                            (abs(rec.coords[n - 1] - x.coords[n - 1]) % fact
+                             for rec, x in ((rec_p, p), (rec_q, q)))]
+            bound = bohr_cross_term_bound(moduli, freqs, n - 1, T)
+            assert abs(err_p - err_q) <= 1e-9 * bound
 
     def test_zero_signal_rejected(self):
         emb = SolenoidEmbedding(c=1.0, K=3, window=600.0, grid_step=0.01)

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -28,7 +29,14 @@ from flowdim.io import (
     write_table_csv,
 )
 from flowdim.metric import metric_mdim_table, widim_upper
-from oracles import level_graph, sample_distance, write_table_csv_rowwise
+from flowdim.embedding import solenoid_embed
+from oracles import (
+    level_graph,
+    sample_distance,
+    solenoid_coordinate_bound,
+    solenoid_exact_mean_error,
+    write_table_csv_rowwise,
+)
 
 
 class TestSampleIO:
@@ -185,6 +193,52 @@ def test_readme_examples_write_the_row_by_row_writer_s_bytes(tmp_path, monkeypat
         want = write_table_csv_rowwise(tmp_path / "want.csv", rows, header)
         assert path.read_bytes() == want.read_bytes()
         assert len(rows) > 1
+
+
+def test_readme_solenoid_demo_errors_are_the_exact_means(tmp_path, monkeypatch):
+    """solenoid-demo at its README example: each CSV row's error is within the
+    cross-term bound, and it is the error of the exact Bohr mean over [0, T]
+    at the drawn time tau, though each signal holds only the half window."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    line = re.search(r"^flowdim .* solenoid-demo .*$", readme, re.M).group(0)
+    argv = [str(tmp_path) if a == "artifacts" else a for a in shlex.split(line)[1:]]
+    opts = dict(zip(argv[3::2], argv[4::2]))
+    depth, T = int(opts["--depth"]), float(opts["--T"])
+    n_points = int(opts.get("--n-points", 5))
+    lengths = []
+
+    def embed(*args):
+        sig = solenoid_embed(*args)
+        lengths.append(len(sig.values))
+        return sig
+
+    monkeypatch.setattr(cli, "solenoid_embed", embed)
+    assert main(argv) == 0
+    assert lengths == [2_010_001] * n_points
+    [table] = tmp_path.glob("solenoid-demo-*.csv")
+    rows = [(float(tau), int(n), float(err))
+            for tau, n, err in csv.reader(table.read_text().splitlines()[1:])]
+    assert [n for _, n, _ in rows] == list(range(1, depth + 1)) * n_points
+    for tau, n, err in rows:
+        bound = solenoid_coordinate_bound(n, depth, T)
+        assert err <= bound
+        assert abs(err - solenoid_exact_mean_error(tau, n, depth, T)) <= 1e-3 * bound
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["--T", "1e9"], "window 5e+08 at step 0.01 need 1 x 100000010001"),
+    (["--T", "inf"], "T = inf"),
+    (["--T", "nan"], "T = nan"),
+    (["--T", "0"], "T = 0.0"),
+    (["--n-points", "0"], "n-points >= 1, got 0"),
+    (["--depth", "23"], "K = 23 exceeds MAX_DEPTH = 22"),
+], ids=["T-huge", "T-inf", "T-nan", "T-zero", "no-points", "depth-23"])
+def test_solenoid_demo_out_of_range_exits_2_and_writes_nothing(tmp_path, capsys, argv, says):
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "solenoid-demo", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and says in err
+    assert not out.exists()
 
 
 class TestCli:
