@@ -78,9 +78,9 @@ class Signal:
             raise InvariantViolationError(
                 f"grid rate {1.0 / self.grid_step:.3g} below oversampling bound {limit:.3g}")
         n_expected = int(round(2 * self.window / self.grid_step)) + 1
-        if len(self.values) != n_expected:
+        if len(self) != n_expected:
             raise InvariantViolationError(
-                f"{len(self.values)} samples but window/step imply {n_expected}")
+                f"{len(self)} samples but window/step imply {n_expected}")
 
     @classmethod
     def from_function(cls, fn, band: Band, window: float, grid_step: float,
@@ -89,11 +89,19 @@ class Signal:
         t = -window + grid_step * np.arange(n)
         return cls(band, window, grid_step, fn(t), sup_bound=sup_bound)
 
+    def __len__(self):
+        """The number of samples."""
+        return len(self.values)
+
+    def read(self, j0: int, j1: int):
+        """The samples values[j0:j1]."""
+        return self.values[j0:j1]
+
     def times(self):
-        return -self.window + self.grid_step * np.arange(len(self.values))
+        return -self.window + self.grid_step * np.arange(len(self))
 
     def same_grid(self, other: "Signal") -> bool:
-        return (len(self.values) == len(other.values)
+        return (len(self) == len(other)
                 and abs(self.window - other.window) < 1e-12
                 and abs(self.grid_step - other.grid_step) < 1e-12)
 

@@ -22,7 +22,9 @@ matrix of coefficient rows, one signal per row, on the same factors.
 ``exp_sum_signals`` refuses more than ``EXP_SUM_MAX_SAMPLES`` samples
 and certifies the sup bound of such signals from their coefficients
 (``exp_sum_bound``), both before any grid is evaluated, so no sample is
-scanned for it.  The perturbation stage
+scanned for it.  Its signals evaluate their values only when read: the
+Bohr means read them a block of rows at a time, so the round trip never
+holds a whole signal.  The perturbation stage
 corrects an equivariant signal map on a lattice of sample nodes using
 the interpolation kernel, within a certified sup budget, so that the
 pair (signal map, solenoid factor) separates sample states.  Its kernel
@@ -41,6 +43,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .bandlimited import (
+    SUP_BLOCK,
     SUP_BOUND_TOL,
     UNIT_ROUNDOFF,
     Band,
@@ -75,9 +78,10 @@ MAX_TRIES = 10_000  # perturbations epsilon_embedding_search draws before it giv
 # example) under the K_dec / (1 + t^2) envelope that ``certify_constants``
 # certifies on the whole line.
 NODE_MARGIN = 200.0
-# Most samples one exp_sum_signals call evaluates, rows times grid: 134 MB
-# of complex values.  One signal on the window 20,050 at step 0.01 holds
-# 4,010,001.
+# Most samples one exp_sum_signals call makes, rows times grid (134 MB of
+# complex values if evaluated; Bohr means read them in blocks), and most
+# nodes of a Bohr mean over a callable or an interpolated Signal.
+# solenoid-demo's signal, window 10,050 at step 0.01, holds 2,010,001.
 EXP_SUM_MAX_SAMPLES = 1 << 23
 # Deepest solenoid truncation: 22! is the largest factorial float64
 # holds exactly, and the coordinate circles are float64 n!.
@@ -88,8 +92,8 @@ N_MAX = 4         # signal_metric truncation used by verify_delta_embedding
 
 def minimal_start_index(c: float) -> int:
     """Smallest m with 1/m! <= c, so the sum's frequencies fit in [0, c]."""
-    if c <= 0:
-        raise ConfigurationError("band limit c must be positive")
+    if not 0 < c < math.inf:
+        raise ConfigurationError(f"band limit c must be finite and positive, got {c}")
     m = 1
     while 1.0 / math.factorial(m) > c:
         m += 1
@@ -116,6 +120,10 @@ class SolenoidEmbedding:
                 f"n whose n! float64 holds exactly")
         if self.grid_step is None:
             self.grid_step = 1.0 / (8.0 * max(self.c, 1.0))
+        if not (0.0 < self.window < math.inf and 0.0 < self.grid_step < math.inf):
+            raise ConfigurationError(
+                f"need a finite window and grid step > 0, got window {self.window}, "
+                f"grid step {self.grid_step}")
         limit = 4.0 * max(self.c, 1.0)
         if 1.0 / self.grid_step < limit:
             raise ConfigurationError("grid step violates the oversampling bound")
@@ -160,10 +168,67 @@ def exp_sum_grid(coeffs, freqs, t0: float, dt: float, n: int):
     built once for all rows from 3 K exponentials, so no n x K temporary
     exists.
     """
-    head, tail = _grid_factors(2.0 * np.pi * np.asarray(freqs, dtype=float), t0, dt, n)
-    coeffs = np.asarray(coeffs)
-    values = (head * coeffs[..., None, :]) @ tail.T
-    return values.reshape(*coeffs.shape[:-1], -1)[..., :n]
+    return _ExpSums(coeffs, freqs, t0, dt, n).values()
+
+
+class _ExpSums:
+    """``exp_sum_grid``'s values from the coefficient rows and block factors, when read.
+
+    ``values()`` evaluates every row and keeps them.  ``read(i, j0, j1)``
+    slices those if kept, else evaluates row i's entries [j0, j1), bit for
+    bit the same, from only the head rows that cover them.
+    """
+
+    def __init__(self, coeffs, freqs, t0: float, dt: float, n: int):
+        self.coeffs = np.asarray(coeffs)
+        self.head, self.tail = _grid_factors(2.0 * np.pi * np.asarray(freqs, dtype=float),
+                                             t0, dt, n)
+        self.n = n
+        self._values = None
+
+    def _product(self, coeffs, head):
+        values = (head * coeffs[..., None, :]) @ self.tail.T
+        return values.reshape(*coeffs.shape[:-1], -1)
+
+    def values(self):
+        if self._values is None:
+            self._values = self._product(self.coeffs, self.head)[..., :self.n]
+        return self._values
+
+    def read(self, i: int, j0: int, j1: int):
+        if self._values is not None:
+            return self._values[i, j0:j1]
+        B = len(self.tail)
+        q1 = -(-j1 // B)
+        # Two head rows at least, as ``values()`` has when n > B: numpy
+        # multiplies a single row as a vector, which rounds differently.
+        q0 = max(0, min(j0 // B, q1 - 2))
+        q1 = min(len(self.head), max(q1, q0 + 2))
+        block = self._product(self.coeffs[i], self.head[q0:q1])
+        return block[j0 - q0 * B:j1 - q0 * B]
+
+
+class _ExpSumSignal(Signal):
+    """Row i of an ``_ExpSums`` as a sup-bound Signal on [-window, window].
+
+    ``read`` evaluates only the entries it returns; the first ``values``
+    of any signal of the ``_ExpSums`` evaluates all its rows.
+    """
+
+    def __init__(self, band: Band, window: float, grid_step: float, sums: _ExpSums, i: int):
+        self.band, self.window, self.grid_step = band, float(window), float(grid_step)
+        self.sup_bound = True
+        self._sums, self._i = sums, i
+
+    @property
+    def values(self):
+        return self._sums.values()[self._i]
+
+    def __len__(self):
+        return self._sums.n
+
+    def read(self, j0: int, j1: int):
+        return self._sums.read(self._i, j0, j1)
 
 
 def exp_sum_bound(coeffs, n: int) -> float:
@@ -196,7 +261,9 @@ def exp_sum_signals(coeffs, freqs, band: Band, window: float, grid_step: float):
     the sup bound is certified from the coefficients: ``exp_sum_bound``
     above 1 + ``SUP_BOUND_TOL`` raises ``InvariantViolationError``, so
     ``Signal.sup_norm`` scans none of them.  Each signal's grid is then
-    checked (``Signal.check_grid``).
+    checked (``Signal.check_grid``).  No value is evaluated here: a
+    signal's ``read`` evaluates the entries it returns, and the first
+    ``values`` of any signal evaluates every row, as one product.
     """
     coeffs = np.asarray(coeffs)
     span = 2 * window / grid_step
@@ -209,32 +276,39 @@ def exp_sum_signals(coeffs, freqs, band: Band, window: float, grid_step: float):
     if not bound <= 1.0 + SUP_BOUND_TOL:
         raise InvariantViolationError(
             f"coefficient moduli bound the sum by {bound:.17g}, above the sup bound 1")
-    signals = [Signal(band, window, grid_step, values, sup_bound=True, validate=False)
-               for values in exp_sum_grid(coeffs, freqs, -window, grid_step, n)]
+    sums = _ExpSums(coeffs, freqs, -window, grid_step, n)
+    signals = [_ExpSumSignal(band, window, grid_step, sums, i) for i in range(len(coeffs))]
     for sig in signals:
         sig.check_grid()
     return signals
 
 
-def _trapezoid_mean(vals, lam, t0: float, dt: float, T: float):
-    """(dt / T) times the trapezoid sums of vals_j exp(-i lam_k t_j), t_j = t0 + j dt.
+def _trapezoid_mean(read, n: int, lam, t0: float, dt: float, T: float):
+    """(dt / T) times the trapezoid sums of v_j exp(-i lam_k t_j), t_j = t0 + j dt, j < n.
 
-    One sum per frequency lam_k: the values are read once, as the B-column
-    reshape contracted with the B x K tail factor.
+    ``read(j0, j1)`` returns v_j for j0 <= j < j1.  One sum per frequency
+    lam_k: the values are read once, in even blocks of about SUP_BLOCK
+    entries of whole B-column rows, each reshape contracted with the
+    B x K tail factor.  No block holds one row of several: numpy
+    multiplies a single row as a vector, which rounds differently.
     """
-    n = len(vals)
     if n < 2:
         return np.zeros(len(lam), dtype=complex)  # no interval, as with np.trapezoid
     head, tail = _grid_factors(-np.asarray(lam, dtype=float), t0, dt, n)
     B = len(tail)
     full = n // B
+    rows = np.empty((full, len(lam)), dtype=complex)
+    blocks = -(-full // max(4, SUP_BLOCK // B))
+    edges = np.arange(blocks + 1) * full // blocks
+    for r0, r1 in zip(edges[:-1], edges[1:]):
+        rows[r0:r1] = read(r0 * B, r1 * B).reshape(-1, B) @ tail
     # Sum each frequency's products as one contiguous row, pairwise, so the
     # order does not depend on how many frequencies share the pass.
-    total = (head[:full] * (vals[:full * B].reshape(full, B) @ tail)).T.copy().sum(axis=1)
+    total = (head[:full] * rows).T.copy().sum(axis=1)
     if full < len(head):
-        total += head[full] * (vals[full * B:] @ tail[:n - full * B])
+        total += head[full] * (read(full * B, n) @ tail[:n - full * B])
     last = n - 1
-    ends = vals[0] * head[0] + vals[last] * head[last // B] * tail[last % B]
+    ends = read(0, 1)[0] * head[0] + read(last, n)[0] * head[last // B] * tail[last % B]
     return (total - ends / 2.0) * dt / T
 
 
@@ -254,7 +328,7 @@ def _nodes_in(sig: Signal, T: float, start: float = 0.0):
     while at(i0) < lo:
         i0 += 1
     i1 = math.floor((sig.window + start + T) / sig.grid_step) + 1
-    while i1 < len(sig.values) and at(i1) <= hi:
+    while i1 < len(sig) and at(i1) <= hi:
         i1 += 1
     while at(i1 - 1) > hi:
         i1 -= 1
@@ -273,16 +347,21 @@ def bohr_coefficient(sig, lam, T: float, start: float = 0.0):
     array of their averages.
 
     The nodes form a uniform grid t_j = t0 + j dt: the Signal's own
-    nodes in [start, start + T] (1e-12 slack at both ends), or
-    linspace(start, start + T) for callables and interpolated Signals.
-    Frequencies that share a step requirement share one pass over those
-    values (``_trapezoid_mean``).
+    nodes in [start, start + T] (1e-12 slack at both ends), read in
+    blocks (``Signal.read``), or linspace(start, start + T) for callables
+    and interpolated Signals.  Frequencies that share a step requirement
+    share one pass over those values (``_trapezoid_mean``).  A frequency,
+    T or start that is not finite, T <= 0, or more than
+    ``EXP_SUM_MAX_SAMPLES`` linspace nodes raise ``ConfigurationError``
+    before any node is made.
     """
     if not (0.0 < T < math.inf and math.isfinite(start)):
         raise ConfigurationError(
             f"need a finite averaging interval of length T > 0, got start {start}, T {T}")
     lams = np.asarray(lam, dtype=float)
     flat = lams.ravel()
+    if not np.all(np.isfinite(flat)):
+        raise ConfigurationError(f"need finite frequencies, got {flat[~np.isfinite(flat)][0]}")
     steps = np.minimum(0.01, 1.0 / (8.0 * np.abs(flat) + 8.0))
     out = np.empty(len(flat), dtype=complex)
     for step_req in np.unique(steps):
@@ -297,14 +376,20 @@ def _bohr_means(sig, lam, T: float, start: float, step_req: float):
             and -sig.window <= start and start + T <= sig.window):
         i0, i1 = _nodes_in(sig, T, start)
         t0 = -sig.window + sig.grid_step * i0
-        return _trapezoid_mean(sig.values[i0:i1], lam, t0, sig.grid_step, T)
-    n = int(math.ceil(T / step_req))
+        return _trapezoid_mean(lambda j0, j1: sig.read(i0 + j0, i0 + j1), i1 - i0,
+                               lam, t0, sig.grid_step, T)
+    span = T / step_req
+    if not span + 1 <= EXP_SUM_MAX_SAMPLES:
+        raise ConfigurationError(
+            f"averaging over length {T:g} at step {step_req:.3g} needs {span + 1:.4g} nodes, "
+            f"more than {EXP_SUM_MAX_SAMPLES}")
+    n = int(math.ceil(span))
     tt = np.linspace(start, start + T, n + 1)
     if isinstance(sig, Signal):
         vals = sig.evaluate(tt)
     else:
         vals = np.asarray(sig(tt), dtype=complex)
-    return _trapezoid_mean(vals, lam, start, T / n, T)
+    return _trapezoid_mean(lambda j0, j1: vals[j0:j1], len(vals), lam, start, T / n, T)
 
 
 def bohr_cross_term_bound(moduli, freqs, m_index: int, T: float) -> float:

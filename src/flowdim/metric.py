@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidHorizonError, MetricInvariantError
+from .errors import InvalidHorizonError, InvariantViolationError, MetricInvariantError
 
 TRIANGLE_TOL = 1e-9
 # Above this size an exhaustive O(n^3) triangle scan is replaced by a
@@ -210,11 +210,17 @@ def orbit_metric_Z(sys, N: int) -> MetricSample:
 
 
 def orbit_metric_R(flow, spec: OrbitMetricSpec) -> MetricSample:
-    """Gridded sup metric sup_{t in {0, dt, ..., R}} d(tx, ty).
+    """Gridded sup metric W = sup_{t in {0, dt, ..., R}} d(tx, ty).
 
-    A lower bound of the true sup over [0, R]; the gap is controlled by
-    the flow's modulus of continuity over one grid step.  The max runs
-    over the table stacks of ``flow.window_blocks``, a block of grid times
+    W is a lower bound of the sup over [0, R]; the gap is controlled by
+    the flow's modulus of continuity over one grid step.  For a
+    ``MappingTorus`` whose grid times sit on its height grid, the gap of
+    its chain metric is at most dt, so W <= sup over [0, R] <= W + dt:
+    every t in [0, R] lies within dt/2 of a grid time s, and the chain
+    metric moves each of the two points by at most |t - s| (a vertical
+    edge costs its flow time, the gluing costs 0).  A table that is not
+    finite raises ``InvariantViolationError``.  The max runs over the
+    table stacks of ``flow.window_blocks``, a block of grid times
     at a time, which holds each distinct table once: a time whose table
     equals an earlier time's adds nothing to the max.
     """
@@ -226,7 +232,8 @@ def orbit_metric_R(flow, spec: OrbitMetricSpec) -> MetricSample:
     for block, tables in flow.window_blocks(times):
         finite = np.isfinite(tables).all(axis=(1, 2))
         if not finite.all():
-            raise ArithmeticError(f"non-finite evolution at grid time {block[np.argmin(finite)]}")
+            raise InvariantViolationError(
+                f"non-finite evolution at grid time {block[np.argmin(finite)]}")
         top = tables.max(axis=0)
         out = top if out is None else np.maximum(out, top)
     return MetricSample(flow.point_ids(), out, validate=False)

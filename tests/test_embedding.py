@@ -1,5 +1,7 @@
 import math
 import re
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowdim.bandlimited import SUP_BOUND_TOL, Band, shift, signal_metric
+from flowdim.bandlimited import SUP_BOUND_TOL, Band, _grid_factors, shift, signal_metric
 from flowdim.dynamics import SolenoidPoint, solenoid_act, solenoid_from_time
 from flowdim.embedding import (
     EXP_SUM_MAX_SAMPLES,
@@ -91,6 +93,23 @@ class TestSolenoidEmbed:
         assert SolenoidEmbedding(c=1.0, K=MAX_DEPTH, window=10.0).K == MAX_DEPTH
         with pytest.raises(ConfigurationError, match="MAX_DEPTH = 22"):
             SolenoidEmbedding(c=1.0, K=MAX_DEPTH + 1, window=10.0)
+
+    @pytest.mark.parametrize("window, grid_step", [
+        (math.nan, 0.01), (-5.0, 0.01), (0.0, 0.01), (math.inf, 0.01),
+        (10.0, 0.0), (10.0, math.nan), (10.0, -0.01), (10.0, math.inf)])
+    def test_window_and_step_must_be_finite_and_positive(self, window, grid_step):
+        with pytest.raises(ConfigurationError, match="finite window and grid step > 0"):
+            SolenoidEmbedding(c=1.0, K=4, window=window, grid_step=grid_step)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, 0.0, -1.0])
+    def test_band_limit_must_be_finite_and_positive(self, c):
+        with pytest.raises(ConfigurationError, match="band limit c must be finite and positive"):
+            SolenoidEmbedding(c=c, K=4, window=10.0, grid_step=0.01)
+
+
+def evaluated(sig):
+    """Whether the exponential-sum signal's values have been evaluated."""
+    return sig._sums._values is not None
 
 
 def direct_exp_sum(coeffs, freqs, t):
@@ -215,19 +234,85 @@ class TestCoefficientSupBound:
             assert (sig.window, sig.grid_step) == (20.0, 0.125)
             assert np.array_equal(sig.values, values)
 
+    def test_reads_are_the_grid_values_and_evaluate_no_signal(self, emb):
+        # 321 samples in block rows of B = 18: the ranges start and end
+        # inside, on and across the rows, and on the ragged last row.
+        rows = np.array([solenoid_coefficients(solenoid_from_time(t, 4), emb)
+                         for t in (0.0, 5.9)])
+        signals = exp_sum_signals(rows, emb.frequencies(), Band(0.0, 1.0), 20.0, 0.125)
+        ranges = [(0, 1), (0, 321), (17, 19), (18, 36), (5, 5), (300, 321), (320, 321)]
+        reads = [[sig.read(j0, j1) for j0, j1 in ranges] for sig in signals]
+        assert [len(sig) for sig in signals] == [321, 321]
+        assert not any(evaluated(sig) for sig in signals)
+        want = exp_sum_grid(rows, emb.frequencies(), -20.0, 0.125, 321)
+        for got, values in zip(reads, want):
+            for (j0, j1), block in zip(ranges, got):
+                assert np.array_equal(block, values[j0:j1])
+        # The first values of any signal evaluate every row of the call.
+        signals[1].values
+        assert all(evaluated(sig) for sig in signals)
+        assert np.array_equal(signals[0].read(17, 19), want[0][17:19])
+
 
 def assert_matches_masked_trapezoid(window, T, start=None):
-    """The Signal path's means equal np.trapezoid over the masked times in [start, start + T]."""
+    """The Signal path's means equal np.trapezoid over the masked times in [start, start + T].
+
+    The means are taken first, so they read the signal unevaluated.
+    """
     emb = SolenoidEmbedding(c=1.0, K=4, window=window, grid_step=0.01)
     sig = solenoid_embed(solenoid_from_time(9.1, 4), emb)
+    lams = 2.0 * np.pi / np.array([math.factorial(n) for n in range(1, 5)])
+    got = [bohr_coefficient(sig, lam, T) if start is None else bohr_coefficient(sig, lam, T, start)
+           for lam in lams]
+    assert not evaluated(sig)
     t = sig.times()
     lo = 0.0 if start is None else start
     mask = (t >= lo - 1e-12) & (t <= lo + T + 1e-12)
-    for n in range(1, 5):
-        lam = 2.0 * np.pi / math.factorial(n)
+    for lam, mean in zip(lams, got):
         want = np.trapezoid(sig.values[mask] * np.exp(-1j * lam * t[mask]), t[mask]) / T
-        got = bohr_coefficient(sig, lam, T) if start is None else bohr_coefficient(sig, lam, T, start)
-        assert abs(got - want) <= 1e-10 * abs(want)
+        assert abs(mean - want) <= 1e-10 * abs(want)
+
+
+def one_pass_mean(vals, lam, t0, dt, T):
+    """The trapezoid means of ``_trapezoid_mean`` as one contraction of all the values.
+
+    The reference for their bits: reading the values in row blocks must
+    not change them.
+    """
+    n = len(vals)
+    if n < 2:
+        return np.zeros(len(lam), dtype=complex)
+    head, tail = _grid_factors(-np.asarray(lam, dtype=float), t0, dt, n)
+    B = len(tail)
+    full = n // B
+    total = (head[:full] * (vals[:full * B].reshape(full, B) @ tail)).T.copy().sum(axis=1)
+    if full < len(head):
+        total += head[full] * (vals[full * B:] @ tail[:n - full * B])
+    last = n - 1
+    ends = vals[0] * head[0] + vals[last] * head[last // B] * tail[last % B]
+    return (total - ends / 2.0) * dt / T
+
+
+# Nodes of the 600.005 window sit at 0.005 mod 0.01, so [-300.0031,
+# -299.9991] holds none.
+from_a_start = pytest.mark.parametrize("window, T, start", [
+    (10050.0, 2e4, -1e4), (600.005, 300.0, -123.456789), (600.005, 0.004, -300.0031),
+    (60.0, 120.0, -60.0), (60.0, 17.5, 42.5)],
+    ids=["solenoid-demo", "off-lattice", "no-node", "whole-window", "right-edge"])
+
+
+def assert_refused_before_any_node(source, lam, T, start, says):
+    """``bohr_coefficient`` raises ConfigurationError, warns nothing and makes no grid."""
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match=re.escape(says)):
+                bohr_coefficient(source, lam, T, start)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 class TestBohrCoefficient:
@@ -238,14 +323,60 @@ class TestBohrCoefficient:
         # and [0, 0.004] holds no node at all.
         assert_matches_masked_trapezoid(window, T)
 
-    @pytest.mark.parametrize("window, T, start", [
-        (10050.0, 2e4, -1e4), (600.005, 300.0, -123.456789), (600.005, 0.004, -300.0031),
-        (60.0, 120.0, -60.0), (60.0, 17.5, 42.5)],
-        ids=["solenoid-demo", "off-lattice", "no-node", "whole-window", "right-edge"])
+    @from_a_start
     def test_signal_path_matches_masked_trapezoid_from_a_start(self, window, T, start):
-        # Nodes of the 600.005 window sit at 0.005 mod 0.01, so
-        # [-300.0031, -299.9991] holds none.
         assert_matches_masked_trapezoid(window, T, start)
+
+    @from_a_start
+    def test_unevaluated_signal_means_are_its_values_means_bit_for_bit(self, window, T, start):
+        emb = SolenoidEmbedding(c=1.0, K=4, window=window, grid_step=0.01)
+        sig = solenoid_embed(solenoid_from_time(9.1, 4), emb)
+        lams = 2.0 * np.pi / np.array([1.0, 2.0, 6.0, 24.0])
+        read = bohr_coefficient(sig, lams, T, start)
+        assert not evaluated(sig)
+        t = sig.times()
+        mask = (t >= start - 1e-12) & (t <= start + T + 1e-12)
+        t0 = t[mask][0] if mask.any() else start
+        assert np.array_equal(one_pass_mean(sig.values[mask], lams, t0, sig.grid_step, T), read)
+        # Evaluated, the signal reads its kept values.
+        assert evaluated(sig)
+        assert np.array_equal(bohr_coefficient(sig, lams, T, start), read)
+
+    def test_callable_means_are_the_one_pass_contraction_bit_for_bit(self):
+        # 326,041 nodes make 571 rows of B = 571; blocks of 65536 // B = 114
+        # rows would leave the last one a single row.
+        T, start = 3260.395, -17.25
+        lams = np.array([2 * np.pi, np.pi, 0.3, -2.0])
+        tt = np.linspace(start, start + T, 326_041)
+
+        def tones(t):
+            return 0.5 * np.exp(2j * np.pi * t) + 0.25 * np.exp(-1j * t)
+
+        want = one_pass_mean(tones(tt), lams, start, T / 326_040, T)
+        assert np.array_equal(bohr_coefficient(tones, lams, T, start), want)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, [1.0, math.nan]])
+    def test_frequency_that_is_not_finite_is_configuration_error(self, lam):
+        emb = SolenoidEmbedding(c=1.0, K=4, window=60.0, grid_step=0.01)
+        sig = solenoid_embed(solenoid_from_time(9.1, 4), emb)
+        for source in (sig, lambda t: np.ones_like(t, dtype=complex)):
+            assert_refused_before_any_node(source, lam, 50.0, 0.0, "need finite frequencies")
+        assert not evaluated(sig)
+
+    @pytest.mark.parametrize("lam, T, start, interpolated, says", [
+        (0.0, 1e6, 0.0, False, "needs 1e+08 nodes, more than 8388608"),
+        (1e300, 1.0, 0.0, False, "needs 8e+300 nodes"),
+        (1e4, 200.0, -100.0, True, "needs 1.6e+07 nodes")],
+        ids=["long-callable", "huge-frequency", "interpolated"])
+    def test_more_nodes_than_the_cap_is_configuration_error(self, lam, T, start, interpolated,
+                                                            says):
+        # Frequency 1e4 needs a step of 1/80008, finer than the grid's
+        # 1/8, so the Signal would be interpolated on 1.6e7 nodes.
+        emb = SolenoidEmbedding(c=1.0, K=4, window=100.0)
+        sig = solenoid_embed(solenoid_from_time(9.1, 4), emb)
+        source = sig if interpolated else (lambda t: np.ones_like(t, dtype=complex))
+        assert_refused_before_any_node(source, lam, T, start, says)
+        assert not evaluated(sig)
 
     def test_explicit_zero_start_is_the_default_bit_for_bit(self):
         emb = SolenoidEmbedding(c=1.0, K=4, window=60.0, grid_step=0.01)
@@ -387,6 +518,23 @@ class TestSolenoidRecover:
                              for rec, x in ((rec_p, p), (rec_q, q)))]
             bound = bohr_cross_term_bound(moduli, freqs, n - 1, T)
             assert abs(err_p - err_q) <= 1e-9 * bound
+
+    def test_half_window_round_trip_holds_under_4_mb(self):
+        # The 2,010,001-sample signal of solenoid-demo's README example
+        # would take 32 MB as values; embedding and recovery evaluate none.
+        T = 2e4
+        emb = SolenoidEmbedding(c=1.0, K=4, window=T / 2 + 50.0, grid_step=0.01)
+        q = solenoid_from_time(9.1 + T / 2, 4)
+        tracemalloc.start()
+        try:
+            sig = solenoid_embed(q, emb)
+            rec = solenoid_recover(sig, emb, T, start=-T / 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sig) == 2_010_001 and not evaluated(sig)
+        assert peak < 4 * 2**20
+        assert solenoid_distance(rec, q) <= 1e-2
 
     def test_zero_signal_rejected(self):
         emb = SolenoidEmbedding(c=1.0, K=3, window=600.0, grid_step=0.01)

@@ -205,16 +205,18 @@ def test_readme_solenoid_demo_errors_are_the_exact_means(tmp_path, monkeypatch):
     opts = dict(zip(argv[3::2], argv[4::2]))
     depth, T = int(opts["--depth"]), float(opts["--T"])
     n_points = int(opts.get("--n-points", 5))
-    lengths = []
+    signals = []
 
     def embed(*args):
         sig = solenoid_embed(*args)
-        lengths.append(len(sig.values))
+        signals.append(sig)
         return sig
 
     monkeypatch.setattr(cli, "solenoid_embed", embed)
     assert main(argv) == 0
-    assert lengths == [2_010_001] * n_points
+    # The Bohr means read each signal a block at a time: none is evaluated.
+    assert [len(sig) for sig in signals] == [2_010_001] * n_points
+    assert all(sig._sums._values is None for sig in signals)
     [table] = tmp_path.glob("solenoid-demo-*.csv")
     rows = [(float(tau), int(n), float(err))
             for tau, n, err in csv.reader(table.read_text().splitlines()[1:])]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowdim.errors import InvalidHorizonError, MetricInvariantError
+from flowdim.errors import InvalidHorizonError, InvariantViolationError, MetricInvariantError
 from flowdim.instances import (
     binary_shift_system,
     cube_shift_system,
@@ -147,6 +147,33 @@ class TestOrbitMetricR:
             assert np.all(window >= orbit_metric_Z(time_one, k // steps_per_unit + 1).dist)
             assert np.all(window >= previous)
             previous = window
+
+    @pytest.mark.parametrize("system, every_height", [
+        (lambda: cube_shift_system(1, 3), False),
+        (lambda: rotation_system(12), True),
+        (lambda: binary_shift_system(6), False),
+    ], ids=["cube", "rotation", "binary-shift"])
+    def test_window_is_within_dt_below_the_finer_window(self, system, every_height):
+        # On grid times the chain metric moves each point by at most the
+        # flow time, so the sup over [0, R] lies in [W(dt), W(dt) + dt];
+        # the window of the halved step lies there too.
+        torus = mapping_torus(system(), 32, every_height)
+        for R in (1.0, 2.0, 3.0):
+            for dt in (1 / 16, 1 / 8, 1 / 4):
+                coarse = orbit_metric_R(torus, OrbitMetricSpec("R-window", R, dt)).dist
+                fine = orbit_metric_R(torus, OrbitMetricSpec("R-window", R, dt / 2)).dist
+                assert np.all(coarse <= fine)
+                assert np.all(fine <= coarse + dt + 1e-12)
+
+    def test_table_that_is_not_finite_is_invariant_violation(self, monkeypatch):
+        torus = mapping_torus(rotation_system(4), height_grid=4)
+
+        def nan_blocks(times):
+            yield times[:1], np.full((1, 4, 4), np.nan)
+
+        monkeypatch.setattr(torus, "window_blocks", nan_blocks)
+        with pytest.raises(InvariantViolationError, match="non-finite evolution at grid time 0"):
+            orbit_metric_R(torus, OrbitMetricSpec("R-window", 1.0, 0.25))
 
     def test_default_time_step(self):
         spec = OrbitMetricSpec("R-window", horizon=2.0)
