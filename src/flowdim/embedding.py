@@ -36,6 +36,7 @@ the lattice the nodes' grid steps lie on (``_lattice_sum``).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -175,8 +176,8 @@ class _ExpSums:
     """``exp_sum_grid``'s values from the coefficient rows and block factors, when read.
 
     ``values()`` evaluates every row and keeps them.  ``read(i, j0, j1)``
-    slices those if kept, else evaluates row i's entries [j0, j1), bit for
-    bit the same, from only the head rows that cover them.
+    evaluates row i's entries [j0, j1), bit for bit the same, from only
+    the head rows that cover them.
     """
 
     def __init__(self, coeffs, freqs, t0: float, dt: float, n: int):
@@ -196,8 +197,6 @@ class _ExpSums:
         return self._values
 
     def read(self, i: int, j0: int, j1: int):
-        if self._values is not None:
-            return self._values[i, j0:j1]
         B = len(self.tail)
         q1 = -(-j1 // B)
         # Two head rows at least, as ``values()`` has when n > B: numpy
@@ -211,8 +210,9 @@ class _ExpSums:
 class _ExpSumSignal(Signal):
     """Row i of an ``_ExpSums`` as a sup-bound Signal on [-window, window].
 
-    ``read`` evaluates only the entries it returns; the first ``values``
-    of any signal of the ``_ExpSums`` evaluates all its rows.
+    ``read`` evaluates only the entries it returns, whether or not
+    ``values`` was asked for; the first ``values`` of any signal of the
+    ``_ExpSums`` evaluates all its rows.
     """
 
     def __init__(self, band: Band, window: float, grid_step: float, sums: _ExpSums, i: int):
@@ -362,7 +362,8 @@ def bohr_coefficient(sig, lam, T: float, start: float = 0.0):
     flat = lams.ravel()
     if not np.all(np.isfinite(flat)):
         raise ConfigurationError(f"need finite frequencies, got {flat[~np.isfinite(flat)][0]}")
-    steps = np.minimum(0.01, 1.0 / (8.0 * np.abs(flat) + 8.0))
+    # 1 / (8 |lam| + 8), bit for bit, without overflow for finite lam.
+    steps = np.minimum(0.01, 0.125 / (np.abs(flat) + 1.0))
     out = np.empty(len(flat), dtype=complex)
     for step_req in np.unique(steps):
         mine = steps == step_req
@@ -378,10 +379,11 @@ def _bohr_means(sig, lam, T: float, start: float, step_req: float):
         t0 = -sig.window + sig.grid_step * i0
         return _trapezoid_mean(lambda j0, j1: sig.read(i0 + j0, i0 + j1), i1 - i0,
                                lam, t0, sig.grid_step, T)
-    span = T / step_req
+    span = T / float(step_req)  # float division: inf past float64, with no warning
     if not span + 1 <= EXP_SUM_MAX_SAMPLES:
+        nodes = f"{span + 1:.4g}" if span < math.inf else f"over {sys.float_info.max:.2g}"
         raise ConfigurationError(
-            f"averaging over length {T:g} at step {step_req:.3g} needs {span + 1:.4g} nodes, "
+            f"averaging over length {T:g} at step {step_req:.3g} needs {nodes} nodes, "
             f"more than {EXP_SUM_MAX_SAMPLES}")
     n = int(math.ceil(span))
     tt = np.linspace(start, start + T, n + 1)

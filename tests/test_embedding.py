@@ -366,8 +366,11 @@ class TestBohrCoefficient:
     @pytest.mark.parametrize("lam, T, start, interpolated, says", [
         (0.0, 1e6, 0.0, False, "needs 1e+08 nodes, more than 8388608"),
         (1e300, 1.0, 0.0, False, "needs 8e+300 nodes"),
+        (1e308, 1.0, 0.0, False, "needs over 1.8e+308 nodes"),
+        (-1e308, 200.0, -100.0, True, "needs over 1.8e+308 nodes"),
         (1e4, 200.0, -100.0, True, "needs 1.6e+07 nodes")],
-        ids=["long-callable", "huge-frequency", "interpolated"])
+        ids=["long-callable", "huge-frequency", "overflowing-frequency",
+             "overflowing-interpolated", "interpolated"])
     def test_more_nodes_than_the_cap_is_configuration_error(self, lam, T, start, interpolated,
                                                             says):
         # Frequency 1e4 needs a step of 1/80008, finer than the grid's
