@@ -8,9 +8,9 @@ uses Kaiser-windowed sinc interpolation, accurate to ~1e-12 for
 signals respecting the declared band; its tap weights are computed once
 per distinct fractional grid offset.  ``_grid_factors`` splits
 exponentials on a uniform grid into block factors, built by recurrence
-from three exponentials per frequency; the exponential sums, the Bohr
-means and the kernel's bump transform all run on it, and
-``_grid_rounding`` bounds its rounding.
+from three exponentials per frequency; the exponential sums' values, the
+Bohr means of given values and the kernel's bump transform all run on
+it, and ``_grid_rounding`` bounds its rounding.
 """
 
 from __future__ import annotations
@@ -92,10 +92,6 @@ class Signal:
     def __len__(self):
         """The number of samples."""
         return len(self.values)
-
-    def read(self, j0: int, j1: int):
-        """The samples values[j0:j1]."""
-        return self.values[j0:j1]
 
     def times(self):
         return -self.window + self.grid_step * np.arange(len(self))

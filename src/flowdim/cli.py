@@ -28,7 +28,7 @@ import numpy as np
 from . import instances
 from .bandlimited import Band, periodic_subspace_dim
 from .dynamics import BowenWaltersMetric, RoofFunction, SuspensionPoint, solenoid_from_time
-from .embedding import SolenoidEmbedding, solenoid_embed, solenoid_recover
+from .embedding import SolenoidEmbedding, solenoid_embed, solenoid_error_bounds, solenoid_recover
 from .errors import ConfigurationError, FlowdimError
 from .io import write_table_csv, load_sample_json, load_system_json
 from .kernel import (
@@ -207,7 +207,11 @@ def cmd_solenoid_demo(runner, params):
             worst = max(worst, gap / fact)
     write_table_csv(runner.path(".csv"), rows, header=("tau", "n", "coord_error"))
     passed = worst < 1e-2
-    runner.write_json(".json", {"worst_relative_error": worst, "pass": passed})
+    # Every point's coordinate n shares one bound: the means run on one grid.
+    bounds = solenoid_error_bounds(emb, T, start=-T / 2)
+    runner.write_json(".json", {"worst_relative_error": worst, "pass": passed,
+                                "coord_error_bound": {str(n): b for n, b in
+                                                      enumerate(bounds, start=emb.m)}})
     return passed
 
 

@@ -8,23 +8,25 @@ values alone.  The embedding is equivariant, f_{phi_s x}(t) = f_x(t + s),
 so the mean over [0, T] of f_x exp(-i lam t) is exp(-i lam T/2) times
 the mean over [-T/2, T/2] of f_{phi_{T/2} x}: the centred interval needs
 a window of only T/2 and reads the same error (the solenoid demo
-recovers that way).  Both directions run on
+recovers that way).  Signal values run on
 uniform grids t_j = t0 + j dt through one block factorization,
 ``bandlimited._grid_factors`` (which also evaluates the kernel's bump
 transform, over its uniform quadrature nodes): with j = q B + r and
 B = ceil(sqrt(n)), exp(2 pi i f t_j) is the product of a row factor in q
 and a column factor in r, both built by recurrence from three
 exponentials per frequency, so ``exp_sum_grid`` computes the n values as
-one rank-K matrix product, and the Bohr means contract the reshaped
-values with the same two factors at the frequencies -lam / (2 pi), all
-of them in one pass over the values; one ``exp_sum_grid`` call takes a
-matrix of coefficient rows, one signal per row, on the same factors.
-``exp_sum_signals`` refuses more than ``EXP_SUM_MAX_SAMPLES`` samples
-and certifies the sup bound of such signals from their coefficients
-(``exp_sum_bound``), both before any grid is evaluated, so no sample is
-scanned for it.  Its signals evaluate their values only when read: the
-Bohr means read them a block of rows at a time, so the round trip never
-holds a whole signal.  The perturbation stage
+one rank-K matrix product; one ``exp_sum_grid`` call takes a matrix of
+coefficient rows, one signal per row, on the same factors.  The Bohr
+means of given values contract them with the same two factors at the
+frequencies -lam / (2 pi), all of them in one pass over the values.
+``exp_sum_signals`` refuses a frequency outside the band and more than
+``EXP_SUM_MAX_SAMPLES`` samples, and certifies the sup bound of such
+signals from their coefficients (``exp_sum_bound``), all before any grid
+is evaluated, so no sample is scanned for it.  Its signals evaluate
+their values only when asked for them: on such a signal's own grid the
+trapezoid sum of each term is a geometric series, so its Bohr means are
+taken in closed form from the coefficients (``_exp_sum_means``) and the
+round trip evaluates no sample.  The perturbation stage
 corrects an equivariant signal map on a lattice of sample nodes using
 the interpolation kernel, within a certified sup budget, so that the
 pair (signal map, solenoid factor) separates sample states.  Its kernel
@@ -44,7 +46,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .bandlimited import (
-    SUP_BLOCK,
     SUP_BOUND_TOL,
     UNIT_ROUNDOFF,
     Band,
@@ -56,6 +57,7 @@ from .bandlimited import (
 )
 from .dynamics import SolenoidPoint, _solenoid_gaps
 from .errors import (
+    BandError,
     ConfigurationError,
     InvariantViolationError,
     NotEmbeddingImageError,
@@ -80,8 +82,8 @@ MAX_TRIES = 10_000  # perturbations epsilon_embedding_search draws before it giv
 # certifies on the whole line.
 NODE_MARGIN = 200.0
 # Most samples one exp_sum_signals call makes, rows times grid (134 MB of
-# complex values if evaluated; Bohr means read them in blocks), and most
-# nodes of a Bohr mean over a callable or an interpolated Signal.
+# complex values if evaluated; Bohr means on the grid evaluate none), and
+# most nodes of a Bohr mean over a callable or an interpolated Signal.
 # solenoid-demo's signal, window 10,050 at step 0.01, holds 2,010,001.
 EXP_SUM_MAX_SAMPLES = 1 << 23
 # Deepest solenoid truncation: 22! is the largest factorial float64
@@ -173,46 +175,32 @@ def exp_sum_grid(coeffs, freqs, t0: float, dt: float, n: int):
 
 
 class _ExpSums:
-    """``exp_sum_grid``'s values from the coefficient rows and block factors, when read.
+    """``exp_sum_grid``'s values from the coefficient rows, evaluated when first asked for.
 
-    ``values()`` evaluates every row and keeps them.  ``read(i, j0, j1)``
-    evaluates row i's entries [j0, j1), bit for bit the same, from only
-    the head rows that cover them.
+    ``values()`` builds the block factors, evaluates every row as one
+    product and keeps them.
     """
 
     def __init__(self, coeffs, freqs, t0: float, dt: float, n: int):
         self.coeffs = np.asarray(coeffs)
-        self.head, self.tail = _grid_factors(2.0 * np.pi * np.asarray(freqs, dtype=float),
-                                             t0, dt, n)
-        self.n = n
+        self.omega = 2.0 * np.pi * np.asarray(freqs, dtype=float)
+        self.t0, self.dt, self.n = t0, dt, n
         self._values = None
-
-    def _product(self, coeffs, head):
-        values = (head * coeffs[..., None, :]) @ self.tail.T
-        return values.reshape(*coeffs.shape[:-1], -1)
 
     def values(self):
         if self._values is None:
-            self._values = self._product(self.coeffs, self.head)[..., :self.n]
+            head, tail = _grid_factors(self.omega, self.t0, self.dt, self.n)
+            values = (head * self.coeffs[..., None, :]) @ tail.T
+            self._values = values.reshape(*self.coeffs.shape[:-1], -1)[..., :self.n]
         return self._values
-
-    def read(self, i: int, j0: int, j1: int):
-        B = len(self.tail)
-        q1 = -(-j1 // B)
-        # Two head rows at least, as ``values()`` has when n > B: numpy
-        # multiplies a single row as a vector, which rounds differently.
-        q0 = max(0, min(j0 // B, q1 - 2))
-        q1 = min(len(self.head), max(q1, q0 + 2))
-        block = self._product(self.coeffs[i], self.head[q0:q1])
-        return block[j0 - q0 * B:j1 - q0 * B]
 
 
 class _ExpSumSignal(Signal):
     """Row i of an ``_ExpSums`` as a sup-bound Signal on [-window, window].
 
-    ``read`` evaluates only the entries it returns, whether or not
-    ``values`` was asked for; the first ``values`` of any signal of the
-    ``_ExpSums`` evaluates all its rows.
+    Its Bohr means on its own grid are taken in closed form from
+    ``coeffs`` and ``omega`` (``_exp_sum_means``); the first ``values``
+    of any signal of the ``_ExpSums`` evaluates all its rows.
     """
 
     def __init__(self, band: Band, window: float, grid_step: float, sums: _ExpSums, i: int):
@@ -224,11 +212,17 @@ class _ExpSumSignal(Signal):
     def values(self):
         return self._sums.values()[self._i]
 
+    @property
+    def coeffs(self):
+        return self._sums.coeffs[self._i]
+
+    @property
+    def omega(self):
+        """The angular frequencies 2 pi f_k of the sum."""
+        return self._sums.omega
+
     def __len__(self):
         return self._sums.n
-
-    def read(self, j0: int, j1: int):
-        return self._sums.read(self._i, j0, j1)
 
 
 def exp_sum_bound(coeffs, n: int) -> float:
@@ -255,17 +249,23 @@ def exp_sum_signals(coeffs, freqs, band: Band, window: float, grid_step: float):
     """One sup-bound Signal per coefficient row of sum_k c_k exp(2 pi i f_k t).
 
     The signals sit on the grid -window + j grid_step, as many samples as
-    window and step imply; the frequencies must be real.  Before any grid
-    is evaluated, rows times samples above ``EXP_SUM_MAX_SAMPLES``, or a
-    sample count that is not finite, raise ``ConfigurationError``, and
-    the sup bound is certified from the coefficients: ``exp_sum_bound``
-    above 1 + ``SUP_BOUND_TOL`` raises ``InvariantViolationError``, so
+    window and step imply.  Before any grid is evaluated, a frequency
+    outside the band (or not a real number in it) raises ``BandError``;
+    rows times samples above ``EXP_SUM_MAX_SAMPLES``, or a sample count
+    that is not finite, raise ``ConfigurationError``; and the sup bound
+    is certified from the coefficients: ``exp_sum_bound`` above 1 +
+    ``SUP_BOUND_TOL`` raises ``InvariantViolationError``, so
     ``Signal.sup_norm`` scans none of them.  Each signal's grid is then
-    checked (``Signal.check_grid``).  No value is evaluated here: a
-    signal's ``read`` evaluates the entries it returns, and the first
+    checked (``Signal.check_grid``).  No value is evaluated here: the
+    Bohr means on the signal's grid evaluate none, and the first
     ``values`` of any signal evaluates every row, as one product.
     """
     coeffs = np.asarray(coeffs)
+    f = np.asarray(freqs, dtype=float)
+    outside = ~((band.a <= f) & (f <= band.b))
+    if np.any(outside):
+        raise BandError(f"frequency {f[outside][0]:g} lies outside the band "
+                        f"[{band.a:g}, {band.b:g}]")
     span = 2 * window / grid_step
     n = int(round(span)) + 1 if math.isfinite(span) else math.inf
     if not len(coeffs) * n <= EXP_SUM_MAX_SAMPLES:
@@ -283,56 +283,104 @@ def exp_sum_signals(coeffs, freqs, band: Band, window: float, grid_step: float):
     return signals
 
 
-def _trapezoid_mean(read, n: int, lam, t0: float, dt: float, T: float):
+def _trapezoid_mean(vals, lam, t0: float, dt: float, T: float):
     """(dt / T) times the trapezoid sums of v_j exp(-i lam_k t_j), t_j = t0 + j dt, j < n.
 
-    ``read(j0, j1)`` returns v_j for j0 <= j < j1.  One sum per frequency
-    lam_k: the values are read once, in even blocks of about SUP_BLOCK
-    entries of whole B-column rows, each reshape contracted with the
-    B x K tail factor.  No block holds one row of several: numpy
-    multiplies a single row as a vector, which rounds differently.
+    One sum per frequency lam_k, all in one contraction of the n values:
+    the values reshaped to rows of B times the B x K tail factor of
+    ``_grid_factors``, each row's product times its head factor.
     """
+    n = len(vals)
     if n < 2:
         return np.zeros(len(lam), dtype=complex)  # no interval, as with np.trapezoid
     head, tail = _grid_factors(-np.asarray(lam, dtype=float), t0, dt, n)
     B = len(tail)
     full = n // B
-    rows = np.empty((full, len(lam)), dtype=complex)
-    blocks = -(-full // max(4, SUP_BLOCK // B))
-    edges = np.arange(blocks + 1) * full // blocks
-    for r0, r1 in zip(edges[:-1], edges[1:]):
-        rows[r0:r1] = read(r0 * B, r1 * B).reshape(-1, B) @ tail
     # Sum each frequency's products as one contiguous row, pairwise, so the
     # order does not depend on how many frequencies share the pass.
-    total = (head[:full] * rows).T.copy().sum(axis=1)
+    total = (head[:full] * (vals[:full * B].reshape(full, B) @ tail)).T.copy().sum(axis=1)
     if full < len(head):
-        total += head[full] * (read(full * B, n) @ tail[:n - full * B])
+        total += head[full] * (vals[full * B:] @ tail[:n - full * B])
     last = n - 1
-    ends = read(0, 1)[0] * head[0] + read(last, n)[0] * head[last // B] * tail[last % B]
+    ends = vals[0] * head[0] + vals[last] * head[last // B] * tail[last % B]
     return (total - ends / 2.0) * dt / T
 
 
-def _nodes_in(sig: Signal, T: float, start: float = 0.0):
+def _exp_sum_means(coeffs, omega, lam, t0: float, dt: float, n: int, T: float):
+    """``_trapezoid_mean`` of sum_k c_k exp(i omega_k t_j), t_j = t0 + j dt, j < n, in closed form.
+
+    With theta = omega_k - lam, phi = theta dt / 2 and N = max(n - 1, 0),
+    the trapezoid sum of exp(i theta t_j) is a geometric series,
+    exp(i theta (t0 + N dt / 2)) sin(N phi) / tan(phi), or N where phi =
+    0; the mean is (dt / T) sum_k c_k times it, so no sample is evaluated.
+    The form needs tan phi != 0 off phi = 0: on a Signal's own grid,
+    |omega| dt <= pi/2 (oversampling) and |lam| dt <= 1/8 (the step
+    requirement), so |phi| < pi/2.
+
+    Rounding, u = 2^-53, against the exact means of the float inputs,
+    first order in u; rho = max |theta| (|t0| + N dt), A = sum |c_k|:
+    - theta, phi and the centre t0 + N dt/2 are rounded; the phase
+      theta (t0 + N dt/2) is then within 4u rho, and the exponential
+      adds 2u (cos and sin within one ulp);
+    - the ratio is sum_j w_j cos(theta (t_j - centre)), weights w_j
+      summing to N, so its modulus is at most N and it moves by at most
+      N u rho when phi is off by 2u relative; the rounding of N phi
+      moves sin by u |N phi| <= N u |tan phi|, and sin, tan and the
+      division add 2u + 2u + u of N;
+    - the product with the exponential adds u, the K-term sum of c_k
+      times it 8u K of A N (as in ``exp_sum_bound``), and dt / T 2u.
+    In all, at most (dt N / T) A u (5 rho + 8K + 11); the bound
+    ``_exp_sum_mean_rounding`` returns is (dt N / T) A u (8 rho + 8K +
+    16), which absorbs the terms of order u^2 while u (rho + K) < 2^-10.
+    """
+    N = max(n - 1, 0)
+    theta = omega[:, None] - np.asarray(lam, dtype=float)
+    phi = theta * (dt / 2.0)
+    ratio = np.full(theta.shape, float(N))
+    off = phi != 0.0
+    ratio[off] = np.sin(N * phi[off]) / np.tan(phi[off])
+    sums = np.exp(1j * theta * (t0 + N * dt / 2.0)) * ratio
+    return (coeffs @ sums) * (dt / T)
+
+
+def _exp_sum_mean_rounding(coeffs, omega, lam, t0: float, dt: float, n: int, T: float) -> float:
+    """The rounding bound of ``_exp_sum_means``, derived there, for every frequency in lam."""
+    N = max(n - 1, 0)
+    rho = float(np.abs(omega[:, None] - np.asarray(lam, dtype=float)).max()) * (abs(t0) + N * dt)
+    return (float(np.abs(coeffs).sum()) * (dt * N / T) * UNIT_ROUNDOFF
+            * (8.0 * rho + 8.0 * len(omega) + 16.0))
+
+
+def _nodes_in(window: float, step: float, size: int, T: float, start: float = 0.0):
     """Index range [i0, i1) of the grid times in [start - 1e-12, start + T + 1e-12].
 
-    Grid times are evaluated exactly as ``Signal.times`` computes them,
-    so the range selects the same nodes as masking that array.
+    The grid is -window + step j, j < size.  Grid times are evaluated
+    exactly as ``Signal.times`` computes them, so the range selects the
+    same nodes as masking that array.
     """
     def at(j):
-        return -sig.window + sig.grid_step * j
+        return -window + step * j
 
     lo, hi = start - 1e-12, start + T + 1e-12
-    i0 = math.ceil((sig.window + start) / sig.grid_step)
+    i0 = math.ceil((window + start) / step)
     while i0 > 0 and at(i0 - 1) >= lo:
         i0 -= 1
     while at(i0) < lo:
         i0 += 1
-    i1 = math.floor((sig.window + start + T) / sig.grid_step) + 1
-    while i1 < len(sig) and at(i1) <= hi:
+    i1 = math.floor((window + start + T) / step) + 1
+    while i1 < size and at(i1) <= hi:
         i1 += 1
     while at(i1 - 1) > hi:
         i1 -= 1
     return i0, i1
+
+
+def _step_requirement(lam):
+    """The quadrature step each frequency needs: min(0.01, 1/(8 |lam| + 8)).
+
+    Bit for bit 1 / (8 |lam| + 8), without overflow for finite lam.
+    """
+    return np.minimum(0.01, 0.125 / (np.abs(lam) + 1.0))
 
 
 def bohr_coefficient(sig, lam, T: float, start: float = 0.0):
@@ -347,13 +395,15 @@ def bohr_coefficient(sig, lam, T: float, start: float = 0.0):
     array of their averages.
 
     The nodes form a uniform grid t_j = t0 + j dt: the Signal's own
-    nodes in [start, start + T] (1e-12 slack at both ends), read in
-    blocks (``Signal.read``), or linspace(start, start + T) for callables
-    and interpolated Signals.  Frequencies that share a step requirement
-    share one pass over those values (``_trapezoid_mean``).  A frequency,
-    T or start that is not finite, T <= 0, or more than
-    ``EXP_SUM_MAX_SAMPLES`` linspace nodes raise ``ConfigurationError``
-    before any node is made.
+    nodes in [start, start + T] (1e-12 slack at both ends), or
+    linspace(start, start + T) for callables and interpolated Signals.
+    Frequencies that share a step requirement share one contraction of
+    those values (``_trapezoid_mean``).  On its own grid, a signal of
+    ``exp_sum_signals`` has its means in closed form from its
+    coefficients (``_exp_sum_means``), so none of its values is
+    evaluated.  A frequency, T or start that is not finite, T <= 0, or
+    more than ``EXP_SUM_MAX_SAMPLES`` linspace nodes raise
+    ``ConfigurationError`` before any node is made.
     """
     if not (0.0 < T < math.inf and math.isfinite(start)):
         raise ConfigurationError(
@@ -362,8 +412,7 @@ def bohr_coefficient(sig, lam, T: float, start: float = 0.0):
     flat = lams.ravel()
     if not np.all(np.isfinite(flat)):
         raise ConfigurationError(f"need finite frequencies, got {flat[~np.isfinite(flat)][0]}")
-    # 1 / (8 |lam| + 8), bit for bit, without overflow for finite lam.
-    steps = np.minimum(0.01, 0.125 / (np.abs(flat) + 1.0))
+    steps = _step_requirement(flat)
     out = np.empty(len(flat), dtype=complex)
     for step_req in np.unique(steps):
         mine = steps == step_req
@@ -375,10 +424,11 @@ def _bohr_means(sig, lam, T: float, start: float, step_req: float):
     """``bohr_coefficient`` at the frequencies lam, on nodes at most step_req apart."""
     if (isinstance(sig, Signal) and sig.grid_step <= step_req
             and -sig.window <= start and start + T <= sig.window):
-        i0, i1 = _nodes_in(sig, T, start)
+        i0, i1 = _nodes_in(sig.window, sig.grid_step, len(sig), T, start)
         t0 = -sig.window + sig.grid_step * i0
-        return _trapezoid_mean(lambda j0, j1: sig.read(i0 + j0, i0 + j1), i1 - i0,
-                               lam, t0, sig.grid_step, T)
+        if isinstance(sig, _ExpSumSignal):
+            return _exp_sum_means(sig.coeffs, sig.omega, lam, t0, sig.grid_step, i1 - i0, T)
+        return _trapezoid_mean(sig.values[i0:i1], lam, t0, sig.grid_step, T)
     span = T / float(step_req)  # float division: inf past float64, with no warning
     if not span + 1 <= EXP_SUM_MAX_SAMPLES:
         nodes = f"{span + 1:.4g}" if span < math.inf else f"over {sys.float_info.max:.2g}"
@@ -391,7 +441,7 @@ def _bohr_means(sig, lam, T: float, start: float, step_req: float):
         vals = sig.evaluate(tt)
     else:
         vals = np.asarray(sig(tt), dtype=complex)
-    return _trapezoid_mean(lambda j0, j1: vals[j0:j1], len(vals), lam, start, T / n, T)
+    return _trapezoid_mean(vals, lam, start, T / n, T)
 
 
 def bohr_cross_term_bound(moduli, freqs, m_index: int, T: float) -> float:
@@ -407,14 +457,15 @@ def solenoid_recover(sig, emb: SolenoidEmbedding, T: float,
                      start: float = 0.0) -> SolenoidPoint:
     """Read the solenoid coordinates back from a signal via Bohr means over [start, start + T].
 
-    Coordinate n is the phase of the recovered coefficient at frequency
-    2 pi / n!, scaled back to [0, n!); one ``bohr_coefficient`` call
-    recovers every coefficient.  The round-trip error decays like
-    n!/T.  A coefficient modulus off by more than 25% from 2^-n means
-    the signal is not an embedding image.
+    Coordinate n is the phase of the recovered coefficient at the sum's
+    frequency 2 pi f_n, f_n = 1/n! as ``emb.frequencies`` holds it,
+    scaled back to [0, n!); one ``bohr_coefficient`` call recovers every
+    coefficient.  The round-trip error decays like n!/T
+    (``solenoid_error_bounds``).  A coefficient modulus off by more than
+    25% from 2^-n means the signal is not an embedding image.
     """
     facts = [math.factorial(n) for n in range(emb.m, emb.K + 1)]
-    coeffs = bohr_coefficient(sig, 2.0 * np.pi / np.array(facts, dtype=float), T, start)
+    coeffs = bohr_coefficient(sig, 2.0 * np.pi * emb.frequencies(), T, start)
     coords = []
     for n, fact, coeff in zip(range(emb.m, emb.K + 1), facts, coeffs):
         expected = 2.0 ** -n
@@ -430,6 +481,46 @@ def solenoid_recover(sig, emb: SolenoidEmbedding, T: float,
         full.append(coords[0] % math.factorial(n))
     full.extend(coords)
     return SolenoidPoint(tuple(full), tol=0.05)
+
+
+def solenoid_error_bounds(emb: SolenoidEmbedding, T: float, start: float = 0.0):
+    """Bound on the circle error of each coordinate n = m..K of ``solenoid_recover``.
+
+    It holds for ``solenoid_recover(solenoid_embed(p, emb), emb, T,
+    start)`` at any point p, whose means take the signal's own grid:
+    this raises ``ConfigurationError`` unless the grid step meets every
+    coordinate's step requirement and [start, start + T] lies in the
+    window.  On the N + 1 grid nodes in the interval, the mean at
+    coordinate n's frequency is c_n (N dt / T), its matched term, plus
+    cross terms: (dt / T) |c_k| |sin(N phi) / tan(phi)| <= |c_k| (dt /
+    T) |cot phi| <= |c_k| 2 / (T |theta|) for |phi| < pi/2, which
+    ``bohr_cross_term_bound`` sums.  With the rounding of the mean
+    (``_exp_sum_mean_rounding``) added, the perturbation r of the
+    matched term turns its phase by at most asin(r / (2^-n N dt / T)),
+    or any angle once r reaches that modulus; n!/(2 pi) times it, plus
+    16u n! for the rounding of the coefficient's phase, of the angle and
+    of the circle distance (u = 2^-53), bounds the error.
+    """
+    window, dt = emb.window, emb.grid_step
+    omega = 2.0 * np.pi * emb.frequencies()
+    if not (dt <= _step_requirement(omega).min() and -window <= start
+            and start + T <= window):
+        raise ConfigurationError(
+            f"the means over [{start:g}, {start + T:g}] do not take the grid of step {dt:g} "
+            f"on [-{window:g}, {window:g}]")
+    i0, i1 = _nodes_in(window, dt, int(round(2 * window / dt)) + 1, T, start)
+    t0 = -window + dt * i0
+    moduli = 2.0 ** -np.arange(emb.m, emb.K + 1)
+    scale = max(i1 - i0 - 1, 0) * dt / T
+    rounding = _exp_sum_mean_rounding(moduli, omega, omega, t0, dt, i1 - i0, T)
+    bounds = []
+    for i, n in enumerate(range(emb.m, emb.K + 1)):
+        perturbation = bohr_cross_term_bound(moduli, omega, i, T) + rounding
+        r = perturbation / (moduli[i] * scale) if scale > 0.0 else math.inf
+        fact = math.factorial(n)
+        angle = math.asin(r) if r < 1.0 else math.pi
+        bounds.append(fact / (2.0 * math.pi) * angle + 16.0 * UNIT_ROUNDOFF * fact)
+    return bounds
 
 
 @dataclass
@@ -655,10 +746,16 @@ def perturb_signal_map(run: EmbeddingRun, f_sig: Signal, x: int) -> Signal:
     with the weights read in one ``run.advance`` call over the period starts.
     The check sup|h| + ``run.node_tail_bound()`` < delta rests on the
     envelope K_dec / (1 + t^2), certified on the whole line.
-    Requires sup_t |f(x)(t)| <= 1 - delta.
+    Requires sup_t |f(x)(t)| <= 1 - delta: for a signal of
+    ``exp_sum_signals``, of ``exp_sum_bound`` of its coefficients, else
+    of ``sup_norm()``.
     """
     kernel = run.kernel
-    if f_sig.sup_norm() > 1.0 - run.delta + 1e-9:
+    if isinstance(f_sig, _ExpSumSignal):
+        sup = exp_sum_bound(f_sig.coeffs, len(f_sig))  # certified; never below the scan
+    else:
+        sup = f_sig.sup_norm()
+    if sup > 1.0 - run.delta + 1e-9:
         raise PreconditionError("need sup |f(x)| <= 1 - delta")
     phi = float(run.phi_N[x])
     period = run.period

@@ -9,13 +9,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowdim.bandlimited import SUP_BOUND_TOL, Band, _grid_factors, shift, signal_metric
+from flowdim.bandlimited import (
+    SUP_BOUND_TOL,
+    UNIT_ROUNDOFF,
+    Band,
+    Signal,
+    _block_shape,
+    _grid_factors,
+    _grid_rounding,
+    shift,
+    signal_metric,
+)
 from flowdim.dynamics import SolenoidPoint, solenoid_act, solenoid_from_time
 from flowdim.embedding import (
     EXP_SUM_MAX_SAMPLES,
     MAX_DEPTH,
     NODE_MARGIN,
     SolenoidEmbedding,
+    _exp_sum_mean_rounding,
+    _exp_sum_means,
+    _nodes_in,
     bohr_coefficient,
     bohr_cross_term_bound,
     epsilon_embedding_search,
@@ -24,10 +37,12 @@ from flowdim.embedding import (
     exp_sum_signals,
     solenoid_coefficients,
     solenoid_embed,
+    solenoid_error_bounds,
     solenoid_recover,
     verify_delta_embedding,
 )
 from flowdim.errors import (
+    BandError,
     ConfigurationError,
     IncompatibleSignalError,
     InvariantViolationError,
@@ -234,30 +249,53 @@ class TestCoefficientSupBound:
             assert (sig.window, sig.grid_step) == (20.0, 0.125)
             assert np.array_equal(sig.values, values)
 
-    def test_reads_are_the_grid_values_and_evaluate_no_signal(self, emb):
-        # 321 samples in block rows of B = 18: the ranges start and end
-        # inside, on and across the rows, and on the ragged last row.
+    def test_closed_form_means_on_node_ranges_are_the_values_means_and_evaluate_no_signal(
+            self, emb):
+        # 321 samples: the node ranges are the whole grid, single nodes at
+        # both ends, no node, and ranges inside and at the right edge.
         rows = np.array([solenoid_coefficients(solenoid_from_time(t, 4), emb)
                          for t in (0.0, 5.9)])
         signals = exp_sum_signals(rows, emb.frequencies(), Band(0.0, 1.0), 20.0, 0.125)
+        lams = np.append(signals[0].omega, [0.0, -0.8, 0.3])
         ranges = [(0, 1), (0, 321), (17, 19), (18, 36), (5, 5), (300, 321), (320, 321)]
-        reads = [[sig.read(j0, j1) for j0, j1 in ranges] for sig in signals]
+        dt, T = 0.125, 40.0
+        means = [[_exp_sum_means(sig.coeffs, sig.omega, lams, -20.0 + dt * j0, dt, j1 - j0, T)
+                  for j0, j1 in ranges] for sig in signals]
         assert [len(sig) for sig in signals] == [321, 321]
         assert not any(evaluated(sig) for sig in signals)
-        want = exp_sum_grid(rows, emb.frequencies(), -20.0, 0.125, 321)
-        for got, values in zip(reads, want):
-            for (j0, j1), block in zip(ranges, got):
-                assert np.array_equal(block, values[j0:j1])
         # The first values of any signal evaluate every row of the call.
         signals[1].values
         assert all(evaluated(sig) for sig in signals)
-        assert np.array_equal(signals[0].read(17, 19), want[0][17:19])
+        for sig, got in zip(signals, means):
+            for (j0, j1), mean in zip(ranges, got):
+                t0 = -20.0 + dt * j0
+                want = one_pass_mean(sig.values[j0:j1], lams, t0, dt, T)
+                bound = (_exp_sum_mean_rounding(sig.coeffs, sig.omega, lams, t0, dt, j1 - j0, T)
+                         + one_pass_mean_rounding(sig, lams, t0, j1 - j0, T))
+                assert np.abs(mean - want).max() <= bound
+                if j1 - j0 < 2:
+                    assert not np.any(mean)
+
+    def test_frequency_outside_the_band_is_refused_before_any_grid(self, monkeypatch):
+        # Frequency 5 on a grid of step 1/8 aliases to -3: its Bohr mean at
+        # 2 pi 5 would read about 0 instead of 0.5.
+        import flowdim.embedding
+
+        def no_grid(*args):
+            raise AssertionError("a grid was evaluated")
+
+        monkeypatch.setattr(flowdim.embedding, "_grid_factors", no_grid)
+        for freqs in ([5.0], [-0.1], [math.nan], [0.5, 1.0 + 1e-9]):
+            with pytest.raises(BandError, match="outside the band"):
+                exp_sum_signals([[0.5] * len(freqs)], freqs, Band(0.0, 1.0), 20.0, 0.125)
+        [sig] = exp_sum_signals([[0.25, 0.25]], [0.0, 1.0], Band(0.0, 1.0), 20.0, 0.125)
+        assert not evaluated(sig)
 
 
 def assert_matches_masked_trapezoid(window, T, start=None):
     """The Signal path's means equal np.trapezoid over the masked times in [start, start + T].
 
-    The means are taken first, so they read the signal unevaluated.
+    The means are taken first, from the unevaluated signal.
     """
     emb = SolenoidEmbedding(c=1.0, K=4, window=window, grid_step=0.01)
     sig = solenoid_embed(solenoid_from_time(9.1, 4), emb)
@@ -276,8 +314,8 @@ def assert_matches_masked_trapezoid(window, T, start=None):
 def one_pass_mean(vals, lam, t0, dt, T):
     """The trapezoid means of ``_trapezoid_mean`` as one contraction of all the values.
 
-    The reference for their bits: reading the values in row blocks must
-    not change them.
+    The oracle of the closed-form means of exponential-sum signals, and
+    the reference for the bits of the numeric means.
     """
     n = len(vals)
     if n < 2:
@@ -291,6 +329,48 @@ def one_pass_mean(vals, lam, t0, dt, T):
     last = n - 1
     ends = vals[0] * head[0] + vals[last] * head[last // B] * tail[last % B]
     return (total - ends / 2.0) * dt / T
+
+
+def one_pass_mean_rounding(sig, lam, t0, n, T):
+    """Bound on how far ``one_pass_mean`` of an exponential-sum signal's values at
+    t0 + j dt, j < n, lies from the exact means of the float inputs.
+
+    With u = 2^-53, A = sum |c_k|, K terms and the signal's n_s samples
+    on [-W, W] at step dt, relative to (dt / T) n A:
+    - each value is within A (g_s + 8u K) of the sum at its grid time
+      -W + (i0 + j) dt, as in ``exp_sum_bound``, where g_s is
+      ``_grid_rounding`` of the signal's grid at reach max |omega| (W +
+      (n_s + B_s) dt); that time is within u (2W + |t0|) of t0 + j dt, so
+      the value turns by at most 2u max |omega| (W + |t0|) more;
+    - each factor exp(-i lam t_j) is within g, ``_grid_rounding`` of the
+      n nodes at reach max |lam| (|t0| + (n + B) dt);
+    - B-term row products, a sum of the rows and the two ends add at
+      most 8u (rows + B) + 8u, and dt / T 2u.
+    """
+    if n < 2:
+        return 0.0
+    omega, lam = np.abs(sig.omega).max(), np.abs(np.asarray(lam, dtype=float)).max()
+    W, dt, K = sig.window, sig.grid_step, len(sig.omega)
+    g_s = _grid_rounding(len(sig), omega * (W + (len(sig) + _block_shape(len(sig))[1]) * dt))
+    g = _grid_rounding(n, lam * (abs(t0) + (n + _block_shape(n)[1]) * dt))
+    u = UNIT_ROUNDOFF
+    relative = (g_s + 8 * u * K + 2 * u * omega * (W + abs(t0)) + g + _grid_rounding(n)
+                + 10 * u)
+    return float(np.abs(sig.coeffs).sum()) * n * dt / T * relative
+
+
+def assert_closed_form_matches_the_values(sig, lams, T, start):
+    """``bohr_coefficient`` of an unevaluated exponential-sum signal on its grid is
+    ``one_pass_mean`` of its values there, within both rounding bounds."""
+    got = bohr_coefficient(sig, lams, T, start)
+    assert not evaluated(sig)
+    i0, i1 = _nodes_in(sig.window, sig.grid_step, len(sig), T, start)
+    t0 = -sig.window + sig.grid_step * i0
+    want = one_pass_mean(sig.values[i0:i1], lams, t0, sig.grid_step, T)
+    bound = (_exp_sum_mean_rounding(sig.coeffs, sig.omega, lams, t0, sig.grid_step, i1 - i0, T)
+             + one_pass_mean_rounding(sig, lams, t0, i1 - i0, T))
+    assert np.abs(got - want).max() <= bound
+    return got
 
 
 # Nodes of the 600.005 window sit at 0.005 mod 0.01, so [-300.0031,
@@ -328,23 +408,46 @@ class TestBohrCoefficient:
         assert_matches_masked_trapezoid(window, T, start)
 
     @from_a_start
-    def test_unevaluated_signal_means_are_its_values_means_bit_for_bit(self, window, T, start):
+    def test_closed_form_means_are_the_values_means_within_the_rounding_bound(self, window, T,
+                                                                              start):
         emb = SolenoidEmbedding(c=1.0, K=4, window=window, grid_step=0.01)
         sig = solenoid_embed(solenoid_from_time(9.1, 4), emb)
         lams = 2.0 * np.pi / np.array([1.0, 2.0, 6.0, 24.0])
-        read = bohr_coefficient(sig, lams, T, start)
-        assert not evaluated(sig)
-        t = sig.times()
-        mask = (t >= start - 1e-12) & (t <= start + T + 1e-12)
-        t0 = t[mask][0] if mask.any() else start
-        assert np.array_equal(one_pass_mean(sig.values[mask], lams, t0, sig.grid_step, T), read)
-        # Evaluated, the signal reads its kept values.
+        got = assert_closed_form_matches_the_values(sig, lams, T, start)
+        # Evaluated, the signal's means are the same closed form.
         assert evaluated(sig)
-        assert np.array_equal(bohr_coefficient(sig, lams, T, start), read)
+        assert np.array_equal(bohr_coefficient(sig, lams, T, start), got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_closed_form_is_the_one_pass_mean_within_the_rounding_bound(self, data):
+        # Band [0, 25] at step 0.01 is oversampled 4 times, the most the
+        # grid check allows, so a frequency at 25 and lam = -11.5 (whose
+        # step requirement is 0.01) put |phi| at pi/4 + 1/16.  The first
+        # frequency is low enough that lam = 2 pi f_0 takes the grid:
+        # theta = 0 exactly, and one ulp off it.
+        dt = 0.01
+        K = data.draw(st.integers(1, 4))
+        f0 = data.draw(st.floats(0.0, 11.0 / (2 * np.pi)))
+        freqs = [f0] + data.draw(st.lists(st.sampled_from([0.0, 25.0]) | st.floats(0.0, 25.0),
+                                          min_size=K - 1, max_size=K - 1))
+        moduli = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=K, max_size=K)))
+        moduli /= max(1.0, moduli.sum() * (1 + 1e-9))
+        phases = np.array(data.draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=K,
+                                             max_size=K)))
+        window = data.draw(st.floats(0.5, 300.0))
+        [sig] = exp_sum_signals([moduli * np.exp(1j * phases)], freqs, Band(0.0, 25.0),
+                                window, dt)
+        # T of at most one node, of two, or of any span; starts off the lattice.
+        T = data.draw(st.sampled_from([0.004, 0.012, 0.019]) | st.floats(0.02, 2 * window))
+        start = -window + data.draw(st.floats(0.0, 1.0 - 1e-9)) * (2 * window - T)
+        omega0 = sig.omega[0]
+        lams = np.array([omega0, np.nextafter(omega0, np.inf), np.nextafter(omega0, -np.inf),
+                         -11.5, 11.5] + data.draw(st.lists(st.floats(-11.5, 11.5), max_size=3)))
+        assert_closed_form_matches_the_values(sig, lams, T, start)
 
     def test_callable_means_are_the_one_pass_contraction_bit_for_bit(self):
-        # 326,041 nodes make 571 rows of B = 571; blocks of 65536 // B = 114
-        # rows would leave the last one a single row.
+        # 326,041 nodes make 571 rows of B = 571.
         T, start = 3260.395, -17.25
         lams = np.array([2 * np.pi, np.pi, 0.3, -2.0])
         tt = np.linspace(start, start + T, 326_041)
@@ -539,6 +642,20 @@ class TestSolenoidRecover:
         assert peak < 4 * 2**20
         assert solenoid_distance(rec, q) <= 1e-2
 
+    def test_error_bounds_refuse_means_off_the_grid(self):
+        # Step 1/8 is coarser than the 0.01 that frequency 2 pi needs, and
+        # [0, 50] leaves the window [-20, 20].
+        for emb, T in [(SolenoidEmbedding(c=1.0, K=4, window=60.0), 50.0),
+                       (SolenoidEmbedding(c=1.0, K=4, window=20.0, grid_step=0.01), 50.0)]:
+            with pytest.raises(ConfigurationError, match="do not take the grid"):
+                solenoid_error_bounds(emb, T)
+
+    def test_error_bounds_without_an_interval_are_half_circles(self):
+        # [0.003, 0.007] holds no node of the 0.01 grid.
+        emb = SolenoidEmbedding(c=1.0, K=3, window=20.0, grid_step=0.01)
+        bounds = solenoid_error_bounds(emb, 0.004, start=0.003)
+        assert bounds == [math.factorial(n) * (0.5 + 16 * UNIT_ROUNDOFF) for n in (1, 2, 3)]
+
     def test_zero_signal_rejected(self):
         emb = SolenoidEmbedding(c=1.0, K=3, window=600.0, grid_step=0.01)
         with pytest.raises(NotEmbeddingImageError):
@@ -729,6 +846,30 @@ class TestPerturbSignalMap:
         monkeypatch.setattr(EmbeddingRun, "node_tail_bound", lambda run: run.delta - sup / 2)
         with pytest.raises(ConfigurationError, match="node tail"):
             perturb_signal_map(res.run, f_map(0), 0)
+
+    def test_exp_sum_rows_meet_the_precondition_on_their_certified_bound(self, small_pipeline,
+                                                                         monkeypatch):
+        from flowdim.embedding import _ExpSumSignal, perturb_signal_map
+        res = small_pipeline
+        inst, delta = res.instance, res.run.delta
+        emb = SolenoidEmbedding(c=1.0, K=inst.depth, window=12.0, grid_step=0.05)
+        f = solenoid_embed(inst.factor(0), emb, scale=0.8)
+        plain = Signal(f.band, f.window, f.grid_step, f.values)
+        want = perturb_signal_map(res.run, plain, 0).values
+
+        scan = Signal.sup_norm
+
+        def no_exp_sum_scan(sig):
+            assert not isinstance(sig, _ExpSumSignal), "sup_norm scanned an exponential sum"
+            return scan(sig)
+
+        monkeypatch.setattr(Signal, "sup_norm", no_exp_sum_scan)
+        assert np.array_equal(perturb_signal_map(res.run, f, 0).values, want)
+        # Moduli that sum just above 1 - delta fail, whatever the grid sup.
+        moduli = 2.0 ** -np.arange(emb.m, emb.K + 1)
+        over = solenoid_embed(inst.factor(0), emb, scale=(1.0 - delta + 1e-8) / moduli.sum())
+        with pytest.raises(PreconditionError, match="1 - delta"):
+            perturb_signal_map(res.run, over, 0)
 
     def test_pipeline_verdict_on_small_instance(self, small_pipeline):
         assert small_pipeline.passed

@@ -29,7 +29,7 @@ from flowdim.io import (
     write_table_csv,
 )
 from flowdim.metric import metric_mdim_table, widim_upper
-from flowdim.embedding import solenoid_embed
+from flowdim.embedding import _ExpSums, solenoid_embed
 from oracles import (
     level_graph,
     sample_distance,
@@ -212,11 +212,14 @@ def test_readme_solenoid_demo_errors_are_the_exact_means(tmp_path, monkeypatch):
         signals.append(sig)
         return sig
 
+    def no_values(sums):
+        raise AssertionError("an exponential-sum signal was evaluated")
+
     monkeypatch.setattr(cli, "solenoid_embed", embed)
+    # The Bohr means are taken in closed form: no signal is evaluated.
+    monkeypatch.setattr(_ExpSums, "values", no_values)
     assert main(argv) == 0
-    # The Bohr means read each signal a block at a time: none is evaluated.
     assert [len(sig) for sig in signals] == [2_010_001] * n_points
-    assert all(sig._sums._values is None for sig in signals)
     [table] = tmp_path.glob("solenoid-demo-*.csv")
     rows = [(float(tau), int(n), float(err))
             for tau, n, err in csv.reader(table.read_text().splitlines()[1:])]
@@ -225,6 +228,28 @@ def test_readme_solenoid_demo_errors_are_the_exact_means(tmp_path, monkeypatch):
         bound = solenoid_coordinate_bound(n, depth, T)
         assert err <= bound
         assert abs(err - solenoid_exact_mean_error(tau, n, depth, T)) <= 1e-3 * bound
+
+
+@pytest.mark.parametrize("seed, T", [(0, 2000.0), (1, 5000.0), (7, 12345.678), (3, 20000.0)])
+def test_solenoid_demo_errors_are_within_their_reported_bounds(tmp_path, seed, T):
+    """Each CSV coord_error is at most the JSON's coord_error_bound for its
+    coordinate, which is the cross-term bound over the nodes the means take."""
+    depth = 4
+    argv = ["--out", str(tmp_path), "solenoid-demo", "--depth", str(depth), "--T", repr(T),
+            "--seed", str(seed)]
+    assert main(argv) == 0
+    [table] = tmp_path.glob("solenoid-demo-*.csv")
+    [report] = [p for p in tmp_path.glob("solenoid-demo-*.json") if "manifest" not in p.name]
+    bounds = {int(n): b for n, b in json.loads(report.read_text())["coord_error_bound"].items()}
+    assert sorted(bounds) == list(range(1, depth + 1))
+    for n, bound in bounds.items():
+        # Within 2 dt of T, the matched term's modulus factor N dt / T is 1.
+        continuous = solenoid_coordinate_bound(n, depth, T)
+        assert continuous <= bound <= continuous * (1.0 + 4 * 0.01 / T + 1e-4)
+    rows = list(csv.reader(table.read_text().splitlines()[1:]))
+    assert len(rows) == 5 * depth
+    for tau, n, err in rows:
+        assert float(err) <= bounds[int(n)]
 
 
 @pytest.mark.parametrize("argv, says", [
