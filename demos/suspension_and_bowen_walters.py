@@ -33,7 +33,7 @@ for t in (0.5, 1.0, 2.75, -1.5):
 # ## Distances: a fiber segment, a base segment, a mixed pair
 
 print("\nsame fiber, heights .2 vs .5:",
-      bw_distance(SuspensionPoint(4, 0.2), SuspensionPoint(4, 0.5), base, roof))
+      bw_distance(SuspensionPoint(4, 0.2), SuspensionPoint(4, 0.5), base, roof, height_grid=20))
 print("base points 0 and 3:",
       bw_distance(SuspensionPoint(0, 0.0), SuspensionPoint(3, 0.0), base, roof))
 print("mixed (1, .25) vs (7, .75):",
@@ -55,7 +55,7 @@ for grid in (4, 8, 16):
 torus = mapping_torus(base, height_grid=10)
 spec = OrbitMetricSpec("R-window", horizon=3.0, time_step=0.1)
 window = orbit_metric_R(torus, spec)
-base_mat = torus.metric_matrix(torus.values)
+base_mat = BowenWaltersMetric(base, roof, 10).matrix(torus.values)
 print("\nisometric flow: d_R == d ?", np.allclose(window.dist, base_mat))
 
 # The flow's window metric at integer horizons matches the time-1 map's

@@ -212,18 +212,13 @@ class BowenWaltersMetric:
     representative, with shift 0.
     """
 
-    def __init__(self, sys: DynSystem, roof: RoofFunction, height_grid: int = 16,
-                 extra_heights=()):
+    def __init__(self, sys: DynSystem, roof: RoofFunction, height_grid: int = 16):
         if height_grid < 1:
             raise ConfigurationError("height_grid must be >= 1")
         self.sys = sys
         self.roof = roof
-        levels = set(np.arange(height_grid + 1) / height_grid)
-        for h in extra_heights:
-            if not (0.0 <= h <= 1.0):
-                raise InvariantViolationError("normalized heights must lie in [0, 1]")
-            levels.add(float(h))
-        self.levels = np.array(sorted(levels))
+        self.height_grid = height_grid
+        self.levels = np.arange(height_grid + 1) / height_grid
         self.n_states = len(sys)
         self.n_levels = len(self.levels)
         self._build()
@@ -309,16 +304,13 @@ class BowenWaltersMetric:
     def nodes(self, states, h):
         """Node of each point (states[i], normalized height h[i]), or -1 off the grid.
 
-        A point sits at the first level within CIRCLE_TOL of h: the first at
-        or above h - CIRCLE_TOL, or the next one if that difference rounds down.
+        The levels are evenly spaced, so the one a point can sit at is the
+        nearest, j = rint(h height_grid) clipped to [0, height_grid]; the
+        point sits there when levels[j] lies within CIRCLE_TOL of h.
         """
-        found = np.searchsorted(self.levels, h - CIRCLE_TOL)
-        level = np.full(np.shape(h), -1)
-        for j in (found + 1, found):
-            j = np.minimum(j, self.n_levels - 1)
-            near = np.abs(self.levels[j] - h) <= CIRCLE_TOL
-            level[near] = j[near]
-        return np.where(level < 0, -1, states * self.n_levels + level)
+        j = np.clip(np.rint(h * self.height_grid), 0, self.height_grid).astype(np.int64)
+        near = np.abs(self.levels[j] - h) <= CIRCLE_TOL
+        return np.where(near, states * self.n_levels + j, -1)
 
     def closure(self, nodes=None):
         """Chain infimum between the nodes (all nodes by default).
@@ -388,16 +380,11 @@ class BowenWaltersMetric:
 
 def bw_distance(p: SuspensionPoint, q: SuspensionPoint, sys: DynSystem,
                 roof: RoofFunction, height_grid: int = 16) -> float:
-    """Bowen-Walters upper bound between two suspension points.
+    """Bowen-Walters upper bound between two points on the level grid (see ``matrix``).
 
-    Endpoint heights are added to the level grid, so arbitrary valid
-    points are accepted.  Antitone in ``height_grid`` along nested grids
-    (e.g. doubling counts).
+    Antitone in ``height_grid`` along nested grids (e.g. doubling counts).
     """
-    states, heights = _canonical(sys, roof, *_arrays([p, q]))
-    bw = BowenWaltersMetric(sys, roof, height_grid,
-                            extra_heights=heights / roof.values[states])
-    return bw.distance(p, q)
+    return BowenWaltersMetric(sys, roof, height_grid).distance(p, q)
 
 
 class MappingTorus:
@@ -407,10 +394,9 @@ class MappingTorus:
     ``every_height`` they are every grid point (i, j / height_grid),
     j < height_grid, state-major.  ``point_ids()`` are (base id, j) pairs
     and ``suspend(torus.sys, torus.roof, values, t)`` flows the values.
-    ``metric_matrix(values)`` reads its
-    points' table from one metric on the grid, or from one metric on the
-    grid plus the heights that leave it.  ``window_blocks(times)`` yields
-    the tables of the values flowed by the times, each distinct table once.
+    ``window_blocks(times)`` yields the tables of the values flowed by the
+    times, each distinct table once, from the one metric on the height
+    grid; a time that moves the values off the grid is refused.
     """
 
     def __init__(self, sys: DynSystem, height_grid: int, every_height: bool):
@@ -425,77 +411,43 @@ class MappingTorus:
     def point_ids(self):
         return list(self._ids)
 
-    def metric_matrix(self, values):
-        return self._table(*_canonical(self.sys, self.roof, *_arrays(values)))
-
-    def _table(self, states, heights):
-        """The table of the canonical points (states[i], heights[i])."""
-        off = self._bw.nodes(states, heights) < 0
-        bw = self._bw if not off.any() else BowenWaltersMetric(
-            self.sys, self.roof, self.height_grid, extra_heights=np.unique(heights[off]))
-        return bw.closure(bw.nodes(states, heights))
-
     def window_blocks(self, times):
         """Runs of the times with the (k, n, n) stacks of their distinct tables.
 
         Each table is yielded once, with the first time it appears at; the
         later times that read it are left out.  Two times read one table
-        when they read one metric and share an ``orbit_key``.  The values
-        are flowed by BLOCK_ENTRIES // n times per array flow, one level
-        lookup per flow; the new tables are read a BLOCK_ENTRIES-sized
-        stack at a time.  The tables on the grid come first, in time order.
-        A time whose heights leave the grid reads a metric on the grid plus
-        those heights; the times with the same such heights, as floats,
-        follow as one group, flowed again, which builds that metric once and
-        holds one such metric at a time.
+        when they share an ``orbit_key``.  The values are flowed by
+        BLOCK_ENTRIES // n times per array flow, one level lookup per flow;
+        the new tables are read a BLOCK_ENTRIES-sized stack at a time.  The
+        first time whose flowed values leave the height grid raises
+        ``ConfigurationError``: the times must be multiples of
+        1/height_grid.
         """
         times = np.asarray(times)
-        seen, off = set(), {}
-        for block, states, heights in self._flowed(times):
-            nodes = self._bw.nodes(states, heights)
-            on_grid = (nodes >= 0).all(axis=1)
-            for i in np.flatnonzero(~on_grid):
-                extra = np.unique(heights[i][nodes[i] < 0])
-                off.setdefault(extra.tobytes(), []).append(block[i])
-            yield from self._distinct(self._bw, block[on_grid], nodes[on_grid], seen)
-        for extra, group in off.items():
-            yield from self._off_grid(np.frombuffer(extra), np.array(group))
-
-    def _off_grid(self, extra, times):
-        """``window_blocks`` of times that read the metric on the grid plus ``extra``.
-
-        A frame of its own, so that the window frees this metric before it
-        builds the next group's.
-        """
-        bw = BowenWaltersMetric(self.sys, self.roof, self.height_grid, extra_heights=extra)
-        seen = set()
-        for block, states, heights in self._flowed(times):
-            yield from self._distinct(bw, block, bw.nodes(states, heights), seen)
-
-    def _flowed(self, times):
-        """Runs of BLOCK_ENTRIES // n times, each with the (k, n) states and heights.
-
-        Those are the canonical points of the values flowed by each of the
-        run's k times, from one array flow of BLOCK_ENTRIES points or fewer.
-        """
         n = len(self.values)
         size = max(1, BLOCK_ENTRIES // max(1, n))
         states, heights = _arrays(self.values)
+        seen = set()
         for lo in range(0, len(times), size):
             block = times[lo:lo + size]
             k = len(block)
             flowed = _flow(self.sys, self.roof, np.tile(states, k), np.tile(heights, k),
                            np.repeat(block, n))
-            yield block, *(a.reshape(k, n) for a in flowed)
+            nodes = self._bw.nodes(*flowed).reshape(k, n)
+            off = (nodes < 0).any(axis=1)
+            if off.any():
+                raise ConfigurationError(
+                    f"grid time {block[np.argmax(off)]} moves the values off the height grid "
+                    f"j/{self.height_grid}; the times must be multiples of 1/{self.height_grid}")
+            yield from self._distinct(block, nodes, seen)
 
-    @staticmethod
-    def _distinct(bw, block, nodes, seen):
-        """The times and ``bw`` tables of the node rows whose ``orbit_key`` is not in ``seen``.
+    def _distinct(self, block, nodes, seen):
+        """The times and tables of the node rows whose ``orbit_key`` is not in ``seen``.
 
         The tables are read BLOCK_ENTRIES // n^2 at a time.
         """
         new = []
-        for i, key in enumerate(bw.orbit_key(nodes)):
+        for i, key in enumerate(self._bw.orbit_key(nodes)):
             key = key.tobytes()
             if key not in seen:
                 seen.add(key)
@@ -504,7 +456,7 @@ class MappingTorus:
         size = max(1, BLOCK_ENTRIES // max(1, n * n))
         for lo in range(0, len(new), size):
             rows = new[lo:lo + size]
-            yield block[rows], bw.closure(nodes[rows])
+            yield block[rows], self._bw.closure(nodes[rows])
 
 
 def mapping_torus(sys: DynSystem, height_grid: int = 16,

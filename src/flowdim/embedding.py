@@ -462,7 +462,11 @@ def solenoid_recover(sig, emb: SolenoidEmbedding, T: float,
     scaled back to [0, n!); one ``bohr_coefficient`` call recovers every
     coefficient.  The round-trip error decays like n!/T
     (``solenoid_error_bounds``).  A coefficient modulus off by more than
-    25% from 2^-n means the signal is not an embedding image.
+    25% from 2^-n means the signal is not an embedding image.  The
+    recovered x_{n+1} must equal x_n (mod n!) within 0.05, or within
+    e_n + e_{n+1} where larger, e_n the ``solenoid_error_bounds`` of
+    coordinate n: for an embedding image the two errors stay within it.
+    So the means must take the embedding's grid, as those bounds require.
     """
     facts = [math.factorial(n) for n in range(emb.m, emb.K + 1)]
     coeffs = bohr_coefficient(sig, 2.0 * np.pi * emb.frequencies(), T, start)
@@ -480,7 +484,9 @@ def solenoid_recover(sig, emb: SolenoidEmbedding, T: float,
     for n in range(1, emb.m):
         full.append(coords[0] % math.factorial(n))
     full.extend(coords)
-    return SolenoidPoint(tuple(full), tol=0.05)
+    bounds = solenoid_error_bounds(emb, T, start)
+    tol = max([0.05] + [a + b for a, b in zip(bounds, bounds[1:])])
+    return SolenoidPoint(tuple(full), tol=tol)
 
 
 def solenoid_error_bounds(emb: SolenoidEmbedding, T: float, start: float = 0.0):

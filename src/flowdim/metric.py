@@ -213,9 +213,11 @@ def orbit_metric_R(flow, spec: OrbitMetricSpec) -> MetricSample:
     """Gridded sup metric W = sup_{t in {0, dt, ..., R}} d(tx, ty).
 
     W is a lower bound of the sup over [0, R]; the gap is controlled by
-    the flow's modulus of continuity over one grid step.  For a
-    ``MappingTorus`` whose grid times sit on its height grid, the gap of
-    its chain metric is at most dt, so W <= sup over [0, R] <= W + dt:
+    the flow's modulus of continuity over one grid step.  On a
+    ``MappingTorus`` every grid time must sit on the torus's height grid
+    (R and dt multiples of 1/height_grid; ``window_blocks`` raises
+    ``ConfigurationError`` at the first time that does not).  Then the gap
+    of its chain metric is at most dt, so W <= sup over [0, R] <= W + dt:
     every t in [0, R] lies within dt/2 of a grid time s, and the chain
     metric moves each of the two points by at most |t - s| (a vertical
     edge costs its flow time, the gluing costs 0).  A table that is not

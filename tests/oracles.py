@@ -428,8 +428,9 @@ def orbit_metric_R_loop(flow, spec: OrbitMetricSpec) -> MetricSample:
     A lower bound of the true sup over [0, R]; the gap is controlled by
     the flow's modulus of continuity over one grid step.  The per-time
     loop that ``flowdim.metric.orbit_metric_R`` replaced by its blocks of
-    grid times: each value flowed by ``scalar_suspend``, then one
-    ``metric_matrix`` call per time.
+    grid times: each value flowed by ``scalar_suspend``, then one table
+    per time from a ``BowenWaltersMetric`` on the flow's height grid, built
+    apart from the flow's own.
     """
     if spec.kind != "R-window":
         raise InvalidHorizonError("orbit_metric_R expects an R-window spec")
@@ -437,10 +438,10 @@ def orbit_metric_R_loop(flow, spec: OrbitMetricSpec) -> MetricSample:
     times = np.arange(0.0, R + dt * 0.5, dt)
     if times[-1] < R - 1e-12:
         times = np.append(times, R)
+    bw = BowenWaltersMetric(flow.sys, flow.roof, flow.height_grid)
     out = None
     for t in times:
-        mat = flow.metric_matrix([scalar_suspend(flow.sys, flow.roof, p, float(t))
-                                  for p in flow.values])
+        mat = bw.matrix([scalar_suspend(flow.sys, flow.roof, p, float(t)) for p in flow.values])
         if not np.all(np.isfinite(mat)):
             raise ArithmeticError(f"non-finite evolution at grid time {t}")
         out = mat if out is None else np.maximum(out, mat)

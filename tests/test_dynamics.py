@@ -1,7 +1,6 @@
 import math
 import tracemalloc
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -96,7 +95,7 @@ def flow_times():
     return st.one_of(st.floats(-30.0, 30.0), near)
 
 
-def seeded_metric(seed, grid, n_extra):
+def seeded_metric(seed, grid):
     """A random sup-metric system with a random roof; odd seeds permute."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(4, 8))
@@ -105,7 +104,7 @@ def seeded_metric(seed, grid, n_extra):
     step = rng.permutation(n) if seed % 2 else rng.integers(0, n, n)
     sys = DynSystem(MetricSample(list(range(n)), dist), step)
     roof = RoofFunction(rng.uniform(0.5, 1.5, n))
-    return BowenWaltersMetric(sys, roof, grid, extra_heights=rng.uniform(0, 1, n_extra))
+    return BowenWaltersMetric(sys, roof, grid)
 
 
 def drawn_metric(data, n, grid, classes, permute):
@@ -126,9 +125,7 @@ def drawn_metric(data, n, grid, classes, permute):
     else:
         step = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
     roof = RoofFunction(data.draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n)))
-    extra = data.draw(st.lists(st.floats(0.0, 1.0), max_size=2))
-    return BowenWaltersMetric(DynSystem(MetricSample(list(range(n)), dist), step),
-                              roof, grid, extra_heights=extra)
+    return BowenWaltersMetric(DynSystem(MetricSample(list(range(n)), dist), step), roof, grid)
 
 
 def arc_rotation(data, n, k):
@@ -140,12 +137,10 @@ def arc_rotation(data, n, k):
 
 
 def metric_on(data, dist, step, grid):
-    """A BowenWaltersMetric on the sample and step, with a drawn roof and extra heights."""
+    """A BowenWaltersMetric on the sample and step, with a drawn roof."""
     n = len(dist)
     roof = RoofFunction(data.draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n)))
-    extra = data.draw(st.lists(st.floats(0.0, 1.0), max_size=2))
-    return BowenWaltersMetric(DynSystem(MetricSample(list(range(n)), dist), step),
-                              roof, grid, extra_heights=extra)
+    return BowenWaltersMetric(DynSystem(MetricSample(list(range(n)), dist), step), roof, grid)
 
 
 def drawn_coords():
@@ -382,7 +377,7 @@ class TestBowenWalters:
 
     def test_same_fiber_vertical(self, rot12, roof1):
         d = bw_distance(SuspensionPoint(4, 0.2), SuspensionPoint(4, 0.5),
-                        rot12, roof1)
+                        rot12, roof1, height_grid=20)
         assert d <= 0.3 + 1e-12
 
     def test_symmetry_and_triangle_on_grid(self, rot12, roof1):
@@ -403,10 +398,9 @@ class TestBowenWalters:
         assert grid_vals[0] >= grid_vals[1] >= grid_vals[2]
 
     @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("grid,n_extra", [(3, 2), (5, 1), (7, 0), (10, 2),
-                                              (4, 0), (8, 0), (16, 0)])
-    def test_matrix_matches_dense_min_plus(self, seed, grid, n_extra):
-        bw = seeded_metric(seed + grid, grid, n_extra)
+    @pytest.mark.parametrize("grid", [3, 5, 7, 10, 4, 8, 16])
+    def test_matrix_matches_dense_min_plus(self, seed, grid):
+        bw = seeded_metric(seed + grid, grid)
         nL = bw.n_levels
         # Every node but the top level, which is glued to the next fiber.
         nodes = [v for v in range(bw.n_states * nL) if v % nL < nL - 1]
@@ -416,7 +410,7 @@ class TestBowenWalters:
         mat = bw.matrix(points)
         ref = np.array([dense_min_plus(bw, v)[nodes] for v in nodes])
         np.testing.assert_allclose(mat, ref, rtol=1e-12, atol=0)
-        if n_extra == 0 and grid in (4, 8, 16):
+        if grid in (4, 8, 16):
             # Dyadic gaps add exactly, so height-0 tables are bit-equal.
             # From interior heights a run's gaps, added one step at a
             # time to a chain crossing a binade, can round one ulp away.
@@ -427,10 +421,10 @@ class TestBowenWalters:
             BowenWaltersMetric(rot12, roof1, height_grid=0)
 
     @settings(max_examples=100)
-    @given(data=st.data(), grid=st.integers(1, 8))
+    @given(data=st.data(), grid=st.integers(1, 32))
     def test_node_lookup_is_the_first_level_within_tolerance(self, data, grid):
-        # Levels and heights crowd within a few ulps of one another and of
-        # the tolerance boundary, where the searchsorted key rounds.
+        # Heights crowd within a few ulps of the levels and of the tolerance
+        # boundary around them, where the product h * height_grid rounds.
         tol = flowdim.dynamics.CIRCLE_TOL
 
         def crowd(a, offset, ulps):
@@ -443,14 +437,8 @@ class TestBowenWalters:
         offset = st.sampled_from([0.0, tol, -tol, tol / 2, -tol / 2, 2 * tol, -2 * tol, 3e-10])
         near = st.builds(crowd, anchor, offset, st.integers(-3, 3))
         h = np.array(data.draw(st.lists(near, min_size=1, max_size=12)))
-        # A level at each h - tol as the lookup key rounds it, or a few ulps
-        # away.  For h = 0.5 the key rounds below the exact h - tol: the
-        # level there lies off by more than tol, and the next one matches.
-        ulps = data.draw(st.lists(st.integers(-2, 2), min_size=len(h), max_size=len(h)))
-        edges = [crowd(x, -tol, u) for x, u in zip(h, ulps)]
-        extra = [min(max(x, 0.0), 1.0) for x in edges + data.draw(st.lists(near, max_size=4))]
         sys = DynSystem(MetricSample([0, 1, 2], np.zeros((3, 3))), [1, 2, 0])
-        bw = BowenWaltersMetric(sys, RoofFunction.constant(1.0, 3), grid, extra_heights=extra)
+        bw = BowenWaltersMetric(sys, RoofFunction.constant(1.0, 3), grid)
         states = np.arange(len(h)) % 3
         on_level = np.abs(bw.levels - h[:, None]) <= tol
         want = np.where(on_level.any(axis=1), states * bw.n_levels + on_level.argmax(axis=1), -1)
@@ -461,6 +449,9 @@ class TestBowenWalters:
         bw = BowenWaltersMetric(rot12, roof1, height_grid=4)
         with pytest.raises(InvariantViolationError, match="level grid"):
             bw.matrix([SuspensionPoint(0, 0.25), SuspensionPoint(1, 0.3)])
+        # 0.2 is a level of grid 20 but not of the default grid 16.
+        with pytest.raises(InvariantViolationError, match="0.2 is not on the metric's level grid"):
+            bw_distance(SuspensionPoint(4, 0.2), SuspensionPoint(4, 0.5), rot12, roof1)
 
     @settings(max_examples=60)
     @given(data=st.data(), n=st.integers(1, 7), grid=st.integers(1, 6),
@@ -651,56 +642,17 @@ class TestMappingTorus:
                                 np.repeat(times, n))
         assert bits(map(SuspensionPoint, states, heights)) == bits(wants)
 
-    def test_off_grid_window_builds_one_metric_per_time(self, monkeypatch):
+    def test_off_grid_window_is_refused(self):
         torus = mapping_torus(rotation_system(12), height_grid=4)
-        builds = []
-        init = BowenWaltersMetric.__init__
-
-        def counted(self, *args, **kwargs):
-            builds.append(1)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(BowenWaltersMetric, "__init__", counted)
-        window = orbit_metric_R(torus, OrbitMetricSpec("R-window", 2.0, 0.1))
-        times = np.arange(0.0, 2.0 + 0.05, 0.1)
-        off_grid = int(np.sum(np.abs(4 * times - np.round(4 * times)) > 1e-9))
-        assert off_grid > 0
-        assert 0 < len(builds) <= off_grid
-        # The rotation flow is isometric: every window equals the arc distance.
-        np.testing.assert_allclose(window.dist, rotation_system(12).base.dist,
-                                   rtol=0, atol=1e-12)
-
-    def test_off_grid_window_builds_one_metric_per_exact_height_set(self, monkeypatch):
-        torus = mapping_torus(rotation_system(96), height_grid=16)
-        spec = OrbitMetricSpec("R-window", 2.4, 0.1)
-        sets = set()
-        for t in np.arange(0.0, 2.4 + 0.05, 0.1):
-            moved = suspend(torus.sys, torus.roof, torus.values, float(t))
-            h = np.array([p.height for p in moved])
-            off = torus._bw.nodes(np.array([p.state for p in moved]), h) < 0
-            if off.any():
-                sets.add(np.unique(h[off]).tobytes())
-        builds = []
-        init = BowenWaltersMetric.__init__
-
-        def counted(self, *args, **kwargs):
-            # The window holds one off-grid metric at a time.
-            assert all(built() is None for built in builds)
-            builds.append(weakref.ref(self))
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(BowenWaltersMetric, "__init__", counted)
-        window = orbit_metric_R(torus, spec)
-        # 20 of the 25 grid times leave the grid, with 15 distinct height sets.
-        assert len(builds) == len(sets) == 15
-        assert np.array_equal(window.dist, orbit_metric_R_loop(torus, spec).dist)
+        with pytest.raises(ConfigurationError, match=r"grid time 0\.1 .* height grid j/4"):
+            orbit_metric_R(torus, OrbitMetricSpec("R-window", 2.0, 0.1))
 
     @settings(max_examples=60)
     @given(data=st.data(), kind=st.sampled_from(["cycles", "rotation", "mirror", "step"]),
-           grid=st.integers(1, 4), every_height=st.booleans(), off_grid=st.booleans(),
+           grid=st.integers(1, 4), every_height=st.booleans(), decimal=st.booleans(),
            steps=st.integers(1, 12))
     def test_window_tables_shared_along_orbits_match_the_per_time_loop(
-            self, data, kind, grid, every_height, off_grid, steps):
+            self, data, kind, grid, every_height, decimal, steps):
         if kind == "rotation":
             # Several orbits: gcd(k, n) > 1.
             n = data.draw(st.sampled_from([4, 6, 8, 9]))
@@ -715,8 +667,11 @@ class TestMappingTorus:
             step = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
         else:
             dist, step = isometric_sample(data, kind)
-        on_grid = st.integers(1, 2 * grid).map(lambda j: j / grid)
-        dt = data.draw(st.sampled_from([0.1, 0.15, 0.3, 1 / 3]) if off_grid else on_grid)
+        if decimal:
+            # A step whose multiples round as floats, on a height grid that holds it.
+            dt, grid = data.draw(st.sampled_from([(0.1, 10), (0.15, 20), (0.3, 10), (1 / 3, 3)]))
+        else:
+            dt = data.draw(st.integers(1, 2 * grid).map(lambda j: j / grid))
         sys = DynSystem(MetricSample(list(range(len(dist))), dist), step)
         spec = OrbitMetricSpec("R-window", steps * dt, dt)
         window = orbit_metric_R(mapping_torus(sys, grid, every_height), spec)
@@ -735,7 +690,7 @@ class TestMappingTorus:
         assert sum(len(tables) for _, tables in blocks) == 16
         assert np.count_nonzero(torus._bw._solved) == 16
 
-    def test_off_grid_table_solves_only_its_rows(self, monkeypatch):
+    def test_one_level_table_solves_only_its_rows(self, monkeypatch):
         sources = []
 
         def counted(graph, *args, indices=None, **kwargs):
@@ -744,8 +699,9 @@ class TestMappingTorus:
 
         monkeypatch.setattr(flowdim.dynamics, "dijkstra", counted)
         torus = mapping_torus(rotation_system(12), height_grid=4)
-        table = torus.metric_matrix(suspend(torus.sys, torus.roof, torus.values, 0.1))
-        # The 12 query nodes of a 12 x 6-node graph share one level and one
+        bw = BowenWaltersMetric(torus.sys, torus.roof, 4)
+        table = bw.matrix(suspend(torus.sys, torus.roof, torus.values, 0.25))
+        # The 12 query nodes of a 12 x 5-node graph share one level and one
         # rotation orbit: one Dijkstra source, the other 11 rows permuted.
         assert sources == [1]
         np.testing.assert_allclose(table, rotation_system(12).base.dist, rtol=0, atol=1e-12)
@@ -804,12 +760,13 @@ class TestMappingTorus:
         xs = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
         sys = DynSystem(MetricSample(list(range(n)), np.abs(np.subtract.outer(xs, xs))), step)
         torus = mapping_torus(sys, grid, every_height=True)
-        d = torus.metric_matrix(torus.values)
+        bw = BowenWaltersMetric(sys, torus.roof, grid)
+        d = bw.matrix(torus.values)
         np.testing.assert_allclose(d, d.T, rtol=0, atol=1e-12)
         assert np.all(np.diag(d) == 0.0)
         assert np.all(d[:, None, :] <= d[:, :, None] + d[None, :, :] + 1e-12)
         base = mapping_torus(sys, grid)
-        assert np.array_equal(d[::grid, ::grid], base.metric_matrix(base.values))
+        assert np.array_equal(d[::grid, ::grid], bw.matrix(base.values))
 
     def test_fixed_point_period_one(self):
         base = MetricSample(["p"], np.zeros((1, 1)))
@@ -817,7 +774,8 @@ class TestMappingTorus:
         torus = mapping_torus(sys)
         p = SuspensionPoint(0, 0.0)
         assert suspend(sys, torus.roof, [p], 1.0) == [p]
-        assert torus.metric_matrix([p] + suspend(sys, torus.roof, [p], 1.0))[0, 1] == 0.0
+        bw = BowenWaltersMetric(sys, torus.roof, torus.height_grid)
+        assert bw.matrix([p] + suspend(sys, torus.roof, [p], 1.0))[0, 1] == 0.0
 
 
 class TestSuspensionInstance:

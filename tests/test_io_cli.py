@@ -230,10 +230,13 @@ def test_readme_solenoid_demo_errors_are_the_exact_means(tmp_path, monkeypatch):
         assert abs(err - solenoid_exact_mean_error(tau, n, depth, T)) <= 1e-3 * bound
 
 
-@pytest.mark.parametrize("seed, T", [(0, 2000.0), (1, 5000.0), (7, 12345.678), (3, 20000.0)])
+@pytest.mark.parametrize("seed, T", [(0, 2000.0), (1, 5000.0), (7, 12345.678), (3, 20000.0),
+                                     (0, 500.0)])
 def test_solenoid_demo_errors_are_within_their_reported_bounds(tmp_path, seed, T):
     """Each CSV coord_error is at most the JSON's coord_error_bound for its
-    coordinate, which is the cross-term bound over the nodes the means take."""
+    coordinate, which is the cross-term bound over the nodes the means take.
+    At T = 500 the recovered x_4 misses x_3 (mod 6) by more than 0.05, within
+    the two coordinates' bounds, so the run passes."""
     depth = 4
     argv = ["--out", str(tmp_path), "solenoid-demo", "--depth", str(depth), "--T", repr(T),
             "--seed", str(seed)]

