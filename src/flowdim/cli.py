@@ -187,6 +187,8 @@ def cmd_solenoid_demo(runner, params):
         raise ConfigurationError(f"need n-points >= 1, got {n_points}")
     rng = np.random.default_rng(seed)
     emb = SolenoidEmbedding(c=1.0, K=depth, window=T / 2 + 50.0, grid_step=0.01)
+    # Every point's coordinate n shares one bound: the means run on one grid.
+    bounds = solenoid_error_bounds(emb, T, start=-T / 2)
     rows = []
     worst = 0.0
     for _ in range(n_points):
@@ -198,7 +200,7 @@ def cmd_solenoid_demo(runner, params):
         # factor turns coordinate n by T/2, as q_n = p_n + T/2, so each
         # coordinate's error is that of p over [0, T], on half of p's window.
         q = solenoid_from_time(tau + T / 2, depth)
-        rec = solenoid_recover(solenoid_embed(q, emb), emb, T, start=-T / 2)
+        rec = solenoid_recover(solenoid_embed(q, emb), emb, T, start=-T / 2, bounds=bounds)
         for n in range(1, depth + 1):
             fact = math.factorial(n)
             gap = abs(rec.coords[n - 1] - q.coords[n - 1]) % fact
@@ -207,8 +209,6 @@ def cmd_solenoid_demo(runner, params):
             worst = max(worst, gap / fact)
     write_table_csv(runner.path(".csv"), rows, header=("tau", "n", "coord_error"))
     passed = worst < 1e-2
-    # Every point's coordinate n shares one bound: the means run on one grid.
-    bounds = solenoid_error_bounds(emb, T, start=-T / 2)
     runner.write_json(".json", {"worst_relative_error": worst, "pass": passed,
                                 "coord_error_bound": {str(n): b for n, b in
                                                       enumerate(bounds, start=emb.m)}})

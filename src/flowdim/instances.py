@@ -232,7 +232,7 @@ def run_embedding_pipeline(delta: float = 0.2, rho=1, N: int = 2,
 
     run = EmbeddingRun(constants=constants, kernel=spec, phi_N=phi_N,
                        advance=inst.advance, F=F, G=G)
-    g = [perturb_signal_map(run, fi, i) for i, fi in enumerate(f)]
+    g = perturb_signal_map(run, f, states)
     h_rows = np.array([gi.values - fi.values for gi, fi in zip(g, f)])
     sup_change = float(np.abs(h_rows).max())
 

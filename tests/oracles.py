@@ -159,17 +159,26 @@ def kernel_rows(run, nodes, t0: float, dt: float, n: int):
     """Rows phi(t0 + j dt - node), j < n, for nodes within NODE_MARGIN of the grid.
 
     The node x grid matrix that ``flowdim.embedding.EmbeddingRun.kernel_sum``
-    contracts with the weights without forming it.  Each offset node - t0
-    splits into m whole grid steps and a phase p, so entry j is
-    phi((j - m) dt - p): a window of the table of phi at phase p on the
-    grid steps.  Tables are built with one ``interpolation_kernel`` call
-    per phase, the first time a node has it, and kept on the run apart
-    from ``kernel_sum``'s; phases that agree modulo dt to within
-    PHASE_TOL dt share one table.
+    contracts with the weights without forming it.  Entry j of a node's
+    row is a window of the table of its phase (``node_tables``).
     """
-    tables = run.__dict__.setdefault("_oracle_tables", {})
+    which, steps, tables, span = node_tables(run, nodes, t0, dt, n)
+    return sliding_window_view(np.array(tables), n, axis=1)[which, span - steps]
+
+
+def node_tables(run, nodes, t0: float, dt: float, n: int):
+    """Each node's phase table, its whole grid steps, the tables and their half-length span.
+
+    Each offset node - t0 splits into m whole grid steps and a phase p, so
+    phi(t0 + j dt - node) = phi((j - m) dt - p) is entry span - m + j of
+    the table of phi at phase p over the grid steps.  Tables are built
+    with one ``interpolation_kernel`` call per phase, the first time a
+    node has it, and kept on the run apart from ``kernel_sum``'s; phases
+    that agree modulo dt to within PHASE_TOL dt share one table.  Each
+    table extends n zeros past its end, as ``kernel_sum``'s do.
+    """
     span = n + math.ceil(NODE_MARGIN / dt)
-    phases, table = tables.get((dt, n), ([], np.empty((0, 2 * span + 1))))
+    phases, tables = run.__dict__.setdefault("_oracle_tables", {}).setdefault((dt, n), ([], []))
     steps = np.rint((nodes - t0) / dt).astype(np.int64)
     offsets = nodes - t0 - steps * dt
     which = np.full(len(nodes), -1)
@@ -177,17 +186,54 @@ def kernel_rows(run, nodes, t0: float, dt: float, n: int):
     while np.any(which < 0):
         if k == len(phases):
             phases.append(offsets[np.argmax(which < 0)])
-            row = interpolation_kernel(dt * np.arange(-span, span + 1) - phases[k],
-                                       run.kernel)
-            table = np.vstack([table, row])
+            row = interpolation_kernel(dt * np.arange(-span, span + 1) - phases[k], run.kernel)
+            tables.append(np.concatenate([row, np.zeros(n)]))
         gap = offsets - phases[k]
         wrap = np.rint(gap / dt).astype(np.int64)
         hit = (which < 0) & (np.abs(gap - wrap * dt) <= PHASE_TOL * dt)
         which[hit] = k
         steps[hit] += wrap[hit]
         k += 1
-    tables[dt, n] = phases, table
-    return sliding_window_view(table, n, axis=1)[which, span - steps]
+    return which, steps, tables, span
+
+
+def kernel_sum_row(run, nodes, weights, t0: float, dt: float, n: int):
+    """One row of ``flowdim.embedding.EmbeddingRun.kernel_sum``, summed on its own.
+
+    The per-row sum that ``kernel_sum`` replaced by stacked rows: each
+    phase's terms are one Toeplitz-by-blocks product on the lattice of
+    the row's own starts, or one convolution per block column where the
+    Toeplitz matrix would outgrow the node x grid matrix.  The tables
+    (``node_tables``) get their phases in call order, so rows summed here
+    in a batch's row order read the tables the batch reads.  Returns the
+    n values and, per phase the row uses, the lattice (phase index,
+    spacing g, first start c, lattice points, and whether it took the
+    Toeplitz product).
+    """
+    which, steps, tables, span = node_tables(run, nodes, t0, dt, n)
+    out = np.zeros(n, dtype=complex)
+    lattices = []
+    for k in np.unique(which):
+        mine = which == k
+        starts, table = span - steps[mine], tables[k]
+        c = int(starts.min())
+        g = int(np.gcd.reduce(starts - c)) or n
+        width = min(g, n)
+        blocks = -(-n // g)
+        lattice = np.zeros((int(starts.max()) - c) // g + 1, dtype=complex)
+        np.add.at(lattice, (starts - c) // g, weights[mine])
+        size = blocks + len(lattice) - 1
+        U = sliding_window_view(table, width)[c::g][:size]
+        dense = blocks * size <= len(starts) * n
+        if dense:
+            padded = np.concatenate([np.zeros(blocks - 1), lattice, np.zeros(blocks - 1)])
+            sums = np.ascontiguousarray(sliding_window_view(padded, size)[::-1]) @ U
+        else:
+            sums = np.stack([np.convolve(U[:, b], lattice[::-1], "valid") for b in range(width)],
+                            axis=1)
+        out += sums.ravel()[:n]
+        lattices.append((int(k), g, c, len(lattice), dense))
+    return out, lattices
 
 
 def level_graph(bw: BowenWaltersMetric):

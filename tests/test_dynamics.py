@@ -792,9 +792,10 @@ class TestSuspensionInstance:
 
     def test_advance_is_the_flow_at_the_pipeline_times(self, monkeypatch):
         # Every (index, time) pair the pipeline asks of advance: the period
-        # starts of each state's perturbation, of both signs, -Phi_N and the
-        # two equivariance shifts.  The flowed point's node (state, level)
-        # of the 11-level grid is sample index state * 10 + level.
+        # starts of every state's perturbation, of both signs, in one call,
+        # then -Phi_N and the two equivariance shifts.  The flowed point's
+        # node (state, level) of the 11-level grid is sample index
+        # state * 10 + level.
         calls = []
         advance = SuspensionInstance.advance
 
@@ -806,7 +807,7 @@ class TestSuspensionInstance:
         result = run_embedding_pipeline()
         inst, n = result.instance, result.instance.n_heights
         assert (inst.base_size, n) == (12, 10)
-        assert len(calls) == 12 * n + 3
+        assert len(calls) == 1 + 3
         assert any(np.array_equal(t, -result.run.phi_N) for _, t in calls)
         assert any(np.all(t == 2.0) for _, t in calls)
         idx = np.concatenate([i.ravel() for i, _ in calls])

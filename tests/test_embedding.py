@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowdim.bandlimited import (
@@ -17,6 +17,8 @@ from flowdim.bandlimited import (
     _block_shape,
     _grid_factors,
     _grid_rounding,
+    _near_values,
+    _weighted_sup,
     shift,
     signal_metric,
 )
@@ -24,11 +26,13 @@ from flowdim.dynamics import SolenoidPoint, solenoid_act, solenoid_from_time
 from flowdim.embedding import (
     EXP_SUM_MAX_SAMPLES,
     MAX_DEPTH,
+    N_MAX,
     NODE_MARGIN,
     SolenoidEmbedding,
     _exp_sum_mean_rounding,
     _exp_sum_means,
     _nodes_in,
+    _pair_metrics,
     bohr_coefficient,
     bohr_cross_term_bound,
     epsilon_embedding_search,
@@ -656,6 +660,26 @@ class TestSolenoidRecover:
         bounds = solenoid_error_bounds(emb, 0.004, start=0.003)
         assert bounds == [math.factorial(n) * (0.5 + 16 * UNIT_ROUNDOFF) for n in (1, 2, 3)]
 
+    def test_passed_bounds_recover_what_computed_bounds_do(self, monkeypatch):
+        # solenoid-demo computes the bounds once and passes them to each
+        # recovery; at T = 500 the bounds, not 0.05, set the tower tolerance.
+        import flowdim.embedding
+
+        T = 500.0
+        emb = SolenoidEmbedding(c=1.0, K=4, window=T / 2 + 50.0, grid_step=0.01)
+        bounds = solenoid_error_bounds(emb, T, start=-T / 2)
+        assert max(a + b for a, b in zip(bounds, bounds[1:])) > 0.05
+        signals = [solenoid_embed(solenoid_from_time(tau + T / 2, 4), emb)
+                   for tau in (0.0, 3.7, 17.2)]
+        computed = [solenoid_recover(sig, emb, T, start=-T / 2) for sig in signals]
+
+        def not_again(*args, **kwargs):
+            raise AssertionError("solenoid_recover recomputed the bounds it was given")
+
+        monkeypatch.setattr(flowdim.embedding, "solenoid_error_bounds", not_again)
+        for sig, want in zip(signals, computed):
+            assert solenoid_recover(sig, emb, T, start=-T / 2, bounds=bounds).coords == want.coords
+
     def test_zero_signal_rejected(self):
         emb = SolenoidEmbedding(c=1.0, K=3, window=600.0, grid_step=0.01)
         with pytest.raises(NotEmbeddingImageError):
@@ -755,6 +779,27 @@ class TestVerifyDeltaEmbedding:
         assert verdict.min_image_separation == min(
             max(sm[q], sd[q]) for q in pairs if q not in matched)
 
+    @settings(max_examples=40, deadline=None)
+    @given(count=st.integers(1, 50), window=st.sampled_from([4.0, 5.0, 6.5]),
+           step=st.sampled_from([0.25, 0.125, 0.1, 0.05]), seed=st.integers(0, 2**32 - 1))
+    @example(count=1, window=4.0, step=0.25, seed=0)
+    @example(count=2, window=4.0, step=0.125, seed=1)
+    def test_ring_maxima_are_the_row_loop(self, count, window, step, seed):
+        # The blocked ring maxima against _weighted_sup of each row of pairs
+        # (i, j > i), bit for bit; on steps 1/4 and 1/8 grid times sit at
+        # |t| = n exactly, and up to 1,225 pairs take several blocks.
+        rng = np.random.default_rng(seed)
+        n = int(round(2 * window / step)) + 1
+        values = rng.normal(size=(count, n)) + 1j * rng.normal(size=(count, n))
+        sigs = [Signal(Band(0.0, 1.0), window, step, v) for v in values]
+        t, values = _near_values(sigs, N_MAX)
+        if step in (0.25, 0.125):
+            assert set(range(1, N_MAX + 1)) <= set(t.tolist())
+        iu, ju = np.triu_indices(count, k=1)
+        want = [_weighted_sup(t, values[i], values[i + 1:], N_MAX) for i in range(count - 1)]
+        got = _pair_metrics(t, values, iu, ju, N_MAX)
+        assert np.array_equal(got, np.concatenate(want) if want else np.empty(0))
+
     def test_mismatched_grids_are_rejected(self, emb):
         p = solenoid_from_time(0.7, 4)
         other = SolenoidEmbedding(c=1.0, K=4, window=10.0)
@@ -787,6 +832,12 @@ def _bare_run(rho):
                         phi_N=np.zeros(2), advance=None, F=F, G=F)
 
 
+def kernel_sum_one_row(run, nodes, weights, t0, dt, n):
+    """``run.kernel_sum`` of one row that keeps all its nodes."""
+    return run.kernel_sum(nodes[None], weights[None], np.ones((1, len(nodes)), dtype=bool),
+                          t0, dt, n)[0]
+
+
 def test_node_spacing_beyond_node_margin_is_configuration_error():
     # node_tail_bound integrates the envelope past NODE_MARGIN - 1/rho,
     # which must not be negative: 1/rho = 200 passes, 1/rho = 300 fails.
@@ -813,7 +864,7 @@ class TestPerturbSignalMap:
         inst = res.instance
         emb = SolenoidEmbedding(c=1.0, K=inst.depth, window=12.0, grid_step=0.05)
         f_map = lambda i: solenoid_embed(inst.factor(int(i)), emb, scale=0.8)
-        g = perturb_signal_map(run0, f_map(3), 3)
+        [g] = perturb_signal_map(run0, [f_map(3)], [3])
         f = f_map(3)
         assert np.array_equal(g.values, f.values)
 
@@ -829,7 +880,7 @@ class TestPerturbSignalMap:
         pad = 8.0 / 12.0
         for i in (0, 7):
             f = f_map(i)
-            g = perturb_signal_map(res.run, f, i)
+            [g] = perturb_signal_map(res.run, [f], [i])
             leak_f = band_support_check(f, pad)
             leak_g = band_support_check(g, pad)
             assert leak_g < 2.0 * leak_f + kernel_leak + 1e-6
@@ -840,12 +891,12 @@ class TestPerturbSignalMap:
         inst = res.instance
         emb = SolenoidEmbedding(c=1.0, K=inst.depth, window=12.0, grid_step=0.05)
         f_map = lambda i: solenoid_embed(inst.factor(int(i)), emb, scale=0.8)
-        g = perturb_signal_map(res.run, f_map(0), 0)
+        [g] = perturb_signal_map(res.run, [f_map(0)], [0])
         sup = float(np.abs(g.values - f_map(0).values).max())
         assert sup + res.run.node_tail_bound() < res.run.delta
         monkeypatch.setattr(EmbeddingRun, "node_tail_bound", lambda run: run.delta - sup / 2)
         with pytest.raises(ConfigurationError, match="node tail"):
-            perturb_signal_map(res.run, f_map(0), 0)
+            perturb_signal_map(res.run, [f_map(0)], [0])
 
     def test_exp_sum_rows_meet_the_precondition_on_their_certified_bound(self, small_pipeline,
                                                                          monkeypatch):
@@ -855,7 +906,7 @@ class TestPerturbSignalMap:
         emb = SolenoidEmbedding(c=1.0, K=inst.depth, window=12.0, grid_step=0.05)
         f = solenoid_embed(inst.factor(0), emb, scale=0.8)
         plain = Signal(f.band, f.window, f.grid_step, f.values)
-        want = perturb_signal_map(res.run, plain, 0).values
+        want = perturb_signal_map(res.run, [plain], [0])[0].values
 
         scan = Signal.sup_norm
 
@@ -864,12 +915,68 @@ class TestPerturbSignalMap:
             return scan(sig)
 
         monkeypatch.setattr(Signal, "sup_norm", no_exp_sum_scan)
-        assert np.array_equal(perturb_signal_map(res.run, f, 0).values, want)
+        assert np.array_equal(perturb_signal_map(res.run, [f], [0])[0].values, want)
         # Moduli that sum just above 1 - delta fail, whatever the grid sup.
         moduli = 2.0 ** -np.arange(emb.m, emb.K + 1)
         over = solenoid_embed(inst.factor(0), emb, scale=(1.0 - delta + 1e-8) / moduli.sum())
         with pytest.raises(PreconditionError, match="1 - delta"):
-            perturb_signal_map(res.run, over, 0)
+            perturb_signal_map(res.run, [over], [0])
+
+    def test_batch_is_each_state_alone(self, small_pipeline):
+        # Every state of the small instance in one call: one advance call,
+        # and each g bit for bit the one a single-state call makes.
+        from dataclasses import replace
+        from unittest import mock
+
+        from flowdim.embedding import perturb_signal_map
+        res = small_pipeline
+        inst, run = res.instance, res.run
+        noise = np.random.default_rng(6).uniform(-0.5, 0.5, size=run.F.shape)
+        run = replace(run, advance=mock.Mock(wraps=inst.advance),
+                      G=run.F + noise * run.delta_prime)
+        emb = SolenoidEmbedding(c=1.0, K=inst.depth, window=12.0, grid_step=0.05)
+        states = np.arange(len(inst.flow.values))
+        f = [solenoid_embed(inst.factor(int(i)), emb, scale=0.8) for i in states]
+        batch = perturb_signal_map(run, f, states)
+        assert run.advance.call_count == 1
+        assert np.any(batch[0].values != f[0].values)
+        for i in states:
+            [alone] = perturb_signal_map(run, [f[i]], [i])
+            assert np.array_equal(batch[i].values, alone.values)
+
+    def test_batch_checks_name_the_failing_state(self, small_pipeline, monkeypatch):
+        from dataclasses import replace
+
+        from flowdim.embedding import EmbeddingRun, perturb_signal_map
+        res = small_pipeline
+        inst, run = res.instance, res.run
+        emb = SolenoidEmbedding(c=1.0, K=inst.depth, window=12.0, grid_step=0.05)
+        moduli = 2.0 ** -np.arange(emb.m, emb.K + 1)
+        ok = solenoid_embed(inst.factor(2), emb, scale=0.8)
+        over = solenoid_embed(inst.factor(5), emb, scale=(1.0 - run.delta + 1e-8) / moduli.sum())
+        with pytest.raises(PreconditionError, match="state 5 "):
+            perturb_signal_map(run, [ok, over], [2, 5])
+        with pytest.raises(IncompatibleSignalError):
+            perturb_signal_map(run, [ok, solenoid_embed(inst.factor(5), SolenoidEmbedding(
+                c=1.0, K=inst.depth, window=8.0, grid_step=0.05), scale=0.8)], [2, 5])
+        # With the states in the order of their sup |h|, a tail between
+        # the two largest values fails the last states only, and the
+        # error names the first of them.
+        noise = np.random.default_rng(8).uniform(-0.5, 0.5, size=run.F.shape)
+        run = replace(run, G=run.F + noise * run.delta_prime)
+        states = np.arange(len(inst.flow.values))
+        f = [solenoid_embed(inst.factor(i), emb, scale=0.8) for i in states]
+        sups = np.array([np.abs(g.values - fi.values).max()
+                         for g, fi in zip(perturb_signal_map(run, f, states), f)])
+        order = np.argsort(sups, kind="stable")
+        top = sups.max()
+        second = sups[sups < top].max()
+        worst = order[np.argmax(sups[order])]
+        assert worst != order[0]
+        monkeypatch.setattr(EmbeddingRun, "node_tail_bound",
+                            lambda run: run.delta - (second + top) / 2)
+        with pytest.raises(ConfigurationError, match=f"of state {worst} \\+ node tail"):
+            perturb_signal_map(run, [f[i] for i in order], order)
 
     def test_pipeline_verdict_on_small_instance(self, small_pipeline):
         assert small_pipeline.passed
@@ -931,7 +1038,7 @@ def test_off_grid_corrections_match_the_direct_kernel_sum(fine_pipeline, monkeyp
         return interpolation_kernel(t, spec)
 
     monkeypatch.setattr(flowdim.embedding, "interpolation_kernel", counted)
-    h = {i: perturb_signal_map(run, f_map(i), i).values - f_map(i).values
+    h = {i: perturb_signal_map(run, [f_map(i)], [i])[0].values - f_map(i).values
          for i in range(len(inst.flow.values))}
     assert len(calls) <= 3
 
@@ -978,7 +1085,7 @@ def test_kernel_sum_shares_one_table_across_the_half_step(fine_pipeline, monkeyp
     assert phases.min() < 0 < phases.max()
     rng = np.random.default_rng(3)
     weights = rng.normal(size=len(nodes)) + 1j * rng.normal(size=len(nodes))
-    got = run.kernel_sum(nodes, weights, t0, dt, n)
+    got = kernel_sum_one_row(run, nodes, weights, t0, dt, n)
     assert len(calls) == 1
     t = t0 + dt * np.arange(n)
     want = weights @ interpolation_kernel(t[None, :] - nodes[:, None], run.kernel)
@@ -996,9 +1103,9 @@ def test_kernel_sum_of_sparse_nodes_holds_no_toeplitz(fine_pipeline):
     t0, dt, n = -16.0, 0.05, 641
     nodes = t0 + dt * np.array([-3990.0, -3989.0, 4600.0])
     weights = np.array([1.0, -2.0j, 0.5 + 0.5j])
-    run.kernel_sum(nodes[:1], weights[:1], t0, dt, n)  # builds the one table
+    kernel_sum_one_row(run, nodes[:1], weights[:1], t0, dt, n)  # builds the one table
     tracemalloc.start()
-    got = run.kernel_sum(nodes, weights, t0, dt, n)
+    got = kernel_sum_one_row(run, nodes, weights, t0, dt, n)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 2**20
@@ -1037,10 +1144,101 @@ def test_kernel_sum_matches_the_node_rows(rho, n, stride, count, phase_count, t0
     run = _bare_run(rho)
     with mock.patch.object(flowdim.embedding, "interpolation_kernel",
                            wraps=interpolation_kernel) as built:
-        got = run.kernel_sum(nodes, weights, t0, dt, n)
+        got = kernel_sum_one_row(run, nodes, weights, t0, dt, n)
     want = weights @ kernel_rows(run, nodes, t0, dt, n)
     assert np.abs(got - want).max() <= 1e-12
     assert built.call_count <= len({round(float(p) % 1.0, 9) for p in offsets})
+
+
+def _gamma(k):
+    return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
+
+
+@settings(max_examples=40, deadline=None)
+@given(source=st.sampled_from([Fraction(1), Fraction(7, 6), "fine"]),
+       n=st.integers(1, 60),
+       n_rows=st.integers(1, 8),
+       width=st.integers(1, 120),
+       phase_count=st.integers(1, len(PHASE_STEPS)),
+       t0=st.floats(-30.0, 30.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_kernel_sum_is_each_row_alone(fine_pipeline, source, n, n_rows, width,
+                                              phase_count, t0, seed):
+    """Stacked rows against ``oracles.kernel_sum_row``, the sum of one row alone.
+
+    Rows draw their own lattice spacing and shift (so residues mix), or
+    copy an earlier row's nodes, moved by a few whole lattice steps (the
+    same class from another first start) or not at all, with new
+    weights; they keep all, half, a few or none of their nodes, and the
+    nodes a row does not keep are NaN.  A row whose every Toeplitz
+    product shares its class (phase, spacing g, residue c mod g) only
+    with rows of its own first start c and lattice points has each
+    product in the shape of its own: bit for bit.
+    Elsewhere its inner products also run over exact zeros, in another
+    order.  With gamma_k = k u / (1 - k u), a complex inner product of K
+    terms is within sqrt(2) gamma_(K+2) of the sum of the terms' moduli,
+    in any order (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., section 3.6); each of at most P phase sums is added to the
+    row once more.  Both sums are within sqrt(2) gamma_(K+P+2) A of the
+    exact one, for K the table's length, which no product's inner
+    dimension exceeds, and A the sum of |w| times max |table|, which
+    bounds the terms' moduli: the two differ by at most twice that.
+    """
+    from dataclasses import replace
+
+    from oracles import kernel_sum_row
+
+    if source == "fine":
+        make = lambda: replace(fine_pipeline.run)
+        dt = 0.05
+    else:
+        make = lambda: _bare_run(source)
+        dt = 0.5
+    rng = np.random.default_rng(seed)
+    reach = int(NODE_MARGIN / dt) - 1
+    steps, offsets, strides = [], [], []
+    for r in range(n_rows):
+        if r and rng.random() < 0.5:
+            j = int(rng.integers(r))
+            lift = strides[j] * int(rng.integers(-3, 4)) if rng.random() < 0.5 else 0
+            strides.append(strides[j])
+            steps.append(steps[j] + lift)
+            offsets.append(offsets[j])
+            continue
+        strides.append(int(rng.integers(1, 13)))
+        shift = int(rng.integers(strides[r]))
+        steps.append(shift + strides[r] * rng.integers(
+            -(reach // strides[r]), (n - 1 + reach - shift) // strides[r] + 1, size=width))
+        offsets.append(rng.choice(PHASE_STEPS[:phase_count], size=width))
+    steps = np.array(steps)
+    nodes = t0 + dt * (steps + np.array(offsets))
+    weights = rng.normal(size=nodes.shape) + 1j * rng.normal(size=nodes.shape)
+    share = rng.choice([1.0, 0.5, 0.05, 0.0], size=(n_rows, 1))
+    keep = (rng.random(nodes.shape) < share) & (-reach <= steps) & (steps <= n - 1 + reach)
+    nodes[~keep] = np.nan
+    weights[~keep] = np.nan
+
+    run, oracle = make(), make()
+    got = run.kernel_sum(nodes, weights, keep, t0, dt, n)
+    rows = [kernel_sum_row(oracle, nodes[r][keep[r]], weights[r][keep[r]], t0, dt, n)
+            if keep[r].any() else (np.zeros(n), []) for r in range(n_rows)]
+    spans = {}
+    for _, lattices in rows:
+        for k, g, c, size, dense in lattices:
+            if dense:
+                spans.setdefault((k, g, c % g), set()).add((c, size))
+    tables = run._tables[dt, n][1]
+    for r, (want, lattices) in enumerate(rows):
+        alone = all(not dense or len(spans[k, g, c % g]) == 1
+                    for k, g, c, size, dense in lattices)
+        if alone:
+            assert np.array_equal(got[r], want)
+        else:
+            A = np.abs(weights[r][keep[r]]).sum() * max(np.abs(t).max() for t in tables)
+            K = max(len(t) for t in tables)
+            bound = 2 * math.sqrt(2) * _gamma(K + len(tables) + 2) * A
+            assert np.abs(got[r] - want).max() <= bound
+    assert len(tables) <= len({round(float(p) % 1.0, 9) for p in PHASE_STEPS[:phase_count]})
 
 
 def test_pipeline_at_seven_node_phases(monkeypatch):

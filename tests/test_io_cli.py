@@ -255,6 +255,24 @@ def test_solenoid_demo_errors_are_within_their_reported_bounds(tmp_path, seed, T
         assert float(err) <= bounds[int(n)]
 
 
+def test_solenoid_demo_computes_its_error_bounds_once(tmp_path, monkeypatch):
+    # One evaluation serves the JSON and all five recoveries: every point's
+    # means run on one grid over one interval.
+    import flowdim.embedding
+
+    calls = []
+    bounds = flowdim.embedding.solenoid_error_bounds
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return bounds(*args, **kwargs)
+
+    monkeypatch.setattr(flowdim.embedding, "solenoid_error_bounds", counted)
+    monkeypatch.setattr(cli, "solenoid_error_bounds", counted)
+    assert main(["--out", str(tmp_path), "solenoid-demo", "--depth", "3", "--T", "500"]) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("argv, says", [
     (["--T", "1e9"], "window 5e+08 at step 0.01 need 1 x 100000010001"),
     (["--T", "inf"], "T = inf"),
