@@ -2,8 +2,9 @@
 
 A ``Signal`` is a uniform complex grid on [-W, W] with a declared
 frequency band [a, b] and oversampling 1/dt >= 4 max(|a|, |b|, 1).
-All sups are grid sups; the weighted metric truncates its tail at
-``n_max`` with certified remainder 2^(1-n_max).  Off-grid evaluation
+All sups are grid sups; the weighted metric, which ``_pair_metrics``
+evaluates for ``signal_metric`` and the verifier alike, truncates its
+tail at ``n_max`` with certified remainder 2^(1-n_max).  Off-grid evaluation
 uses Kaiser-windowed sinc interpolation, accurate to ~1e-12 for
 signals respecting the declared band; its tap weights are computed once
 per distinct fractional grid offset.  ``_grid_factors`` splits
@@ -30,7 +31,6 @@ from .errors import (
 
 SUP_BOUND_TOL = 1e-9
 UNIT_ROUNDOFF = 2.0 ** -53  # of float64, the u of the rounding bounds
-SUP_BLOCK = 1 << 16  # entries of |values| that sup_norm holds at once
 TAPS = 40          # half-width of the interpolation stencil
 KAISER_BETA = 24.0
 PAD_FACTOR = 4     # zero padding of band_support_check's transform
@@ -71,13 +71,11 @@ class Signal:
     def check_grid(self):
         """Raise unless the window and step are positive, the grid rate meets
         the oversampling bound and the sample count is the one they imply."""
-        if self.window <= 0 or self.grid_step <= 0:
-            raise InvariantViolationError("window and grid step must be positive")
+        n_expected = _sample_count(self.window, self.grid_step)
         limit = 4.0 * max(abs(self.band.a), abs(self.band.b), 1.0)
         if 1.0 / self.grid_step < limit - 1e-12:
             raise InvariantViolationError(
                 f"grid rate {1.0 / self.grid_step:.3g} below oversampling bound {limit:.3g}")
-        n_expected = int(round(2 * self.window / self.grid_step)) + 1
         if len(self) != n_expected:
             raise InvariantViolationError(
                 f"{len(self)} samples but window/step imply {n_expected}")
@@ -85,8 +83,7 @@ class Signal:
     @classmethod
     def from_function(cls, fn, band: Band, window: float, grid_step: float,
                       sup_bound: bool = False):
-        n = int(round(2 * window / grid_step)) + 1
-        t = -window + grid_step * np.arange(n)
+        t = -window + grid_step * np.arange(_sample_count(window, grid_step))
         return cls(band, window, grid_step, fn(t), sup_bound=sup_bound)
 
     def __len__(self):
@@ -105,11 +102,12 @@ class Signal:
         """Interpolate the signal at arbitrary times inside the safe window.
 
         Times must keep the full stencil inside the grid, i.e.
-        |t| <= window - TAPS * grid_step.
+        |t| <= window - TAPS * grid_step; others, NaN among them, raise
+        ``WindowExhaustedError`` (times off the window sit at position -1).
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         dt = self.grid_step
-        pos = (t + self.window) / dt
+        pos = np.where(np.abs(t) <= self.window, (t + self.window) / dt, -1.0)
         j0 = np.floor(pos).astype(np.int64)
         frac = pos - j0
         # Snap exact grid hits to avoid needless stencils at the edges.
@@ -118,11 +116,10 @@ class Signal:
         j0[near_next] += 1
         frac[near_next] = 0.0
         on_grid |= near_next
-        lo, hi = j0 - (TAPS - 1), j0 + TAPS
-        if np.any((lo < 0) | (hi >= len(self.values))):
-            bad = t[(lo < 0) | (hi >= len(self.values))][0]
+        outside = (j0 < TAPS - 1) | (j0 + TAPS >= len(self.values))
+        if outside.any():
             raise WindowExhaustedError(
-                f"time {bad:.6g} outside the interpolation-safe window "
+                f"time {t[outside][0]:.6g} outside the interpolation-safe window "
                 f"|t| <= {self.window - TAPS * dt:.6g}")
         out = np.empty(len(t), dtype=complex)
         if on_grid.any():
@@ -142,17 +139,16 @@ class Signal:
         return out
 
     def sup_norm(self):
-        """max |values| (0 for no values, NaN if any value is NaN).
+        """max |values| (0 for no values, NaN if any value is NaN)."""
+        return float(np.abs(self.values).max(initial=0.0))
 
-        |values| is read SUP_BLOCK entries at a time, so no array of the
-        signal's length is made; numpy reduces the block maxima, so NaN
-        propagates whichever block holds it.
-        """
-        v = self.values
-        if not len(v):
-            return 0.0
-        peaks = [np.abs(v[i:i + SUP_BLOCK]).max() for i in range(0, len(v), SUP_BLOCK)]
-        return float(np.max(peaks))
+
+def _sample_count(window: float, grid_step: float) -> int:
+    """round(2 window / grid_step) + 1, refused unless window and step are positive and finite."""
+    if not (0 < grid_step < math.inf and 0 < 2 * window / grid_step < math.inf):
+        raise InvariantViolationError(
+            f"need window and step > 0 and a finite sample count, got {window}, {grid_step}")
+    return int(round(2 * window / grid_step)) + 1
 
 
 def _block_shape(n: int):
@@ -212,11 +208,11 @@ def _grid_rounding(n: int, reach: float = 0.0) -> float:
 def signal_metric(f: Signal, g: Signal, n_max: int) -> float:
     """Weighted local-sup distance sum_{n<=n_max} 2^-n sup_{[-n,n]} |f-g|.
 
-    Grid sups; the omitted tail is bounded by 2^(1-n_max) for signals
-    with sup bound 1.  Exact metric axioms hold on equal grids.
+    Grid sups over int(n_max) rings; the omitted tail is bounded by 2^(1-n_max)
+    for signals with sup bound 1.  Exact metric axioms hold on equal grids.
     """
-    t, (fv, gv) = _near_values([f, g], n_max)
-    return float(_weighted_sup(t, fv, gv[None], n_max)[0])
+    t, values = _near_values([f, g], n_max)
+    return float(_pair_metrics(t, values, [0], [1], int(n_max))[0])
 
 
 def _near_values(signals, n_max: int):
@@ -228,23 +224,40 @@ def _near_values(signals, n_max: int):
     f = signals[0]
     if not all(f.same_grid(g) for g in signals[1:]):
         raise IncompatibleSignalError("signals must share window and grid")
-    if n_max < 1 or n_max > f.window + 1e-12:
+    if not 1 <= n_max <= f.window + 1e-12:
         raise ValueError("need 1 <= n_max <= window")
     t = np.abs(f.times())
     near = t <= n_max + 1e-12
     return t[near], np.array([g.values[near] for g in signals])
 
 
-def _weighted_sup(t, v, others, n_max: int):
-    """``signal_metric`` from the values v to each row of ``others``, as an array.
+def _pair_metrics(t, values, iu, ju, n_max: int):
+    """``signal_metric`` of each pair of value rows (iu[k], ju[k]), n_max rings.
 
-    v and the rows hold values at the times of ``_near_values``, whose |t| is t.
+    t and the rows are as ``_near_values`` returns them.  The columns
+    are sorted by t once, so the times of each ring n - 1 < t <= n
+    (1e-12 slack) are one run of columns; a block of about 2^16 /
+    (columns) pairs takes its ring maxima of |v_i - v_j| with one
+    reduceat and the sup over t <= n as their running maximum, and sums
+    the 2^-n terms in the order n = 1..n_max.  Every ring holds a grid
+    time: grid steps are at most 1/4 (the oversampling bound of a
+    Signal) and n_max is at most the window.
     """
-    diff = np.abs(v - others)
-    total = 0.0
-    for n in range(1, int(n_max) + 1):
-        total = total + diff[..., t <= n + 1e-12].max(axis=-1) / 2.0 ** n
-    return total
+    order = np.argsort(t, kind="stable")
+    ends = np.searchsorted(t[order], np.arange(1, n_max + 1) + 1e-12, side="right")
+    values = values[:, order[:ends[-1]]]
+    rings = np.concatenate([[0], ends[:-1]])
+    block = max(1, (1 << 16) // len(t))
+    out = np.empty(len(iu))
+    for s in range(0, len(iu), block):
+        diff = values[iu[s:s + block]]
+        diff = np.abs(np.subtract(diff, values[ju[s:s + block]], out=diff))
+        sup = np.maximum.accumulate(np.maximum.reduceat(diff, rings, axis=1), axis=1)
+        total = 0.0
+        for n in range(1, n_max + 1):
+            total = total + sup[:, n - 1] / 2.0 ** n
+        out[s:s + block] = total
+    return out
 
 
 def signal_metric_tail(n_max: int) -> float:
@@ -258,7 +271,7 @@ def shift(f: Signal, r: float) -> Signal:
     The window loses |r| plus the interpolation stencil margin; shifts
     beyond half the window raise ``WindowExhaustedError``.
     """
-    if abs(r) > f.window / 2 + 1e-12:
+    if not abs(r) <= f.window / 2 + 1e-12:  # NaN too
         raise WindowExhaustedError(
             f"shift {r} exceeds the window budget {f.window / 2}")
     dt = f.grid_step

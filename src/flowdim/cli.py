@@ -296,6 +296,7 @@ def cmd_embed_pipeline(runner, params):
         "matched_pairs": result.verdict.n_matched,
         "worst_pair": result.verdict.worst_pair,
         "min_image_separation": result.verdict.min_image_separation,
+        "far_pair_separation": result.verdict.far_pair_separation,
         "pass": result.passed,
     }
     runner.write_json(".json", payload)

@@ -53,6 +53,7 @@ from .bandlimited import (
     _grid_factors,
     _grid_rounding,
     _near_values,
+    _pair_metrics,
 )
 from .dynamics import SolenoidPoint, _solenoid_gaps
 from .errors import (
@@ -228,23 +229,19 @@ class _ExpSumSignal(Signal):
         return self._sums.n
 
 
-def exp_sum_bound(coeffs, n: int) -> float:
+def exp_sum_bound(coeffs, n: int):
     """Bound on |exp_sum_grid(coeffs, freqs, t0, dt, n)| for real freqs, from the coefficients.
 
-    The largest row sum of |c_k|, times (1 + ``_grid_rounding(n)``)
-    (1 + 8u K) with u = 2^-53: each value sums K products (c_k head)
-    tail of factors within ``_grid_rounding(n)`` of modulus 1, and one
-    rounded product plus a K-term complex sum, in any order, add at most
+    One bound per coefficient row of a matrix, a scalar for one vector:
+    the row sum of |c_k|, times (1 + ``_grid_rounding(n)``) (1 + 8u K)
+    with u = 2^-53.  Each value sums K products (c_k head) tail of
+    factors within ``_grid_rounding(n)`` of modulus 1, and one rounded
+    product plus a K-term complex sum, in any order, add at most
     sqrt(5) u + sqrt(2) (K + 2) u <= 8u K relative to the sum of the
     terms' moduli (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., section 3.6).  A coefficient that is not
     finite raises ``InvariantViolationError``.
     """
-    return float(_exp_sum_bounds(coeffs, n).max(initial=0.0))
-
-
-def _exp_sum_bounds(coeffs, n: int):
-    """``exp_sum_bound`` of each coefficient row, as an array."""
     coeffs = np.asarray(coeffs)
     if not np.all(np.isfinite(coeffs)):
         raise InvariantViolationError("exponential-sum coefficients must be finite")
@@ -260,7 +257,7 @@ def exp_sum_signals(coeffs, freqs, band: Band, window: float, grid_step: float):
     outside the band (or not a real number in it) raises ``BandError``;
     rows times samples above ``EXP_SUM_MAX_SAMPLES``, or a sample count
     that is not finite, raise ``ConfigurationError``; and the sup bound
-    is certified from the coefficients: ``exp_sum_bound`` above 1 +
+    is certified from the coefficients: an ``exp_sum_bound`` above 1 +
     ``SUP_BOUND_TOL`` raises ``InvariantViolationError``, so
     ``Signal.sup_norm`` scans none of them.  Each signal's grid is then
     checked (``Signal.check_grid``).  No value is evaluated here: the
@@ -279,7 +276,7 @@ def exp_sum_signals(coeffs, freqs, band: Band, window: float, grid_step: float):
         raise ConfigurationError(
             f"exponential sums on window {window:g} at step {grid_step:g} need "
             f"{len(coeffs)} x {n} = {len(coeffs) * n} samples, more than {EXP_SUM_MAX_SAMPLES}")
-    bound = exp_sum_bound(coeffs, n)
+    bound = float(np.max(exp_sum_bound(coeffs, n), initial=0.0))
     if not bound <= 1.0 + SUP_BOUND_TOL:
         raise InvariantViolationError(
             f"coefficient moduli bound the sum by {bound:.17g}, above the sup bound 1")
@@ -840,7 +837,7 @@ def perturb_signal_map(run: EmbeddingRun, signals, states):
         else:
             sups[i] = f.sup_norm()
     for idx in exp_sums.values():  # certified; never below the scan
-        sups[idx] = _exp_sum_bounds([signals[i].coeffs for i in idx], len(f0))
+        sups[idx] = exp_sum_bound([signals[i].coeffs for i in idx], len(f0))
     over = sups > 1.0 - run.delta + 1e-9
     if np.any(over):
         raise PreconditionError(f"need sup |f(x)| <= 1 - delta, state {states[over][0]} "
@@ -886,35 +883,7 @@ class EmbeddingVerdict:
     worst_pair: tuple | None
     worst_distance: float
     min_image_separation: float
-
-
-def _pair_metrics(t, values, iu, ju, n_max: int):
-    """``_weighted_sup`` of each pair of value rows (iu[k], ju[k]), bit for bit.
-
-    t and the rows are as ``_near_values`` returns them.  The columns
-    are sorted by t once, so the times of each ring n - 1 < t <= n
-    (1e-12 slack, as in ``_weighted_sup``) are one run of columns; a
-    block of about 2^16 / (columns) pairs takes its ring maxima of |v_i
-    - v_j| with one reduceat and the sup over t <= n as their running
-    maximum, and sums the 2^-n terms in the order n = 1..n_max.  Every
-    ring holds a grid time: grid steps are at most 1/4 (the oversampling
-    bound of a Signal) and n_max is at most the window.
-    """
-    order = np.argsort(t, kind="stable")
-    ends = np.searchsorted(t[order], np.arange(1, n_max + 1) + 1e-12, side="right")
-    values = values[:, order[:ends[-1]]]
-    rings = np.concatenate([[0], ends[:-1]])
-    block = max(1, (1 << 16) // len(t))
-    out = np.empty(len(iu))
-    for s in range(0, len(iu), block):
-        diff = values[iu[s:s + block]]
-        diff = np.abs(np.subtract(diff, values[ju[s:s + block]], out=diff))
-        sup = np.maximum.accumulate(np.maximum.reduceat(diff, rings, axis=1), axis=1)
-        total = 0.0
-        for n in range(1, n_max + 1):
-            total = total + sup[:, n - 1] / 2.0 ** n
-        out[s:s + block] = total
-    return out
+    far_pair_separation: float  # s_delta, the least image separation of pairs at d >= delta
 
 
 def verify_delta_embedding(signals, phis, sample: MetricSample,
@@ -926,10 +895,11 @@ def verify_delta_embedding(signals, phis, sample: MetricSample,
     both the signal metric (truncated at ``N_MAX``) of its g-images and the
     solenoid distance of its factor images fall within ``MATCH_TOL``.
     Every matching pair must satisfy d(x, y) < delta; the verdict also
-    reports the smallest image separation among non-matching pairs.
-    The grid is checked and the values at |t| <= ``N_MAX`` are gathered
-    once per signal; the signal metric is then taken in blocks of pairs
-    (``_pair_metrics``).
+    reports the smallest image separation (the larger image distance) among
+    non-matching pairs, and s_delta, the smallest among pairs with d >= delta,
+    a lower bound on theirs (grid sups and ``N_MAX`` drop no positive term).
+    ``signal_metric``'s own evaluator ``_pair_metrics`` takes the metric of
+    blocks of pairs, on values gathered once per signal.
     """
     points = sample.points
     n = len(points)
@@ -945,15 +915,17 @@ def verify_delta_embedding(signals, phis, sample: MetricSample,
         sm = _pair_metrics(t, values, iu, ju, N_MAX)
         coords = np.array([p.coords for p in phis])
         sd = _solenoid_gaps(coords[iu], coords[ju])
+    dist = sample.dist[iu, ju]
     matched = (sm <= MATCH_TOL) & (sd <= MATCH_TOL)
-    d = sample.dist[iu, ju][matched]
+    d = dist[matched]
     worst_pair, worst_distance = None, -math.inf
     if len(d):
         k = int(np.argmax(d))
         worst_pair = (points[iu[matched][k]], points[ju[matched][k]])
         worst_distance = float(d[k])
-    separations = np.maximum(sm, sd)[~matched]
+    sep = np.maximum(sm, sd)
     return EmbeddingVerdict(passed=bool(np.all(d < delta)), n_pairs=len(iu),
                             n_matched=int(matched.sum()), worst_pair=worst_pair,
                             worst_distance=worst_distance,
-                            min_image_separation=float(separations.min(initial=math.inf)))
+                            min_image_separation=float(sep[~matched].min(initial=math.inf)),
+                            far_pair_separation=float(sep[dist >= delta].min(initial=math.inf)))

@@ -192,21 +192,27 @@ def run_embedding_pipeline(delta: float = 0.2, rho=1, N: int = 2,
         raise ConfigurationError(f"need 0 < delta < 1, got {delta}")
     inst = SuspensionInstance.build(base_size=base_size, n_heights=n_heights,
                                     depth=max(3, N))
+    emb = SolenoidEmbedding(c=min(1.0, BAND.b / 2.0), K=inst.depth,
+                            window=SIGNAL_WINDOW, grid_step=0.05)
+    # Equivariance shifts r, whole numbers of height steps, each with its
+    # signal-grid steps k: refused before any work unless r = k dt.
+    period = math.factorial(N)
+    h = 1.0 / n_heights
+    shifts = [(r, int(round(r / emb.grid_step))) for r in (max(h, round(0.3 / h) * h), period)]
+    if any(abs(k * emb.grid_step - r) > 1e-9 for r, k in shifts):
+        raise ConfigurationError(f"equivariance shifts {[r for r, _ in shifts]} must sit on "
+                                 f"the signal grid of step {emb.grid_step}")
     spec = KernelSpec(BAND, rho, TAU, N=N, window=200.0)
     constants = certify_constants(spec, delta)
     delta_prime = constants.delta_prime
 
-    emb = SolenoidEmbedding(c=min(1.0, BAND.b / 2.0), K=inst.depth,
-                            window=SIGNAL_WINDOW, grid_step=0.05)
     n_states = len(inst.flow.values)
     states = np.arange(n_states)
     factors = [inst.factor(i) for i in states]
     coeffs = np.array([solenoid_coefficients(p, emb) for p in factors]) * (1.0 - delta)
     freqs = emb.frequencies()
     f = exp_sum_signals(coeffs, freqs, Band(0.0, emb.c), emb.window, emb.grid_step)
-    n_grid = len(f[0].values)
-
-    period = math.factorial(N)
+    n_grid = len(f[0])
     phi_N = inst.total_time(states) % period
 
     # Sample f along the orbit at the period nodes k/rho, a uniform grid.
@@ -241,15 +247,8 @@ def run_embedding_pipeline(delta: float = 0.2, rho=1, N: int = 2,
     node_residual = float(np.abs(got - complex_rows(G)[inst.advance(states, -phi_N)]).max())
 
     # Equivariance: h(T^r x)(t) = h(x)(t + r) on the common window.
-    h = 1.0 / n_heights
     equiv_residual = 0.0
-    for r in (max(h, round(0.3 / h) * h), float(run.period)):
-        steps = round(r * n_heights)
-        if abs(steps / n_heights - r) > 1e-9:
-            raise ConfigurationError("equivariance shifts must sit on the height grid")
-        shift_idx = int(round(r / emb.grid_step))
-        if abs(shift_idx * emb.grid_step - r) > 1e-9:
-            raise ConfigurationError("equivariance shifts must sit on the signal grid")
+    for r, shift_idx in shifts:
         lhs = h_rows[inst.advance(states, r), :n_grid - shift_idx]
         equiv_residual = max(equiv_residual, float(np.abs(lhs - h_rows[:, shift_idx:]).max()))
 

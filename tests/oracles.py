@@ -315,6 +315,20 @@ def closure_every_row(bw: BowenWaltersMetric, nodes=None):
     return rows[nodes[..., :, None], nodes[..., None, :]]
 
 
+def weighted_sup(t, v, others, n_max: int):
+    """``flowdim.bandlimited.signal_metric`` from the values v to each row of ``others``.
+
+    v and the rows hold values at the times of ``_near_values``, whose |t|
+    is t; each ring's sup is a masked max over all of them, with no sort
+    and no running maximum.
+    """
+    diff = np.abs(v - others)
+    total = 0.0
+    for n in range(1, int(n_max) + 1):
+        total = total + diff[..., t <= n + 1e-12].max(axis=-1) / 2.0 ** n
+    return total
+
+
 def evaluate_per_pair(sig: Signal, t):
     """``Signal.evaluate`` with the Kaiser-sinc weight of every (point, tap) pair.
 

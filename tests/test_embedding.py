@@ -18,9 +18,8 @@ from flowdim.bandlimited import (
     _grid_factors,
     _grid_rounding,
     _near_values,
-    _weighted_sup,
+    _pair_metrics,
     shift,
-    signal_metric,
 )
 from flowdim.dynamics import SolenoidPoint, solenoid_act, solenoid_from_time
 from flowdim.embedding import (
@@ -32,7 +31,6 @@ from flowdim.embedding import (
     _exp_sum_mean_rounding,
     _exp_sum_means,
     _nodes_in,
-    _pair_metrics,
     bohr_coefficient,
     bohr_cross_term_bound,
     epsilon_embedding_search,
@@ -57,7 +55,7 @@ from flowdim.errors import (
     WindowExhaustedError,
 )
 from flowdim.metric import MetricSample
-from oracles import kernel_rows, solenoid_distance
+from oracles import kernel_rows, solenoid_distance, weighted_sup
 
 
 @pytest.fixture(scope="module")
@@ -767,7 +765,8 @@ class TestVerifyDeltaEmbedding:
         sample = MetricSample(list(range(len(pts))), np.abs(np.subtract.outer(x, x)))
         verdict = verify_delta_embedding(sigs, pts, sample, delta=0.5)
         pairs = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))]
-        sm = {q: signal_metric(sigs[q[0]], sigs[q[1]], 4) for q in pairs}
+        t, values = _near_values(sigs, 4)
+        sm = {(i, j): weighted_sup(t, values[i], values[j][None], 4)[0] for i, j in pairs}
         sd = {q: solenoid_distance(pts[q[0]], pts[q[1]]) for q in pairs}
         matched = [q for q in pairs if sm[q] <= 1e-6 and sd[q] <= 1e-6]
         worst = max(matched, key=lambda q: sample.dist[q])
@@ -778,6 +777,8 @@ class TestVerifyDeltaEmbedding:
         assert verdict.passed == all(sample.dist[q] < 0.5 for q in matched)
         assert verdict.min_image_separation == min(
             max(sm[q], sd[q]) for q in pairs if q not in matched)
+        assert verdict.far_pair_separation == min(
+            max(sm[q], sd[q]) for q in pairs if sample.dist[q] >= 0.5)
 
     @settings(max_examples=40, deadline=None)
     @given(count=st.integers(1, 50), window=st.sampled_from([4.0, 5.0, 6.5]),
@@ -785,7 +786,7 @@ class TestVerifyDeltaEmbedding:
     @example(count=1, window=4.0, step=0.25, seed=0)
     @example(count=2, window=4.0, step=0.125, seed=1)
     def test_ring_maxima_are_the_row_loop(self, count, window, step, seed):
-        # The blocked ring maxima against _weighted_sup of each row of pairs
+        # The blocked ring maxima against weighted_sup of each row of pairs
         # (i, j > i), bit for bit; on steps 1/4 and 1/8 grid times sit at
         # |t| = n exactly, and up to 1,225 pairs take several blocks.
         rng = np.random.default_rng(seed)
@@ -796,7 +797,7 @@ class TestVerifyDeltaEmbedding:
         if step in (0.25, 0.125):
             assert set(range(1, N_MAX + 1)) <= set(t.tolist())
         iu, ju = np.triu_indices(count, k=1)
-        want = [_weighted_sup(t, values[i], values[i + 1:], N_MAX) for i in range(count - 1)]
+        want = [weighted_sup(t, values[i], values[i + 1:], N_MAX) for i in range(count - 1)]
         got = _pair_metrics(t, values, iu, ju, N_MAX)
         assert np.array_equal(got, np.concatenate(want) if want else np.empty(0))
 
@@ -1315,21 +1316,51 @@ def test_readme_pipeline_perturbs(readme_pipeline):
     assert res.passed
 
 
-def test_unperturbed_signal_map_fails_the_verdict_that_g_passes(readme_pipeline):
-    # At the README example states 6 apart on the 12-cycle share their
-    # factor point (depth 3 reads the time modulo 3! = 6), so the
-    # unperturbed f matches those 60 pairs; g = f + h separates every pair.
+@pytest.fixture(scope="module")
+def unperturbed_verdict(readme_pipeline):
+    """The verdict on the README pipeline's unperturbed signal map f, on its window metric."""
     from flowdim.instances import SIGNAL_WINDOW
     from flowdim.metric import OrbitMetricSpec, orbit_metric_R
 
-    res = readme_pipeline
-    inst, run = res.instance, res.run
-    assert res.verdict.passed and res.verdict.n_matched == 0
+    inst, run = readme_pipeline.instance, readme_pipeline.run
     emb = SolenoidEmbedding(c=1.0, K=inst.depth, window=SIGNAL_WINDOW, grid_step=0.05)
     factors = [inst.factor(i) for i in range(len(inst.flow.values))]
     f = [solenoid_embed(p, emb, scale=1.0 - run.delta) for p in factors]
     window = orbit_metric_R(inst.flow, OrbitMetricSpec("R-window", run.period, 1.0 / inst.n_heights))
-    verdict = verify_delta_embedding(f, factors, window, run.delta)
-    assert verdict.n_matched == 60
-    assert verdict.passed is False
-    assert verdict.worst_distance == pytest.approx(6.0, abs=1e-9)
+    return verify_delta_embedding(f, factors, window, run.delta)
+
+
+def test_unperturbed_signal_map_fails_the_verdict_that_g_passes(readme_pipeline,
+                                                                unperturbed_verdict):
+    # At the README example states 6 apart on the 12-cycle share their
+    # factor point (depth 3 reads the time modulo 3! = 6), so the
+    # unperturbed f matches those 60 pairs; g = f + h separates every pair.
+    res = readme_pipeline
+    assert res.verdict.passed and res.verdict.n_matched == 0
+    assert unperturbed_verdict.n_matched == 60
+    assert unperturbed_verdict.passed is False
+    assert unperturbed_verdict.worst_distance == pytest.approx(6.0, abs=1e-9)
+
+
+def test_far_pair_separation_is_positive_for_g_and_zero_for_f(readme_pipeline,
+                                                              unperturbed_verdict):
+    # s_delta over the 7,020 pairs at d >= delta: g = f + h keeps every one
+    # of them apart (here by min_image_separation, no near pair being
+    # closer), while f maps the 60 pairs 6 apart onto one image.
+    verdict = readme_pipeline.verdict
+    assert verdict.far_pair_separation == verdict.min_image_separation > 0.03
+    assert unperturbed_verdict.far_pair_separation == 0.0
+
+
+def test_heights_off_the_signal_grid_fail_before_any_work(monkeypatch):
+    # At 3 or 7 heights per unit time the sub-period equivariance shift,
+    # 1/3 or 2/7, is no whole number of 0.05 signal steps.
+    import flowdim.instances
+
+    def not_called(*args, **kwargs):
+        raise AssertionError("certify_constants ran")
+
+    monkeypatch.setattr(flowdim.instances, "certify_constants", not_called)
+    for n_heights in (3, 7):
+        with pytest.raises(ConfigurationError, match="signal grid"):
+            flowdim.instances.run_embedding_pipeline(n_heights=n_heights)

@@ -418,6 +418,7 @@ class TestCli:
         assert payload["verdict_passed"] is True
         assert payload["seed"] == 3
         assert payload["constants"]["K_dec"] > 0
+        assert payload["far_pair_separation"] > 0
 
 
 def _artifacts(out):
