@@ -20,6 +20,12 @@ The package splits into:
   pipeline; ``cli``: the experiment runner.
 """
 
+# numpy loads these on first use (np.unique loads numpy.ma); load them here so
+# that the cost falls in import time, not in the first call that needs them.
+import numpy.fft
+import numpy.ma
+import numpy.random
+
 from .bandlimited import (
     Band,
     Signal,

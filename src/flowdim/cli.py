@@ -232,6 +232,8 @@ def cmd_mdim_table(runner, params):
     family = params.get("family", "cube")
     eps_list = sorted(float(e) for e in str(params.get("eps-list", "0.3")).split(","))
     n_max = params.get("N-max", 4)
+    if n_max < 1:
+        raise ConfigurationError(f"need N-max >= 1, got {n_max}")
     n_list = list(range(1, n_max + 1))
     if "system" in params:
         sys, _ = load_system_json(params["system"])

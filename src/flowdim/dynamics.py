@@ -12,11 +12,13 @@ over chains of any number of segments; it is an upper bound of the true
 path infimum, antitone as the height grid refines along nested
 (divisibility) chains.  ``BowenWaltersMetric`` holds one graph, each
 level's horizontal edges pruned of those that shorter ones imply, and
-``closure(nodes)`` runs Dijkstra on it.  When T is a bijection and the
-sample metric d is exactly symmetric and T-invariant, (x, t) -> (Tx, t)
-maps the level graph onto itself cost for cost, so the pruning and the
-closure rows are solved once per T-orbit, and the entries of the other
-states are read from those rows through the power of T.  The same map
+``closure(nodes)`` solves its rows by label-correcting relaxation
+(``_chain_rows``), bit for bit the rows of scipy's Dijkstra, which the
+tests keep as the oracle.  When T is a bijection and the sample metric d
+is exactly symmetric and T-invariant, (x, t) -> (Tx, t) maps the level
+graph onto itself cost for cost, so the pruning and the closure rows are
+solved once per T-orbit, and the entries of the other states are read
+from those rows through the power of T.  The same map
 keys the tables of a ``MappingTorus`` window (``orbit_key``), so that the
 window reads each distinct table once.
 """
@@ -27,8 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .errors import (
     ConfigurationError,
@@ -40,8 +40,9 @@ from .metric import MetricSample
 CIRCLE_TOL = 1e-9
 MAX_SUSPEND_STEPS = 10_000_000
 # Entries held at once by one block of work: the (x, z, y) redundancy test of
-# the pruning, the rows of one closure Dijkstra, the column indices of one
-# closure gather, the points of one window flow and a window's table stack.
+# the pruning, the rows of one closure solve, the edges of one relaxation step,
+# the column indices of one closure gather, the points of one window flow and
+# a window's table stack.
 BLOCK_ENTRIES = 1 << 16
 
 
@@ -185,6 +186,51 @@ def suspend(sys: DynSystem, roof: RoofFunction, points, t: float) -> list:
     return [SuspensionPoint(int(x), float(h)) for x, h in zip(states, heights)]
 
 
+def _chain_rows(graph, sources):
+    """Least chain lengths from each source node, as a (len(sources), n) array.
+
+    ``graph`` holds the CSR arrays (data, indices, indptr) of n nodes with
+    nonnegative edge costs.  Label-correcting relaxation (Bellman 1958, On a
+    routing problem): the sources start at 0 and every other node at inf;
+    each round relaxes the out-edges of the nodes whose distance the last
+    round lowered, by ``np.minimum.at`` into one flat (k n) distance array,
+    and the rounds stop when none is lowered.  Every distance is then a
+    path's left-to-right float sum and at most fl(D(u) + c) for each edge
+    (u, v); float addition is monotone and a nonnegative cost never lowers
+    a sum, so along a least path these bounds give its sum, and the
+    fixpoint is the least left-to-right float sum over paths: the rows
+    Dijkstra returns, bit for bit.  A least path can be taken simple, so
+    there are at most n rounds.  A round expands its nodes' out-edges in
+    pieces of at most BLOCK_ENTRIES edges plus one node's out-degree.
+    """
+    data, indices, indptr = graph
+    n = len(indptr) - 1
+    degree = np.diff(indptr)
+    dist = np.full(len(sources) * n, np.inf)
+    frontier = np.arange(len(sources)) * n + sources
+    dist[frontier] = 0.0
+    while len(frontier):
+        before = dist.copy()
+        nodes = frontier % n
+        deg = degree[nodes]
+        ends = deg.cumsum()
+        # Edge index of each node's j-th out-edge, less its position j in the round.
+        first = indptr[nodes] - ends + deg
+        rows = frontier - nodes
+        bounds = [0, len(frontier)]
+        if ends[-1] > BLOCK_ENTRIES:
+            bounds[1:1] = ends.searchsorted(np.arange(BLOCK_ENTRIES, ends[-1], BLOCK_ENTRIES), "right")
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if lo == hi:
+                continue
+            d = deg[lo:hi]
+            edges = np.arange(ends[lo] - d[0], ends[hi - 1]) + first[lo:hi].repeat(d)
+            np.minimum.at(dist, rows[lo:hi].repeat(d) + indices[edges],
+                          dist[frontier[lo:hi]].repeat(d) + data[edges])
+        frontier = (dist < before).nonzero()[0]
+    return dist.reshape(len(sources), n)
+
+
 class BowenWaltersMetric:
     """Shortest chains of horizontal and vertical segments on a height grid.
 
@@ -288,10 +334,12 @@ class BowenWaltersMetric:
         _, first = np.unique(ends[:, 0] * n_nodes + ends[:, 1], return_index=True)
         low, high = ends[first].T
 
-        self._graph = csr_matrix(
-            (np.r_[cost[level, x, y], gaps[first], gaps[first]],
-             (np.r_[x * nL + level, low, high], np.r_[y * nL + level, high, low])),
-            shape=(n_nodes, n_nodes))
+        # CSR arrays (data, indices, indptr): out-edges by tail node, heads sorted.
+        tail = np.r_[x * nL + level, low, high]
+        head = np.r_[y * nL + level, high, low]
+        order = np.argsort(tail * n_nodes + head)
+        self._graph = (np.r_[cost[level, x, y], gaps[first], gaps[first]][order], head[order],
+                       np.r_[0, np.cumsum(np.bincount(tail, minlength=n_nodes))])
         # Chain-infimum rows of the representative nodes (r, t) only, row
         # _slot[x] * nL + t for every state x of r's orbit, solved on demand
         # and written in place, so the memory of rows that no table reads is
@@ -317,25 +365,19 @@ class BowenWaltersMetric:
 
         ``nodes`` is a vector, read as one (n, n) table, or a (k, n) stack
         of them, read as k tables.  Only representative nodes (r, t) get a
-        row: those that no earlier query solved are solved by Dijkstra from
-        BLOCK_ENTRIES // (node count) of them at a time over ``_graph``, run
-        as directed: the graph stores both directions of every edge, at one
-        cost.  Entry ((T^m r, t), (y, k)) is then read from row (r, t) at
-        column (T^-m y, k), BLOCK_ENTRIES entries of a table at a time.
-        That is exact: sigma^m maps the pruned graph onto itself with the
-        same costs, and Dijkstra with nonnegative costs returns the least
-        left-to-right float sum over paths, which sigma^m keeps path by path.
+        row: those that no earlier query solved are solved by ``_solve``
+        over ``_graph``, run as directed: the graph stores both directions
+        of every edge, at one cost.  Entry ((T^m r, t), (y, k)) is then read
+        from row (r, t) at column (T^-m y, k), BLOCK_ENTRIES entries of a
+        table at a time.  That is exact: sigma^m maps the pruned graph onto
+        itself with the same costs, and a row holds the least left-to-right
+        float sum over paths (see ``_chain_rows``), which sigma^m keeps path
+        by path.
         """
         nL = self.n_levels
         nodes = np.arange(self.n_states * nL) if nodes is None else np.asarray(nodes)
         states, levels = np.divmod(nodes, nL)
-        rows = self._slot[states] * nL + levels
-        solve = np.unique(rows[~self._solved[rows]])
-        size = max(1, BLOCK_ENTRIES // max(1, self._rows.shape[1]))
-        for lo in range(0, len(solve), size):
-            block = solve[lo:lo + size]
-            self._rows[block] = dijkstra(self._graph, indices=self._sources[block])
-        self._solved[solve] = True
+        rows = self._solve(nodes)
         # Row q of the stacked tables belongs to table q // n.
         n = nodes.shape[-1]
         k = math.prod(nodes.shape[:-1])
@@ -348,6 +390,22 @@ class BowenWaltersMetric:
             cols = self._back[shifts[lo:lo + size, None], states[table]] * nL + levels[table]
             out[lo:lo + size] = self._rows[rows[lo:lo + size, None], cols]
         return out.reshape(nodes.shape + (n,))
+
+    def _solve(self, nodes):
+        """The representative rows of the nodes, solving those no earlier call solved.
+
+        They are solved by ``_chain_rows`` from BLOCK_ENTRIES // (node
+        count) sources at a time.
+        """
+        states, levels = np.divmod(nodes, self.n_levels)
+        rows = self._slot[states] * self.n_levels + levels
+        solve = np.unique(rows[~self._solved[rows]])
+        size = max(1, BLOCK_ENTRIES // max(1, self._rows.shape[1]))
+        for lo in range(0, len(solve), size):
+            block = solve[lo:lo + size]
+            self._rows[block] = _chain_rows(self._graph, self._sources[block])
+        self._solved[solve] = True
+        return rows
 
     def orbit_key(self, nodes):
         """Each node vector (the last axis) moved by sigma^-m, m the shift of its first state.
@@ -444,7 +502,8 @@ class MappingTorus:
     def _distinct(self, block, nodes, seen):
         """The times and tables of the node rows whose ``orbit_key`` is not in ``seen``.
 
-        The tables are read BLOCK_ENTRIES // n^2 at a time.
+        The rows of all the new tables are solved in one ``_solve`` call
+        first; the tables are then read BLOCK_ENTRIES // n^2 at a time.
         """
         new = []
         for i, key in enumerate(self._bw.orbit_key(nodes)):
@@ -452,6 +511,7 @@ class MappingTorus:
             if key not in seen:
                 seen.add(key)
                 new.append(i)
+        self._bw._solve(nodes[new])
         n = nodes.shape[1]
         size = max(1, BLOCK_ENTRIES // max(1, n * n))
         for lo in range(0, len(new), size):

@@ -41,6 +41,9 @@ from .kernel import KernelSpec, certify_constants
 from .metric import MetricSample, OrbitMetricSpec, orbit_metric_R
 
 GRID_STEP = 0.1
+# Most entries of a generated system's (n, n) float64 metric: 2^27 entries are
+# 1 GiB, which cube_shift_system(2, 6) (8,197 states) fits and (1, 7) does not.
+METRIC_MAX_ENTRIES = 1 << 27
 BAND = Band(0.0, 2.0)  # the pipeline kernel's band
 TAU = 0.5              # the pipeline kernel's bump width
 SIGNAL_WINDOW = 16.0   # half-length of the pipeline's signal window
@@ -62,11 +65,20 @@ def cube_shift_system(D: int, N: int, dense: bool | None = None) -> DynSystem:
     state space is the full grid product; for D >= 2 a shift-invariant
     subset carrying the same greedy-cover structure keeps the sample
     size workable.  In the eps = 0.3 grid regime the width estimate of
-    the k-window metric is exactly D*k.
+    the k-window metric is exactly D*k.  D and N below 1, or a state count
+    whose metric would hold more than METRIC_MAX_ENTRIES entries, raise
+    ``ConfigurationError`` before any state is made.
     """
     h = GRID_STEP
+    if D < 1 or N < 1:
+        raise ConfigurationError(f"cube shift needs D >= 1 and N >= 1, got D = {D}, N = {N}")
     if dense is None:
         dense = D == 1
+    n_states = 4 ** (D * N) if dense else 2 ** (D * N + 1) - 1 + N
+    if n_states * n_states > METRIC_MAX_ENTRIES:
+        raise ConfigurationError(
+            f"cube shift D = {D}, N = {N} has {n_states} states; its metric would hold "
+            f"more than {METRIC_MAX_ENTRIES} entries")
     if dense:
         blocks = list(itertools.product([0.0, h, 2 * h, 3 * h], repeat=D))
         states = set(itertools.product(blocks, repeat=N))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 import flowdim.dynamics
@@ -210,15 +210,22 @@ def orbit_count(step):
 
 
 def count_sources(monkeypatch):
-    """Patch the closure's Dijkstra to record its source counts; returns the record."""
+    """Patch the closure's row solver to record its source counts; returns the record."""
     sources = []
+    solve = flowdim.dynamics._chain_rows
 
-    def counted(graph, *args, indices=None, **kwargs):
-        sources.append(len(indices))
-        return dijkstra(graph, *args, indices=indices, **kwargs)
+    def counted(graph, block):
+        sources.append(len(block))
+        return solve(graph, block)
 
-    monkeypatch.setattr(flowdim.dynamics, "dijkstra", counted)
+    monkeypatch.setattr(flowdim.dynamics, "_chain_rows", counted)
     return sources
+
+
+def pruned_csr(bw):
+    """The CSR arrays of ``bw._graph`` as a scipy matrix (indices in scipy's dtype)."""
+    n_nodes = bw.n_states * bw.n_levels
+    return csr_matrix(bw._graph, shape=(n_nodes, n_nodes))
 
 
 def same_csr(a, b):
@@ -364,6 +371,65 @@ class TestSuspend:
             RoofFunction([1.0, value])
 
 
+@st.composite
+def csr_graphs(draw):
+    """CSR arrays (data, indices, indptr) of a directed graph on 1-8 nodes.
+
+    Costs are nonnegative, zeros and repeated values included; nodes may
+    have no edges at all, and the graph need not be connected.
+    """
+    n = draw(st.integers(1, 8))
+    cost = st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.3, 1 / 3, 1.0]),
+                     st.floats(0.0, 10.0, allow_subnormal=False))
+    data, indices, indptr = [], [], [0]
+    for _ in range(n):
+        heads = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+        indices += heads
+        data += [draw(cost) for _ in heads]
+        indptr.append(len(indices))
+    return (np.array(data, dtype=float), np.array(indices, dtype=np.int64),
+            np.array(indptr, dtype=np.int64))
+
+
+class TestChainRows:
+    @settings(max_examples=200)
+    @given(data=st.data(), graph=csr_graphs())
+    def test_rows_are_dijkstra_s_bit_for_bit(self, data, graph):
+        n = len(graph[2]) - 1
+        sources = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6)))
+        rows = flowdim.dynamics._chain_rows(graph, sources)
+        want = dijkstra(csr_matrix(graph, shape=(n, n)), indices=sources)
+        assert rows.shape == (len(sources), n)
+        assert np.array_equal(rows, want)
+
+    def test_isolated_source_and_single_node(self):
+        # Node 2 has no edges: its row is 0 at itself and inf elsewhere, and
+        # nothing reaches it.
+        graph = (np.array([0.0, 0.5]), np.array([1, 0]), np.array([0, 1, 2, 2]))
+        rows = flowdim.dynamics._chain_rows(graph, np.array([2, 0]))
+        np.testing.assert_array_equal(rows, [[np.inf, np.inf, 0.0], [0.0, 0.0, np.inf]])
+        single = (np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(2, dtype=np.int64))
+        np.testing.assert_array_equal(flowdim.dynamics._chain_rows(single, np.array([0])), [[0.0]])
+
+    def test_dense_solve_expands_a_block_of_edges_at_a_time(self):
+        # The cube-shift torus keeps 132,352 edges on 1,280 nodes; one round
+        # from its 51 sources unchunked would expand some 6.7 million edges.
+        sys = cube_shift_system(1, 4)
+        bw = BowenWaltersMetric(sys, RoofFunction.constant(1.0, len(sys)), 4)
+        n = bw.n_states * bw.n_levels
+        sources = bw._sources[:flowdim.dynamics.BLOCK_ENTRIES // n]
+        degree = np.diff(bw._graph[2])
+        assert len(sources) == 51 and degree.max() < flowdim.dynamics.BLOCK_ENTRIES
+        tracemalloc.start()
+        try:
+            rows = flowdim.dynamics._chain_rows(bw._graph, sources)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 8 * flowdim.dynamics.BLOCK_ENTRIES
+        assert np.array_equal(rows, dijkstra(pruned_csr(bw), indices=sources))
+
+
 class TestBowenWalters:
     def test_identical_points(self, rot12, roof1):
         p = SuspensionPoint(2, 0.5)
@@ -458,7 +524,7 @@ class TestBowenWalters:
            classes=st.booleans(), permute=st.booleans())
     def test_pruned_closure_matches_the_dense_graph(self, data, n, grid, classes, permute):
         bw = drawn_metric(data, n, grid, classes, permute)
-        assert same_csr(bw._graph, pruned_every_row(bw))
+        assert same_csr(pruned_csr(bw), pruned_every_row(bw))
         np.testing.assert_allclose(bw.closure(), dijkstra(level_graph(bw), directed=False),
                                    rtol=1e-15, atol=0)
 
@@ -468,7 +534,7 @@ class TestBowenWalters:
     def test_directed_closure_is_the_undirected_one_bit_for_bit(self, data, n, grid, classes,
                                                                permute):
         bw = drawn_metric(data, n, grid, classes, permute)
-        pruned = bw._graph.tocoo()
+        pruned = pruned_csr(bw).tocoo()
         size = pruned.shape[0]
         # Both directions of every stored edge, explicit zeros included, at one cost.
         forward = np.argsort(pruned.row * size + pruned.col)
@@ -476,14 +542,14 @@ class TestBowenWalters:
         np.testing.assert_array_equal(pruned.row[forward], pruned.col[backward])
         np.testing.assert_array_equal(pruned.col[forward], pruned.row[backward])
         np.testing.assert_array_equal(pruned.data[forward], pruned.data[backward])
-        assert np.array_equal(bw.closure(), dijkstra(bw._graph, directed=False))
+        assert np.array_equal(bw.closure(), dijkstra(pruned_csr(bw), directed=False))
 
     @settings(max_examples=80)
     @given(data=st.data(), kind=st.sampled_from(["rotation", "identity", "mirror", "cycles"]),
            grid=st.integers(1, 6))
     def test_orbit_closure_matches_the_every_row_oracles(self, data, kind, grid):
         bw = isometric_metric(data, kind, grid)
-        assert same_csr(bw._graph, pruned_every_row(bw))
+        assert same_csr(pruned_csr(bw), pruned_every_row(bw))
         n_nodes = bw.n_states * bw.n_levels
         query = np.array(data.draw(st.lists(st.integers(0, n_nodes - 1), min_size=2,
                                             max_size=12)))
@@ -540,7 +606,7 @@ class TestBowenWalters:
         sources = count_sources(monkeypatch)
         got = bw.closure()
         assert sum(sources) == orbits * bw.n_levels
-        assert same_csr(bw._graph, pruned_every_row(bw))
+        assert same_csr(pruned_csr(bw), pruned_every_row(bw))
         assert np.array_equal(got, closure_every_row(bw))
 
     @settings(max_examples=40)
@@ -556,7 +622,7 @@ class TestBowenWalters:
         if moved == "pair":
             dist[1, 0] = dist[0, 1]
         bw = metric_on(data, dist, step, grid)
-        assert same_csr(bw._graph, pruned_every_row(bw))
+        assert same_csr(pruned_csr(bw), pruned_every_row(bw))
         n_nodes = bw.n_states * bw.n_levels
         query = np.array(data.draw(st.lists(st.integers(0, n_nodes - 1), min_size=1,
                                             max_size=12)))
@@ -582,7 +648,7 @@ class TestBowenWalters:
         nL = bw.n_levels
         points = [SuspensionPoint(i, j / 16) for i in range(96) for j in range(16)]
         table = bw.matrix(points)
-        graph = bw._graph.tocoo()
+        graph = pruned_csr(bw).tocoo()
         horizontal = graph.row % nL == graph.col % nL
         gaps = (graph.col[horizontal] // nL - graph.row[horizontal] // nL) % 96
         assert graph.nnz == 6528 and level_graph(bw).nnz == 158_304
@@ -595,7 +661,7 @@ class TestBowenWalters:
         # and, for Tx = x, the gluing edge of cost 0.
         sys = DynSystem(MetricSample([0, 1], np.array([[0.0, 1.0], [1.0, 0.0]])), [0, 1])
         bw = BowenWaltersMetric(sys, RoofFunction.constant(1.0, 2), height_grid=1)
-        assert bw._graph[0, 1] == 0.0 == level_graph(bw)[0, 1]
+        assert pruned_csr(bw)[0, 1] == 0.0 == level_graph(bw)[0, 1]
         assert bw.closure()[0, 1] == 0.0
 
     def test_empty_system_reads_empty_tables(self):
@@ -691,32 +757,20 @@ class TestMappingTorus:
         assert np.count_nonzero(torus._bw._solved) == 16
 
     def test_one_level_table_solves_only_its_rows(self, monkeypatch):
-        sources = []
-
-        def counted(graph, *args, indices=None, **kwargs):
-            sources.append(graph.shape[0] if indices is None else len(indices))
-            return dijkstra(graph, *args, indices=indices, **kwargs)
-
-        monkeypatch.setattr(flowdim.dynamics, "dijkstra", counted)
+        sources = count_sources(monkeypatch)
         torus = mapping_torus(rotation_system(12), height_grid=4)
         bw = BowenWaltersMetric(torus.sys, torus.roof, 4)
         table = bw.matrix(suspend(torus.sys, torus.roof, torus.values, 0.25))
         # The 12 query nodes of a 12 x 5-node graph share one level and one
-        # rotation orbit: one Dijkstra source, the other 11 rows permuted.
+        # rotation orbit: one solver source, the other 11 rows permuted.
         assert sources == [1]
         np.testing.assert_allclose(table, rotation_system(12).base.dist, rtol=0, atol=1e-12)
 
     def test_window_allocates_under_half_the_closure_rows(self, monkeypatch):
         # The benchmark torus window.  Its rows are solved a block of sources
-        # at a time and read as stacks of tables: one Dijkstra from all its
+        # at a time and read as stacks of tables: one solve from all its
         # 1,536 nodes alone would allocate 20 MB.
-        sources = []
-
-        def counted(graph, *args, indices=None, **kwargs):
-            sources.append(len(indices))
-            return dijkstra(graph, *args, indices=indices, **kwargs)
-
-        monkeypatch.setattr(flowdim.dynamics, "dijkstra", counted)
+        sources = count_sources(monkeypatch)
         torus = mapping_torus(rotation_system(96), height_grid=16)
         n_nodes = 96 * 17
         tracemalloc.start()

@@ -15,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import dijkstra
 
+import flowdim.instances
 from flowdim import cli
 from flowdim.cli import main
 from flowdim.dynamics import BowenWaltersMetric, RoofFunction, SuspensionPoint, suspend
-from flowdim.errors import InvariantViolationError
+from flowdim.errors import ConfigurationError, InvariantViolationError
 from flowdim.instances import cube_shift_system
 from flowdim.io import (
     CSV_CHUNK,
@@ -287,6 +288,32 @@ def test_solenoid_demo_out_of_range_exits_2_and_writes_nothing(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and says in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["--N-max", "0"], "N-max >= 1, got 0"),
+    (["--family", "binary", "--N-max", "0"], "N-max >= 1, got 0"),
+    (["--D", "0"], "D >= 1 and N >= 1, got D = 0"),
+    (["--N-max", "8"], "D = 1, N = 8 has 65536 states"),
+    (["--D", "1", "--N-max", "7"], "D = 1, N = 7 has 16384 states"),
+], ids=["no-windows", "binary-no-windows", "D-0", "N-8", "N-7"])
+def test_mdim_table_out_of_range_exits_2_and_writes_nothing(tmp_path, capsys, argv, says):
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "mdim-table", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and says in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("D, N, dense", [(1, 1, None), (1, 3, None), (2, 2, None), (2, 3, None),
+                                         (3, 2, None), (1, 3, False), (2, 2, True)])
+def test_cube_shift_cap_counts_the_states_it_builds(monkeypatch, D, N, dense):
+    n = len(cube_shift_system(D, N, dense))
+    monkeypatch.setattr(flowdim.instances, "METRIC_MAX_ENTRIES", n * n)
+    assert len(cube_shift_system(D, N, dense)) == n
+    monkeypatch.setattr(flowdim.instances, "METRIC_MAX_ENTRIES", n * n - 1)
+    with pytest.raises(ConfigurationError, match=f"has {n} states"):
+        cube_shift_system(D, N, dense)
 
 
 class TestCli:
