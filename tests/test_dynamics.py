@@ -781,7 +781,9 @@ class TestMappingTorus:
             tracemalloc.stop()
         assert peak < n_nodes * n_nodes * 8 / 2
         # One source per level that a point visits: the rotation is one orbit.
+        # The 16 new tables of the first time block are solved in one call.
         assert sum(sources) == 16
+        assert sources == [16]
         assert max(sources) <= flowdim.dynamics.BLOCK_ENTRIES // n_nodes
         np.testing.assert_array_equal(window.dist, rotation_system(96).base.dist)
 
