@@ -38,10 +38,12 @@ print("equivariance residual:", residual)
 
 # ## Bohr means pick out single coefficients
 
-sig = solenoid_embed(p, emb_small)
+# Bohr means are taken in closed form on the signal's own grid, which
+# must meet the quadrature step 0.01 of these frequencies.
+sig = solenoid_embed(p, SolenoidEmbedding(c=1.0, K=3, window=20.0, grid_step=0.01))
 for n in (1, 2, 3):
     lam = 2 * np.pi / math.factorial(n)
-    coeff = bohr_coefficient(lambda t: sig.evaluate(t), lam, 12.0)
+    coeff = bohr_coefficient(sig, lam, 12.0)
     print(f"short-average coefficient at 1/{n}!:", abs(coeff))
 
 # ## Full round trip over a long average

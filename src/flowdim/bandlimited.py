@@ -9,9 +9,9 @@ uses Kaiser-windowed sinc interpolation, accurate to ~1e-12 for
 signals respecting the declared band; its tap weights are computed once
 per distinct fractional grid offset.  ``_grid_factors`` splits
 exponentials on a uniform grid into block factors, built by recurrence
-from three exponentials per frequency; the exponential sums' values, the
-Bohr means of given values and the kernel's bump transform all run on
-it, and ``_grid_rounding`` bounds its rounding.
+from three exponentials per frequency; the exponential sums' values and
+the kernel's bump transform run on it (Bohr means, in closed form, need
+none), and ``_grid_rounding`` bounds its rounding.
 """
 
 from __future__ import annotations

@@ -215,12 +215,20 @@ def cmd_solenoid_demo(runner, params):
     return passed
 
 
+def _eps_list(params, default):
+    """The sorted epsilons of ``eps-list``; one not finite and positive is a configuration error."""
+    eps_list = sorted(float(e) for e in str(params.get("eps-list", default)).split(","))
+    bad = [eps for eps in eps_list if not 0.0 < eps < math.inf]
+    if bad:
+        raise ConfigurationError(f"need finite epsilons > 0 in eps-list, got {bad[0]}")
+    return eps_list
+
+
 def cmd_widim_sweep(runner, params):
     if "sample" not in params:
         raise ConfigurationError("widim-sweep requires --sample manifest.json")
     sample = load_sample_json(params["sample"])
-    eps_list = [float(e) for e in str(params.get("eps-list", "0.1,0.2,0.3")).split(",")]
-    rows = [(eps, 1, widim_upper(sample, eps)) for eps in sorted(eps_list)]
+    rows = [(eps, 1, widim_upper(sample, eps)) for eps in _eps_list(params, "0.1,0.2,0.3")]
     write_table_csv(runner.path(".csv"), rows)
     antitone = all(rows[i][2] >= rows[i + 1][2] for i in range(len(rows) - 1))
     runner.write_json(".json", {"antitone": antitone,
@@ -230,7 +238,7 @@ def cmd_widim_sweep(runner, params):
 
 def cmd_mdim_table(runner, params):
     family = params.get("family", "cube")
-    eps_list = sorted(float(e) for e in str(params.get("eps-list", "0.3")).split(","))
+    eps_list = _eps_list(params, "0.3")
     n_max = params.get("N-max", 4)
     if n_max < 1:
         raise ConfigurationError(f"need N-max >= 1, got {n_max}")

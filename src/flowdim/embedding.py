@@ -16,29 +16,27 @@ B = ceil(sqrt(n)), exp(2 pi i f t_j) is the product of a row factor in q
 and a column factor in r, both built by recurrence from three
 exponentials per frequency, so ``exp_sum_grid`` computes the n values as
 one rank-K matrix product; one ``exp_sum_grid`` call takes a matrix of
-coefficient rows, one signal per row, on the same factors.  The Bohr
-means of given values contract them with the same two factors at the
-frequencies -lam / (2 pi), all of them in one pass over the values.
+coefficient rows, one signal per row, on the same factors.
 ``exp_sum_signals`` refuses a frequency outside the band and more than
 ``EXP_SUM_MAX_SAMPLES`` samples, and certifies the sup bound of such
 signals from their coefficients (``exp_sum_bound``), all before any grid
 is evaluated, so no sample is scanned for it.  Its signals evaluate
-their values only when asked for them: on such a signal's own grid the
-trapezoid sum of each term is a geometric series, so its Bohr means are
-taken in closed form from the coefficients (``_exp_sum_means``) and the
-round trip evaluates no sample.  The perturbation stage
-corrects an equivariant signal map on a lattice of sample nodes using
-the interpolation kernel, within a certified sup budget, so that the
-pair (signal map, solenoid factor) separates sample states.  Its kernel
-sum on the signal grid is, per node phase, a correlation of the node
-weights with one table of the kernel, taken as one block product on
-the lattice the nodes' grid steps lie on (``_lattice_sum``).
+their values only when asked for them.  Bohr means are taken in closed
+form only: on such a signal's own grid the trapezoid sum of each term
+is a geometric series, so its means come from the coefficients
+(``_exp_sum_means``) and the round trip evaluates no sample.  The
+perturbation stage corrects an equivariant signal map on a lattice of
+sample nodes using the interpolation kernel, within a certified sup
+budget, so that the pair (signal map, solenoid factor) separates sample
+states.  Its kernel sum on the signal grid is, per node phase, a
+correlation of the node weights with one table of the kernel, taken as
+one block product on the lattice the nodes' grid steps lie on
+(``_lattice_sum``).
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -83,8 +81,7 @@ MAX_TRIES = 10_000  # perturbations epsilon_embedding_search draws before it giv
 # certifies on the whole line.
 NODE_MARGIN = 200.0
 # Most samples one exp_sum_signals call makes, rows times grid (134 MB of
-# complex values if evaluated; Bohr means on the grid evaluate none), and
-# most nodes of a Bohr mean over a callable or an interpolated Signal.
+# complex values if evaluated; Bohr means on the grid evaluate none).
 # solenoid-demo's signal, window 10,050 at step 0.01, holds 2,010,001.
 EXP_SUM_MAX_SAMPLES = 1 << 23
 # Deepest solenoid truncation: 22! is the largest factorial float64
@@ -287,31 +284,8 @@ def exp_sum_signals(coeffs, freqs, band: Band, window: float, grid_step: float):
     return signals
 
 
-def _trapezoid_mean(vals, lam, t0: float, dt: float, T: float):
-    """(dt / T) times the trapezoid sums of v_j exp(-i lam_k t_j), t_j = t0 + j dt, j < n.
-
-    One sum per frequency lam_k, all in one contraction of the n values:
-    the values reshaped to rows of B times the B x K tail factor of
-    ``_grid_factors``, each row's product times its head factor.
-    """
-    n = len(vals)
-    if n < 2:
-        return np.zeros(len(lam), dtype=complex)  # no interval, as with np.trapezoid
-    head, tail = _grid_factors(-np.asarray(lam, dtype=float), t0, dt, n)
-    B = len(tail)
-    full = n // B
-    # Sum each frequency's products as one contiguous row, pairwise, so the
-    # order does not depend on how many frequencies share the pass.
-    total = (head[:full] * (vals[:full * B].reshape(full, B) @ tail)).T.copy().sum(axis=1)
-    if full < len(head):
-        total += head[full] * (vals[full * B:] @ tail[:n - full * B])
-    last = n - 1
-    ends = vals[0] * head[0] + vals[last] * head[last // B] * tail[last % B]
-    return (total - ends / 2.0) * dt / T
-
-
 def _exp_sum_means(coeffs, omega, lam, t0: float, dt: float, n: int, T: float):
-    """``_trapezoid_mean`` of sum_k c_k exp(i omega_k t_j), t_j = t0 + j dt, j < n, in closed form.
+    """Trapezoid means of sum_k c_k exp(i (omega_k - lam) t) on t0 + j dt, j < n, in closed form.
 
     With theta = omega_k - lam, phi = theta dt / 2 and N = max(n - 1, 0),
     the trapezoid sum of exp(i theta t_j) is a geometric series,
@@ -387,27 +361,36 @@ def _step_requirement(lam):
     return np.minimum(0.01, 0.125 / (np.abs(lam) + 1.0))
 
 
+def _mean_nodes(window: float, dt: float, size: int, lam, T: float, start: float):
+    """First node t0 and count n of the ``_nodes_in`` of [start, start + T].
+
+    The grid is -window + dt j, j < size.  Raises ``ConfigurationError``
+    unless dt meets the step requirement of every frequency in lam and
+    [start, start + T] lies in the window.
+    """
+    if not (np.all(dt <= _step_requirement(lam)) and -window <= start
+            and start + T <= window):
+        raise ConfigurationError(
+            f"the means over [{start:g}, {start + T:g}] do not take the grid of step {dt:g} "
+            f"on [-{window:g}, {window:g}]")
+    i0, i1 = _nodes_in(window, dt, size, T, start)
+    return -window + dt * i0, i1 - i0
+
+
 def bohr_coefficient(sig, lam, T: float, start: float = 0.0):
     """Time average (1/T) int_start^(start+T) f(t) exp(-i lam t) dt by composite trapezoid.
 
-    ``sig`` is a callable t-array -> values, or a Signal whose grid
-    covers [start, start + T] (used directly when fine enough, else
-    interpolated).  The quadrature step obeys step <= min(0.01,
-    1/(8 |lam| + 8)); the average converges to the coefficient at
-    frequency lam at rate O(1/T) for absolutely summable exponential
-    sums.  A scalar ``lam`` gives a complex, an array of frequencies the
-    array of their averages.
-
-    The nodes form a uniform grid t_j = t0 + j dt: the Signal's own
-    nodes in [start, start + T] (1e-12 slack at both ends), or
-    linspace(start, start + T) for callables and interpolated Signals.
-    Frequencies that share a step requirement share one contraction of
-    those values (``_trapezoid_mean``).  On its own grid, a signal of
-    ``exp_sum_signals`` has its means in closed form from its
-    coefficients (``_exp_sum_means``), so none of its values is
-    evaluated.  A frequency, T or start that is not finite, T <= 0, or
-    more than ``EXP_SUM_MAX_SAMPLES`` linspace nodes raise
-    ``ConfigurationError`` before any node is made.
+    ``sig`` is a signal of ``exp_sum_signals`` (as ``solenoid_embed``
+    makes), and the trapezoid runs on its own nodes in [start, start + T]
+    (1e-12 slack at both ends), where the means are taken in closed form
+    from its coefficients (``_exp_sum_means``), so none of its values is
+    evaluated.  Its grid step must obey step <= min(0.01, 1/(8 |lam| +
+    8)) at every frequency, and the interval must lie in its window; the
+    average converges to the coefficient at frequency lam at rate O(1/T).
+    A scalar ``lam`` gives a complex, an array of frequencies the array
+    of their averages.  Any other signal or callable, a coarser grid, an
+    interval off the window, a frequency, T or start that is not finite,
+    or T <= 0 raise ``ConfigurationError`` before any node is made.
     """
     if not (0.0 < T < math.inf and math.isfinite(start)):
         raise ConfigurationError(
@@ -416,36 +399,13 @@ def bohr_coefficient(sig, lam, T: float, start: float = 0.0):
     flat = lams.ravel()
     if not np.all(np.isfinite(flat)):
         raise ConfigurationError(f"need finite frequencies, got {flat[~np.isfinite(flat)][0]}")
-    steps = _step_requirement(flat)
-    out = np.empty(len(flat), dtype=complex)
-    for step_req in np.unique(steps):
-        mine = steps == step_req
-        out[mine] = _bohr_means(sig, flat[mine], T, start, step_req)
-    return complex(out[0]) if lams.ndim == 0 else out.reshape(lams.shape)
-
-
-def _bohr_means(sig, lam, T: float, start: float, step_req: float):
-    """``bohr_coefficient`` at the frequencies lam, on nodes at most step_req apart."""
-    if (isinstance(sig, Signal) and sig.grid_step <= step_req
-            and -sig.window <= start and start + T <= sig.window):
-        i0, i1 = _nodes_in(sig.window, sig.grid_step, len(sig), T, start)
-        t0 = -sig.window + sig.grid_step * i0
-        if isinstance(sig, _ExpSumSignal):
-            return _exp_sum_means(sig.coeffs, sig.omega, lam, t0, sig.grid_step, i1 - i0, T)
-        return _trapezoid_mean(sig.values[i0:i1], lam, t0, sig.grid_step, T)
-    span = T / float(step_req)  # float division: inf past float64, with no warning
-    if not span + 1 <= EXP_SUM_MAX_SAMPLES:
-        nodes = f"{span + 1:.4g}" if span < math.inf else f"over {sys.float_info.max:.2g}"
+    if not isinstance(sig, _ExpSumSignal):
         raise ConfigurationError(
-            f"averaging over length {T:g} at step {step_req:.3g} needs {nodes} nodes, "
-            f"more than {EXP_SUM_MAX_SAMPLES}")
-    n = int(math.ceil(span))
-    tt = np.linspace(start, start + T, n + 1)
-    if isinstance(sig, Signal):
-        vals = sig.evaluate(tt)
-    else:
-        vals = np.asarray(sig(tt), dtype=complex)
-    return _trapezoid_mean(vals, lam, start, T / n, T)
+            f"Bohr means are taken in closed form, on a signal of exp_sum_signals; "
+            f"got {type(sig).__name__}")
+    t0, n = _mean_nodes(sig.window, sig.grid_step, len(sig), flat, T, start)
+    out = _exp_sum_means(sig.coeffs, sig.omega, flat, t0, sig.grid_step, n, T)
+    return complex(out[0]) if lams.ndim == 0 else out.reshape(lams.shape)
 
 
 def bohr_cross_term_bound(moduli, freqs, m_index: int, T: float) -> float:
@@ -470,7 +430,6 @@ def solenoid_recover(sig, emb: SolenoidEmbedding, T: float,
     recovered x_{n+1} must equal x_n (mod n!) within 0.05, or within
     e_n + e_{n+1} where larger, e_n the ``solenoid_error_bounds`` of
     coordinate n: for an embedding image the two errors stay within it.
-    So the means must take the embedding's grid, as those bounds require.
     ``bounds``, if given, must be ``solenoid_error_bounds(emb, T, start)``,
     which is otherwise computed here: a caller recovering many signals
     on one interval computes it once.
@@ -517,16 +476,10 @@ def solenoid_error_bounds(emb: SolenoidEmbedding, T: float, start: float = 0.0):
     """
     window, dt = emb.window, emb.grid_step
     omega = 2.0 * np.pi * emb.frequencies()
-    if not (dt <= _step_requirement(omega).min() and -window <= start
-            and start + T <= window):
-        raise ConfigurationError(
-            f"the means over [{start:g}, {start + T:g}] do not take the grid of step {dt:g} "
-            f"on [-{window:g}, {window:g}]")
-    i0, i1 = _nodes_in(window, dt, int(round(2 * window / dt)) + 1, T, start)
-    t0 = -window + dt * i0
+    t0, nodes = _mean_nodes(window, dt, int(round(2 * window / dt)) + 1, omega, T, start)
     moduli = 2.0 ** -np.arange(emb.m, emb.K + 1)
-    scale = max(i1 - i0 - 1, 0) * dt / T
-    rounding = _exp_sum_mean_rounding(moduli, omega, omega, t0, dt, i1 - i0, T)
+    scale = max(nodes - 1, 0) * dt / T
+    rounding = _exp_sum_mean_rounding(moduli, omega, omega, t0, dt, nodes, T)
     bounds = []
     for i, n in enumerate(range(emb.m, emb.K + 1)):
         perturbation = bohr_cross_term_bound(moduli, omega, i, T) + rounding

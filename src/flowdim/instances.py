@@ -93,8 +93,11 @@ def cube_shift_system(D: int, N: int, dense: bool | None = None) -> DynSystem:
     states = sorted(states)
     index = {s: i for i, s in enumerate(states)}
     step = [index[s[1:] + s[:1]] for s in states]
-    block0 = np.array([s[0] for s in states])
-    dist = np.max(np.abs(block0[:, None, :] - block0[None, :, :]), axis=2)
+    # Block 0 takes few distinct values (8 for D = 2 sparse): their sup
+    # distances are taken once and gathered per pair of states.
+    values, inv = np.unique(np.array([s[0] for s in states]), axis=0, return_inverse=True)
+    table = np.max(np.abs(values[:, None, :] - values[None, :, :]), axis=2)
+    dist = table[np.ix_(inv, inv)]
     return DynSystem(MetricSample(states, dist, validate=False), step)
 
 

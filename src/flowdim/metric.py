@@ -126,8 +126,8 @@ def cover_nerve(sample: MetricSample, eps: float) -> CoverNerve:
     point seeds the open ball of radius eps/2 around it.  Deterministic
     given the point enumeration.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     n = len(sample)
     if n == 0:
         return CoverNerve(cover=[], order=0, nerve_dim=0, eps=eps)
@@ -178,8 +178,8 @@ def spanning_number(sample: MetricSample, eps: float) -> int:
     lowest id) and carries the classical guarantee
     greedy <= (1 + ln n) * optimum.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     n = len(sample)
     if n == 0:
         return 0

@@ -52,7 +52,6 @@ from flowdim.errors import (
     PreconditionError,
     SearchBudgetError,
     TruncationDepthError,
-    WindowExhaustedError,
 )
 from flowdim.metric import MetricSample
 from oracles import kernel_rows, solenoid_distance, weighted_sup
@@ -314,10 +313,10 @@ def assert_matches_masked_trapezoid(window, T, start=None):
 
 
 def one_pass_mean(vals, lam, t0, dt, T):
-    """The trapezoid means of ``_trapezoid_mean`` as one contraction of all the values.
+    """(dt / T) times the trapezoid sums of v_j exp(-i lam_k t_j), t_j = t0 + j dt, j < n.
 
-    The oracle of the closed-form means of exponential-sum signals, and
-    the reference for the bits of the numeric means.
+    One sum per frequency lam_k, all in one contraction of the n values v:
+    the oracle of the closed-form means of exponential-sum signals.
     """
     n = len(vals)
     if n < 2:
@@ -381,6 +380,18 @@ from_a_start = pytest.mark.parametrize("window, T, start", [
     (10050.0, 2e4, -1e4), (600.005, 300.0, -123.456789), (600.005, 0.004, -300.0031),
     (60.0, 120.0, -60.0), (60.0, 17.5, 42.5)],
     ids=["solenoid-demo", "off-lattice", "no-node", "whole-window", "right-edge"])
+
+
+# The grid step 0.01 meets the step requirement of every frequency in
+# [-11.5, 11.5].
+FINE = SolenoidEmbedding(c=1.0, K=4, window=60.0, grid_step=0.01)
+
+
+def tones(coeffs, omega, window):
+    """The exponential-sum signal sum_k c_k exp(i omega_k t) on [-window, window] at step 0.01."""
+    [sig] = exp_sum_signals([coeffs], np.asarray(omega) / (2 * np.pi), Band(0.0, 1.0),
+                            window, 0.01)
+    return sig
 
 
 def assert_refused_before_any_node(source, lam, T, start, says):
@@ -448,138 +459,97 @@ class TestBohrCoefficient:
                          -11.5, 11.5] + data.draw(st.lists(st.floats(-11.5, 11.5), max_size=3)))
         assert_closed_form_matches_the_values(sig, lams, T, start)
 
-    def test_callable_means_are_the_one_pass_contraction_bit_for_bit(self):
-        # 326,041 nodes make 571 rows of B = 571.
-        T, start = 3260.395, -17.25
-        lams = np.array([2 * np.pi, np.pi, 0.3, -2.0])
-        tt = np.linspace(start, start + T, 326_041)
-
-        def tones(t):
-            return 0.5 * np.exp(2j * np.pi * t) + 0.25 * np.exp(-1j * t)
-
-        want = one_pass_mean(tones(tt), lams, start, T / 326_040, T)
-        assert np.array_equal(bohr_coefficient(tones, lams, T, start), want)
-
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, [1.0, math.nan]])
     def test_frequency_that_is_not_finite_is_configuration_error(self, lam):
-        emb = SolenoidEmbedding(c=1.0, K=4, window=60.0, grid_step=0.01)
-        sig = solenoid_embed(solenoid_from_time(9.1, 4), emb)
-        for source in (sig, lambda t: np.ones_like(t, dtype=complex)):
-            assert_refused_before_any_node(source, lam, 50.0, 0.0, "need finite frequencies")
+        sig = solenoid_embed(solenoid_from_time(9.1, 4), FINE)
+        assert_refused_before_any_node(sig, lam, 50.0, 0.0, "need finite frequencies")
         assert not evaluated(sig)
 
-    @pytest.mark.parametrize("lam, T, start, interpolated, says", [
-        (0.0, 1e6, 0.0, False, "needs 1e+08 nodes, more than 8388608"),
-        (1e300, 1.0, 0.0, False, "needs 8e+300 nodes"),
-        (1e308, 1.0, 0.0, False, "needs over 1.8e+308 nodes"),
-        (-1e308, 200.0, -100.0, True, "needs over 1.8e+308 nodes"),
-        (1e4, 200.0, -100.0, True, "needs 1.6e+07 nodes")],
-        ids=["long-callable", "huge-frequency", "overflowing-frequency",
-             "overflowing-interpolated", "interpolated"])
-    def test_more_nodes_than_the_cap_is_configuration_error(self, lam, T, start, interpolated,
-                                                            says):
-        # Frequency 1e4 needs a step of 1/80008, finer than the grid's
-        # 1/8, so the Signal would be interpolated on 1.6e7 nodes.
-        emb = SolenoidEmbedding(c=1.0, K=4, window=100.0)
-        sig = solenoid_embed(solenoid_from_time(9.1, 4), emb)
-        source = sig if interpolated else (lambda t: np.ones_like(t, dtype=complex))
-        assert_refused_before_any_node(source, lam, T, start, says)
-        assert not evaluated(sig)
+    @pytest.mark.parametrize("source, lam, T, start, says", [
+        ("callable", np.pi, 50.0, 0.0, "got function"),
+        ("plain", np.pi, 50.0, 0.0, "got Signal"),
+        ("coarse", np.pi, 30.0, -25.5, "do not take the grid of step 0.125"),
+        ("fine", 12.0, 30.0, -25.5, "do not take the grid of step 0.01"),
+        ("fine", 1e308, 1.0, 0.0, "do not take the grid of step 0.01"),
+        ("fine", np.pi, 50.0, 20.0, "the means over [20, 70] do not take the grid"),
+        ("fine", np.pi, 50.0, -61.0, "the means over [-61, -11] do not take the grid"),
+        ("fine", np.pi, 10.0, 55.0, "the means over [55, 65] do not take the grid")],
+        ids=["callable", "plain-signal", "coarse-grid", "frequency-12", "frequency-1e308",
+             "past-the-right-edge", "before-the-left-edge", "at-the-right-edge"])
+    def test_anything_but_an_exp_sum_signal_on_its_grid_is_refused_before_any_node(
+            self, source, lam, T, start, says):
+        # Frequencies pi and 12 need steps 0.01 and 1/104: the default grid
+        # of band [0, 1] has step 1/8, and the 0.01 grid is too coarse for
+        # 12.  The window is [-60, 60].
+        coarse = solenoid_embed(solenoid_from_time(9.1, 4),
+                                SolenoidEmbedding(c=1.0, K=4, window=60.0))
+        fine = solenoid_embed(solenoid_from_time(9.1, 4), FINE)
+        plain = Signal(fine.band, fine.window, fine.grid_step, exp_sum_grid(
+            fine.coeffs, fine.omega / (2 * np.pi), -fine.window, fine.grid_step, len(fine)))
+        sources = {"callable": lambda t: np.ones_like(t, dtype=complex), "plain": plain,
+                   "coarse": coarse, "fine": fine}
+        assert_refused_before_any_node(sources[source], lam, T, start, says)
+        assert not evaluated(coarse) and not evaluated(fine)
 
     def test_explicit_zero_start_is_the_default_bit_for_bit(self):
-        emb = SolenoidEmbedding(c=1.0, K=4, window=60.0, grid_step=0.01)
-        sig = solenoid_embed(solenoid_from_time(9.1, 4), emb)
-        lams = np.array([2 * np.pi, np.pi, np.pi / 3, np.pi / 12, 0.7, -3.0, 12.0])
-        for source in (sig, lambda t: np.exp(2j * np.pi * t)):
-            for T in (50.0, 12.34, 0.004):
-                assert np.array_equal(bohr_coefficient(source, lams, T, 0.0),
-                                      bohr_coefficient(source, lams, T))
+        sig = solenoid_embed(solenoid_from_time(9.1, 4), FINE)
+        lams = np.array([2 * np.pi, np.pi, np.pi / 3, np.pi / 12, 0.7, -3.0])
+        for T in (50.0, 12.34, 0.004):
+            assert np.array_equal(bohr_coefficient(sig, lams, T, 0.0),
+                                  bohr_coefficient(sig, lams, T))
         emb = SolenoidEmbedding(c=1.0, K=3, window=600.0, grid_step=0.01)
         sig = solenoid_embed(solenoid_from_time(4.3, 3), emb)
         assert (solenoid_recover(sig, emb, 500.0, start=0.0).coords
                 == solenoid_recover(sig, emb, 500.0).coords)
 
-    @pytest.mark.parametrize("T, start", [(50.0, 20.0), (50.0, -61.0), (10.0, 55.0)])
-    def test_interval_off_the_window_is_interpolated_and_exhausts_it(self, T, start):
-        # [start, start + T] leaves the window [-60, 60], so the Signal path
-        # does not apply, and interpolating at its far end runs out of window.
-        emb = SolenoidEmbedding(c=1.0, K=4, window=60.0, grid_step=0.01)
-        sig = solenoid_embed(solenoid_from_time(9.1, 4), emb)
-        with pytest.raises(WindowExhaustedError):
-            bohr_coefficient(sig, np.pi, T, start)
-
-    def test_coarse_grid_is_interpolated_from_a_start(self):
-        # Frequencies 12 and pi need steps 1/104 and 0.01, finer than the
-        # grid's 1/8: the signal is interpolated on linspace(start, start + T).
-        emb = SolenoidEmbedding(c=1.0, K=4, window=60.0)
-        p = solenoid_from_time(9.1, 4)
-        sig = solenoid_embed(p, emb)
-        coeffs, freqs = solenoid_coefficients(p, emb), emb.frequencies()
-
-        def exact(t):
-            return np.exp(2j * np.pi * np.outer(t, freqs)) @ coeffs
-
-        for lam in (12.0, np.pi):
-            want = bohr_coefficient(exact, lam, 30.0, -25.5)
-            assert abs(bohr_coefficient(sig, lam, 30.0, -25.5) - want) <= 1e-10
-
     @pytest.mark.parametrize("T, start", [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan),
                                           (1.0, -math.inf)])
     def test_interval_that_is_not_finite_is_configuration_error(self, T, start):
+        sig = solenoid_embed(solenoid_from_time(9.1, 4), FINE)
         with pytest.raises(ConfigurationError, match="finite averaging interval"):
-            bohr_coefficient(lambda t: np.ones_like(t, dtype=complex), 1.0, T, start)
+            bohr_coefficient(sig, 1.0, T, start)
 
     def test_frequency_array_matches_the_scalar_calls(self):
-        # 12.0 needs a finer step than the signal's grid: the signal is
-        # interpolated for it, in a pass of its own.  Differences are taken
-        # relative to the largest mean, since the means at frequencies the
-        # sum lacks are O(1/T) residues of cancellation.
-        emb = SolenoidEmbedding(c=1.0, K=4, window=60.0, grid_step=0.01)
-        sig = solenoid_embed(solenoid_from_time(9.1, 4), emb)
-        lams = np.array([2 * np.pi, np.pi, np.pi / 3, np.pi / 12, 0.7, -3.0, 12.0])
-
-        def two_tones(t):
-            return 0.5 * np.exp(2j * np.pi * t) + 0.25 * np.exp(1j * np.pi * t)
-
-        for source in (sig, two_tones):
+        # Differences are taken relative to the largest mean, since the
+        # means at frequencies the sum lacks are O(1/T) residues of
+        # cancellation.
+        lams = np.array([2 * np.pi, np.pi, np.pi / 3, np.pi / 12, 0.7, -3.0, 11.5])
+        for sig in (solenoid_embed(solenoid_from_time(9.1, 4), FINE),
+                    tones([0.5, 0.25], [2 * np.pi, np.pi], 60.0)):
             for T in (50.0, 12.34):
-                want = [bohr_coefficient(source, lam, T) for lam in lams]
+                want = [bohr_coefficient(sig, lam, T) for lam in lams]
                 assert all(type(w) is complex for w in want)
-                got = bohr_coefficient(source, lams, T)
+                got = bohr_coefficient(sig, lams, T)
                 assert got.shape == lams.shape
                 assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
-                assert np.array_equal(bohr_coefficient(source, lams.reshape(7, 1), T), got[:, None])
+                assert np.array_equal(bohr_coefficient(sig, lams.reshape(7, 1), T), got[:, None])
 
     def test_nonpositive_length_is_configuration_error(self):
+        sig = solenoid_embed(solenoid_from_time(9.1, 4), FINE)
         with pytest.raises(ConfigurationError):
-            bohr_coefficient(lambda t: np.ones_like(t, dtype=complex), 1.0, 0.0)
+            bohr_coefficient(sig, 1.0, 0.0)
 
     def test_matching_frequency_is_exact(self):
-        lam = 2.0
-        val = bohr_coefficient(lambda t: np.exp(1j * lam * t), lam, 50.0)
-        assert abs(val - 1.0) < 1e-10
+        sig = tones([1.0], [2.0], 60.0)
+        assert abs(bohr_coefficient(sig, 2.0, 50.0) - 1.0) < 1e-10
 
     def test_mismatched_frequency_within_closed_form(self):
         lam, mu, T = 2.0, 3.0, 1000.0
-        val = bohr_coefficient(lambda t: np.exp(1j * mu * t), lam, T)
+        val = bohr_coefficient(tones([1.0], [mu], T), lam, T)
         assert abs(val) <= 2.0 / (T * abs(mu - lam))
 
     def test_two_term_sum_recovers_leading_coefficient(self):
-        f = lambda t: 0.5 * np.exp(2j * np.pi * t) + 0.25 * np.exp(1j * np.pi * t)
-        val = bohr_coefficient(f, 2 * np.pi, 2e4)
-        assert abs(val - 0.5) <= 1e-3
+        sig = tones([0.5, 0.25], [2 * np.pi, np.pi], 2e4)
+        assert abs(bohr_coefficient(sig, 2 * np.pi, 2e4) - 0.5) <= 1e-3
 
     def test_cross_term_bound_controls_measured_error(self):
         moduli = [0.5, 0.25, 0.125]
         freqs = [2 * np.pi, np.pi, 0.5 * np.pi]
         coeffs = [m * np.exp(2j * np.pi * p) for m, p in zip(moduli, (0.1, 0.4, 0.8))]
-
-        def f(t):
-            return sum(c * np.exp(1j * w * t) for c, w in zip(coeffs, freqs))
-
+        sig = tones(coeffs, freqs, 4000.0)
         for T in (500.0, 4000.0):
             for m_idx in range(3):
-                got = bohr_coefficient(f, freqs[m_idx], T)
+                got = bohr_coefficient(sig, freqs[m_idx], T)
                 bound = bohr_cross_term_bound(moduli, freqs, m_idx, T)
                 assert abs(got - coeffs[m_idx]) <= bound + 1e-9
 
@@ -680,8 +650,10 @@ class TestSolenoidRecover:
 
     def test_zero_signal_rejected(self):
         emb = SolenoidEmbedding(c=1.0, K=3, window=600.0, grid_step=0.01)
+        [zero] = exp_sum_signals([np.zeros(3)], emb.frequencies(), Band(0.0, emb.c),
+                                 emb.window, emb.grid_step)
         with pytest.raises(NotEmbeddingImageError):
-            solenoid_recover(lambda t: np.zeros_like(t, dtype=complex), emb, 500.0)
+            solenoid_recover(zero, emb, 500.0)
 
 
 def three_point_sample():

@@ -316,6 +316,40 @@ def test_cube_shift_cap_counts_the_states_it_builds(monkeypatch, D, N, dense):
         cube_shift_system(D, N, dense)
 
 
+@pytest.mark.parametrize("D, N, dense", [(1, 4, None), (1, 5, None), (2, 2, True), (2, 5, None),
+                                         (3, 3, None), (1, 4, False)])
+def test_cube_shift_metric_is_the_sup_distance_of_block_0(D, N, dense):
+    # The oracle takes the block-0 sup distance one state at a time.
+    sys = cube_shift_system(D, N, dense)
+    block0 = np.array([s[0] for s in sys.base.points])
+    want = np.array([np.abs(block0 - row).max(axis=1) for row in block0])
+    assert np.array_equal(sys.base.dist, want)
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["widim-sweep", "--eps-list", "nan,0.3"], "got nan"),
+    (["widim-sweep", "--eps-list", "nan"], "got nan"),
+    (["widim-sweep", "--eps-list", "0.2,inf"], "got inf"),
+    (["widim-sweep", "--eps-list", "0,0.3"], "got 0.0"),
+    (["mdim-table", "--eps-list", "0.3,nan", "--N-max", "2", "--metric-mean", "yes"], "got nan"),
+    (["mdim-table", "--eps-list", "inf"], "got inf"),
+    (["mdim-table", "--eps-list=-0.1,0.3"], "got -0.1"),
+], ids=["widim-nan", "widim-only-nan", "widim-inf", "widim-zero", "mdim-metric-mean-nan",
+        "mdim-inf", "mdim-negative"])
+def test_eps_that_is_not_finite_and_positive_exits_2_and_writes_nothing(tmp_path, capsys, argv,
+                                                                         says):
+    # A NaN eps would make mdim-table's spanning count loop for ever.
+    sample = tmp_path / "sample.json"
+    sample.write_text(json.dumps({"points": [[0, 0], [1, 0], [0.3, 0.1]], "metric": "euclidean"}))
+    if argv[0] == "widim-sweep":
+        argv = [*argv, "--sample", str(sample)]
+    out = tmp_path / "out"
+    assert main(["--out", str(out), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and says in err
+    assert not out.exists()
+
+
 class TestCli:
     def test_periodic_dim_json(self, tmp_path):
         code = main(["--out", str(tmp_path), "periodic-dim", "--a", "1", "--r", "2.5"])

@@ -231,6 +231,15 @@ class TestWidimUpper:
         assert covered.all()
 
 
+@pytest.mark.parametrize("eps", [math.nan, 0.0, -0.25])
+@pytest.mark.parametrize("count", [cover_nerve, spanning_number], ids=["cover", "spanning"])
+def test_eps_that_is_not_positive_is_refused(count, eps):
+    # A NaN eps covers no point: spanning_number would loop for ever and
+    # cover_nerve report order 1.
+    with pytest.raises(ValueError, match="eps must be positive"):
+        count(grid_sample(21), eps)
+
+
 class TestSpanningNumber:
     def test_covers_with_one_ball_at_diameter(self):
         s = grid_sample(30)
