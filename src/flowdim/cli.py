@@ -4,8 +4,10 @@
 ``{option: type}`` map.  Each option is the flag ``--option`` and can
 also be set in a flat key=value ``--config`` file under the key
 ``option``; flags take precedence, and a key that is no option is a
-configuration error.  ``main`` merges the two, builds the
-``Runner``, calls the function (which writes CSV/JSON files named
+configuration error.  ``main`` builds the parser of the one subcommand
+that argv names (the full parser when argv names none or asks for help
+first), merges the flags with the config file, builds the ``Runner``,
+calls the function (which writes CSV/JSON files named
 ``<subcommand>-<confighash>`` and returns whether its checks passed) and
 writes the run manifest.  All randomness flows from the single ``seed``
 key.  Exit codes: 0 when all internal contract checks pass, 1 on a
@@ -237,6 +239,10 @@ def cmd_widim_sweep(runner, params):
 
 
 def cmd_mdim_table(runner, params):
+    metric_mean = str(params.get("metric-mean", "no"))
+    if metric_mean.lower() not in ("yes", "true", "1", "no", "false", "0"):
+        raise ConfigurationError(f"need metric-mean yes, true, 1, no, false or 0, "
+                                 f"got {metric_mean!r}")
     family = params.get("family", "cube")
     eps_list = _eps_list(params, "0.3")
     n_max = params.get("N-max", 4)
@@ -251,7 +257,7 @@ def cmd_mdim_table(runner, params):
         sys = instances.binary_shift_system()
     else:
         raise ConfigurationError(f"unknown family {family!r}")
-    if str(params.get("metric-mean", "no")).lower() in ("yes", "true", "1"):
+    if metric_mean.lower() in ("yes", "true", "1"):
         table = metric_mdim_table(sys, eps_list, n_list)
     else:
         table = mdim_table(sys, eps_list, n_list)
@@ -335,22 +341,51 @@ COMMANDS = {
 }
 
 
-def build_parser():
+def build_parser(only=None):
+    """The parser of subcommand ``only``, or of every subcommand when it is None."""
     parser = argparse.ArgumentParser(
         prog="flowdim",
         description="Mean dimension, suspension, and band-limited embedding experiments")
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--out", default="artifacts", help="output directory")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (_, help_text, options) in COMMANDS.items():
+    # A one-subcommand parser names every subcommand in its usage line, as
+    # the full parser does; the full parser keeps argparse's name for the
+    # action, "subcommand", in its errors.
+    sub = parser.add_subparsers(dest="subcommand", required=True,
+                                metavar=None if only is None else "{" + ",".join(COMMANDS) + "}")
+    for name in COMMANDS if only is None else [only]:
+        _, help_text, options = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         for key, typ in options.items():
             p.add_argument(f"--{key}", type=typ)
     return parser
 
 
+def _subcommand(argv):
+    """The subcommand the full parser reads from ``argv``, or None if only it may parse ``argv``.
+
+    ``--config``, ``--out`` and their prefixes longer than ``--`` take the
+    next argument as their value unless written ``--opt=value``.  None
+    stands for any other option before the first positional (help, an
+    unknown option, a negative number, ``--``), a value that is missing or
+    starts with a minus, no positional, and a positional that names no
+    subcommand.
+    """
+    args = iter(argv)
+    for arg in args:
+        if not arg.startswith("-"):
+            return arg if arg in COMMANDS else None
+        name, eq, _ = arg.partition("=")
+        if len(name) <= 2 or not ("--config".startswith(name) or "--out".startswith(name)):
+            return None
+        if not eq and next(args, "-").startswith("-"):
+            return None
+    return None
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(_subcommand(argv)).parse_args(argv)
     func, _, options = COMMANDS[args.subcommand]
     runner = None
     try:

@@ -131,8 +131,9 @@ class SuspensionInstance:
 
     @classmethod
     def build(cls, base_size: int = 12, n_heights: int = 10, depth: int = 3):
-        if base_size % 6 != 0:
-            raise ConfigurationError("base size must be a multiple of 6")
+        if base_size < 6 or base_size % 6 != 0:
+            raise ConfigurationError(f"base size must be a multiple of 6 and at least 6, "
+                                     f"got {base_size}")
         flow = mapping_torus(rotation_system(base_size), n_heights, every_height=True)
         return cls(flow, depth, base_size, n_heights)
 

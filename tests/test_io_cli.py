@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -296,12 +299,35 @@ def test_solenoid_demo_out_of_range_exits_2_and_writes_nothing(tmp_path, capsys,
     (["--D", "0"], "D >= 1 and N >= 1, got D = 0"),
     (["--N-max", "8"], "D = 1, N = 8 has 65536 states"),
     (["--D", "1", "--N-max", "7"], "D = 1, N = 7 has 16384 states"),
-], ids=["no-windows", "binary-no-windows", "D-0", "N-8", "N-7"])
+    (["--metric-mean", "maybe"], "got 'maybe'"),
+], ids=["no-windows", "binary-no-windows", "D-0", "N-8", "N-7", "metric-mean-maybe"])
 def test_mdim_table_out_of_range_exits_2_and_writes_nothing(tmp_path, capsys, argv, says):
     out = tmp_path / "out"
     assert main(["--out", str(out), "mdim-table", *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and says in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, spanning", [("yes", True), ("TRUE", True), ("1", True),
+                                             ("no", False), ("False", False), ("0", False)])
+def test_mdim_table_metric_mean_reads_yes_and_no_in_any_case(tmp_path, value, spanning):
+    assert main(["--out", str(tmp_path), "mdim-table", "--N-max", "2",
+                 "--metric-mean", value]) == 0
+    [json_path] = (p for p in tmp_path.glob("mdim-table-*.json")
+                   if not p.name.endswith("-manifest.json"))
+    kind = json.loads(json_path.read_text())["kind"]
+    assert (kind == "log_spanning/(n|log eps|)") is spanning
+
+
+@pytest.mark.parametrize("size", ["0", "-6"])
+def test_embed_pipeline_base_size_below_6_exits_2_and_writes_nothing(tmp_path, capsys, size):
+    # 0 and -6 are multiples of 6, but the rotation on no states is empty.
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "embed-pipeline", "--base-size", size]) == 2
+    err = capsys.readouterr().err
+    assert err == ("configuration error: base size must be a multiple of 6 and at least 6, "
+                   f"got {size}\n")
     assert not out.exists()
 
 
@@ -347,6 +373,17 @@ def test_eps_that_is_not_finite_and_positive_exits_2_and_writes_nothing(tmp_path
     assert main(["--out", str(out), *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and says in err
+    assert not out.exists()
+
+
+def test_eps_list_with_a_leading_minus_is_a_usage_error_of_argparse(tmp_path, capsys):
+    # argparse reads -0.1,0.3 as a flag, so the eps check never sees it;
+    # --eps-list=-0.1,0.3 reaches it and names the epsilon.
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(out), "mdim-table", "--eps-list", "-0.1,0.3"])
+    assert exc.value.code == 2
+    assert "argument --eps-list: expected one argument" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -620,24 +657,109 @@ def test_unknown_config_key_exits_2_and_writes_nothing(tmp_path, capsys):
     assert "unknown config keys: rr" in capsys.readouterr().err
 
 
-def test_readme_cli_lines_parse_to_their_table_entry():
+def _readme_cli_lines():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"## CLI\n\n```\n(.*?)```", readme, re.S).group(1)
-    lines = [line for line in block.splitlines() if line.startswith("flowdim ")]
+    return [line for line in block.splitlines() if line.startswith("flowdim ")]
+
+
+def _parsed(parse, argv):
+    """What ``parse(argv)`` returns or its exit code, then its stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def test_readme_cli_lines_parse_to_their_table_entry():
+    # The full parser is also the oracle of the one-subcommand parser that main builds.
     seen = set()
-    for line in lines:
-        args = cli.build_parser().parse_args(shlex.split(line)[1:])
+    for line in _readme_cli_lines():
+        argv = shlex.split(line)[1:]
+        args = cli.build_parser().parse_args(argv)
         func = cli.COMMANDS[args.subcommand][0]
         assert func.__name__ == "cmd_" + args.subcommand.replace("-", "_")
+        assert cli._subcommand(argv) == args.subcommand
+        assert _parsed(cli.build_parser(args.subcommand).parse_args, argv) == (args, "", "")
         seen.add(args.subcommand)
     assert seen == set(cli.COMMANDS)
 
 
+@pytest.mark.parametrize("argv, sub", [
+    (["--out", "x", "periodic-dim", "--a", "1", "--bogus", "2"], "periodic-dim"),
+    (["--bogus", "periodic-dim", "--a", "1"], None),
+    (["--out", "x", "kernel-report", "--rho"], "kernel-report"),
+    (["--out"], None),
+    (["-h", "solenoid-demo"], None),
+    (["--out", "x", "-h", "solenoid-demo"], None),
+    (["solenoid-demo", "-h"], "solenoid-demo"),
+    (["--out", "x", "bw-metric", "--help"], "bw-metric"),
+    (["--ou", "periodic-dim", "kernel-report", "--rhoo", "1"], "kernel-report"),
+    (["--out=periodic-dim", "kernel-report", "--rhoo", "1"], "kernel-report"),
+    (["--out=x", "periodic-dim", "--a"], "periodic-dim"),
+    (["--out", "periodic-dim"], None),
+    (["--config", "mdim-table"], None),
+    ([], None),
+    (["--out", "x"], None),
+    (["no-such-command", "--a", "1"], None),
+    (["--", "periodic-dim"], None),
+    (["--out", "--", "periodic-dim"], None),
+    (["-1", "periodic-dim"], None),
+    (["--=x", "periodic-dim"], None),
+], ids=["unknown-option", "unknown-option-first", "missing-value", "missing-out-value",
+        "help-first", "help-before", "help-after", "long-help-after", "out-prefix", "out-equals",
+        "out-equals-missing-value", "subcommand-as-out", "subcommand-as-config",
+        "no-subcommand", "out-only", "unknown-subcommand", "double-dash", "out-double-dash",
+        "negative-number", "ambiguous-prefix"])
+def test_main_exits_as_the_full_parser_on_malformed_argv(argv, sub):
+    assert cli._subcommand(argv) == sub
+    want = _parsed(cli.build_parser().parse_args, argv)
+    assert want[0][0] == "exit"
+    assert _parsed(main, argv) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(
+    ["--out", "--ou", "--out=x", "--config", "--co", "--c=x", "x", "-h", "--he", "--", "-",
+     "-1", "--bogus", "--o x", "", "--a", "1", "--T", "--eps-list", "-0.1", *cli.COMMANDS]),
+    max_size=6))
+def test_one_subcommand_parser_parses_as_the_full_parser(argv):
+    want = _parsed(cli.build_parser().parse_args, argv)
+    assert _parsed(cli.build_parser(cli._subcommand(argv)).parse_args, argv) == want
+
+
+def test_main_adds_one_subparser_per_run(tmp_path, monkeypatch):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    line = next(line for line in _readme_cli_lines() if " periodic-dim " in line)
+    argv = [str(tmp_path) if a == "artifacts" else a for a in shlex.split(line)[1:]]
+    assert main(argv) == 0
+    assert added == ["periodic-dim"]
+
+
 def test_python_dash_m_runs_the_cli_from_the_source_tree():
     root = Path(__file__).resolve().parents[1]
-    done = subprocess.run([sys.executable, "-m", "flowdim", "--help"], cwd=root,
-                          env={**os.environ, "PYTHONPATH": str(root / "src")},
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("usage: flowdim")
-    assert "bw-metric" in done.stdout
+
+    def help_text(*argv):
+        done = subprocess.run([sys.executable, "-m", "flowdim", *argv, "--help"], cwd=root,
+                              env={**os.environ, "PYTHONPATH": str(root / "src")},
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    text = help_text()
+    assert text.startswith("usage: flowdim")
+    assert all(name in text for name in cli.COMMANDS)
+    for name, (_, _, options) in cli.COMMANDS.items():
+        text = help_text(name)
+        assert text.startswith(f"usage: flowdim {name}")
+        assert all(f"--{key} " in text for key in options)
