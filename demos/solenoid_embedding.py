@@ -38,9 +38,10 @@ print("equivariance residual:", residual)
 
 # ## Bohr means pick out single coefficients
 
-# Bohr means are taken in closed form on the signal's own grid, which
-# must meet the quadrature step 0.01 of these frequencies.
-sig = solenoid_embed(p, SolenoidEmbedding(c=1.0, K=3, window=20.0, grid_step=0.01))
+# Bohr means are taken in closed form on the signal's own grid; the
+# embedding's default step, 0.01, meets the quadrature step of these
+# frequencies.
+sig = solenoid_embed(p, SolenoidEmbedding(c=1.0, K=3, window=20.0))
 for n in (1, 2, 3):
     lam = 2 * np.pi / math.factorial(n)
     coeff = bohr_coefficient(sig, lam, 12.0)
@@ -49,7 +50,7 @@ for n in (1, 2, 3):
 # ## Full round trip over a long average
 
 T = 5_000.0
-emb = SolenoidEmbedding(c=1.0, K=3, window=T + 60.0, grid_step=0.01)
+emb = SolenoidEmbedding(c=1.0, K=3, window=T + 60.0)
 long_sig = solenoid_embed(p, emb)
 rec = solenoid_recover(long_sig, emb, T)
 print("\nrecovered coordinates vs truth (T = 5000):")

@@ -1,7 +1,8 @@
 """Band-limited signals on a finite window: metric, shift flow, spectra.
 
 A ``Signal`` is a uniform complex grid on [-W, W] with a declared
-frequency band [a, b] and oversampling 1/dt >= 4 max(|a|, |b|, 1).
+frequency band [a, b] and oversampling 1/dt >= 4 max(|a|, |b|, 1)
+(``_min_rate``), checked when made, as is a declared sup bound 1.
 All sups are grid sups; the weighted metric, which ``_pair_metrics``
 evaluates for ``signal_metric`` and the verifier alike, truncates its
 tail at ``n_max`` with certified remainder 2^(1-n_max).  Off-grid evaluation
@@ -57,22 +58,21 @@ class Signal:
     """Finite-window truncation of a band-limited function."""
 
     def __init__(self, band: Band, window: float, grid_step: float, values,
-                 sup_bound: bool = False, validate: bool = True):
+                 sup_bound: bool = False):
         self.band = band
         self.window = float(window)
         self.grid_step = float(grid_step)
         self.values = np.asarray(values, dtype=complex)
         self.sup_bound = bool(sup_bound)
-        if validate:
-            self.check_grid()
-            if self.sup_bound and not self.sup_norm() <= 1.0 + SUP_BOUND_TOL:
-                raise InvariantViolationError("values exceed declared sup bound 1 or hold NaN")
+        self.check_grid()
+        if self.sup_bound and not self.sup_norm() <= 1.0 + SUP_BOUND_TOL:
+            raise InvariantViolationError("values exceed declared sup bound 1 or hold NaN")
 
     def check_grid(self):
         """Raise unless the window and step are positive, the grid rate meets
         the oversampling bound and the sample count is the one they imply."""
         n_expected = _sample_count(self.window, self.grid_step)
-        limit = 4.0 * max(abs(self.band.a), abs(self.band.b), 1.0)
+        limit = _min_rate(self.band)
         if 1.0 / self.grid_step < limit - 1e-12:
             raise InvariantViolationError(
                 f"grid rate {1.0 / self.grid_step:.3g} below oversampling bound {limit:.3g}")
@@ -139,8 +139,13 @@ class Signal:
         return out
 
     def sup_norm(self):
-        """max |values| (0 for no values, NaN if any value is NaN)."""
-        return float(np.abs(self.values).max(initial=0.0))
+        """max |values| (NaN if any value is NaN)."""
+        return float(np.abs(self.values).max())
+
+
+def _min_rate(band: Band) -> float:
+    """The oversampling bound 4 max(|a|, |b|, 1) on a grid's rate 1/dt."""
+    return 4.0 * max(abs(band.a), abs(band.b), 1.0)
 
 
 def _sample_count(window: float, grid_step: float) -> int:
@@ -269,7 +274,8 @@ def shift(f: Signal, r: float) -> Signal:
     """The time shift (tau_r f)(t) = f(t + r), resampled on a shrunken window.
 
     The window loses |r| plus the interpolation stencil margin; shifts
-    beyond half the window raise ``WindowExhaustedError``.
+    beyond half the window raise ``WindowExhaustedError``, and a sup-bound
+    result above the bound ``InvariantViolationError``.
     """
     if not abs(r) <= f.window / 2 + 1e-12:  # NaN too
         raise WindowExhaustedError(
@@ -284,8 +290,7 @@ def shift(f: Signal, r: float) -> Signal:
     new_window = new_half * dt
     t = -new_window + dt * np.arange(2 * new_half + 1)
     values = f.evaluate(t + r)
-    return Signal(f.band, new_window, dt, values, sup_bound=f.sup_bound,
-                  validate=False)
+    return Signal(f.band, new_window, dt, values, sup_bound=f.sup_bound)
 
 
 def band_support_check(f: Signal, tol_band_pad: float = 0.0) -> float:
@@ -322,7 +327,7 @@ def fold_real(f: Signal) -> Signal:
         raise BandError(f"fold_real expects a band inside [0, a], got {f.band}")
     folded = Band(-f.band.b, f.band.b)
     return Signal(folded, f.window, f.grid_step, f.values.real.astype(complex),
-                  sup_bound=f.sup_bound, validate=False)
+                  sup_bound=f.sup_bound)
 
 
 @dataclass

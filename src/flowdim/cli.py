@@ -188,7 +188,7 @@ def cmd_solenoid_demo(runner, params):
     if n_points < 1:
         raise ConfigurationError(f"need n-points >= 1, got {n_points}")
     rng = np.random.default_rng(seed)
-    emb = SolenoidEmbedding(c=1.0, K=depth, window=T / 2 + 50.0, grid_step=0.01)
+    emb = SolenoidEmbedding(c=1.0, K=depth, window=T / 2 + 50.0)
     # Every point's coordinate n shares one bound: the means run on one grid.
     bounds = solenoid_error_bounds(emb, T, start=-T / 2)
     rows = []

@@ -20,11 +20,12 @@ coefficient rows, one signal per row, on the same factors.
 ``exp_sum_signals`` refuses a frequency outside the band and more than
 ``EXP_SUM_MAX_SAMPLES`` samples, and certifies the sup bound of such
 signals from their coefficients (``exp_sum_bound``), all before any grid
-is evaluated, so no sample is scanned for it.  Its signals evaluate
-their values only when asked for them.  Bohr means are taken in closed
-form only: on such a signal's own grid the trapezoid sum of each term
-is a geometric series, so its means come from the coefficients
-(``_exp_sum_means``) and the round trip evaluates no sample.  The
+is evaluated, so no sample is scanned for it.  Its signals share one
+``exp_sum_grid`` call over all their rows, made when first asked for
+values.  Bohr means are taken in closed form only: on such a signal's
+own grid the trapezoid sum of each term is a geometric series, so its
+means come from the coefficients (``_exp_sum_means``) and the round
+trip evaluates no sample.  The
 perturbation stage corrects an equivariant signal map on a lattice of
 sample nodes using the interpolation kernel, within a certified sup
 budget, so that the pair (signal map, solenoid factor) separates sample
@@ -36,6 +37,7 @@ one block product on the lattice the nodes' grid steps lie on
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -50,6 +52,7 @@ from .bandlimited import (
     Signal,
     _grid_factors,
     _grid_rounding,
+    _min_rate,
     _near_values,
     _pair_metrics,
 )
@@ -106,13 +109,18 @@ def minimal_start_index(c: float) -> int:
 
 @dataclass
 class SolenoidEmbedding:
-    """Parameters of the exponential-sum embedding into band [0, c]."""
+    """Parameters of the exponential-sum embedding into band [0, c].
+
+    The default grid step is the coarsest that the Bohr means at the sum's
+    frequencies (``_step_requirement``) and ``band`` take: 0.01 for c <= 25.
+    """
 
     c: float
     K: int
     window: float
     grid_step: float | None = None
     m: int = field(init=False)
+    band: Band = field(init=False)
 
     def __post_init__(self):
         self.m = minimal_start_index(self.c)
@@ -122,13 +130,17 @@ class SolenoidEmbedding:
             raise ConfigurationError(
                 f"truncation depth K = {self.K} exceeds MAX_DEPTH = {MAX_DEPTH}, the largest "
                 f"n whose n! float64 holds exactly")
+        self.band = Band(0.0, self.c)
+        limit = _min_rate(self.band)
         if self.grid_step is None:
-            self.grid_step = 1.0 / (8.0 * max(self.c, 1.0))
+            step = min(float(_step_requirement(2.0 * np.pi * self.frequencies()).min()),
+                       1.0 / limit)
+            # 1 / (1 / limit) may round below limit: one ulp finer meets it.
+            self.grid_step = step if 1.0 / step >= limit else float(np.nextafter(step, 0.0))
         if not (0.0 < self.window < math.inf and 0.0 < self.grid_step < math.inf):
             raise ConfigurationError(
                 f"need a finite window and grid step > 0, got window {self.window}, "
                 f"grid step {self.grid_step}")
-        limit = 4.0 * max(self.c, 1.0)
         if 1.0 / self.grid_step < limit:
             raise ConfigurationError("grid step violates the oversampling bound")
 
@@ -159,8 +171,8 @@ def solenoid_embed(p: SolenoidPoint, emb: SolenoidEmbedding,
     the moduli's sum above 1 raises ``InvariantViolationError``.
     """
     coeffs = solenoid_coefficients(p, emb) * scale
-    return exp_sum_signals([coeffs], emb.frequencies(), Band(0.0, emb.c),
-                           emb.window, emb.grid_step)[0]
+    return exp_sum_signals([coeffs], emb.frequencies(), emb.band, emb.window,
+                           emb.grid_step)[0]
 
 
 def exp_sum_grid(coeffs, freqs, t0: float, dt: float, n: int):
@@ -172,58 +184,34 @@ def exp_sum_grid(coeffs, freqs, t0: float, dt: float, n: int):
     built once for all rows from 3 K exponentials, so no n x K temporary
     exists.
     """
-    return _ExpSums(coeffs, freqs, t0, dt, n).values()
-
-
-class _ExpSums:
-    """``exp_sum_grid``'s values from the coefficient rows, evaluated when first asked for.
-
-    ``values()`` builds the block factors, evaluates every row as one
-    product and keeps them.
-    """
-
-    def __init__(self, coeffs, freqs, t0: float, dt: float, n: int):
-        self.coeffs = np.asarray(coeffs)
-        self.omega = 2.0 * np.pi * np.asarray(freqs, dtype=float)
-        self.t0, self.dt, self.n = t0, dt, n
-        self._values = None
-
-    def values(self):
-        if self._values is None:
-            head, tail = _grid_factors(self.omega, self.t0, self.dt, self.n)
-            values = (head * self.coeffs[..., None, :]) @ tail.T
-            self._values = values.reshape(*self.coeffs.shape[:-1], -1)[..., :self.n]
-        return self._values
+    coeffs = np.asarray(coeffs)
+    head, tail = _grid_factors(2.0 * np.pi * np.asarray(freqs, dtype=float), t0, dt, n)
+    values = (head * coeffs[..., None, :]) @ tail.T
+    return values.reshape(*coeffs.shape[:-1], -1)[..., :n]
 
 
 class _ExpSumSignal(Signal):
-    """Row i of an ``_ExpSums`` as a sup-bound Signal on [-window, window].
+    """Row i of an ``exp_sum_signals`` call as a sup-bound Signal of ``n`` samples.
 
-    Its Bohr means on its own grid are taken in closed form from
-    ``coeffs`` and ``omega`` (``_exp_sum_means``); the first ``values``
-    of any signal of the ``_ExpSums`` evaluates all its rows.
+    Its Bohr means on its own grid are taken in closed form from ``coeffs``
+    and the angular frequencies ``omega`` = 2 pi f_k (``_exp_sum_means``);
+    ``rows`` evaluates every row of the call once, when first asked.
     """
 
-    def __init__(self, band: Band, window: float, grid_step: float, sums: _ExpSums, i: int):
+    def __init__(self, band: Band, window: float, grid_step: float, coeffs, omega, n: int,
+                 rows, i: int):
         self.band, self.window, self.grid_step = band, float(window), float(grid_step)
         self.sup_bound = True
-        self._sums, self._i = sums, i
+        self.coeffs, self.omega, self.n = coeffs, omega, n
+        self._rows, self._i = rows, i
+        self.check_grid()
 
     @property
     def values(self):
-        return self._sums.values()[self._i]
-
-    @property
-    def coeffs(self):
-        return self._sums.coeffs[self._i]
-
-    @property
-    def omega(self):
-        """The angular frequencies 2 pi f_k of the sum."""
-        return self._sums.omega
+        return self._rows()[self._i]
 
     def __len__(self):
-        return self._sums.n
+        return self.n
 
 
 def exp_sum_bound(coeffs, n: int):
@@ -256,10 +244,10 @@ def exp_sum_signals(coeffs, freqs, band: Band, window: float, grid_step: float):
     that is not finite, raise ``ConfigurationError``; and the sup bound
     is certified from the coefficients: an ``exp_sum_bound`` above 1 +
     ``SUP_BOUND_TOL`` raises ``InvariantViolationError``, so
-    ``Signal.sup_norm`` scans none of them.  Each signal's grid is then
-    checked (``Signal.check_grid``).  No value is evaluated here: the
-    Bohr means on the signal's grid evaluate none, and the first
-    ``values`` of any signal evaluates every row, as one product.
+    ``Signal.sup_norm`` scans none of them.  Each signal checks its own
+    grid.  No value is evaluated here: the Bohr means on the signal's grid
+    evaluate none, and the first ``values`` of any signal evaluates every
+    row, as one ``exp_sum_grid`` call.
     """
     coeffs = np.asarray(coeffs)
     f = np.asarray(freqs, dtype=float)
@@ -277,11 +265,10 @@ def exp_sum_signals(coeffs, freqs, band: Band, window: float, grid_step: float):
     if not bound <= 1.0 + SUP_BOUND_TOL:
         raise InvariantViolationError(
             f"coefficient moduli bound the sum by {bound:.17g}, above the sup bound 1")
-    sums = _ExpSums(coeffs, freqs, -window, grid_step, n)
-    signals = [_ExpSumSignal(band, window, grid_step, sums, i) for i in range(len(coeffs))]
-    for sig in signals:
-        sig.check_grid()
-    return signals
+    rows = functools.cache(lambda: exp_sum_grid(coeffs, f, -window, grid_step, n))
+    omega = 2.0 * np.pi * f
+    return [_ExpSumSignal(band, window, grid_step, row, omega, n, rows, i)
+            for i, row in enumerate(coeffs)]
 
 
 def _exp_sum_means(coeffs, omega, lam, t0: float, dt: float, n: int, T: float):

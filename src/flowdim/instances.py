@@ -227,7 +227,7 @@ def run_embedding_pipeline(delta: float = 0.2, rho=1, N: int = 2,
     factors = [inst.factor(i) for i in states]
     coeffs = np.array([solenoid_coefficients(p, emb) for p in factors]) * (1.0 - delta)
     freqs = emb.frequencies()
-    f = exp_sum_signals(coeffs, freqs, Band(0.0, emb.c), emb.window, emb.grid_step)
+    f = exp_sum_signals(coeffs, freqs, emb.band, emb.window, emb.grid_step)
     n_grid = len(f[0])
     phi_N = inst.total_time(states) % period
 

@@ -28,6 +28,7 @@ from .bandlimited import (
     _block_shape,
     _grid_factors,
     _grid_rounding,
+    _min_rate,
     band_support_check,
 )
 from .errors import ConfigurationError, QuadratureError
@@ -265,7 +266,7 @@ def kernel_band_leakage(spec: KernelSpec) -> float:
     ``band_support_check``'s edge tapers need, raises
     ``ConfigurationError`` before the grid is built.
     """
-    grid_step = 1.0 / (4.0 * max(abs(spec.band.a), abs(spec.band.b), 1.0))
+    grid_step = 1.0 / _min_rate(spec.band)
     points = round(2 * spec.window / grid_step) + 1
     if points > CERTIFY_MAX_POINTS:
         raise ConfigurationError(

@@ -87,15 +87,13 @@ class OrbitMetricSpec:
 
     kind: str
     horizon: float
-    time_step: float | None = None
+    time_step: float
 
     def __post_init__(self):
         if self.kind != "R-window":
             raise InvalidHorizonError(f"unknown window kind {self.kind!r}")
         if not 0 < self.horizon < math.inf:
             raise InvalidHorizonError("window horizon must be positive and finite")
-        if self.time_step is None:
-            self.time_step = self.horizon / 256.0
         if not (0 < self.time_step <= self.horizon):
             raise InvalidHorizonError("time_step must lie in (0, horizon]")
 

@@ -182,7 +182,7 @@ def test_criterion_7_widim_property_suite():
 
 def test_criterion_8_solenoid_round_trip():
     T = 2e4
-    emb = SolenoidEmbedding(c=1.0, K=4, window=T + 60.0, grid_step=0.01)
+    emb = SolenoidEmbedding(c=1.0, K=4, window=T + 60.0)
     rng = np.random.default_rng(88)
     worst_rel = 0.0
     for _ in range(20):

@@ -17,6 +17,7 @@ from flowdim.bandlimited import (
     _block_shape,
     _grid_factors,
     _grid_rounding,
+    _min_rate,
     _near_values,
     _pair_metrics,
     shift,
@@ -31,6 +32,7 @@ from flowdim.embedding import (
     _exp_sum_mean_rounding,
     _exp_sum_means,
     _nodes_in,
+    _step_requirement,
     bohr_coefficient,
     bohr_cross_term_bound,
     epsilon_embedding_search,
@@ -101,6 +103,19 @@ class TestSolenoidEmbed:
         assert SolenoidEmbedding(c=1.0, K=3, window=10.0).m == 1
         assert SolenoidEmbedding(c=0.4, K=3, window=10.0).m == 3
 
+    @pytest.mark.parametrize("c, step", [(0.4, 0.01), (1.0, 0.01), (25.0, 0.01), (50.0, 1 / 200),
+                                         (26.25, np.nextafter(1 / 105, 0.0))])
+    def test_default_step_is_the_coarsest_the_means_and_the_band_take(self, c, step):
+        # At c = 26.25 the reciprocal of 1/105 rounds below the rate 105;
+        # the step one ulp finer meets it.
+        emb = SolenoidEmbedding(c=c, K=5, window=1.0)
+        assert emb.grid_step == step and emb.band == Band(0.0, c)
+        need, rate = _step_requirement(2.0 * np.pi * emb.frequencies()).min(), _min_rate(emb.band)
+        assert step <= need and 1.0 / step >= rate
+        coarser = np.nextafter(step, 1.0)
+        assert coarser > need or 1.0 / coarser < rate
+        assert len(solenoid_embed(solenoid_from_time(3.7, 5), emb)) == round(2.0 / step) + 1
+
     def test_depth_beyond_exact_float64_factorials_is_refused(self):
         # 22! is the last factorial float64 holds exactly; the circle
         # of x_23 would not be the integer 23!.
@@ -120,12 +135,12 @@ class TestSolenoidEmbed:
     @pytest.mark.parametrize("c", [math.nan, math.inf, 0.0, -1.0])
     def test_band_limit_must_be_finite_and_positive(self, c):
         with pytest.raises(ConfigurationError, match="band limit c must be finite and positive"):
-            SolenoidEmbedding(c=c, K=4, window=10.0, grid_step=0.01)
+            SolenoidEmbedding(c=c, K=4, window=10.0)
 
 
 def evaluated(sig):
     """Whether the exponential-sum signal's values have been evaluated."""
-    return sig._sums._values is not None
+    return sig._rows.cache_info().currsize > 0
 
 
 def direct_exp_sum(coeffs, freqs, t):
@@ -169,7 +184,7 @@ class TestCoefficientSupBound:
     ``Signal.sup_norm`` is the scan oracle."""
 
     def test_scan_is_within_the_bound_at_the_solenoid_grid(self):
-        emb = SolenoidEmbedding(c=1.0, K=4, window=20050.0, grid_step=0.01)
+        emb = SolenoidEmbedding(c=1.0, K=4, window=20050.0)
         rng = np.random.default_rng(24)
         for tau in rng.uniform(0, 24, size=3):
             p = solenoid_from_time(float(tau), 4)
@@ -298,7 +313,7 @@ def assert_matches_masked_trapezoid(window, T, start=None):
 
     The means are taken first, from the unevaluated signal.
     """
-    emb = SolenoidEmbedding(c=1.0, K=4, window=window, grid_step=0.01)
+    emb = SolenoidEmbedding(c=1.0, K=4, window=window)
     sig = solenoid_embed(solenoid_from_time(9.1, 4), emb)
     lams = 2.0 * np.pi / np.array([math.factorial(n) for n in range(1, 5)])
     got = [bohr_coefficient(sig, lam, T) if start is None else bohr_coefficient(sig, lam, T, start)
@@ -382,9 +397,9 @@ from_a_start = pytest.mark.parametrize("window, T, start", [
     ids=["solenoid-demo", "off-lattice", "no-node", "whole-window", "right-edge"])
 
 
-# The grid step 0.01 meets the step requirement of every frequency in
-# [-11.5, 11.5].
-FINE = SolenoidEmbedding(c=1.0, K=4, window=60.0, grid_step=0.01)
+# The default grid step, 0.01, meets the step requirement of every
+# frequency in [-11.5, 11.5].
+FINE = SolenoidEmbedding(c=1.0, K=4, window=60.0)
 
 
 def tones(coeffs, omega, window):
@@ -423,7 +438,7 @@ class TestBohrCoefficient:
     @from_a_start
     def test_closed_form_means_are_the_values_means_within_the_rounding_bound(self, window, T,
                                                                               start):
-        emb = SolenoidEmbedding(c=1.0, K=4, window=window, grid_step=0.01)
+        emb = SolenoidEmbedding(c=1.0, K=4, window=window)
         sig = solenoid_embed(solenoid_from_time(9.1, 4), emb)
         lams = 2.0 * np.pi / np.array([1.0, 2.0, 6.0, 24.0])
         got = assert_closed_form_matches_the_values(sig, lams, T, start)
@@ -478,11 +493,11 @@ class TestBohrCoefficient:
              "past-the-right-edge", "before-the-left-edge", "at-the-right-edge"])
     def test_anything_but_an_exp_sum_signal_on_its_grid_is_refused_before_any_node(
             self, source, lam, T, start, says):
-        # Frequencies pi and 12 need steps 0.01 and 1/104: the default grid
-        # of band [0, 1] has step 1/8, and the 0.01 grid is too coarse for
-        # 12.  The window is [-60, 60].
+        # Frequencies pi and 12 need steps 0.01 and 1/104: the grid of step
+        # 1/8 is too coarse for pi, and the 0.01 grid is too coarse for 12.
+        # The window is [-60, 60].
         coarse = solenoid_embed(solenoid_from_time(9.1, 4),
-                                SolenoidEmbedding(c=1.0, K=4, window=60.0))
+                                SolenoidEmbedding(c=1.0, K=4, window=60.0, grid_step=0.125))
         fine = solenoid_embed(solenoid_from_time(9.1, 4), FINE)
         plain = Signal(fine.band, fine.window, fine.grid_step, exp_sum_grid(
             fine.coeffs, fine.omega / (2 * np.pi), -fine.window, fine.grid_step, len(fine)))
@@ -497,7 +512,7 @@ class TestBohrCoefficient:
         for T in (50.0, 12.34, 0.004):
             assert np.array_equal(bohr_coefficient(sig, lams, T, 0.0),
                                   bohr_coefficient(sig, lams, T))
-        emb = SolenoidEmbedding(c=1.0, K=3, window=600.0, grid_step=0.01)
+        emb = SolenoidEmbedding(c=1.0, K=3, window=600.0)
         sig = solenoid_embed(solenoid_from_time(4.3, 3), emb)
         assert (solenoid_recover(sig, emb, 500.0, start=0.0).coords
                 == solenoid_recover(sig, emb, 500.0).coords)
@@ -556,7 +571,7 @@ class TestBohrCoefficient:
 
 class TestSolenoidRecover:
     def test_round_trip_origin(self):
-        emb = SolenoidEmbedding(c=1.0, K=3, window=600.0, grid_step=0.01)
+        emb = SolenoidEmbedding(c=1.0, K=3, window=600.0)
         sig = solenoid_embed(SolenoidPoint((0.0, 0.0, 0.0)), emb)
         rec = solenoid_recover(sig, emb, 500.0)
         for n, x in enumerate(rec.coords, start=1):
@@ -565,7 +580,7 @@ class TestSolenoidRecover:
             assert gap <= 1e-2 * fact
 
     def test_round_trip_generic_point(self):
-        emb = SolenoidEmbedding(c=1.0, K=3, window=2100.0, grid_step=0.01)
+        emb = SolenoidEmbedding(c=1.0, K=3, window=2100.0)
         p = solenoid_from_time(4.3, 3)
         sig = solenoid_embed(p, emb)
         rec = solenoid_recover(sig, emb, 2000.0)
@@ -583,8 +598,8 @@ class TestSolenoidRecover:
         T = 1000.0
         p = solenoid_from_time(tau, 4)
         q = solenoid_act(p, T / 2)
-        emb_p = SolenoidEmbedding(c=1.0, K=4, window=T + 50.0, grid_step=0.01)
-        emb_q = SolenoidEmbedding(c=1.0, K=4, window=T / 2 + 50.0, grid_step=0.01)
+        emb_p = SolenoidEmbedding(c=1.0, K=4, window=T + 50.0)
+        emb_q = SolenoidEmbedding(c=1.0, K=4, window=T / 2 + 50.0)
         rec_p = solenoid_recover(solenoid_embed(p, emb_p), emb_p, T)
         rec_q = solenoid_recover(solenoid_embed(q, emb_q), emb_q, T, start=-T / 2)
         moduli = 2.0 ** -np.arange(1, 5)
@@ -601,7 +616,7 @@ class TestSolenoidRecover:
         # The 2,010,001-sample signal of solenoid-demo's README example
         # would take 32 MB as values; embedding and recovery evaluate none.
         T = 2e4
-        emb = SolenoidEmbedding(c=1.0, K=4, window=T / 2 + 50.0, grid_step=0.01)
+        emb = SolenoidEmbedding(c=1.0, K=4, window=T / 2 + 50.0)
         q = solenoid_from_time(9.1 + T / 2, 4)
         tracemalloc.start()
         try:
@@ -617,14 +632,27 @@ class TestSolenoidRecover:
     def test_error_bounds_refuse_means_off_the_grid(self):
         # Step 1/8 is coarser than the 0.01 that frequency 2 pi needs, and
         # [0, 50] leaves the window [-20, 20].
-        for emb, T in [(SolenoidEmbedding(c=1.0, K=4, window=60.0), 50.0),
-                       (SolenoidEmbedding(c=1.0, K=4, window=20.0, grid_step=0.01), 50.0)]:
+        for emb, T in [(SolenoidEmbedding(c=1.0, K=4, window=60.0, grid_step=0.125), 50.0),
+                       (SolenoidEmbedding(c=1.0, K=4, window=20.0), 50.0)]:
             with pytest.raises(ConfigurationError, match="do not take the grid"):
                 solenoid_error_bounds(emb, T)
 
+    def test_default_embedding_round_trips(self):
+        # The default step meets the step requirement of every frequency of
+        # the sum, so the bounds and the recovery take the default grid.
+        T = 500.0
+        emb = SolenoidEmbedding(c=1.0, K=4, window=T / 2 + 50.0)
+        q = solenoid_from_time(3.7 + T / 2, 4)
+        bounds = solenoid_error_bounds(emb, T, start=-T / 2)
+        rec = solenoid_recover(solenoid_embed(q, emb), emb, T, start=-T / 2)
+        for n, bound in zip(range(1, 5), bounds):
+            fact = math.factorial(n)
+            gap = abs(rec.coords[n - 1] - q.coords[n - 1]) % fact
+            assert min(gap, fact - gap) <= bound
+
     def test_error_bounds_without_an_interval_are_half_circles(self):
         # [0.003, 0.007] holds no node of the 0.01 grid.
-        emb = SolenoidEmbedding(c=1.0, K=3, window=20.0, grid_step=0.01)
+        emb = SolenoidEmbedding(c=1.0, K=3, window=20.0)
         bounds = solenoid_error_bounds(emb, 0.004, start=0.003)
         assert bounds == [math.factorial(n) * (0.5 + 16 * UNIT_ROUNDOFF) for n in (1, 2, 3)]
 
@@ -634,7 +662,7 @@ class TestSolenoidRecover:
         import flowdim.embedding
 
         T = 500.0
-        emb = SolenoidEmbedding(c=1.0, K=4, window=T / 2 + 50.0, grid_step=0.01)
+        emb = SolenoidEmbedding(c=1.0, K=4, window=T / 2 + 50.0)
         bounds = solenoid_error_bounds(emb, T, start=-T / 2)
         assert max(a + b for a, b in zip(bounds, bounds[1:])) > 0.05
         signals = [solenoid_embed(solenoid_from_time(tau + T / 2, 4), emb)
@@ -649,8 +677,8 @@ class TestSolenoidRecover:
             assert solenoid_recover(sig, emb, T, start=-T / 2, bounds=bounds).coords == want.coords
 
     def test_zero_signal_rejected(self):
-        emb = SolenoidEmbedding(c=1.0, K=3, window=600.0, grid_step=0.01)
-        [zero] = exp_sum_signals([np.zeros(3)], emb.frequencies(), Band(0.0, emb.c),
+        emb = SolenoidEmbedding(c=1.0, K=3, window=600.0)
+        [zero] = exp_sum_signals([np.zeros(3)], emb.frequencies(), emb.band,
                                  emb.window, emb.grid_step)
         with pytest.raises(NotEmbeddingImageError):
             solenoid_recover(zero, emb, 500.0)

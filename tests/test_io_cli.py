@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import dijkstra
 
 import flowdim.instances
-from flowdim import cli
+from flowdim import cli, embedding
 from flowdim.cli import main
 from flowdim.dynamics import BowenWaltersMetric, RoofFunction, SuspensionPoint, suspend
 from flowdim.errors import ConfigurationError, InvariantViolationError
@@ -33,7 +33,7 @@ from flowdim.io import (
     write_table_csv,
 )
 from flowdim.metric import metric_mdim_table, widim_upper
-from flowdim.embedding import _ExpSums, solenoid_embed
+from flowdim.embedding import solenoid_embed
 from oracles import (
     level_graph,
     sample_distance,
@@ -216,12 +216,12 @@ def test_readme_solenoid_demo_errors_are_the_exact_means(tmp_path, monkeypatch):
         signals.append(sig)
         return sig
 
-    def no_values(sums):
+    def no_values(*args):
         raise AssertionError("an exponential-sum signal was evaluated")
 
     monkeypatch.setattr(cli, "solenoid_embed", embed)
     # The Bohr means are taken in closed form: no signal is evaluated.
-    monkeypatch.setattr(_ExpSums, "values", no_values)
+    monkeypatch.setattr(embedding, "exp_sum_grid", no_values)
     assert main(argv) == 0
     assert [len(sig) for sig in signals] == [2_010_001] * n_points
     [table] = tmp_path.glob("solenoid-demo-*.csv")

@@ -177,20 +177,14 @@ class TestOrbitMetricR:
         with pytest.raises(InvariantViolationError, match="non-finite evolution at grid time 0"):
             orbit_metric_R(torus, OrbitMetricSpec("R-window", 1.0, 0.25))
 
-    def test_default_time_step(self):
-        spec = OrbitMetricSpec("R-window", horizon=2.0)
-        assert spec.time_step == pytest.approx(2.0 / 256)
-
     @pytest.mark.parametrize("horizon", [math.inf, -math.inf, math.nan])
     def test_non_finite_horizon(self, horizon):
-        with pytest.raises(InvalidHorizonError, match="positive and finite"):
-            OrbitMetricSpec("R-window", horizon)
         with pytest.raises(InvalidHorizonError, match="positive and finite"):
             OrbitMetricSpec("R-window", horizon, 0.1)
 
     def test_only_R_windows(self):
         with pytest.raises(InvalidHorizonError, match="window kind"):
-            OrbitMetricSpec("Z-window", 3)
+            OrbitMetricSpec("Z-window", 3, 0.1)
 
 
 class TestWidimUpper:
