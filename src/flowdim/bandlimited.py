@@ -73,7 +73,7 @@ class Signal:
         the oversampling bound and the sample count is the one they imply."""
         n_expected = _sample_count(self.window, self.grid_step)
         limit = _min_rate(self.band)
-        if 1.0 / self.grid_step < limit - 1e-12:
+        if self.grid_step * limit > 1.0 + 1e-12:
             raise InvariantViolationError(
                 f"grid rate {1.0 / self.grid_step:.3g} below oversampling bound {limit:.3g}")
         if len(self) != n_expected:

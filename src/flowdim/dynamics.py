@@ -67,6 +67,19 @@ class DynSystem:
     def __len__(self):
         return len(self.base)
 
+    def point_ids(self):
+        return list(self.base.points)
+
+    def window_blocks(self, times):
+        """Each time t, whole and >= 0, with the (1, n, n) stack base.dist[T^t x, T^t y]."""
+        times = np.asarray(times, dtype=float)
+        bad = ~(np.isfinite(times) & (times >= 0) & (times == np.floor(times)))
+        if bad.any():
+            raise ConfigurationError(f"time {times[np.argmax(bad)]} is not whole and >= 0")
+        for i, t in enumerate(times):
+            idx = _power(self.step, np.arange(len(self)), np.full(len(self), t))
+            yield times[i:i + 1], self.base.dist[np.ix_(idx, idx)][None]
+
 
 class RoofFunction:
     """Positive, finite return times over the base states."""
@@ -451,10 +464,8 @@ class MappingTorus:
     ``values`` are the height-0 points, on which the time-1 map is T; with
     ``every_height`` they are every grid point (i, j / height_grid),
     j < height_grid, state-major.  ``point_ids()`` are (base id, j) pairs
-    and ``suspend(torus.sys, torus.roof, values, t)`` flows the values.
-    ``window_blocks(times)`` yields the tables of the values flowed by the
-    times, each distinct table once, from the one metric on the height
-    grid; a time that moves the values off the grid is refused.
+    and ``suspend(torus.sys, torus.roof, values, t)`` flows the values;
+    ``metric.windows`` reads their tables from ``window_blocks``.
     """
 
     def __init__(self, sys: DynSystem, height_grid: int, every_height: bool):

@@ -12,7 +12,6 @@ estimate.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -192,24 +191,19 @@ def spanning_number(sample: MetricSample, eps: float) -> int:
     return count
 
 
-def orbit_metric_Z(sys, N: int) -> MetricSample:
-    """Window metric max_{0<=n<N} d(T^n x, T^n y) on the system's sample."""
+def _window_length(N) -> int:
     if not math.isfinite(N) or int(N) != N or N < 1:
         raise InvalidHorizonError("window length N must be a positive integer")
-    N = int(N)
-    base = sys.base.dist
-    idx = np.arange(len(sys.base))
-    out = base.copy()
-    for _ in range(1, N):
-        idx = sys.step[idx]
-        np.maximum(out, base[np.ix_(idx, idx)], out=out)
-    # Max of pseudometrics is a pseudometric; skip revalidation.
-    return MetricSample(sys.base.points, out, validate=False)
+    return int(N)
 
 
-def orbit_metric_R(flow, spec: OrbitMetricSpec) -> MetricSample:
-    """Gridded sup metric W = sup_{t in {0, dt, ..., R}} d(tx, ty).
+def windows(flow, horizons, dt):
+    """(R, W_R) at each ascending horizon R, from one walk of ``flow.window_blocks``.
 
+    W_R, a ``MetricSample``, is the max of d(tx, ty) over the times k dt <= R
+    (to 1e-12), and over R off that grid, by a call of its own: the window
+    at R alone, bit for bit.  It is yielded once the tables up to its last
+    grid time are in, and the max is written over the tables read.
     W is a lower bound of the sup over [0, R]; the gap is controlled by
     the flow's modulus of continuity over one grid step.  On a
     ``MappingTorus`` every grid time must sit on the torus's height grid
@@ -219,24 +213,46 @@ def orbit_metric_R(flow, spec: OrbitMetricSpec) -> MetricSample:
     every t in [0, R] lies within dt/2 of a grid time s, and the chain
     metric moves each of the two points by at most |t - s| (a vertical
     edge costs its flow time, the gluing costs 0).  A table that is not
-    finite raises ``InvariantViolationError``.  The max runs over the
-    table stacks of ``flow.window_blocks``, a block of grid times
-    at a time, which holds each distinct table once: a time whose table
-    equals an earlier time's adds nothing to the max.
+    finite raises ``InvariantViolationError``.
     """
-    R, dt = spec.horizon, spec.time_step
-    times = np.arange(0.0, R + dt * 0.5, dt)
-    if times[-1] < R - 1e-12:
-        times = np.append(times, R)
-    out = None
+    times = np.arange(0.0, horizons[-1] + dt * 0.5, dt)
+    times = times[times <= horizons[-1] + 1e-12]
+    last = times[np.searchsorted(times, np.add(horizons, 1e-12), "right") - 1]
+    out, j = None, 0
+
+    def window(j):
+        R = horizons[j]
+        W = out if last[j] >= R - 1e-12 else _fold(out, R, next(flow.window_blocks([R]))[1][0])
+        # A max of pseudometrics is a pseudometric; skip revalidation.
+        return R, MetricSample(flow.point_ids(), W, validate=False)
+
     for block, tables in flow.window_blocks(times):
-        finite = np.isfinite(tables).all(axis=(1, 2))
-        if not finite.all():
-            raise InvariantViolationError(
-                f"non-finite evolution at grid time {block[np.argmin(finite)]}")
-        top = tables.max(axis=0)
-        out = top if out is None else np.maximum(out, top)
-    return MetricSample(flow.point_ids(), out, validate=False)
+        for t, table in zip(block, tables):
+            while last[j] < t:
+                yield window(j)
+                j += 1
+            out = _fold(out, t, table)
+            while j < len(horizons) and last[j] <= t:
+                yield window(j)
+                j += 1
+    yield from map(window, range(j, len(horizons)))
+
+
+def _fold(out, t, table):
+    """The max of ``out`` (None for none) and the table of time t, written over the table."""
+    if not np.isfinite(table).all():
+        raise InvariantViolationError(f"non-finite evolution at grid time {t}")
+    return table if out is None else np.maximum(out, table, out=table)
+
+
+def orbit_metric_Z(sys, N: int) -> MetricSample:
+    """Window metric max_{0<=n<N} d(T^n x, T^n y): the window at horizon N - 1."""
+    return next(windows(sys, [_window_length(N) - 1], 1.0))[1]
+
+
+def orbit_metric_R(flow, spec: OrbitMetricSpec) -> MetricSample:
+    """Gridded sup metric over [0, R] (see ``windows``)."""
+    return next(windows(flow, [spec.horizon], spec.time_step))[1]
 
 
 @dataclass
@@ -261,7 +277,7 @@ def mdim_table(sys, eps_list, N_list) -> DimensionTable:
     entries stabilize near m in the grid regime.  Diagnostics record
     epsilon-antitonicity failures (possible outside the regime).
     """
-    return _table(functools.partial(orbit_metric_Z, sys), eps_list, N_list, "widim_upper/N",
+    return _table(sys, eps_list, N_list, "widim_upper/N",
                   lambda window, eps, N: widim_upper(window, eps) / N)
 
 
@@ -270,19 +286,17 @@ def metric_mdim_table(sys, eps_list, n_list) -> DimensionTable:
     def value(window, eps, n):
         count = spanning_number(window, eps)
         return math.log(count) / (n * abs(math.log(eps))) if count > 0 else 0.0
-    return _table(functools.partial(orbit_metric_Z, sys), eps_list, n_list,
-                  "log_spanning/(n|log eps|)", value)
+    return _table(sys, eps_list, n_list, "log_spanning/(n|log eps|)", value)
 
 
-def _table(window, eps_list, n_list, kind, value) -> DimensionTable:
-    """The rows (eps, n, value(window(n), eps, n)) over sorted, nonempty lists."""
+def _table(sys, eps_list, n_list, kind, value) -> DimensionTable:
+    """The rows (eps, n, value(orbit_metric_Z(sys, n), eps, n)) over sorted, nonempty lists."""
     if not len(eps_list) or not len(n_list):
         raise ValueError("epsilon and window lists must be nonempty")
     if list(eps_list) != sorted(eps_list) or list(n_list) != sorted(n_list):
         raise ValueError("epsilon and window lists must be sorted ascending")
     rows = []
-    for n in n_list:
-        sample = window(n)
+    for n, (_, sample) in zip(n_list, windows(sys, [_window_length(n) - 1 for n in n_list], 1.0)):
         rows += [(float(eps), int(n), value(sample, eps, n)) for eps in eps_list]
     return DimensionTable(rows, kind=kind,
                           diagnostics=_antitone_diagnostics(rows, eps_list, n_list))

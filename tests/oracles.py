@@ -482,12 +482,32 @@ def sample_distance(sample: MetricSample, p, q) -> float:
     return float(sample.dist[sample.points.index(p), sample.points.index(q)])
 
 
+def orbit_metric_Z_loop(sys, N: int) -> MetricSample:
+    """Window metric max_{0<=n<N} d(T^n x, T^n y), one step gather per n.
+
+    The per-step loop that ``flowdim.metric.windows`` replaced by its walk
+    of ``DynSystem.window_blocks``; each table gather starts again from 0.
+    """
+    if not math.isfinite(N) or int(N) != N or N < 1:
+        raise InvalidHorizonError("window length N must be a positive integer")
+    base = sys.base.dist
+    idx = np.arange(len(sys.base))
+    out = base.copy()
+    for _ in range(1, int(N)):
+        idx = sys.step[idx]
+        np.maximum(out, base[np.ix_(idx, idx)], out=out)
+    return MetricSample(sys.base.points, out, validate=False)
+
+
 def orbit_metric_R_loop(flow, spec: OrbitMetricSpec) -> MetricSample:
     """Gridded sup metric sup_{t in {0, dt, ..., R}} d(tx, ty).
 
+    The grid holds the times k dt <= R (up to 1e-12), then R itself when
+    the last of them falls short of it.
+
     A lower bound of the true sup over [0, R]; the gap is controlled by
     the flow's modulus of continuity over one grid step.  The per-time
-    loop that ``flowdim.metric.orbit_metric_R`` replaced by its blocks of
+    loop that ``flowdim.metric.windows`` replaced by its walk of blocks of
     grid times: each value flowed by ``scalar_suspend``, then one table
     per time from a ``BowenWaltersMetric`` on the flow's height grid, built
     apart from the flow's own.
@@ -496,6 +516,7 @@ def orbit_metric_R_loop(flow, spec: OrbitMetricSpec) -> MetricSample:
         raise InvalidHorizonError("orbit_metric_R expects an R-window spec")
     R, dt = spec.horizon, spec.time_step
     times = np.arange(0.0, R + dt * 0.5, dt)
+    times = times[times <= R + 1e-12]
     if times[-1] < R - 1e-12:
         times = np.append(times, R)
     bw = BowenWaltersMetric(flow.sys, flow.roof, flow.height_grid)

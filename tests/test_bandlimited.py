@@ -49,6 +49,14 @@ class TestSignal:
         with pytest.raises(InvariantViolationError):
             Signal.from_function(lambda t: 0 * t, Band(0, 4), 10.0, 1 / 8)
 
+    def test_step_of_exactly_one_over_the_rate_is_accepted(self):
+        # The rate 4 * 5809.5 = 23238 lies above 2^13, where an absolute
+        # slack of 1e-12 on 1/step is below one ulp.
+        sig = Signal.from_function(lambda t: 0 * t, Band(0, 5809.5), 0.01, 1 / 23238)
+        assert sig.grid_step == 1 / 23238
+        with pytest.raises(InvariantViolationError, match="oversampling"):
+            Signal.from_function(lambda t: 0 * t, Band(0, 5809.5), 0.01, 1 / 23237)
+
     def test_sup_bound_enforced(self):
         with pytest.raises(InvariantViolationError):
             Signal.from_function(lambda t: 0 * t + 2.0, Band(0, 1), 10.0, 1 / 8,

@@ -244,6 +244,28 @@ def roof1(rot12):
     return RoofFunction.constant(1.0, len(rot12))
 
 
+class TestDynSystemWindowBlocks:
+    def test_tables_are_the_base_read_through_the_power_of_the_step(self, rot12):
+        blocks = list(rot12.window_blocks([0, 1, 5]))
+        assert [block.tolist() for block, _ in blocks] == [[0.0], [1.0], [5.0]]
+        for (block, tables), shift in zip(blocks, (0, 1, 5)):
+            idx = (np.arange(12) + shift) % 12
+            assert tables.shape == (1, 12, 12)
+            assert np.array_equal(tables[0], rot12.base.dist[np.ix_(idx, idx)])
+        assert rot12.point_ids() == list(range(12))
+
+    @pytest.mark.parametrize("t", [2.5, -1.0, math.nan])
+    def test_time_that_is_not_whole_and_nonnegative_is_refused(self, rot12, monkeypatch, t):
+        # Refused before any table is read: _power reads 2.5 as 2 and never
+        # returns on -1.
+        def no_power(*args):
+            raise AssertionError("_power ran")
+
+        monkeypatch.setattr(flowdim.dynamics, "_power", no_power)
+        with pytest.raises(ConfigurationError, match="is not whole and >= 0"):
+            next(rot12.window_blocks([0.0, t]))
+
+
 class TestSuspend:
     def test_full_roof_advances_base(self, rot12, roof1):
         out = suspend(rot12, roof1, [SuspensionPoint(3, 0.0)], 1.0)

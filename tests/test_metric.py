@@ -21,9 +21,22 @@ from flowdim.metric import (
     orbit_metric_Z,
     spanning_number,
     widim_upper,
+    windows,
 )
 from flowdim.dynamics import BowenWaltersMetric, DynSystem, mapping_torus
-from oracles import orbit_metric_R_loop, sample_distance, spanning_number_exact
+from oracles import (
+    orbit_metric_R_loop,
+    orbit_metric_Z_loop,
+    sample_distance,
+    spanning_number_exact,
+)
+
+LADDER_SYSTEMS = pytest.mark.parametrize("system", [
+    lambda: rotation_system(8),
+    lambda: binary_shift_system(),
+    lambda: cube_shift_system(1, 4),
+    lambda: cube_shift_system(2, 3),
+], ids=["rotation-8", "binary-shift", "cube-1-4", "cube-2-3"])
 
 
 def grid_sample(n, dims=1, upper=1.0):
@@ -94,6 +107,60 @@ class TestOrbitMetricZ:
             metric_mdim_table(sys, [0.5], [1, N])
 
 
+class TestWindowLadder:
+    @LADDER_SYSTEMS
+    def test_Z_windows_equal_the_per_n_loop(self, system):
+        sys = system()
+        for N in range(1, 7):
+            window, loop = orbit_metric_Z(sys, N), orbit_metric_Z_loop(sys, N)
+            assert window.points == loop.points
+            assert np.array_equal(window.dist, loop.dist)
+        ladder = list(windows(sys, [0, 2, 2, 5], 1.0))
+        assert [R for R, _ in ladder] == [0, 2, 2, 5]
+        for R, window in ladder:
+            assert np.array_equal(window.dist, orbit_metric_Z_loop(sys, R + 1).dist)
+
+    @LADDER_SYSTEMS
+    def test_tables_equal_the_per_n_oracle(self, system):
+        sys = system()
+        eps_list, n_list = [0.1, 0.3, 0.6], [1, 2, 4, 5]
+        loops = {n: orbit_metric_Z_loop(sys, n) for n in n_list}
+        widim = [(eps, n, widim_upper(loops[n], eps) / n) for n in n_list for eps in eps_list]
+        spanning = [(eps, n, math.log(spanning_number(loops[n], eps)) / (n * abs(math.log(eps))))
+                    for n in n_list for eps in eps_list]
+        assert mdim_table(sys, eps_list, n_list).rows == widim
+        assert metric_mdim_table(sys, eps_list, n_list).rows == spanning
+
+    def test_window_whose_last_table_was_left_out_stops_before_the_next(self):
+        # A flow may leave out a time whose table equals an earlier one's:
+        # here time 1 repeats time 0, and time 2 brings a new table.
+        tables = {0.0: np.array([[0.0, 1.0], [1.0, 0.0]]), 2.0: np.array([[0.0, 3.0], [3.0, 0.0]])}
+
+        class Flow:
+            def point_ids(self):
+                return ["a", "b"]
+
+            def window_blocks(self, times):
+                for t in times:
+                    if t in tables:
+                        yield np.array([t]), tables[t].copy()[None]
+
+        ladder = [(R, window.dist[0, 1]) for R, window in windows(Flow(), [0, 1, 2], 1.0)]
+        assert ladder == [(0, 1.0), (1, 1.0), (2, 3.0)]
+
+    def test_torus_ladder_equals_each_window_alone(self):
+        # dt = 15/16: 23/16 and 5 lie off the grid, 15/16 and 60/16 on it.
+        system = lambda: cube_shift_system(1, 3)
+        torus = mapping_torus(system(), 16)
+        horizons, dt = [15 / 16, 23 / 16, 60 / 16, 5.0], 15 / 16
+        ladder = list(windows(torus, horizons, dt))
+        assert [R for R, _ in ladder] == horizons
+        for R, window in ladder:
+            alone = orbit_metric_R(mapping_torus(system(), 16), OrbitMetricSpec("R-window", R, dt))
+            assert window.points == alone.points
+            assert np.array_equal(window.dist, alone.dist)
+
+
 class TestOrbitMetricR:
     def test_zero_horizon_grid_is_base(self):
         torus = mapping_torus(rotation_system(6), height_grid=10)
@@ -118,8 +185,9 @@ class TestOrbitMetricR:
         (lambda: cube_shift_system(1, 4), 4, True, 3.0, 0.25),
         (lambda: binary_shift_system(5), 8, False, 3.0, 0.375),
         (lambda: rotation_system(12), 10, True, 0.1, 0.1),
+        (lambda: cube_shift_system(1, 3), 16, False, 23 / 16, 15 / 16),
     ], ids=["benchmark-torus", "pipeline-torus", "off-grid", "cube-shift", "binary-shift",
-            "one-step"])
+            "one-step", "R-off-the-step-grid"])
     def test_blocks_equal_the_per_time_loop(self, system, grid, every_height, R, dt):
         spec = OrbitMetricSpec("R-window", R, dt)
         blocks = orbit_metric_R(mapping_torus(system(), grid, every_height), spec)
@@ -166,6 +234,23 @@ class TestOrbitMetricR:
                 fine = orbit_metric_R(torus, OrbitMetricSpec("R-window", R, dt / 2)).dist
                 assert np.all(coarse <= fine)
                 assert np.all(fine <= coarse + dt + 1e-12)
+
+    def test_grid_stops_at_R(self, monkeypatch):
+        # R = 23/16 lies off the dt = 15/16 grid.  The grid {0, 15/16, 23/16}
+        # holds no time past R (30/16 is left out), so it is a subset of the
+        # dt = 1/16 grid and its window can only be smaller.
+        torus = mapping_torus(cube_shift_system(1, 3), 16)
+        asked, blocks = [], torus.window_blocks
+
+        def recorded(times):
+            asked.extend(np.asarray(times).tolist())
+            return blocks(times)
+
+        monkeypatch.setattr(torus, "window_blocks", recorded)
+        coarse = orbit_metric_R(torus, OrbitMetricSpec("R-window", 23 / 16, 15 / 16)).dist
+        assert asked == [0.0, 15 / 16, 23 / 16]
+        fine = orbit_metric_R(torus, OrbitMetricSpec("R-window", 23 / 16, 1 / 16)).dist
+        assert np.all(coarse <= fine)
 
     def test_table_that_is_not_finite_is_invariant_violation(self, monkeypatch):
         torus = mapping_torus(rotation_system(4), height_grid=4)
