@@ -9,10 +9,11 @@ tail at ``n_max`` with certified remainder 2^(1-n_max).  Off-grid evaluation
 uses Kaiser-windowed sinc interpolation, accurate to ~1e-12 for
 signals respecting the declared band; its tap weights are computed once
 per distinct fractional grid offset.  ``_grid_factors`` splits
-exponentials on a uniform grid into block factors, built by recurrence
-from three exponentials per frequency; the exponential sums' values and
-the kernel's bump transform run on it (Bohr means, in closed form, need
-none), and ``_grid_rounding`` bounds its rounding.
+exponentials on a uniform grid into block factors, built from three
+exponentials per frequency by a doubling recurrence (log2 of the rows
+in vectorised products); the exponential sums' values and the kernel's
+bump transform run on it (Bohr means, in closed form, need none), and
+``_grid_rounding`` bounds its rounding.
 """
 
 from __future__ import annotations
@@ -72,10 +73,10 @@ class Signal:
         """Raise unless the window and step are positive, the grid rate meets
         the oversampling bound and the sample count is the one they imply."""
         n_expected = _sample_count(self.window, self.grid_step)
-        limit = _min_rate(self.band)
-        if self.grid_step * limit > 1.0 + 1e-12:
+        if _too_coarse(self.grid_step, self.band):
             raise InvariantViolationError(
-                f"grid rate {1.0 / self.grid_step:.3g} below oversampling bound {limit:.3g}")
+                f"grid rate {1.0 / self.grid_step:.3g} below oversampling bound "
+                f"{_min_rate(self.band):.3g}")
         if len(self) != n_expected:
             raise InvariantViolationError(
                 f"{len(self)} samples but window/step imply {n_expected}")
@@ -148,6 +149,11 @@ def _min_rate(band: Band) -> float:
     return 4.0 * max(abs(band.a), abs(band.b), 1.0)
 
 
+def _too_coarse(grid_step: float, band: Band) -> bool:
+    """Whether grid_step * ``_min_rate(band)`` exceeds 1, with relative slack 1e-12."""
+    return grid_step * _min_rate(band) > 1.0 + 1e-12
+
+
 def _sample_count(window: float, grid_step: float) -> int:
     """round(2 window / grid_step) + 1, refused unless window and step are positive and finite."""
     if not (0 < grid_step < math.inf and 0 < 2 * window / grid_step < math.inf):
@@ -168,36 +174,51 @@ def _grid_factors(omega, t0: float, dt: float, n: int):
     With B = ceil(sqrt(n)) and j = q B + r, entry (j, k) equals
     head[q, k] * tail[r, k]; head has ceil(n / B) rows and tail B rows.
     Three exponentials per frequency build them by recurrence:
-    head[q] = e^(i omega t0) (e^(i omega B dt))^q and tail[r] =
-    (e^(i omega dt))^r, each one ``np.cumprod`` down the rows.  omega may
-    be complex.
+    head[q] = e^(i omega t0) s^q with s = e^(i omega B dt), and tail[r] =
+    s^r with s = e^(i omega dt), each by doubling (``_powers``): rows
+    2^m .. 2^(m+1) - 1 are rows 0 .. 2^m - 1 times s^(2^m), and each
+    power is squared from the last.  omega may be complex.
 
     Rounding, with u = 2^-53, against the exact exp(i omega (t0 + j dt))
     of the float inputs (``_grid_rounding`` returns the bound):
     - an exponential is within 5u of its float argument's (libm's exp,
       cos and sin within one ulp, 2u, and one product), and a complex
-      product adds sqrt(5) u, so each factor costs at most 8u;
-    - head[q] takes q + 1 exponentials and q products, tail[r] takes r
-      exponentials and r - 1 products, and the caller's head[q] tail[r]
-      one product more: fewer than rows + B factors, 8u (rows + B) in all;
+      product adds sqrt(5) u;
+    - s^(2^m) is s squared m times, each square doubling the relative
+      error and adding one product: within 2^m 5u + (2^m - 1) sqrt(5) u;
+    - head[q] multiplies its start by one power s^(2^m) per binary digit
+      of q, one product each, so it is within 5u + q (5 + sqrt(5)) u <=
+      8u (q + 1); tail[r], whose start 1 multiplies exactly, within
+      r (5 + sqrt(5)) u <= 8u r; the caller's head[q] tail[r] adds one
+      product more: within 8u (rows + B) in all;
     - the arguments are rounded as well: i omega t0 within u |omega t0|,
-      i omega (B dt) within 2u |omega| B |dt| and used q times, i omega dt
-      within u |omega dt| and used r times.  That moves the entry by at
-      most 2u |omega| (|t0| + (n + B) |dt|) relative, and for real omega
-      it turns the phase only.
+      i omega (B dt) within 2u |omega| B |dt| and used q times (the
+      powers of s multiply it up), i omega dt within u |omega dt| and used
+      r times.  That moves the entry by at most 2u |omega| (|t0| +
+      (n + B) |dt|) relative, and for real omega it turns the phase only.
     So for real omega every |head[q] tail[r]| is within 8u (rows + B) of
     1: 2.5e-12 at solenoid-demo's 2,010,001-point grid, where rows + B is
     2,836.
     """
     rows, B = _block_shape(n)
     omega = np.asarray(omega)
-    head = np.empty((rows, len(omega)), dtype=complex)
-    head[:1] = np.exp(1j * t0 * omega)  # no rows when n = 0
-    head[1:] = np.exp(1j * (B * dt) * omega)
-    tail = np.empty((B, len(omega)), dtype=complex)
-    tail[0] = 1.0
-    tail[1:] = np.exp(1j * dt * omega)
-    return np.cumprod(head, axis=0, out=head), np.cumprod(tail, axis=0, out=tail)
+    head = _powers(np.exp(1j * t0 * omega), np.exp(1j * (B * dt) * omega), rows)
+    tail = _powers(np.ones(len(omega), dtype=complex), np.exp(1j * dt * omega), B)
+    return head, tail
+
+
+def _powers(start, s, count: int):
+    """The rows start s^q, q < count, by doubling: log2(count) vectorised products."""
+    out = np.empty((count, len(s)), dtype=complex)
+    out[:1] = start  # no rows when count = 0
+    done = 1
+    while done < count:
+        m = min(done, count - done)
+        np.multiply(out[:m], s, out=out[done:done + m])
+        done += m
+        if done < count:  # a square past the last power used may overflow on complex omega
+            s = s * s
+    return out
 
 
 def _grid_rounding(n: int, reach: float = 0.0) -> float:

@@ -55,6 +55,7 @@ from .bandlimited import (
     _min_rate,
     _near_values,
     _pair_metrics,
+    _too_coarse,
 )
 from .dynamics import SolenoidPoint, _solenoid_gaps
 from .errors import (
@@ -111,8 +112,10 @@ def minimal_start_index(c: float) -> int:
 class SolenoidEmbedding:
     """Parameters of the exponential-sum embedding into band [0, c].
 
-    The default grid step is the coarsest that the Bohr means at the sum's
-    frequencies (``_step_requirement``) and ``band`` take: 0.01 for c <= 25.
+    The default grid step is the least of the step the Bohr means at the
+    sum's frequencies need (``_step_requirement``) and 1 / rate, the rate
+    ``band`` needs (``_min_rate``): 0.01 for c <= 25.  Any step is checked
+    by ``Signal.check_grid``'s rule (``_too_coarse``).
     """
 
     c: float
@@ -131,17 +134,14 @@ class SolenoidEmbedding:
                 f"truncation depth K = {self.K} exceeds MAX_DEPTH = {MAX_DEPTH}, the largest "
                 f"n whose n! float64 holds exactly")
         self.band = Band(0.0, self.c)
-        limit = _min_rate(self.band)
         if self.grid_step is None:
-            step = min(float(_step_requirement(2.0 * np.pi * self.frequencies()).min()),
-                       1.0 / limit)
-            # 1 / (1 / limit) may round below limit: one ulp finer meets it.
-            self.grid_step = step if 1.0 / step >= limit else float(np.nextafter(step, 0.0))
+            self.grid_step = min(float(_step_requirement(2.0 * np.pi * self.frequencies()).min()),
+                                 1.0 / _min_rate(self.band))
         if not (0.0 < self.window < math.inf and 0.0 < self.grid_step < math.inf):
             raise ConfigurationError(
                 f"need a finite window and grid step > 0, got window {self.window}, "
                 f"grid step {self.grid_step}")
-        if 1.0 / self.grid_step < limit:
+        if _too_coarse(self.grid_step, self.band):
             raise ConfigurationError("grid step violates the oversampling bound")
 
     def frequencies(self):

@@ -8,8 +8,8 @@ to sin(pi rho z)/(pi rho z), and ``sinc_product`` evaluates that closed
 form; it is the package's only evaluator of the product.  h is an even
 trapezoidal rule on uniform nodes, evaluated as the block product of
 ``bandlimited._grid_factors`` with the points as frequencies: three
-exponentials per point, products for the rest.  The lattice sum behind
-the budget is in closed form.
+exponentials per distinct |point| (h is even on the real line), products
+for the rest.  The lattice sum behind the budget is in closed form.
 """
 
 from __future__ import annotations
@@ -192,7 +192,9 @@ def bump_transform(z, spec: KernelSpec):
 
     psi is even and flat at its endpoints, so the even trapezoidal rule
     on psi(xi) cos(2 pi z xi) converges spectrally.  h(0) = 1 by
-    normalization.  One rule serves the call (``_rule``): ``QUAD_NODES``
+    normalization, and h is even on the real line, so real points are
+    evaluated once per distinct |z| and gathered back: h(-z) equals h(z)
+    bit for bit.  One rule serves the call (``_rule``): ``QUAD_NODES``
     doubled until it reaches 4 tau max|z|.  Its doubled rule must agree
     within ``QUAD_TOL`` (scaled by the value's magnitude) or
     ``QuadratureError`` is raised with the achieved tolerance.  A
@@ -203,19 +205,22 @@ def bump_transform(z, spec: KernelSpec):
     The K nodes xi_k = k dxi are uniform, so with k = q B + r the wave
     exp(2 pi i z xi_k) is head[q](z) tail[r](z), the block factors of
     ``_grid_factors`` with the points as frequencies: three exponentials
-    per point, products for the rest (``_bump_rounding`` bounds their
-    rounding).  The weights, reshaped to rows x B and stacked over the
-    doubled rule and the base rule (its even nodes at twice the weight),
-    meet tail in one real matrix product; head then contracts each
-    point's column.  The cosine is the real part on real z and the mean
-    of the sums at z and -z on complex z.  Points are taken in chunks
-    whose product holds 2^16 complex entries (1 MB).
+    per distinct |point| (per point on complex z), products for the rest
+    (``_bump_rounding`` bounds their rounding).  The weights, reshaped to
+    rows x B and stacked over the doubled rule and the base rule (its even
+    nodes at twice the weight), meet tail in one real matrix product; head
+    then contracts each point's column.  The cosine is the real part on
+    real z and the mean of the sums at z and -z on complex z.  Points are
+    taken in chunks whose product holds 2^14 complex entries (256 KB): a
+    chunk's temporaries, under 1 MB in all, stay in cache.
     """
     z = np.asarray(z)
     real = not np.iscomplexobj(z)
     zz = z.ravel().astype(float if real else complex)
     if not np.all(np.isfinite(zz)):
         raise QuadratureError("bump transform needs finite points", achieved_tol=math.inf)
+    if real:
+        zz, back = np.unique(np.abs(zz), return_inverse=True)
     xi, fine_wt = _rule(spec, float(np.abs(zz).max()) if zz.size else 0.0)
     K = len(xi)
     rows, B = _block_shape(K)
@@ -225,7 +230,7 @@ def bump_transform(z, spec: KernelSpec):
     weights = weights.reshape(2 * rows, B)
     points = zz if real else np.concatenate([zz, -zz])
     sums = np.empty((2, len(points)), dtype=complex)
-    chunk = max(1, (1 << 16) // (2 * rows))
+    chunk = max(1, (1 << 14) // (2 * rows))
     for start in range(0, len(points), chunk):
         head, tail = _grid_factors(2.0 * np.pi * points[start:start + chunk], 0.0, xi[1], K)
         # A real product: tail viewed as interleaved real and imaginary parts.
@@ -237,7 +242,7 @@ def bump_transform(z, spec: KernelSpec):
         raise QuadratureError(
             f"bump transform quadrature disagreement {worst:.3g} exceeds {QUAD_TOL:.3g}",
             achieved_tol=worst)
-    out = fine.astype(complex)
+    out = fine[back].astype(complex) if real else fine.astype(complex)
     return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 

@@ -177,6 +177,16 @@ class TestGridFactors:
     @example(grid=LARGEST_RULE)
     @example(grid=(LARGEST_RULE[0] + 10j * 2 * np.pi, *LARGEST_RULE[1:]))
     @example(grid=(np.array([0.0, 2 * np.pi]), 0.0, 0.1, 1))
+    # With the example above (1 row), head and tail of 2, 3, 4, 5, 8 and 9
+    # rows: both sides of powers of two in the doubling recurrence.
+    @example(grid=(np.array([0.3, -7.0, 1000.0]), -3.0, 0.01, 3))
+    @example(grid=(np.array([0.3, -7.0, 1000.0]), -3.0, 0.01, 7))
+    @example(grid=(np.array([0.3, -7.0, 1000.0]), -3.0, 0.01, 13))
+    @example(grid=(np.array([0.3, -7.0, 1000.0]), -3.0, 0.01, 21))
+    @example(grid=(np.array([0.3, -7.0, 1000.0]) + 0.01j, -3.0, 0.01, 57))
+    @example(grid=(np.array([0.3, -7.0, 1000.0]), 3.0, -0.01, 81))
+    # Tall and narrow: solenoid-demo's 2,010,001 points, 1,418 x 3 blocks.
+    @example(grid=(2 * np.pi / np.array([1.0, 2.0, 6.0]), -10050.0, 0.01, 2_010_001))
     def test_matches_the_per_entry_oracle(self, grid):
         omega, t0, dt, n = grid
         head, tail = _grid_factors(omega, t0, dt, n)

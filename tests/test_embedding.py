@@ -104,17 +104,26 @@ class TestSolenoidEmbed:
         assert SolenoidEmbedding(c=0.4, K=3, window=10.0).m == 3
 
     @pytest.mark.parametrize("c, step", [(0.4, 0.01), (1.0, 0.01), (25.0, 0.01), (50.0, 1 / 200),
-                                         (26.25, np.nextafter(1 / 105, 0.0))])
+                                         (26.25, 1 / 105)])
     def test_default_step_is_the_coarsest_the_means_and_the_band_take(self, c, step):
-        # At c = 26.25 the reciprocal of 1/105 rounds below the rate 105;
-        # the step one ulp finer meets it.
+        # At c = 26.25 the reciprocal of 1/105 rounds below the rate 105,
+        # and the step is still taken: the rule compares step * rate with 1.
         emb = SolenoidEmbedding(c=c, K=5, window=1.0)
         assert emb.grid_step == step and emb.band == Band(0.0, c)
         need, rate = _step_requirement(2.0 * np.pi * emb.frequencies()).min(), _min_rate(emb.band)
-        assert step <= need and 1.0 / step >= rate
-        coarser = np.nextafter(step, 1.0)
-        assert coarser > need or 1.0 / coarser < rate
+        assert step == min(need, 1.0 / rate)
         assert len(solenoid_embed(solenoid_from_time(3.7, 5), emb)) == round(2.0 / step) + 1
+
+    def test_a_step_of_exactly_one_over_the_rate_is_taken_as_signals_take_it(self):
+        # 1 / (1 / 186) rounds below the rate 186 of band [0, 46.5].
+        assert 1.0 / (1 / 186) < 186.0
+        emb = SolenoidEmbedding(46.5, 2, 10.0, 1 / 186)
+        assert emb.grid_step == 1 / 186
+        assert len(Signal.from_function(lambda t: 0 * t, emb.band, 10.0, 1 / 186)) == 3721
+        with pytest.raises(ConfigurationError, match="oversampling bound"):
+            SolenoidEmbedding(46.5, 2, 10.0, (1 / 186) * (1 + 1e-9))
+        with pytest.raises(InvariantViolationError, match="oversampling bound"):
+            Signal.from_function(lambda t: 0 * t, emb.band, 10.0, (1 / 186) * (1 + 1e-9))
 
     def test_depth_beyond_exact_float64_factorials_is_refused(self):
         # 22! is the last factorial float64 holds exactly; the circle

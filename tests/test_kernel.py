@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
-from flowdim.bandlimited import UNIT_ROUNDOFF, Band
+from flowdim.bandlimited import UNIT_ROUNDOFF, Band, _grid_factors
 from flowdim.errors import ConfigurationError, QuadratureError
 from flowdim.kernel import (
     CERTIFY_MAX_POINTS,
@@ -234,6 +234,23 @@ class TestBumpTransform:
         assert np.shape(got) == np.shape(ref) == np.shape(z)
         assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
 
+    def test_real_points_take_one_evaluation_per_distinct_modulus(self, spec, monkeypatch):
+        import flowdim.kernel
+        seen = []
+
+        def counted(omega, t0, dt, n):
+            seen.append(len(omega))
+            return _grid_factors(omega, t0, dt, n)
+
+        monkeypatch.setattr(flowdim.kernel, "_grid_factors", counted)
+        # The 1,601 points of linspace(-20, 20, 1601), exactly symmetric
+        # about 0 (linspace's own are not, to rounding): |z| takes 801 values.
+        z = np.arange(-800, 801) / 40.0
+        h = bump_transform(z, spec)
+        assert sum(seen) == 801
+        assert np.array_equal(h, h[::-1])
+        assert np.array_equal(bump_transform(-z, spec), h)
+
     def test_tolerance_below_rounding_floor_raises(self, spec, monkeypatch):
         import flowdim.kernel
         monkeypatch.setattr(flowdim.kernel, "QUAD_TOL", 1e-18)
@@ -323,6 +340,17 @@ class TestCertifyConstants:
         for delta in (0.0, -0.1, math.nan, math.inf):
             with pytest.raises(ConfigurationError, match="delta"):
                 certify_constants(spec, delta)
+
+    @pytest.mark.parametrize("delta, delta_prime", [(0.1, 0.025946447824629466),
+                                                    (0.2, 0.05189289564925893)])
+    def test_readme_certificate_is_pinned(self, spec, delta, delta_prime):
+        # The kernel-report README example certifies these floats; a change
+        # to the evaluation of h must not move them.
+        c = certify_constants(spec, delta)
+        assert (c.K_dec, c.S_sup, c.T0) == (1.1000000000000003, 3.4686829044308793, 2.0)
+        assert (c.grid_slack, c.tail_bound) == (0.04989357839413339, 0.5799762000289672)
+        assert c.delta_prime == delta_prime
+        assert reverify_constants(spec, c)
 
     @pytest.mark.parametrize("delta", [0.1, 0.2])
     def test_matches_window_scan_bit_for_bit(self, spec, delta):
